@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Compare the summary.csv and oracle.csv of two sweep output directories.
+
+    python3 scripts/compare_outputs.py DIR_A DIR_B [--rtol 1e-12]
+
+Cells are compared one by one and each lands in one of three classes:
+
+- identical: the same text;
+- within rtol: both are floats, not both integers, and
+  |a - b| <= rtol * max(|a|, |b|);
+- different: anything else, including integer cells that differ at all.
+
+One line per column (per controller in summary.csv) that is not entirely
+identical gives the counts and the largest relative difference. A different
+header or row count is a difference too. Exits 1 when any cell or file differs, 0 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import csv
+import math
+import os
+import sys
+
+FILES = ("summary.csv", "oracle.csv")
+
+
+def _read(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _number(text):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def compare_cell(a: str, b: str, rtol: float):
+    """('identical' | 'within' | 'different', relative difference)."""
+    if a == b:
+        return "identical", 0.0
+    x, y = _number(a), _number(b)
+    if x is None or y is None or (isinstance(x, int) and isinstance(y, int)):
+        return "different", math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return "different", math.inf
+    rel = abs(x - y) / max(abs(x), abs(y))
+    return ("within" if rel <= rtol else "different"), rel
+
+
+def compare_file(path_a, path_b, rtol: float) -> bool:
+    """Print a report for one file pair; True when nothing differs."""
+    name = os.path.basename(path_a)
+    rows_a, rows_b = _read(path_a), _read(path_b)
+    if not rows_a or not rows_b or rows_a[0] != rows_b[0]:
+        print(f"{name}: headers differ")
+        return False
+    if len(rows_a) != len(rows_b):
+        print(f"{name}: {len(rows_a) - 1} rows against {len(rows_b) - 1}")
+        return False
+    header = rows_a[0]
+    group_col = header.index("controller") if "controller" in header else None
+    stats = {}  # (controller or "", column) -> counts
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        group = row_a[group_col] + " " if group_col is not None else ""
+        for col, a, b in zip(header, row_a, row_b):
+            kind, rel = compare_cell(a, b, rtol)
+            s = stats.setdefault((group, col), {"identical": 0, "within": 0, "different": 0, "max_rel": 0.0})
+            s[kind] += 1
+            s["max_rel"] = max(s["max_rel"], rel)
+    cells = sum(s["identical"] + s["within"] + s["different"] for s in stats.values())
+    identical = sum(s["identical"] for s in stats.values())
+    print(f"{name}: {len(rows_a) - 1} rows, {cells} cells, {identical} identical")
+    ok = True
+    for (group, col), s in stats.items():
+        if s["within"] or s["different"]:
+            print(
+                f"  {group}{col}: {s['identical']} identical, {s['within']} within rtol, "
+                f"{s['different']} different, max relative difference {s['max_rel']:.3g}"
+            )
+            ok = ok and not s["different"]
+    return ok
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir_a")
+    parser.add_argument("dir_b")
+    parser.add_argument("--rtol", type=float, default=0.0, help="relative tolerance for float cells")
+    args = parser.parse_args(argv)
+    ok = True
+    for name in FILES:
+        path_a, path_b = os.path.join(args.dir_a, name), os.path.join(args.dir_b, name)
+        if not (os.path.exists(path_a) and os.path.exists(path_b)):
+            print(f"{name}: missing in {args.dir_a if not os.path.exists(path_a) else args.dir_b}")
+            ok = False
+            continue
+        ok = compare_file(path_a, path_b, args.rtol) and ok
+    print("same within rtol" if ok else "DIFFERENT")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

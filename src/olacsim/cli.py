@@ -77,14 +77,21 @@ class Scenario:
             horizon = int(doc["horizon"])
         except KeyError as exc:
             raise ScenarioError(f"missing scenario field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"malformed V_values, seeds or horizon: {exc}") from exc
         if not controllers_raw or not v_values or not seeds:
             raise ScenarioError("controllers, V_values and seeds must be non-empty")
+        if horizon < 1:
+            raise ScenarioError("horizon must be >= 1")
 
         if "builtin" in inst_desc:
             if inst_desc["builtin"] != "two_queue":
                 raise ScenarioError(f"unknown builtin instance {inst_desc['builtin']!r}")
             channel = inst_desc.get("channel_dist", [0.25, 0.25, 0.25, 0.25])
-            instance = build_two_queue_example(channel)
+            try:
+                instance = build_two_queue_example(channel)
+            except (TypeError, ValueError) as exc:
+                raise ScenarioError(f"builtin two_queue: {exc}") from exc
         elif "file" in inst_desc:
             path = inst_desc["file"]
             if not os.path.isabs(path):
@@ -100,22 +107,42 @@ class Scenario:
             if c["kind"] not in KINDS:
                 raise ScenarioError(f"unknown controller kind {c['kind']!r}")
             kwargs = {"kind": c["kind"], "V": 1.0}
-            for key in ("c", "relearn_period", "theta_log_base"):
+            for key in ("c", "relearn_period", "theta_log_base", "discipline"):
                 if key in c:
                     kwargs[key] = c[key]
-            if "theta" in c and c["theta"] is not None:
-                kwargs["theta"] = np.asarray(c["theta"], dtype=float)
-            if "discipline" in c:
-                kwargs["discipline"] = c["discipline"]
-            if "prior" in c and c["prior"] is not None:
-                kwargs["prior"] = np.asarray(c["prior"], dtype=float)
+            # every run's configuration is built here, so a bad knob fails at
+            # load, not in a worker after the oracles have run
+            try:
+                for key in ("theta", "prior"):
+                    if c.get(key) is not None:
+                        kwargs[key] = np.asarray(c[key], dtype=float)
+                for v in v_values:
+                    ctrl = ControllerConfig(**{**kwargs, "V": v})
+                    ctrl.resolved_theta(instance.r)
+                    ctrl.resolved_discipline()
+                prior = kwargs.get("prior")
+                if prior is not None and not (
+                    prior.shape == (instance.M,) and np.isfinite(prior).all() and (prior >= 0).all()
+                ):
+                    raise ValueError(f"prior must hold {instance.M} finite non-negative pseudo-counts")
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise ScenarioError(f"controller {c['kind']}: {exc}") from exc
             controllers.append(kwargs)
 
         zeta = doc.get("zeta", {"policy": "auto_Dp"})
+        if not isinstance(zeta, dict):
+            raise ScenarioError("zeta must be an object")
         policy = zeta.get("policy", "auto_Dp")
         if policy not in ("auto_Dp", "absolute"):
             raise ScenarioError(f"unknown zeta policy {policy!r}")
-        zeta_value = float(zeta["value"]) if policy == "absolute" else None
+        zeta_value = None
+        if policy == "absolute":
+            try:
+                zeta_value = float(zeta["value"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ScenarioError(f"zeta policy 'absolute' needs a numeric 'value' ({exc!r})") from exc
+            if not 0 < zeta_value < math.inf:
+                raise ScenarioError(f"zeta value must be positive and finite, got {zeta_value:g}")
 
         return cls(
             instance=instance,

@@ -76,10 +76,12 @@ class ControllerConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
-        if self.V < 1:
-            raise ValueError("V must be >= 1")
+        if not 1 <= self.V < math.inf:
+            raise ValueError("V must be a finite number >= 1")
         if self.kind == OLAC2 and not 0 <= self.c < 1:
             raise ValueError("c must lie in [0, 1)")
+        if self.relearn_period < 1:
+            raise ValueError("relearn_period must be >= 1")
 
     def resolved_theta(self, r: int) -> np.ndarray:
         if self.theta is not None:

@@ -6,7 +6,7 @@ average arrivals <= average services is separable over states:
     g(gamma) = sum_i pi_i * min_x [ V*f(i,x) + gamma . (A(i,x) - mu(i,x)) ]
 
 g is concave piecewise-linear in gamma; it is maximized here by projected
-supergradient ascent. The same static problem is solved exactly as a linear
+supergradient ascent on reduced tables (``DualTables``). The same static problem is solved exactly as a linear
 program over per-state action mixtures (the primal oracle), which also yields
 the optimal multiplier through its dual prices. Analysis constants (slack
 eta_0, polyhedral decay rho, attraction radius D_p) are derived from these
@@ -26,6 +26,7 @@ __all__ = [
     "Multiplier",
     "DualSolverConfig",
     "DualSolveResult",
+    "DualTables",
     "RandomizedPolicy",
     "PrimalSolution",
     "AnalysisConstants",
@@ -172,23 +173,125 @@ def supergradient(instance: NetworkInstance, dist, gamma, V: float) -> np.ndarra
     return dist @ instance.drift[np.arange(instance.M), sel]
 
 
-def maximize_dual(instance: NetworkInstance, dist, V: float, cfg: DualSolverConfig | None = None) -> DualSolveResult:
+# Bound on the selections a DualTables keeps gathered (each holds M*(r+1) floats).
+SELECTED_CACHE_SIZE = 4096
+
+
+class DualTables:
+    """The dual's tables reduced for the ascent, built once per (instance, V).
+
+    Two reductions that leave every minimizer over gamma >= 0 in place:
+
+    - Folding. A state whose arrivals are the same for every action adds the
+      same gamma . A(i) to all of its action scores, so its argmin is the
+      argmin of V*f - gamma . mu. Such states that share the cost and service
+      rows fold into one class. A state with action-dependent arrivals is a
+      class of its own and keeps its full drift.
+    - Pruning. Action x of a class is dropped when some action y has
+      V*f_y <= V*f_x and drift_y <= drift_x in every component, and also
+      y < x or V*f_y < V*f_x. For gamma >= 0 the score of y is then at most
+      that of x, so x is never the smallest-id minimizer, not even at
+      gamma = 0, where only costs decide.
+
+    The kept actions of a class stay in id order, padded to a common width
+    with +inf cost, so argmin ties still go to the smallest id. ``rows`` maps
+    a per-class selection back to the full-table rows i*K + x of every state;
+    the ascent computes its supergradient on those rows, as ``supergradient``
+    does. The two-queue instance reduces from 64 states x 10 actions to
+    16 classes x 9 slots (112 real actions).
+    """
+
+    def __init__(self, instance: NetworkInstance, V: float):
+        M, K = instance.costs.shape
+        r = instance.r
+        self.V = V
+        self.M = M
+        valid = np.arange(K) < instance.action_counts[:, None]
+        base = V * instance.costs
+        services = instance.services
+        fold = ((instance.arrivals == instance.arrivals[:, :1]) | ~valid[..., None]).all(axis=(1, 2))
+        # states that cannot fold get a tag of their own, so they never share a class
+        tag = np.where(fold, 0.0, np.arange(1.0, M + 1.0))
+        key = np.hstack([base, services.reshape(M, K * r), tag[:, None]])
+        _, rep, class_of = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        class_of = class_of.reshape(-1)
+
+        cost = base[rep]
+        drift = np.where(fold[rep, None, None], -services[rep], instance.drift[rep])
+        ids = np.arange(K)
+        dominated = (
+            valid[rep][:, :, None]
+            & (cost[:, :, None] <= cost[:, None, :])
+            & (drift[:, :, None, :] <= drift[:, None, :, :]).all(axis=3)
+            & ((ids[:, None] < ids[None, :]) | (cost[:, :, None] < cost[:, None, :]))
+        ).any(axis=1)
+        keep = valid[rep] & ~dominated
+
+        width = int(keep.sum(axis=1).max())
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :width]  # kept ids first, in id order
+        kept = np.take_along_axis(keep, order, axis=1)
+        self.shape = (rep.size, width)
+        self.base = np.where(kept, np.take_along_axis(cost, order, axis=1), np.inf).ravel()
+        self.drift = np.where(
+            kept[..., None], np.take_along_axis(drift, order[..., None], axis=1), 0.0
+        ).reshape(-1, r)
+        self.class_of = class_of
+        self._state_rows = (np.arange(M)[:, None] * K + order[class_of]).ravel()
+        self._state_offset = np.arange(M) * width
+        self.full_base = base.ravel()
+        self.full_drift = instance.drift.reshape(M * K, r)
+        self._selected: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+    def rows(self, sel: np.ndarray) -> np.ndarray:
+        """Full-table row of each state's selected action, from a per-class selection."""
+        return self._state_rows[self._state_offset + sel[self.class_of]]
+
+    def selected(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """V*cost and drift rows of each state's selected action, kept per selection.
+
+        An ascent visits few distinct selections (56 over a 3e4-slot OLAC run
+        on the two-queue instance), so the gathers are kept for reuse across
+        solves; the store is emptied once it holds SELECTED_CACHE_SIZE of them.
+        """
+        key = sel.tobytes()
+        hit = self._selected.get(key)
+        if hit is None:
+            if len(self._selected) >= SELECTED_CACHE_SIZE:
+                self._selected.clear()
+            rows = self.rows(sel)
+            hit = self._selected[key] = (self.full_base[rows], self.full_drift[rows])
+        return hit
+
+
+def maximize_dual(
+    instance: NetworkInstance,
+    dist,
+    V: float,
+    cfg: DualSolverConfig | None = None,
+    *,
+    tables: DualTables | None = None,
+) -> DualSolveResult:
     """Projected supergradient ascent on gamma >= 0, tracking the best iterate.
 
     Subgradient steps are not monotone, so the best iterate by value (the warm
     start counts as iterate zero) is returned, together with a convergence
     flag that is False when the iteration cap was reached before the
     improvement-based stop triggered.
+
+    Each iteration selects actions on ``tables`` (built here when not given).
+    A selection fixes the value's constant and its supergradient for the
+    whole solve, since ``dist`` does not change, so both are memoized per
+    selection and the value is const + grad . gamma.
     """
     cfg = cfg or DualSolverConfig()
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (instance.M,):
         raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
+    if tables is None:
+        tables = DualTables(instance, V)
+    elif tables.V != V or tables.M != instance.M:
+        raise ValueError("dual tables were built for another instance or V")
     r = instance.r
-    M, K = instance.costs.shape
-    base = (V * instance.costs).ravel()
-    drift2 = instance.drift.reshape(M * K, r)
-    row0 = np.arange(M) * K
 
     if cfg.step_rule == "diminishing":
         if cfg.step_params is None:
@@ -204,11 +307,22 @@ def maximize_dual(instance: NetworkInstance, dist, V: float, cfg: DualSolverConf
     if gamma.shape != (r,):
         raise ValueError(f"warm start has shape {gamma.shape}, expected ({r},)")
 
+    base, drift = tables.base, tables.drift
+    scores = np.empty(tables.shape)
+    flat = scores.reshape(-1)
+    memo: dict[bytes, tuple[float, np.ndarray]] = {}
+
     def evaluate(g):
-        scores = base + drift2 @ g
-        sel = scores.reshape(M, K).argmin(axis=1)
-        rows = row0 + sel
-        return float(dist @ scores[rows]), dist @ drift2[rows]
+        np.dot(drift, g, out=flat)
+        np.add(flat, base, out=flat)
+        sel = scores.argmin(axis=1)
+        key = sel.tobytes()
+        hit = memo.get(key)
+        if hit is None:
+            base_rows, drift_rows = tables.selected(sel)
+            hit = memo[key] = (float(dist @ base_rows), dist @ drift_rows)
+        const, grad = hit
+        return const + grad.dot(g), grad
 
     best_value, grad = evaluate(gamma)
     best_gamma = gamma.copy()
@@ -227,7 +341,7 @@ def maximize_dual(instance: NetworkInstance, dist, V: float, cfg: DualSolverConf
         if it - last_improve >= cfg.window:
             converged = True
             break
-    return DualSolveResult(best_gamma, best_value, converged, iterations)
+    return DualSolveResult(best_gamma, float(best_value), converged, iterations)
 
 
 def _policy_lp_columns(instance: NetworkInstance, dist):

@@ -9,11 +9,11 @@ O(1/t) per slot.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dual import DualSolverConfig, maximize_dual
+from .dual import DualSolverConfig, DualTables, maximize_dual
 from .model import NetworkInstance
 
 __all__ = ["EmpiricalDistribution", "DualLearnState", "dual_learn"]
@@ -58,13 +58,23 @@ class EmpiricalDistribution:
 
 @dataclass
 class DualLearnState:
-    """Current learned multiplier plus re-solve bookkeeping."""
+    """Current learned multiplier plus re-solve bookkeeping.
+
+    ``tables`` are the reduced dual tables, built on the first solve and
+    reused by every later one; ``solve_cfg`` is a private copy of
+    ``solver_cfg`` that each solve points at the current warm start.
+    """
 
     beta: np.ndarray
     solver_cfg: DualSolverConfig
     relearn_period: int = 1
     last_solved_at: int | None = None
     solver_flag: bool = False  # last solve hit its iteration cap
+    tables: DualTables | None = field(default=None, init=False, repr=False)
+    solve_cfg: DualSolverConfig = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.solve_cfg = replace(self.solver_cfg)
 
     @classmethod
     def initial(cls, r: int, solver_cfg: DualSolverConfig, relearn_period: int = 1) -> "DualLearnState":
@@ -89,8 +99,12 @@ def dual_learn(
         return state
     if not ed.defined:
         return state
-    cfg = replace(state.solver_cfg, warm_start=state.beta, step_offset=slot)
-    result = maximize_dual(instance, ed.estimate(), V, cfg)
+    if state.tables is None:
+        state.tables = DualTables(instance, V)
+    cfg = state.solve_cfg
+    cfg.warm_start = state.beta
+    cfg.step_offset = slot
+    result = maximize_dual(instance, ed.estimate(), V, cfg, tables=state.tables)
     state.beta = result.gamma
     state.last_solved_at = slot
     state.solver_flag = not result.converged

@@ -135,28 +135,32 @@ def validate(instance: NetworkInstance) -> ValidationReport:
     """Report every violated instance invariant; an empty report means valid."""
     violations: list[str] = []
     total = float(sum(s.probability for s in instance.states))
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
         violations.append(f"probability sum {total:g}")
     for state in instance.states:
-        if not (0.0 <= state.probability <= 1.0):
+        if not math.isfinite(state.probability):
+            violations.append(f"state {state.id}: non-finite probability {state.probability:g}")
+        elif not (0.0 <= state.probability <= 1.0):
             violations.append(f"state {state.id}: probability {state.probability:g} outside [0, 1]")
         if not state.actions:
             violations.append(f"state {state.id}: empty action set")
         seen = set()
         for act in state.actions:
+            where = f"state {state.id} action {act.id}"
             if act.id in seen:
                 violations.append(f"state {state.id}: duplicate action id {act.id}")
             seen.add(act.id)
-            if act.cost < 0:
-                violations.append(f"state {state.id} action {act.id}: negative cost {act.cost:g}")
+            if not math.isfinite(act.cost):
+                violations.append(f"{where}: non-finite cost {act.cost:g}")
+            elif act.cost < 0:
+                violations.append(f"{where}: negative cost {act.cost:g}")
             if len(act.arrivals) != instance.r or len(act.services) != instance.r:
-                violations.append(
-                    f"state {state.id} action {act.id}: vector length != r={instance.r}"
-                )
-            if any(a < 0 for a in act.arrivals):
-                violations.append(f"state {state.id} action {act.id}: negative arrival entry")
-            if any(s < 0 for s in act.services):
-                violations.append(f"state {state.id} action {act.id}: negative service entry")
+                violations.append(f"{where}: vector length != r={instance.r}")
+            for name, vec in (("arrival", act.arrivals), ("service", act.services)):
+                if not all(math.isfinite(x) for x in vec):
+                    violations.append(f"{where}: non-finite {name} entry")
+                elif any(x < 0 for x in vec):
+                    violations.append(f"{where}: negative {name} entry")
     return ValidationReport(violations)
 
 
@@ -172,8 +176,8 @@ def build_two_queue_example(channel_dist) -> NetworkInstance:
     cd = np.asarray(channel_dist, dtype=float)
     if cd.shape != (4,):
         raise ValueError(f"channel_dist must have 4 entries, got shape {cd.shape}")
-    if np.any(cd < 0):
-        raise ValueError("channel_dist entries must be non-negative")
+    if not (cd >= 0).all():
+        raise ValueError("channel_dist entries must be non-negative and finite")
     if abs(cd.sum() - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"channel_dist must sum to 1, got {cd.sum():g}")
 

@@ -51,6 +51,43 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="zeta policy"):
             Scenario.from_dict(smoke_doc(zeta={"policy": "weird"}))
 
+    @pytest.mark.parametrize("zeta", [{"policy": "absolute"}, {"policy": "absolute", "value": "x"},
+                                      {"policy": "absolute", "value": float("nan")}, "absolute"])
+    def test_bad_zeta_rejected(self, zeta):
+        with pytest.raises(ScenarioError, match="zeta"):
+            Scenario.from_dict(smoke_doc(zeta=zeta))
+
+    @pytest.mark.parametrize("channel", [[0.5, 0.5], [0.5, 0.6, 0.0, 0.0], [float("nan"), 0.5, 0.25, 0.25]])
+    def test_bad_builtin_channel_rejected(self, channel):
+        with pytest.raises(ScenarioError, match="builtin two_queue"):
+            Scenario.from_dict(smoke_doc(instance={"builtin": "two_queue", "channel_dist": channel}))
+
+    @pytest.mark.parametrize("controller, match", [
+        ({"kind": "OLAC2", "c": 1.5}, "c must lie"),
+        ({"kind": "OLAC", "theta": [1.0]}, "theta has shape"),
+        ({"kind": "OLAC", "theta": [1.0, -1.0]}, "positive"),
+        ({"kind": "OLAC", "discipline": "LIFO"}, "FIFO"),
+        ({"kind": "OLAC", "relearn_period": 0}, "relearn_period"),
+        ({"kind": "OLAC", "theta_log_base": 1.0}, "OLAC"),
+        ({"kind": "OLAC", "prior": [1.0, 1.0]}, "prior must hold 64"),
+        ({"kind": "OLAC2", "prior": [float("nan")] * 64}, "prior"),
+    ])
+    def test_bad_controller_knob_rejected_at_load(self, controller, match):
+        with pytest.raises(ScenarioError, match=match):
+            Scenario.from_dict(smoke_doc(controllers=[{"kind": "Backpressure"}, controller]))
+
+    @pytest.mark.parametrize("overrides", [{"V_values": [0.5]}, {"V_values": [float("nan")]},
+                                           {"V_values": ["x"]}, {"horizon": 0}])
+    def test_bad_grid_rejected_at_load(self, overrides):
+        with pytest.raises(ScenarioError):
+            Scenario.from_dict(smoke_doc(**overrides))
+
+    def test_bad_knob_fails_before_any_output(self, tmp_path):
+        scen = tmp_path / "bad.json"
+        scen.write_text(json.dumps(smoke_doc(controllers=[{"kind": "OLAC2", "c": 1.5}])))
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_instance_file_loading(self, tmp_path, two_queue):
         from olacsim.model import serialize_instance
 

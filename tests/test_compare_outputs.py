@@ -1,0 +1,62 @@
+import importlib.util
+import os
+
+import pytest
+
+SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_outputs.py")
+spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+SUMMARY = "controller,V,seed,avg_backlog,T_l\nOLAC,100.0,0,{backlog},\nOLAC2,100.0,0,12.5,{t_l}\n"
+ORACLE = "V,g_star\n100.0,{g_star}\n"
+
+
+def write(tmp_path, name, backlog="31.25", t_l="22", g_star="40.123456789012344"):
+    d = tmp_path / name
+    d.mkdir()
+    (d / "summary.csv").write_text(SUMMARY.format(backlog=backlog, t_l=t_l))
+    (d / "oracle.csv").write_text(ORACLE.format(g_star=g_star))
+    return str(d)
+
+
+@pytest.mark.parametrize("cells, expected", [
+    (("1.5", "1.5"), "identical"),
+    (("40.123456789012344", "40.12345678901235"), "within"),
+    (("1.0", "1.1"), "different"),
+    (("22", "23"), "different"),  # integers get no tolerance
+    (("", "1.0"), "different"),
+    (("nan", "nan"), "identical"),
+    (("nan", "1.0"), "different"),
+])
+def test_cell_classes(cells, expected):
+    assert compare_outputs.compare_cell(*cells, rtol=1e-12)[0] == expected
+
+
+def test_identical_directories(tmp_path, capsys):
+    a, b = write(tmp_path, "a"), write(tmp_path, "b")
+    assert compare_outputs.main([a, b]) == 0
+    assert "summary.csv: 2 rows, 10 cells, 10 identical" in capsys.readouterr().out
+
+
+def test_float_within_rtol_reported_per_column(tmp_path, capsys):
+    a, b = write(tmp_path, "a"), write(tmp_path, "b", g_star="40.12345678901235")
+    assert compare_outputs.main([a, b]) == 1  # no tolerance by default
+    assert compare_outputs.main([a, b, "--rtol", "1e-12"]) == 0
+    out = capsys.readouterr().out
+    assert "g_star: 0 identical, 1 within rtol, 0 different" in out
+
+
+def test_differences_exit_non_zero(tmp_path, capsys):
+    a = write(tmp_path, "a")
+    assert compare_outputs.main([a, write(tmp_path, "b", backlog="31.5"), "--rtol", "1e-12"]) == 1
+    assert "OLAC avg_backlog: 0 identical, 0 within rtol, 1 different" in capsys.readouterr().out
+    assert compare_outputs.main([a, write(tmp_path, "c", t_l="23"), "--rtol", "0.5"]) == 1
+
+
+def test_row_count_mismatch(tmp_path, capsys):
+    a, b = write(tmp_path, "a"), write(tmp_path, "b")
+    with open(os.path.join(b, "summary.csv"), "a") as fh:
+        fh.write("Backpressure,100.0,0,3.0,\n")
+    assert compare_outputs.main([a, b]) == 1
+    assert "2 rows against 3" in capsys.readouterr().out

@@ -66,6 +66,8 @@ class TestTwoQueueBuilder:
             build_two_queue_example([-0.1, 0.5, 0.3, 0.3])
         with pytest.raises(ValueError, match="4 entries"):
             build_two_queue_example([0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            build_two_queue_example([float("nan"), 0.5, 0.25, 0.25])
 
 
 class TestValidate:
@@ -86,6 +88,17 @@ class TestValidate:
         assert "negative cost" in msgs
         assert "negative service" in msgs
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["probability", "cost", "arrival", "service"])
+    def test_non_finite_entries_flagged(self, field, bad):
+        # every comparison with NaN is false, so a sign check alone lets it through
+        prob = bad if field == "probability" else 1.0
+        cost = bad if field == "cost" else 0.0
+        arr = [bad] if field == "arrival" else [0.0]
+        srv = [bad] if field == "service" else [1.0]
+        report = validate(make_instance(1, [prob], [[(0.0, [0.0], [1.0]), (cost, arr, srv)]]))
+        assert any(f"non-finite {field}" in v for v in report.violations), report.violations
+
 
 class TestSerialization:
     def test_round_trip_two_queue(self, two_queue):
@@ -100,6 +113,16 @@ class TestSerialization:
                                    "actions": [{"cost": 0.0, "arrivals": [0.0], "services": [-1.0]}]}]}
         with pytest.raises(InstanceError, match="negative service"):
             load_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_rejected(self, token):
+        # Python's JSON parser accepts these tokens
+        text = (
+            '{"r": 1, "states": [{"probability": 1.0, "actions": '
+            '[{"cost": %s, "arrivals": [0.0], "services": [1.0]}]}]}' % token
+        )
+        with pytest.raises(InstanceError, match="non-finite cost"):
+            load_instance(text)
 
     def test_empty_document(self):
         with pytest.raises(InstanceError, match="empty document"):
