@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the summary.csv and oracle.csv of two sweep output directories.
+"""Compare the summary.csv, oracle.csv and trace_*.csv of two sweep output directories.
 
     python3 scripts/compare_outputs.py DIR_A DIR_B [--rtol 1e-12]
 
@@ -12,7 +12,9 @@ Cells are compared one by one and each lands in one of three classes:
 
 One line per column (per controller in summary.csv) that is not entirely
 identical gives the counts and the largest relative difference. A different
-header or row count is a difference too. Exits 1 when any cell or file differs, 0 otherwise.
+header or row count is a difference too, and so is a file present on one side
+only (summary.csv and oracle.csv must be on both). Exits 1 when any cell or
+file differs, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -94,8 +96,10 @@ def main(argv=None) -> int:
     parser.add_argument("dir_b")
     parser.add_argument("--rtol", type=float, default=0.0, help="relative tolerance for float cells")
     args = parser.parse_args(argv)
+    traces = {name for d in (args.dir_a, args.dir_b) for name in os.listdir(d)
+              if name.startswith("trace_") and name.endswith(".csv")}
     ok = True
-    for name in FILES:
+    for name in [*FILES, *sorted(traces)]:
         path_a, path_b = os.path.join(args.dir_a, name), os.path.join(args.dir_b, name)
         if not (os.path.exists(path_a) and os.path.exists(path_b)):
             print(f"{name}: missing in {args.dir_a if not os.path.exists(path_a) else args.dir_b}")

@@ -25,7 +25,7 @@ from .model import (
     serialize_instance,
     validate,
 )
-from .queueing import QueueLedger, adjust_to, apply_slot, delay_stats
+from .queueing import QueueLedger, adjust_to, apply_slot
 from .sim import RunResult, SimConfig, convergence_time, run
 
 __version__ = "0.1.0"

@@ -38,6 +38,8 @@ SUMMARY_COLUMNS_TAIL = ["T_zeta_first", "T_zeta_sustained", "dropped_total", "T_
 ORACLE_COLUMNS_BASE = ["V", "f_av_star", "g_star"]
 ORACLE_COLUMNS_TAIL = ["eta_0", "rho_hat", "D_p", "eta", "B", "f_max", "min_perturbed_slack"]
 
+CONTROLLER_KEYS = ("kind", "c", "relearn_period", "theta", "prior")
+
 
 class ScenarioError(ValueError):
     pass
@@ -49,7 +51,7 @@ class Scenario:
 
     instance: NetworkInstance
     instance_desc: dict
-    controllers: list[ControllerConfig]
+    controllers: list[dict]                 # ControllerConfig kwargs without V
     v_values: list[float]
     seeds: list[int]
     horizon: int
@@ -106,8 +108,14 @@ class Scenario:
                 raise ScenarioError("each controller needs a 'kind'")
             if c["kind"] not in KINDS:
                 raise ScenarioError(f"unknown controller kind {c['kind']!r}")
+            unknown = [key for key in c if key not in CONTROLLER_KEYS]
+            if unknown:
+                raise ScenarioError(
+                    f"controller {c['kind']}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                    f"accepted: {', '.join(CONTROLLER_KEYS)}"
+                )
             kwargs = {"kind": c["kind"], "V": 1.0}
-            for key in ("c", "relearn_period", "theta_log_base", "discipline"):
+            for key in ("c", "relearn_period"):
                 if key in c:
                     kwargs[key] = c[key]
             # every run's configuration is built here, so a bad knob fails at
@@ -119,7 +127,6 @@ class Scenario:
                 for v in v_values:
                     ctrl = ControllerConfig(**{**kwargs, "V": v})
                     ctrl.resolved_theta(instance.r)
-                    ctrl.resolved_discipline()
                 prior = kwargs.get("prior")
                 if prior is not None and not (
                     prior.shape == (instance.M,) and np.isfinite(prior).all() and (prior >= 0).all()
@@ -198,16 +205,15 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _controller_label(kwargs: dict) -> str:
-    return kwargs["kind"]
-
-
 def _execute_run(args):
-    """Worker entry: one (controller, V, seed) simulation."""
+    """Worker entry: one (controller, V, seed) simulation; its exception if it fails."""
     instance, ctrl_kwargs, v, seed, horizon, zeta, period, gamma_star = args
-    ctrl = ControllerConfig(**{**ctrl_kwargs, "V": v})
-    cfg = SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, metric_sample_period=period)
-    return run(instance, cfg, gamma_star)
+    try:
+        ctrl = ControllerConfig(**{**ctrl_kwargs, "V": v})
+        cfg = SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, metric_sample_period=period)
+        return run(instance, cfg, gamma_star)
+    except Exception as exc:  # recorded per run by the collector
+        return exc
 
 
 def _perturbed_distributions(pi: np.ndarray, count: int, eps: float, seed: int):
@@ -230,6 +236,16 @@ def _perturbed_distributions(pi: np.ndarray, count: int, eps: float, seed: int):
         if np.linalg.norm(cand - pi) <= eps:
             out.append(cand)
     return out
+
+
+def _oracle_columns(r: int) -> list[str]:
+    return ORACLE_COLUMNS_BASE + [f"gamma_star_{j + 1}" for j in range(r)] + ORACLE_COLUMNS_TAIL
+
+
+def _oracle_row(ana: dual.InstanceAnalysis, r: int, min_slack=None) -> list:
+    c = ana.constants
+    return [ana.V, ana.f_av_star, ana.g_star, *(ana.gamma_star[j] for j in range(r)),
+            ana.eta_0, c.rho_hat, c.D_p, c.eta, c.B, c.f_max, min_slack]
 
 
 def _summary_columns(r: int) -> list[str]:
@@ -259,7 +275,9 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
 
     Oracles (gamma*, f*, eta_0, rho_hat, D_p) are computed once per V in the
     parent process; runs execute in a process pool when workers > 1; a single
-    collector writes all outputs sorted by (controller, V, seed).
+    collector writes all outputs sorted by (controller, V, seed). A run that
+    raises is recorded in the manifest (status "error", counted in "failed")
+    and the other runs' outputs are still written.
     """
     out_dir = out_dir or scenario.out_dir or os.environ.get(OUT_DIR_ENV, "out")
     workers = workers if workers is not None else scenario.workers
@@ -269,26 +287,18 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     pi = instance.probabilities
     r = instance.r
 
+    # the perturbed distributions do not depend on V: one slack minimum per scenario
+    min_slack = None
+    if scenario.assumption_check:
+        perturbed = _perturbed_distributions(pi, scenario.perturbation_count, scenario.epsilon_s, scenario.rho_seed)
+        min_slack = min(dual.max_slack(instance, p) for p in perturbed) if perturbed else None
     analyses: dict[float, dual.InstanceAnalysis] = {}
-    oracle_rows = []
     for v in sorted(set(scenario.v_values)):
-        ana = dual.compute_analysis(
+        analyses[v] = dual.compute_analysis(
             instance, pi, v, rho_samples=scenario.rho_samples, rho_seed=scenario.rho_seed
         )
-        analyses[v] = ana
-        min_slack = None
-        if scenario.assumption_check:
-            perturbed = _perturbed_distributions(
-                pi, scenario.perturbation_count, scenario.epsilon_s, scenario.rho_seed
-            )
-            min_slack = min(dual.max_slack(instance, p) for p in perturbed) if perturbed else None
-        row = [v, ana.f_av_star, ana.g_star]
-        row += [ana.gamma_star[j] for j in range(r)]
-        row += [ana.eta_0, ana.constants.rho_hat, ana.constants.D_p, ana.constants.eta,
-                ana.constants.B, ana.constants.f_max, min_slack]
-        oracle_rows.append(row)
-    oracle_header = ORACLE_COLUMNS_BASE + [f"gamma_star_{j + 1}" for j in range(r)] + ORACLE_COLUMNS_TAIL
-    _write_csv(os.path.join(out_dir, "oracle.csv"), oracle_header, oracle_rows)
+    oracle_rows = [_oracle_row(ana, r, min_slack) for ana in analyses.values()]
+    _write_csv(os.path.join(out_dir, "oracle.csv"), _oracle_columns(r), oracle_rows)
 
     jobs = []
     for ctrl_kwargs in scenario.controllers:
@@ -312,7 +322,12 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     summary_rows = []
     for job, res in zip(jobs, outcomes):
         _, ctrl_kwargs, v, seed, horizon, zeta, _, _ = job
-        label = _controller_label(ctrl_kwargs)
+        label = ctrl_kwargs["kind"]
+        if isinstance(res, Exception):
+            message = f"{type(res).__name__}: {res}"
+            manifest["runs"].append({"controller": label, "V": v, "seed": seed, "status": "error", "error": message})
+            manifest["failed"] += 1
+            continue
         summary_rows.append(_summary_row(label, v, seed, horizon, res, r))
         manifest["runs"].append({"controller": label, "V": v, "seed": seed, "status": "ok"})
         if trace:
@@ -408,11 +423,15 @@ def _cmd_run(args) -> int:
         return 2
     try:
         manifest = run_scenario(scenario, out_dir=args.out, workers=args.workers, trace=args.trace or None)
-    except Exception as exc:  # partial outputs retained with manifest
+    except Exception as exc:  # an oracle or an output write failed; failed runs are in the manifest
         print(f"error: scenario failed: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {manifest['out_dir']}/summary.csv ({len(manifest['runs'])} runs)")
-    return 0
+    for entry in manifest["runs"]:
+        if entry["status"] != "ok":
+            print(f"error: run {entry['controller']} V={entry['V']:g} seed={entry['seed']}: {entry['error']}",
+                  file=sys.stderr)
+    print(f"wrote {manifest['out_dir']}/summary.csv ({len(manifest['runs'])} runs, {manifest['failed']} failed)")
+    return 1 if manifest["failed"] else 0
 
 
 def _load_cli_instance(token: str, channel_dist) -> NetworkInstance:
@@ -443,12 +462,7 @@ def _cmd_oracle(args) -> int:
         print("warning: polyhedral decay not numerically confirmed (rho_hat <= 0)")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        header = ORACLE_COLUMNS_BASE + [f"gamma_star_{j + 1}" for j in range(instance.r)] + ORACLE_COLUMNS_TAIL
-        row = [args.V, ana.f_av_star, ana.g_star]
-        row += [ana.gamma_star[j] for j in range(instance.r)]
-        row += [ana.eta_0, ana.constants.rho_hat, ana.constants.D_p, ana.constants.eta,
-                ana.constants.B, ana.constants.f_max, None]
-        _write_csv(os.path.join(args.out, "oracle.csv"), header, [row])
+        _write_csv(os.path.join(args.out, "oracle.csv"), _oracle_columns(instance.r), [_oracle_row(ana, instance.r)])
     return 0
 
 

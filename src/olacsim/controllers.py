@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolverConfig, maximize_dual
+from .dual import DualSolveResult, DualSolverConfig, maximize_dual
 from .learning import EmpiricalDistribution
 from .model import NetworkInstance
 
@@ -26,7 +26,6 @@ __all__ = [
     "ControllerConfig",
     "bp_decide",
     "olac_decide",
-    "Olac2Step",
     "olac2_step",
     "default_tracking_solver",
     "default_oneshot_solver",
@@ -65,12 +64,10 @@ class ControllerConfig:
 
     kind: str
     V: float
-    theta: np.ndarray | None = None          # OLAC; default (log V)^2 per queue
-    theta_log_base: float = math.e
+    theta: np.ndarray | None = None          # OLAC; default (ln V)^2 per queue
     c: float = 2.0 / 3.0                     # OLAC2 learn-time exponent
     relearn_period: int = 1                  # OLAC re-solve cadence
     solver: DualSolverConfig | None = None   # None: kind-appropriate default
-    discipline: str | None = None            # None: FIFO (OLAC/BP), LIFO (OLAC2)
     prior: np.ndarray | None = None          # pseudo-counts for the empirical dist
 
     def __post_init__(self):
@@ -91,16 +88,7 @@ class ControllerConfig:
             if (theta <= 0).any():
                 raise ValueError("theta must be componentwise positive")
             return theta
-        return np.full(r, (math.log(self.V, self.theta_log_base)) ** 2 if self.V > 1 else 1.0)
-
-    def resolved_discipline(self) -> str:
-        if self.discipline is not None:
-            if self.kind == OLAC and self.discipline != "FIFO":
-                raise ValueError("OLAC requires FIFO queueing")
-            if self.kind == OLAC2 and self.discipline != "LIFO":
-                raise ValueError("OLAC2 requires LIFO queueing")
-            return self.discipline
-        return "LIFO" if self.kind == OLAC2 else "FIFO"
+        return np.full(r, math.log(self.V) ** 2 if self.V > 1 else 1.0)
 
     def learn_slot(self) -> int:
         """OLAC2's one-shot learn time T_l = round(V^c), at least 1."""
@@ -137,30 +125,11 @@ def olac_decide(instance: NetworkInstance, state_id: int, q, beta, theta, V: flo
     return _decide_weighted(instance, state_id, q + beta - theta, V)
 
 
-@dataclass
-class Olac2Step:
-    action: int
-    adjustment: np.ndarray | None = None
-    solver_converged: bool | None = None
+def olac2_step(instance: NetworkInstance, ed: EmpiricalDistribution, cfg: ControllerConfig) -> DualSolveResult:
+    """OLAC2's one-shot learn at slot T_l: maximize the empirical dual.
 
-
-def olac2_step(
-    instance: NetworkInstance,
-    state_id: int,
-    slot: int,
-    q,
-    ed: EmpiricalDistribution,
-    cfg: ControllerConfig,
-) -> Olac2Step:
-    """Backpressure action, plus the one-shot backlog target at slot T_l.
-
-    At slot T_l the empirical dual over the observations so far is solved and
-    its maximizer returned as the adjustment target; the engine applies the
-    adjustment before serving the slot.
+    The observations so far give the distribution; the engine adjusts the
+    backlog to the returned maximizer ``gamma``.
     """
-    action = bp_decide(instance, state_id, q, cfg.V)
-    if slot == cfg.learn_slot():
-        solver = cfg.solver or default_oneshot_solver(instance, cfg.V)
-        result = maximize_dual(instance, ed.estimate(), cfg.V, solver)
-        return Olac2Step(action=action, adjustment=result.gamma, solver_converged=result.converged)
-    return Olac2Step(action=action)
+    solver = cfg.solver or default_oneshot_solver(instance, cfg.V)
+    return maximize_dual(instance, ed.estimate(), cfg.V, solver)

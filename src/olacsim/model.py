@@ -102,14 +102,6 @@ class NetworkInstance:
         self.f_max = float(finite.max(initial=0.0))
         self.B = (self.r / 2.0) * self.delta_max**2
 
-    def exogenous_arrival_rates(self) -> np.ndarray:
-        """Mean arrival vector sum_i pi_i * A(i, action 0).
-
-        Meaningful when arrivals are action-independent within each state, as
-        in the two-queue example.
-        """
-        return self.probabilities @ self.arrivals[:, 0, :]
-
     def __eq__(self, other):
         if not isinstance(other, NetworkInstance):
             return NotImplemented

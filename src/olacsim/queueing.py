@@ -14,7 +14,7 @@ times under either discipline.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "QueueLedger",
     "apply_slot",
     "adjust_to",
-    "delay_stats",
 ]
 
 _DUST = 1e-12
@@ -83,14 +82,8 @@ class QueueLedger:
     def total(self, j: int) -> float:
         return float(self._totals[j])
 
-    def chunk_sum(self, j: int) -> float:
-        return float(sum(c[1] for c in self.chunks[j]))
-
     def remaining_real(self) -> np.ndarray:
         return np.array([sum(c[1] for c in q if not c[2]) for q in self.chunks])
-
-    def remaining_null(self) -> np.ndarray:
-        return np.array([sum(c[1] for c in q if c[2]) for q in self.chunks])
 
     def add_initial(self, amounts, slot: int = 0) -> None:
         """Seed backlog before a run (test hook); counts as real arrivals."""
@@ -197,55 +190,25 @@ class DelayStats:
     mean_delay: float | None
     delivered_rate: np.ndarray
     stuck_backlog: np.ndarray
-    mean_delay_per_queue: list[float | None] = field(default_factory=list)
-    delivered_amount: np.ndarray | None = None
 
 
 class DelayAccumulator:
-    """Streaming amount-weighted delay statistics over departure records.
+    """Streaming amount-weighted delay over the real (non-null) departures."""
 
-    Null departures are excluded from the delay average unless
-    ``include_null``; delivered rates always count real departures only.
-    """
-
-    def __init__(self, r: int, include_null: bool = False):
-        self.r = r
-        self.include_null = include_null
+    def __init__(self, r: int):
         self.weighted_delay = np.zeros(r)
-        self.weight = np.zeros(r)
         self.delivered = np.zeros(r)
-
-    def add(self, rec: DepartureRecord) -> None:
-        if not rec.was_null:
-            self.delivered[rec.queue] += rec.amount
-        if rec.was_null and not self.include_null:
-            return
-        self.weighted_delay[rec.queue] += rec.amount * (rec.departure_slot - rec.arrival_slot)
-        self.weight[rec.queue] += rec.amount
 
     def add_many(self, records) -> None:
         for rec in records:
-            self.add(rec)
+            if not rec.was_null:
+                self.weighted_delay[rec.queue] += rec.amount * (rec.departure_slot - rec.arrival_slot)
+                self.delivered[rec.queue] += rec.amount
 
     def finalize(self, horizon: int, remaining) -> DelayStats:
-        remaining = np.asarray(remaining, dtype=float)
-        total_weight = self.weight.sum()
-        mean = float(self.weighted_delay.sum() / total_weight) if total_weight > 0 else None
-        per_queue = [
-            float(self.weighted_delay[j] / self.weight[j]) if self.weight[j] > 0 else None
-            for j in range(self.r)
-        ]
+        total = self.delivered.sum()
         return DelayStats(
-            mean_delay=mean,
+            mean_delay=float(self.weighted_delay.sum() / total) if total > 0 else None,
             delivered_rate=self.delivered / max(horizon, 1),
-            stuck_backlog=remaining,
-            mean_delay_per_queue=per_queue,
-            delivered_amount=self.delivered.copy(),
+            stuck_backlog=np.asarray(remaining, dtype=float),
         )
-
-
-def delay_stats(departures, include_null: bool = False, *, horizon: int, r: int, remaining=None) -> DelayStats:
-    """Amount-weighted delay summary of a departure stream."""
-    acc = DelayAccumulator(r, include_null=include_null)
-    acc.add_many(departures)
-    return acc.finalize(horizon, np.zeros(r) if remaining is None else remaining)

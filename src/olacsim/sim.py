@@ -45,7 +45,6 @@ class SimConfig:
     zeta: float | None = None
     metric_sample_period: int = 1
     sustain_window: int = 100
-    include_null_in_delay: bool = False
     initial_backlog: np.ndarray | None = None  # test hook
     checkpoints: tuple[int, ...] = ()
 
@@ -108,26 +107,28 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     gamma_star = np.asarray(gamma_star, dtype=float)
     if gamma_star.shape != (r,):
         raise ValueError(f"gamma_star has shape {gamma_star.shape}, expected ({r},)")
-    theta = ctrl.resolved_theta(r) if kind == OLAC else None
-    discipline = ctrl.resolved_discipline()
+    # per-kind facts, settled once: the slot loop branches on `olac` only
+    olac = kind == OLAC
+    theta = ctrl.resolved_theta(r) if olac else None
     t_learn = ctrl.learn_slot() if kind == OLAC2 else None
+    discipline = "LIFO" if kind == OLAC2 else "FIFO"
 
     states_seq = sample_states(instance, cfg.horizon, cfg.seed)
     ledger = QueueLedger(r)
     if cfg.initial_backlog is not None:
         ledger.add_initial(cfg.initial_backlog)
-    delay_acc = DelayAccumulator(r, include_null=cfg.include_null_in_delay)
+    delay_acc = DelayAccumulator(r)
 
-    ed = EmpiricalDistribution.empty(instance.M, prior=ctrl.prior) if kind in (OLAC, OLAC2) else None
+    ed = EmpiricalDistribution.empty(instance.M, prior=ctrl.prior) if kind != BACKPRESSURE else None
     dls = None
-    if kind == OLAC:
+    if olac:
         solver = ctrl.solver or default_tracking_solver(instance, V)
         dls = DualLearnState.initial(r, solver, ctrl.relearn_period)
 
     n_samples = (cfg.horizon + cfg.metric_sample_period - 1) // cfg.metric_sample_period
     trace_slots = np.empty(n_samples, dtype=np.int64)
     gamma_trace = np.empty(n_samples)
-    beta_trace = np.empty(n_samples) if kind == OLAC else None
+    beta_trace = np.empty(n_samples) if olac else None
     queue_trace = np.empty((n_samples, r))
     cost_trace = np.empty(n_samples)
     checkpoint_set = set(cfg.checkpoints)
@@ -148,25 +149,26 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
 
     for t in range(cfg.horizon):
         sid = int(states_seq[t])
-        pending_action = None
-        if kind == OLAC:
+        q = ledger.totals
+        if olac:
             dual_learn(instance, ed, V, dls, t)
             if dls.solver_flag:
                 flagged += 1
-        elif kind == OLAC2 and t == t_learn:
-            step = olac2_step(instance, sid, t, ledger.totals, ed, ctrl)
-            record = adjust_to(ledger, step.adjustment, t)
-            dropped += record.dropped
-            if step.solver_converged is False:
-                flagged += 1
-            pending_action = step.action
-
-        q = ledger.totals
-        backlog_sum += q.sum()
-        if kind == OLAC:
+            action = olac_decide(instance, sid, q, dls.beta, theta, V)
             gamma_t = q + dls.beta - theta
+            bdiff = dls.beta - gamma_star
+            beta_dist = math.sqrt(float(bdiff @ bdiff))
         else:
+            action = bp_decide(instance, sid, q, V)
+            if t == t_learn:
+                # OLAC2 keeps the action taken on the backlog before the adjustment
+                learned = olac2_step(instance, ed, ctrl)
+                dropped += adjust_to(ledger, learned.gamma, t).dropped
+                if not learned.converged:
+                    flagged += 1
+                q = ledger.totals
             gamma_t = q
+        backlog_sum += q.sum()
         diff = gamma_t - gamma_star
         dist = math.sqrt(float(diff @ diff))
         if cfg.zeta is not None:
@@ -182,26 +184,14 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
             else:
                 run_start = None
                 run_len = 0
-        if kind == OLAC:
-            bdiff = dls.beta - gamma_star
-            beta_dist = math.sqrt(float(bdiff @ bdiff))
         if t in checkpoint_set:
             entry = {"distance": dist}
-            if kind == OLAC:
+            if olac:
                 entry["beta"] = dls.beta.copy()
                 entry["beta_distance"] = beta_dist
             if ed is not None and ed.defined:
                 entry["max_delta"] = ed.max_error(instance.probabilities)
             checkpoints[t] = entry
-
-        if kind == BACKPRESSURE:
-            action = bp_decide(instance, sid, q, V)
-        elif kind == OLAC:
-            action = olac_decide(instance, sid, q, dls.beta, theta, V)
-        elif pending_action is not None:
-            action = pending_action
-        else:
-            action = bp_decide(instance, sid, q, V)
 
         cost = float(costs_tab[sid, action])
         cost_sum += cost
@@ -232,8 +222,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         "metric_sample_period": cfg.metric_sample_period,
         "sustain_window": cfg.sustain_window,
         "theta": None if theta is None else theta.tolist(),
-        "theta_log_base": ctrl.theta_log_base,
-        "relearn_period": ctrl.relearn_period if kind == OLAC else None,
+        "relearn_period": ctrl.relearn_period if olac else None,
         "c": ctrl.c if kind == OLAC2 else None,
         "T_l": t_learn,
         "prior": None if ctrl.prior is None else list(map(float, ctrl.prior)),

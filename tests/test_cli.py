@@ -66,11 +66,12 @@ class TestScenarioParsing:
         ({"kind": "OLAC2", "c": 1.5}, "c must lie"),
         ({"kind": "OLAC", "theta": [1.0]}, "theta has shape"),
         ({"kind": "OLAC", "theta": [1.0, -1.0]}, "positive"),
-        ({"kind": "OLAC", "discipline": "LIFO"}, "FIFO"),
+        ({"kind": "OLAC", "discipline": "LIFO"}, "unknown key.*'discipline'"),
         ({"kind": "OLAC", "relearn_period": 0}, "relearn_period"),
-        ({"kind": "OLAC", "theta_log_base": 1.0}, "OLAC"),
+        ({"kind": "OLAC", "theta_log_base": 1.0}, "unknown key.*'theta_log_base'"),
         ({"kind": "OLAC", "prior": [1.0, 1.0]}, "prior must hold 64"),
         ({"kind": "OLAC2", "prior": [float("nan")] * 64}, "prior"),
+        ({"kind": "OLAC", "relearn_perod": 2}, "unknown key.*'relearn_perod'"),
     ])
     def test_bad_controller_knob_rejected_at_load(self, controller, match):
         with pytest.raises(ScenarioError, match=match):
@@ -208,6 +209,34 @@ class TestMainEntry:
         assert rc == 0
         rc = main(["plotdata", str(tmp_path / "out" / "summary.csv")])
         assert rc == 0
+
+    def test_oracle_verb_writes_the_sweeps_oracle_csv(self, tmp_path, capsys):
+        run_scenario(Scenario.from_dict(smoke_doc()), out_dir=str(tmp_path / "sweep"))
+        assert main(["oracle", "two_queue", "--V", "50", "--out", str(tmp_path / "oracle")]) == 0
+        assert (tmp_path / "oracle" / "oracle.csv").read_bytes() == (tmp_path / "sweep" / "oracle.csv").read_bytes()
+
+    def test_run_verb_keeps_the_sweep_when_one_run_fails(self, tmp_path, monkeypatch, capsys):
+        import olacsim.cli
+
+        real_run = olacsim.cli.run
+
+        def failing_run(instance, cfg, gamma_star):
+            if cfg.controller.kind == "OLAC" and cfg.seed == 1:
+                raise RuntimeError("injected failure")
+            return real_run(instance, cfg, gamma_star)
+
+        monkeypatch.setattr(olacsim.cli, "run", failing_run)
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(smoke_doc()))  # workers=1: the patch reaches every run
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scen), "--out", str(out_dir)]) == 1
+        assert len(read_csv(out_dir / "summary.csv")) == 5
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["failed"] == 1
+        assert [r for r in manifest["runs"] if r["status"] != "ok"] == [
+            {"controller": "OLAC", "V": 50.0, "seed": 1, "status": "error", "error": "RuntimeError: injected failure"}
+        ]
+        assert "injected failure" in capsys.readouterr().err
 
     def test_run_verb_bad_scenario(self, tmp_path, capsys):
         scen = tmp_path / "bad.json"

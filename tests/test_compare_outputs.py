@@ -60,3 +60,22 @@ def test_row_count_mismatch(tmp_path, capsys):
         fh.write("Backpressure,100.0,0,3.0,\n")
     assert compare_outputs.main([a, b]) == 1
     assert "2 rows against 3" in capsys.readouterr().out
+
+
+def write_trace(d, name="trace_OLAC_V100_seed0.csv", q="0.0"):
+    with open(os.path.join(d, name), "w") as fh:
+        fh.write(f"slot,q_1\n0,{q}\n")
+
+
+def test_trace_files_compared(tmp_path, capsys):
+    a, b = write(tmp_path, "a"), write(tmp_path, "b")
+    write_trace(a)
+    write_trace(b)
+    assert compare_outputs.main([a, b]) == 0
+    assert "trace_OLAC_V100_seed0.csv: 1 rows, 2 cells, 2 identical" in capsys.readouterr().out
+    write_trace(b, q="0.5")
+    assert compare_outputs.main([a, b]) == 1
+    write_trace(b)
+    write_trace(a, name="trace_OLAC2_V100_seed0.csv")  # on one side only
+    assert compare_outputs.main([a, b]) == 1
+    assert f"trace_OLAC2_V100_seed0.csv: missing in {b}" in capsys.readouterr().out

@@ -26,7 +26,7 @@ class TestTwoQueueBuilder:
     @pytest.mark.parametrize("channel", [[0.25] * 4, [0.1, 0.4, 0.4, 0.1], [0.7, 0.1, 0.1, 0.1]])
     def test_mean_arrival_rates(self, channel):
         inst = build_two_queue_example(channel)
-        lam = inst.exogenous_arrival_rates()
+        lam = inst.probabilities @ inst.arrivals[:, 0, :]  # arrivals do not depend on the action
         assert abs(lam[0] - 0.6) <= 1e-12
         assert abs(lam[1] - 0.8) <= 1e-12
 

@@ -66,14 +66,29 @@ class TestRun:
         assert s1.min() >= 0 and s1.max() < 64
 
     def test_olac2_pre_learn_identical_to_lifo_backpressure(self, two_queue, gamma_star_100):
+        # before T_l OLAC2 is Backpressure on LIFO queues; totals and costs do
+        # not depend on the discipline, so FIFO Backpressure must match
         v = 100.0
         t_l = ControllerConfig("OLAC2", v).learn_slot()
         cfg_o2 = SimConfig(horizon=t_l, seed=3, controller=ControllerConfig("OLAC2", v))
-        cfg_bp = SimConfig(horizon=t_l, seed=3, controller=ControllerConfig("Backpressure", v, discipline="LIFO"))
+        cfg_bp = SimConfig(horizon=t_l, seed=3, controller=ControllerConfig("Backpressure", v))
         r_o2 = run(two_queue, cfg_o2, gamma_star_100)
         r_bp = run(two_queue, cfg_bp, gamma_star_100)
         assert np.array_equal(r_o2.queue_trace, r_bp.queue_trace)
         assert r_o2.avg_cost == r_bp.avg_cost
+
+    def test_olac2_acts_on_pre_adjustment_backlog_at_learn_slot(self, two_queue, gamma_star_100):
+        # at T_l OLAC2 takes Backpressure's action on the backlog before the
+        # adjustment; the adjusted backlog is what the slot's metrics record
+        v = 100.0
+        t_l = ControllerConfig("OLAC2", v).learn_slot()
+        for seed in range(3):
+            cfg_o2 = SimConfig(horizon=t_l + 1, seed=seed, controller=ControllerConfig("OLAC2", v))
+            cfg_bp = SimConfig(horizon=t_l + 1, seed=seed, controller=ControllerConfig("Backpressure", v))
+            r_o2 = run(two_queue, cfg_o2, gamma_star_100)
+            r_bp = run(two_queue, cfg_bp, gamma_star_100)
+            assert r_o2.cost_trace[t_l] == r_bp.cost_trace[t_l]
+            assert not np.array_equal(r_o2.queue_trace[t_l], r_bp.queue_trace[t_l])
 
     def test_olac2_jump_visible_at_learn_slot(self, two_queue, gamma_star_100):
         v = 100.0
