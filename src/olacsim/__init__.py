@@ -13,7 +13,7 @@ from .dual import (
     primal_oracle,
     supergradient,
 )
-from .learning import DualLearnState, EmpiricalDistribution, dual_learn
+from .learning import dual_learn
 from .model import (
     ActionSpec,
     InstanceError,

@@ -38,7 +38,7 @@ SUMMARY_COLUMNS_TAIL = ["T_zeta_first", "T_zeta_sustained", "dropped_total", "T_
 ORACLE_COLUMNS_BASE = ["V", "f_av_star", "g_star"]
 ORACLE_COLUMNS_TAIL = ["eta_0", "rho_hat", "D_p", "eta", "B", "f_max", "min_perturbed_slack"]
 
-CONTROLLER_KEYS = ("kind", "c", "relearn_period", "theta", "prior")
+CONTROLLER_KEYS = ("kind", "c", "theta")
 
 
 class ScenarioError(ValueError):
@@ -115,23 +115,15 @@ class Scenario:
                     f"accepted: {', '.join(CONTROLLER_KEYS)}"
                 )
             kwargs = {"kind": c["kind"], "V": 1.0}
-            for key in ("c", "relearn_period"):
-                if key in c:
-                    kwargs[key] = c[key]
+            if "c" in c:
+                kwargs["c"] = c["c"]
             # every run's configuration is built here, so a bad knob fails at
             # load, not in a worker after the oracles have run
             try:
-                for key in ("theta", "prior"):
-                    if c.get(key) is not None:
-                        kwargs[key] = np.asarray(c[key], dtype=float)
+                if c.get("theta") is not None:
+                    kwargs["theta"] = np.asarray(c["theta"], dtype=float)
                 for v in v_values:
-                    ctrl = ControllerConfig(**{**kwargs, "V": v})
-                    ctrl.resolved_theta(instance.r)
-                prior = kwargs.get("prior")
-                if prior is not None and not (
-                    prior.shape == (instance.M,) and np.isfinite(prior).all() and (prior >= 0).all()
-                ):
-                    raise ValueError(f"prior must hold {instance.M} finite non-negative pseudo-counts")
+                    ControllerConfig(**{**kwargs, "V": v}).resolved_theta(instance.r)
             except (TypeError, ValueError, ArithmeticError) as exc:
                 raise ScenarioError(f"controller {c['kind']}: {exc}") from exc
             controllers.append(kwargs)
@@ -151,6 +143,28 @@ class Scenario:
             if not 0 < zeta_value < math.inf:
                 raise ScenarioError(f"zeta value must be positive and finite, got {zeta_value:g}")
 
+        try:
+            period = int(doc.get("metric_sample_period", 100))
+            perturbation_count = int(doc.get("perturbation_count", 100))
+            epsilon_s = float(doc.get("epsilon_s", 0.05))
+            workers = int(doc.get("workers", 1))
+            rho_samples = int(doc.get("rho_samples", 512))
+            rho_seed = int(doc.get("rho_seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"malformed sweep field: {exc}") from exc
+        if min(seeds) < 0:
+            raise ScenarioError("seeds must be non-negative")
+        if period < 1:
+            raise ScenarioError("metric_sample_period must be >= 1")
+        if perturbation_count < 0:
+            raise ScenarioError("perturbation_count must be >= 0")
+        # the perturbed draw only ends once a candidate lies within epsilon_s of the
+        # true distribution: a negative, zero, NaN or infinite radius can stall it
+        if not 0 < epsilon_s < math.inf:
+            raise ScenarioError(f"epsilon_s must be positive and finite, got {epsilon_s:g}")
+        if rho_samples < 1:
+            raise ScenarioError("rho_samples must be >= 1")
+
         return cls(
             instance=instance,
             instance_desc=inst_desc,
@@ -162,13 +176,13 @@ class Scenario:
             zeta_value=zeta_value,
             out_dir=doc.get("out_dir"),
             trace=bool(doc.get("trace", False)),
-            metric_sample_period=int(doc.get("metric_sample_period", 100)),
+            metric_sample_period=period,
             assumption_check=bool(doc.get("assumption_check", False)),
-            perturbation_count=int(doc.get("perturbation_count", 100)),
-            epsilon_s=float(doc.get("epsilon_s", 0.05)),
-            workers=int(doc.get("workers", 1)),
-            rho_samples=int(doc.get("rho_samples", 512)),
-            rho_seed=int(doc.get("rho_seed", 0)),
+            perturbation_count=perturbation_count,
+            epsilon_s=epsilon_s,
+            workers=workers,
+            rho_samples=rho_samples,
+            rho_seed=rho_seed,
         )
 
     @classmethod

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import DualSolveResult, DualSolverConfig, maximize_dual
-from .learning import EmpiricalDistribution
 from .model import NetworkInstance
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "bp_decide",
     "olac_decide",
     "olac2_step",
-    "default_tracking_solver",
     "default_oneshot_solver",
 ]
 
@@ -37,22 +35,11 @@ OLAC2 = "OLAC2"
 KINDS = (BACKPRESSURE, OLAC, OLAC2)
 
 
-def default_tracking_solver(instance: NetworkInstance, V: float) -> DualSolverConfig:
-    """Per-slot re-solve budget: cheap once warm, capped during early learning."""
-    return DualSolverConfig(
-        max_iterations=150,
-        step_params=(V * instance.delta_max, 10.0),
-        tolerance=1e-7 * max(1.0, V),
-        window=8,
-    )
-
-
 def default_oneshot_solver(instance: NetworkInstance, V: float) -> DualSolverConfig:
     """Full-budget cold solve for the single learn step of OLAC2."""
-    a = V * instance.delta_max
+    a = V * instance.delta_max  # the ascent's step numerator
     return DualSolverConfig(
         max_iterations=max(5000, int(4 * a)),
-        step_params=(a, 10.0),
         tolerance=1e-9 * max(1.0, V),
         window=800,
     )
@@ -66,9 +53,6 @@ class ControllerConfig:
     V: float
     theta: np.ndarray | None = None          # OLAC; default (ln V)^2 per queue
     c: float = 2.0 / 3.0                     # OLAC2 learn-time exponent
-    relearn_period: int = 1                  # OLAC re-solve cadence
-    solver: DualSolverConfig | None = None   # None: kind-appropriate default
-    prior: np.ndarray | None = None          # pseudo-counts for the empirical dist
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -77,8 +61,6 @@ class ControllerConfig:
             raise ValueError("V must be a finite number >= 1")
         if self.kind == OLAC2 and not 0 <= self.c < 1:
             raise ValueError("c must lie in [0, 1)")
-        if self.relearn_period < 1:
-            raise ValueError("relearn_period must be >= 1")
 
     def resolved_theta(self, r: int) -> np.ndarray:
         if self.theta is not None:
@@ -125,11 +107,10 @@ def olac_decide(instance: NetworkInstance, state_id: int, q, beta, theta, V: flo
     return _decide_weighted(instance, state_id, q + beta - theta, V)
 
 
-def olac2_step(instance: NetworkInstance, ed: EmpiricalDistribution, cfg: ControllerConfig) -> DualSolveResult:
+def olac2_step(instance: NetworkInstance, dist, cfg: ControllerConfig) -> DualSolveResult:
     """OLAC2's one-shot learn at slot T_l: maximize the empirical dual.
 
-    The observations so far give the distribution; the engine adjusts the
-    backlog to the returned maximizer ``gamma``.
+    ``dist`` is the empirical distribution of the states seen before T_l; the
+    engine adjusts the backlog to the returned maximizer ``gamma``.
     """
-    solver = cfg.solver or default_oneshot_solver(instance, cfg.V)
-    return maximize_dual(instance, ed.estimate(), cfg.V, solver)
+    return maximize_dual(instance, dist, cfg.V, default_oneshot_solver(instance, cfg.V))

@@ -15,7 +15,7 @@ oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from ._simplex import solve_lp
 from .model import NetworkInstance
 
 __all__ = [
-    "Multiplier",
     "DualSolverConfig",
     "DualSolveResult",
     "DualTables",
@@ -42,10 +41,6 @@ __all__ = [
     "compute_analysis",
 ]
 
-# A multiplier estimate is just a non-negative r-vector.
-Multiplier = np.ndarray
-
-
 class InfeasibleInstanceError(RuntimeError):
     """The static problem admits no stabilizing mixture (no slack)."""
 
@@ -54,17 +49,14 @@ class InfeasibleInstanceError(RuntimeError):
 class DualSolverConfig:
     """Projected supergradient ascent settings.
 
-    step_rule "diminishing" uses a/(b + step_offset + k) at inner iteration k;
-    "fixed" uses step_params[0]. step_params None defaults to
-    (V * delta_max, 10). The ascent stops once the best value has not improved
-    by more than ``tolerance`` over ``window`` consecutive iterations.
-    ``step_offset`` shifts the diminishing schedule, which lets warm-started
-    re-solves continue a schedule instead of restarting it.
+    The step at inner iteration k is a/(b + step_offset + k) with
+    a = V * delta_max and b = 10. The ascent stops once the best value has not
+    improved by more than ``tolerance`` over ``window`` consecutive
+    iterations. ``step_offset`` shifts the diminishing schedule, which lets
+    warm-started re-solves continue a schedule instead of restarting it.
     """
 
     max_iterations: int = 4000
-    step_rule: str = "diminishing"
-    step_params: tuple[float, ...] | None = None
     tolerance: float = 1e-9
     window: int = 200
     warm_start: np.ndarray | None = None
@@ -117,7 +109,6 @@ class InstanceAnalysis:
     g_star: float
     eta_0: float
     constants: AnalysisConstants
-    policy: RandomizedPolicy = field(repr=False, default=None)
 
     @property
     def xi(self) -> float:
@@ -125,10 +116,6 @@ class InstanceAnalysis:
         if self.eta_0 <= 0:
             return math.inf
         return self.V * self.constants.f_max / self.eta_0
-
-    @property
-    def polyhedral_confirmed(self) -> bool:
-        return self.constants.rho_hat > 0
 
 
 def _check_dims(instance: NetworkInstance, gamma, dist=None):
@@ -292,16 +279,7 @@ def maximize_dual(
     elif tables.V != V or tables.M != instance.M:
         raise ValueError("dual tables were built for another instance or V")
     r = instance.r
-
-    if cfg.step_rule == "diminishing":
-        if cfg.step_params is None:
-            a, b = V * instance.delta_max, 10.0
-        else:
-            a, b = cfg.step_params
-    elif cfg.step_rule == "fixed":
-        a, b = (cfg.step_params or (1.0,))[0], None
-    else:
-        raise ValueError(f"unknown step rule {cfg.step_rule!r}")
+    a, b = V * instance.delta_max, 10.0
 
     gamma = np.zeros(r) if cfg.warm_start is None else np.asarray(cfg.warm_start, dtype=float).copy()
     if gamma.shape != (r,):
@@ -331,7 +309,7 @@ def maximize_dual(
     iterations = 0
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        step = a / (b + cfg.step_offset + it) if b is not None else a
+        step = a / (b + cfg.step_offset + it)
         gamma = np.maximum(gamma + step * grad, 0.0)
         value, grad = evaluate(gamma)
         if value > best_value + cfg.tolerance:
@@ -362,7 +340,7 @@ def _policy_lp_columns(instance: NetworkInstance, dist):
     return c, a_ub, a_eq, counts
 
 
-def primal_oracle(instance: NetworkInstance, dist, V: float = 1.0) -> PrimalSolution:
+def primal_oracle(instance: NetworkInstance, dist) -> PrimalSolution:
     """Exact solution of the static problem over randomized per-state policies.
 
     Minimizes the mean cost subject to mean arrivals <= mean services, as a
@@ -444,15 +422,12 @@ def estimate_polyhedral_rho(
     return float(rho) if math.isfinite(rho) else 0.0
 
 
+# eta as a fraction of rho_hat in the analysis constants
+ETA_FRACTION = 0.1
+
+
 def compute_analysis(
-    instance: NetworkInstance,
-    dist,
-    V: float,
-    solver_cfg: DualSolverConfig | None = None,
-    rho_samples: int = 512,
-    rho_radius: float | None = None,
-    rho_seed: int = 0,
-    eta_fraction: float = 0.1,
+    instance: NetworkInstance, dist, V: float, rho_samples: int = 512, rho_seed: int = 0
 ) -> InstanceAnalysis:
     """Oracle bundle per (instance, V): optimum, multiplier, slack, constants.
 
@@ -460,24 +435,19 @@ def compute_analysis(
     duality its value can never exceed V*f_av_star, so equality certifies both
     oracles at once.
 
-    eta = eta_fraction * rho_hat; any fraction in (0, 1) yields a valid drift
+    eta = ETA_FRACTION * rho_hat; any fraction in (0, 1) yields a valid drift
     margin. D_p = (B - eta^2)/(2(rho_hat - eta)) is increasing in eta, so the
-    small default keeps the convergence-measurement radius close to its
+    small fraction keeps the convergence-measurement radius close to its
     minimum B/(2 rho_hat), which matters on instances whose dual has shallow
     directions (large D_p otherwise swallows the whole approach path).
     """
     primal = primal_oracle(instance, dist)
     warm = V * primal.multiplier_v1
-    cfg = solver_cfg or DualSolverConfig(max_iterations=2000, window=100)
-    res = maximize_dual(instance, dist, V, replace(cfg, warm_start=warm))
+    res = maximize_dual(instance, dist, V, DualSolverConfig(max_iterations=2000, window=100, warm_start=warm))
     eta_0 = max_slack(instance, dist)
-    rho_hat = estimate_polyhedral_rho(
-        instance, dist, V, res.gamma, sample_count=rho_samples, radius=rho_radius, seed=rho_seed
-    )
+    rho_hat = estimate_polyhedral_rho(instance, dist, V, res.gamma, sample_count=rho_samples, seed=rho_seed)
     if rho_hat > 0:
-        if not 0 < eta_fraction < 1:
-            raise ValueError("eta_fraction must lie in (0, 1)")
-        eta = eta_fraction * rho_hat
+        eta = ETA_FRACTION * rho_hat
         d_p = (instance.B - eta**2) / (2.0 * (rho_hat - eta))
     else:
         eta = math.nan
@@ -490,5 +460,4 @@ def compute_analysis(
         g_star=res.value,
         eta_0=eta_0,
         constants=constants,
-        policy=primal.policy,
     )

@@ -79,9 +79,6 @@ class QueueLedger:
     def totals(self) -> np.ndarray:
         return self._totals.copy()
 
-    def total(self, j: int) -> float:
-        return float(self._totals[j])
-
     def remaining_real(self) -> np.ndarray:
         return np.array([sum(c[1] for c in q if not c[2]) for q in self.chunks])
 

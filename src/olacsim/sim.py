@@ -1,10 +1,11 @@
-"""Slot-loop simulation engine: sample state, decide, serve, learn, measure.
+"""Slot-loop simulation engine: sample states, learn, then decide, serve, measure.
 
 States are presampled from the instance distribution with a PCG64 generator;
 the seed is split into two independent streams (state sampling, reserved) via
 SeedSequence spawning, and the generator name is echoed in the run metadata.
 Identical (instance, config, gamma_star) inputs reproduce bit-identical
-results.
+results. OLAC's learned multiplier depends on the states only, so its whole
+path is learned before the slot loop.
 
 The multiplier estimate whose convergence is measured is q(t) for
 Backpressure and OLAC2 and q(t) + beta(t) - theta for OLAC; at OLAC2's learn
@@ -18,23 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import (
-    BACKPRESSURE,
-    OLAC,
-    OLAC2,
-    ControllerConfig,
-    bp_decide,
-    default_tracking_solver,
-    olac2_step,
-    olac_decide,
-)
-from .learning import DualLearnState, EmpiricalDistribution, dual_learn
+from .controllers import BACKPRESSURE, OLAC, OLAC2, ControllerConfig, bp_decide, olac2_step, olac_decide
+from .learning import dual_learn
 from .model import NetworkInstance
 from .queueing import DelayAccumulator, DelayStats, QueueLedger, adjust_to, apply_slot
 
 __all__ = ["SimConfig", "RunResult", "run", "convergence_time", "sample_states"]
 
 RNG_NAME = "pcg64"
+# consecutive within-zeta slots that make T_zeta_sustained
+SUSTAIN_WINDOW = 100
 
 
 @dataclass
@@ -44,7 +38,6 @@ class SimConfig:
     controller: ControllerConfig
     zeta: float | None = None
     metric_sample_period: int = 1
-    sustain_window: int = 100
     initial_backlog: np.ndarray | None = None  # test hook
     checkpoints: tuple[int, ...] = ()
 
@@ -114,16 +107,13 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     discipline = "LIFO" if kind == OLAC2 else "FIFO"
 
     states_seq = sample_states(instance, cfg.horizon, cfg.seed)
+    flagged = 0
+    if olac:
+        beta_path, flagged = dual_learn(instance, states_seq, V)
     ledger = QueueLedger(r)
     if cfg.initial_backlog is not None:
         ledger.add_initial(cfg.initial_backlog)
     delay_acc = DelayAccumulator(r)
-
-    ed = EmpiricalDistribution.empty(instance.M, prior=ctrl.prior) if kind != BACKPRESSURE else None
-    dls = None
-    if olac:
-        solver = ctrl.solver or default_tracking_solver(instance, V)
-        dls = DualLearnState.initial(r, solver, ctrl.relearn_period)
 
     n_samples = (cfg.horizon + cfg.metric_sample_period - 1) // cfg.metric_sample_period
     trace_slots = np.empty(n_samples, dtype=np.int64)
@@ -141,7 +131,6 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     t_sustained = None
     run_start = None
     run_len = 0
-    flagged = 0
     sample_idx = 0
     costs_tab = instance.costs
     arrivals_tab = instance.arrivals
@@ -151,18 +140,17 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         sid = int(states_seq[t])
         q = ledger.totals
         if olac:
-            dual_learn(instance, ed, V, dls, t)
-            if dls.solver_flag:
-                flagged += 1
-            action = olac_decide(instance, sid, q, dls.beta, theta, V)
-            gamma_t = q + dls.beta - theta
-            bdiff = dls.beta - gamma_star
+            beta = beta_path[t]
+            action = olac_decide(instance, sid, q, beta, theta, V)
+            gamma_t = q + beta - theta
+            bdiff = beta - gamma_star
             beta_dist = math.sqrt(float(bdiff @ bdiff))
         else:
             action = bp_decide(instance, sid, q, V)
             if t == t_learn:
                 # OLAC2 keeps the action taken on the backlog before the adjustment
-                learned = olac2_step(instance, ed, ctrl)
+                empirical = np.bincount(states_seq[:t], minlength=instance.M) / t
+                learned = olac2_step(instance, empirical, ctrl)
                 dropped += adjust_to(ledger, learned.gamma, t).dropped
                 if not learned.converged:
                     flagged += 1
@@ -179,7 +167,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
                     run_start = t
                     run_len = 0
                 run_len += 1
-                if run_len >= cfg.sustain_window and t_sustained is None:
+                if run_len >= SUSTAIN_WINDOW and t_sustained is None:
                     t_sustained = run_start
             else:
                 run_start = None
@@ -187,10 +175,11 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         if t in checkpoint_set:
             entry = {"distance": dist}
             if olac:
-                entry["beta"] = dls.beta.copy()
+                entry["beta"] = beta.copy()
                 entry["beta_distance"] = beta_dist
-            if ed is not None and ed.defined:
-                entry["max_delta"] = ed.max_error(instance.probabilities)
+            if kind != BACKPRESSURE and t > 0:
+                empirical = np.bincount(states_seq[:t], minlength=instance.M) / t
+                entry["max_delta"] = float(np.abs(empirical - instance.probabilities).max())
             checkpoints[t] = entry
 
         cost = float(costs_tab[sid, action])
@@ -206,8 +195,6 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
 
         records = apply_slot(ledger, arrivals_tab[sid, action], services_tab[sid, action], t, discipline)
         delay_acc.add_many(records)
-        if ed is not None:
-            ed.observe(sid)
 
     delay = delay_acc.finalize(cfg.horizon, ledger.totals)
     metadata = {
@@ -220,12 +207,10 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         "discipline": discipline,
         "zeta": cfg.zeta,
         "metric_sample_period": cfg.metric_sample_period,
-        "sustain_window": cfg.sustain_window,
+        "sustain_window": SUSTAIN_WINDOW,
         "theta": None if theta is None else theta.tolist(),
-        "relearn_period": ctrl.relearn_period if olac else None,
         "c": ctrl.c if kind == OLAC2 else None,
         "T_l": t_learn,
-        "prior": None if ctrl.prior is None else list(map(float, ctrl.prior)),
         "initial_backlog": None if cfg.initial_backlog is None else list(map(float, cfg.initial_backlog)),
         "burn_in": 0,
     }

@@ -29,6 +29,11 @@ def single_state_instance(actions, r=1):
     return make_instance(r, [1.0], [actions])
 
 
+def total(ledger, j):
+    """Queue j's backlog as a float, from the ledger's cached totals."""
+    return float(ledger.totals[j])
+
+
 def random_instance(rng, max_m=8, max_r=2, max_actions=5):
     m = int(rng.integers(1, max_m + 1))
     r = int(rng.integers(1, max_r + 1))

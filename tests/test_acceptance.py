@@ -26,7 +26,7 @@ from olacsim.dual import (
 from olacsim.queueing import QueueLedger, apply_slot
 from olacsim.sim import SimConfig, run
 
-from conftest import random_slack_instances, single_state_instance
+from conftest import random_slack_instances, single_state_instance, total
 
 SEEDS10 = list(range(10))
 
@@ -366,7 +366,7 @@ class TestCriterion8:
         for t in range(n):
             apply_slot(led, arrs[t : t + 1], mus[t : t + 1], t, "LIFO" if t % 2 else "FIFO")
             q = max(q - mus[t], 0.0) + arrs[t]
-            worst = max(worst, abs(led.total(0) - q))
+            worst = max(worst, abs(total(led, 0) - q))
         conserved = abs(led.arrived[0] - (led.departed_real[0] + led.remaining_real()[0]))
         ok = worst <= 1e-9 and conserved <= 1e-6
         report(8, ok, f"(queue) recursion drift {worst:.1e} over 1e6 slots; conservation gap {conserved:.1e}")

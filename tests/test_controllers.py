@@ -5,7 +5,6 @@ import pytest
 
 from olacsim.controllers import ControllerConfig, bp_decide, olac2_step, olac_decide
 from olacsim.dual import per_state_dual, primal_oracle
-from olacsim.learning import EmpiricalDistribution
 from olacsim.sim import SimConfig, run
 
 from conftest import state_index
@@ -96,8 +95,7 @@ class TestOlac2Step:
     def test_degenerate_learn_time(self, two_queue):
         cfg = ControllerConfig("OLAC2", 1.0, c=0.0)
         assert cfg.learn_slot() == 1
-        ed = EmpiricalDistribution.empty(64).observe(3)
-        learned = olac2_step(two_queue, ed, cfg)
+        learned = olac2_step(two_queue, np.bincount([3], minlength=64) / 1, cfg)
         assert learned.gamma.shape == (2,)
         assert (learned.gamma >= 0).all()
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olacsim import learning
-from olacsim.controllers import OLAC, ControllerConfig, default_oneshot_solver, default_tracking_solver
+from olacsim.controllers import OLAC, ControllerConfig, default_oneshot_solver
 from olacsim.dual import DualSolveResult, DualSolverConfig, DualTables, maximize_dual, per_state_dual, primal_oracle
+from olacsim.learning import default_tracking_solver
 from olacsim.sim import SimConfig, run
 
 from conftest import make_instance
@@ -22,13 +23,7 @@ def reference_maximize_dual(instance, dist, V, cfg=None):
     drift2 = instance.drift.reshape(M * K, r)
     row0 = np.arange(M) * K
 
-    if cfg.step_rule == "diminishing":
-        if cfg.step_params is None:
-            a, b = V * instance.delta_max, 10.0
-        else:
-            a, b = cfg.step_params
-    else:
-        a, b = (cfg.step_params or (1.0,))[0], None
+    a, b = V * instance.delta_max, 10.0
 
     gamma = np.zeros(r) if cfg.warm_start is None else np.asarray(cfg.warm_start, dtype=float).copy()
 
@@ -45,7 +40,7 @@ def reference_maximize_dual(instance, dist, V, cfg=None):
     iterations = 0
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        step = a / (b + cfg.step_offset + it) if b is not None else a
+        step = a / (b + cfg.step_offset + it)
         gamma = np.maximum(gamma + step * grad, 0.0)
         value, grad = evaluate(gamma)
         if value > best_value + cfg.tolerance:

@@ -1,87 +1,86 @@
 import numpy as np
 import pytest
 
+from olacsim import learning
+from olacsim.controllers import ControllerConfig
 from olacsim.dual import DualSolverConfig, maximize_dual, primal_oracle
-from olacsim.learning import DualLearnState, EmpiricalDistribution, dual_learn
-from olacsim.sim import sample_states
+from olacsim.learning import dual_learn
+from olacsim.sim import SimConfig, run, sample_states
 
 from conftest import single_state_instance
 
 
 class TestEmpiricalDistribution:
-    def test_observe_counts(self):
-        ed = EmpiricalDistribution.empty(2)
-        for sid in (0, 0, 1, 1):
-            ed.observe(sid)
-        assert np.allclose(ed.estimate(), [0.5, 0.5])
-        assert ed.t == 4
+    def test_observe_counts(self, two_queue, monkeypatch):
+        # slot t solves on the counts of states[:t] over t, warm-started at
+        # beta(t - 1) with the step schedule offset by t
+        states = np.array([0, 0, 1, 1, 5])
+        calls = []
+        real = learning.maximize_dual
 
-    def test_pure_prior(self):
-        ed = EmpiricalDistribution.empty(2, prior=[1.0, 1.0])
-        assert np.allclose(ed.estimate(), [0.5, 0.5])
-        ed.observe(0)
-        assert np.allclose(ed.estimate(), [2.0 / 3.0, 1.0 / 3.0])
+        def spy(inst, dist, V, cfg, tables=None):
+            calls.append((dist.copy(), cfg.warm_start.copy(), cfg.step_offset))
+            return real(inst, dist, V, cfg, tables=tables)
 
-    def test_undefined_without_observations(self):
-        ed = EmpiricalDistribution.empty(3)
-        assert not ed.defined
-        with pytest.raises(ValueError):
-            ed.estimate()
-
-    def test_unknown_state(self):
-        ed = EmpiricalDistribution.empty(2)
-        with pytest.raises(KeyError):
-            ed.observe(2)
+        monkeypatch.setattr(learning, "maximize_dual", spy)
+        path, _ = dual_learn(two_queue, states, 100.0)
+        assert len(calls) == len(states) - 1
+        for t, (dist, warm, offset) in enumerate(calls, start=1):
+            assert np.array_equal(dist, np.bincount(states[:t], minlength=64) / t)
+            assert np.array_equal(warm, path[t - 1])
+            assert offset == t
+        assert np.allclose(calls[2][0][:2], [2.0 / 3.0, 1.0 / 3.0])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_law_of_large_numbers(self, seed, two_queue):
         states = sample_states(two_queue, 100_000, seed)
-        counts = np.bincount(states, minlength=64)
-        ed = EmpiricalDistribution(counts=counts, t=100_000)
-        assert ed.max_error(two_queue.probabilities) < 0.02
-
-
-def _learn_state(r, max_iterations=20000):
-    cfg = DualSolverConfig(max_iterations=max_iterations, window=max_iterations, tolerance=1e-15)
-    return DualLearnState.initial(r, cfg)
+        empirical = np.bincount(states, minlength=64) / 100_000
+        assert np.abs(empirical - two_queue.probabilities).max() < 0.02
 
 
 class TestDualLearn:
-    def test_no_observations_keeps_beta(self, two_queue):
-        ed = EmpiricalDistribution.empty(64)
-        state = _learn_state(2)
-        dual_learn(two_queue, ed, 100.0, state, 0)
-        assert np.array_equal(state.beta, np.zeros(2))
-        assert state.last_solved_at is None
+    def test_no_observations_keeps_beta(self, two_queue, monkeypatch):
+        monkeypatch.setattr(learning, "maximize_dual", None)  # slot 0 makes no solve
+        path, flagged = dual_learn(two_queue, np.array([7]), 100.0)
+        assert np.array_equal(path, np.zeros((1, 2)))
+        assert flagged == 0
 
     def test_single_state_matches_direct_solve(self):
+        # dual min(gamma, 1 - gamma) at V=1: maximized at gamma = 1/2
         inst = single_state_instance([(0.0, [1.0], [0.0]), (1.0, [0.0], [1.0])])
-        ed = EmpiricalDistribution.empty(1).observe(0)
-        state = _learn_state(1, max_iterations=60000)
-        dual_learn(inst, ed, 1.0, state, 1)
-        assert state.beta[0] == pytest.approx(0.5, abs=1e-3)
-
-    def test_relearn_period_respected(self, two_queue):
-        ed = EmpiricalDistribution.empty(64)
-        for sid in sample_states(two_queue, 50, 0):
-            ed.observe(int(sid))
-        state = DualLearnState.initial(2, DualSolverConfig(max_iterations=50, window=10), relearn_period=10)
-        dual_learn(two_queue, ed, 100.0, state, 0)
-        assert state.last_solved_at == 0
-        beta_after_first = state.beta.copy()
-        dual_learn(two_queue, ed, 100.0, state, 5)  # within the period: untouched
-        assert state.last_solved_at == 0
-        assert np.array_equal(state.beta, beta_after_first)
-        dual_learn(two_queue, ed, 100.0, state, 10)
-        assert state.last_solved_at == 10
+        path, _ = dual_learn(inst, np.zeros(200, dtype=np.int64), 1.0)
+        direct = maximize_dual(inst, [1.0], 1.0, DualSolverConfig(max_iterations=60000, window=60000))
+        assert direct.gamma[0] == pytest.approx(0.5, abs=1e-3)
+        assert path[-1, 0] == pytest.approx(0.5, abs=1e-3)
 
     def test_beta_stays_nonnegative(self, two_queue):
-        ed = EmpiricalDistribution.empty(64)
-        state = DualLearnState.initial(2, DualSolverConfig(max_iterations=60, window=8))
-        for t, sid in enumerate(sample_states(two_queue, 300, 3)):
-            dual_learn(two_queue, ed, 100.0, state, t)
-            assert (state.beta >= 0).all()
-            ed.observe(int(sid))
+        path, _ = dual_learn(two_queue, sample_states(two_queue, 300, 3), 100.0)
+        assert path.shape == (300, 2)
+        assert (path >= 0).all()
+
+    def test_path_is_causal(self, two_queue):
+        # beta(t) uses states[:t] only: a prefix of the states gives a prefix of
+        # the path, and another state from slot k on leaves beta(0..k) in place
+        states = sample_states(two_queue, 400, 2)
+        full, _ = dual_learn(two_queue, states, 100.0)
+        for k in (1, 2, 37, 250, 399):
+            prefix, _ = dual_learn(two_queue, states[:k], 100.0)
+            assert np.array_equal(prefix, full[:k])
+            changed = states.copy()
+            changed[k:] = (states[k:] + 1) % 64
+            assert np.array_equal(dual_learn(two_queue, changed, 100.0)[0][: k + 1], full[: k + 1])
+
+    def test_beta_does_not_depend_on_backlog(self, two_queue):
+        gamma_star = 100.0 * primal_oracle(two_queue, two_queue.probabilities).multiplier_v1
+
+        def beta_trace(initial_backlog):
+            cfg = SimConfig(horizon=600, seed=4, controller=ControllerConfig("OLAC", 100.0),
+                            initial_backlog=initial_backlog)
+            return run(two_queue, cfg, gamma_star)
+
+        plain, seeded = beta_trace(None), beta_trace(np.array([80.0, 15.0]))
+        assert not np.array_equal(plain.queue_trace, seeded.queue_trace)
+        assert np.array_equal(plain.beta_trace, seeded.beta_trace)
 
     def test_two_queue_estimate_after_80_slots(self, two_queue):
         # learned multiplier is usually already a useful gamma* estimate at t=80
@@ -91,10 +90,8 @@ class TestDualLearn:
         seeds = range(10)
         for seed in seeds:
             states = sample_states(two_queue, 80, seed)
-            ed = EmpiricalDistribution.empty(64)
-            for sid in states:
-                ed.observe(int(sid))
-            beta = 500.0 * primal_oracle(two_queue, ed.estimate()).multiplier_v1
+            empirical = np.bincount(states, minlength=64) / 80
+            beta = 500.0 * primal_oracle(two_queue, empirical).multiplier_v1
             if np.linalg.norm(beta - gamma_star) < 0.33 * np.linalg.norm(gamma_star):
                 close += 1
         assert close >= 6

@@ -11,6 +11,8 @@ from olacsim.queueing import (
     apply_slot,
 )
 
+from conftest import total
+
 
 def ledger_with_chunks(chunks, r=1, queue=0):
     """Seed queue `queue` with (slot, amount) chunks via apply_slot arrivals."""
@@ -40,7 +42,7 @@ class TestApplySlot:
     def test_fifo_serves_oldest(self):
         led = ledger_with_chunks([(0, 2.0), (1, 3.0)])
         recs = apply_slot(led, np.array([1.0]), np.array([3.0]), 2, "FIFO")
-        assert led.total(0) == pytest.approx(3.0, abs=1e-12)
+        assert total(led, 0) == pytest.approx(3.0, abs=1e-12)
         served = [(r.arrival_slot, r.amount) for r in recs if not r.was_null]
         assert served == [(0, 2.0), (1, 1.0)]
         assert not any(r.was_null for r in recs)
@@ -48,7 +50,7 @@ class TestApplySlot:
     def test_null_padding_when_empty(self):
         led = QueueLedger(1)
         recs = apply_slot(led, np.array([2.0]), np.array([2.0]), 4, "FIFO")
-        assert led.total(0) == pytest.approx(2.0)
+        assert total(led, 0) == pytest.approx(2.0)
         nulls = [r for r in recs if r.was_null]
         assert len(nulls) == 1 and nulls[0].amount == pytest.approx(2.0)
         assert nulls[0].arrival_slot == 4 and nulls[0].departure_slot == 4
@@ -83,7 +85,7 @@ class TestApplySlot:
         for t in range(n):
             apply_slot(led, arrs[t : t + 1], mus[t : t + 1], t, "FIFO")
             q = max(q - mus[t], 0.0) + arrs[t]
-            worst = max(worst, abs(led.total(0) - q))
+            worst = max(worst, abs(total(led, 0) - q))
         assert worst <= 1e-9
         assert abs(chunk_sum(led, 0) - q) <= 1e-9
 
@@ -113,7 +115,7 @@ class TestAdjustTo:
         led = ledger_with_chunks([(0, 3.0)])
         rec = adjust_to(led, np.array([3.0]), 1)
         assert rec.empty
-        assert led.total(0) == 3.0
+        assert total(led, 0) == 3.0
 
     def test_exact_postcondition(self):
         rng = np.random.default_rng(2)
@@ -179,4 +181,4 @@ class TestConservation:
         null_out = led.departed_null[0] + led.dropped_null[0] + remaining_null(led, 0)
         assert null_in == pytest.approx(null_out, abs=1e-6)
         # chunk sum matches cached total
-        assert chunk_sum(led, 0) == pytest.approx(led.total(0), abs=1e-9)
+        assert chunk_sum(led, 0) == pytest.approx(total(led, 0), abs=1e-9)

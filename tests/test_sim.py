@@ -147,7 +147,7 @@ class TestRun:
     def test_sustained_requires_run_of_window(self, two_queue, gamma_star_100):
         cfg = SimConfig(
             horizon=400, seed=0, controller=ControllerConfig("Backpressure", 100.0),
-            zeta=1000.0, sustain_window=100,
+            zeta=1000.0,
         )
         res = run(two_queue, cfg, gamma_star_100)
         # zeta larger than any distance: both are slot 0
