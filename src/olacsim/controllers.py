@@ -7,6 +7,9 @@ backlog q + beta - theta, where beta is the learned multiplier and theta a
 positive offset that lets the weights dip below the optimal multiplier
 (enabling under-provisioned actions). OLAC2 runs Backpressure weights over
 LIFO queues and performs a one-shot learn-and-adjust at slot T_l = round(V^c).
+
+The rules trust their arguments (numpy vectors, q >= 0, beta >= 0, theta > 0,
+a state with at least one action): ``sim.run`` checks its inputs once.
 """
 from __future__ import annotations
 
@@ -67,8 +70,8 @@ class ControllerConfig:
             theta = np.asarray(self.theta, dtype=float)
             if theta.shape != (r,):
                 raise ValueError(f"theta has shape {theta.shape}, expected ({r},)")
-            if (theta <= 0).any():
-                raise ValueError("theta must be componentwise positive")
+            if not (np.isfinite(theta).all() and (theta > 0).all()):
+                raise ValueError("theta must be componentwise positive and finite")
             return theta
         return np.full(r, math.log(self.V) ** 2 if self.V > 1 else 1.0)
 
@@ -78,32 +81,19 @@ class ControllerConfig:
 
 
 def _decide_weighted(instance: NetworkInstance, state_id: int, weights: np.ndarray, V: float) -> int:
-    if not 0 <= state_id < instance.M:
-        raise KeyError(f"unknown state id {state_id}")
-    if instance.action_counts[state_id] == 0:
-        raise ValueError(f"state {state_id} has no actions")
     # padded actions have cost +inf, hence score -inf; never selected
     scores = -V * instance.costs[state_id] - instance.drift[state_id] @ weights
     return int(np.argmax(scores))
 
 
-def bp_decide(instance: NetworkInstance, state_id: int, q, V: float) -> int:
+def bp_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, V: float) -> int:
     """Max-weight rule: argmax of -V*f + q.(mu - A); ties to the smallest id."""
-    q = np.asarray(q, dtype=float)
-    if (q < 0).any():
-        raise ValueError("queue backlog must be non-negative")
     return _decide_weighted(instance, state_id, q, V)
 
 
-def olac_decide(instance: NetworkInstance, state_id: int, q, beta, theta, V: float) -> int:
+def olac_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, beta: np.ndarray, theta: np.ndarray,
+                V: float) -> int:
     """Backpressure rule on the effective backlog q + beta - theta (unclamped)."""
-    q = np.asarray(q, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if (q < 0).any() or (beta < 0).any():
-        raise ValueError("q and beta must be non-negative")
-    if (theta <= 0).any():
-        raise ValueError("theta must be positive")
     return _decide_weighted(instance, state_id, q + beta - theta, V)
 
 

@@ -119,16 +119,9 @@ def apply_slot(ledger: QueueLedger, arrivals, services, slot: int, discipline: s
 
     Serves min(q_j, mu_j) from the existing chunks (front for FIFO, back for
     LIFO), emits a null departure for any service deficit, then appends the
-    slot's arrivals as a new chunk.
+    slot's arrivals as a new chunk. Trusts its inputs: arrivals and services
+    are non-negative r-vectors (``sim.run`` checks the instance tables once).
     """
-    if discipline not in (FIFO, LIFO):
-        raise ValueError(f"unknown discipline {discipline!r}")
-    arrivals = np.asarray(arrivals, dtype=float)
-    services = np.asarray(services, dtype=float)
-    if arrivals.shape != (ledger.r,) or services.shape != (ledger.r,):
-        raise ValueError("arrivals/services must be r-vectors")
-    if (arrivals < 0).any() or (services < 0).any():
-        raise ValueError("arrivals and services must be non-negative")
     lifo = discipline == LIFO
     out: list[DepartureRecord] = []
     for j in range(ledger.r):

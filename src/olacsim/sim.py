@@ -1,4 +1,4 @@
-"""Slot-loop simulation engine: sample states, learn, then decide, serve, measure.
+"""Slot-loop simulation engine: sample states, learn, decide and serve, then measure.
 
 States are presampled from the instance distribution with a PCG64 generator;
 the seed is split into two independent streams (state sampling, reserved) via
@@ -14,7 +14,6 @@ so the measured estimate jumps to the learned target there.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,75 +75,83 @@ def sample_states(instance: NetworkInstance, horizon: int, seed: int) -> np.ndar
     return np.minimum(np.searchsorted(cum, draws, side="right"), instance.M - 1)
 
 
-def convergence_time(trace, gamma_star, zeta: float) -> int | None:
-    """First index of a multiplier-estimate series within zeta of gamma_star."""
+def convergence_time(dist, zeta: float, window: int = 1) -> int | None:
+    """First slot that starts ``window`` consecutive slots with ``dist <= zeta``.
+
+    With the default window this is the first hit; a run of within-zeta slots
+    shorter than ``window`` that ends at the horizon does not count.
+    """
     if zeta <= 0:
         raise ValueError("zeta must be positive")
-    trace = np.asarray(trace, dtype=float)
-    gamma_star = np.asarray(gamma_star, dtype=float)
-    dists = np.linalg.norm(trace - gamma_star, axis=-1)
-    hits = np.nonzero(dists <= zeta)[0]
+    within = np.concatenate(([0], np.cumsum(np.asarray(dist) <= zeta)))
+    hits = np.nonzero(within[window:] - within[:-window] == window)[0]
     return int(hits[0]) if hits.size else None
+
+
+def _distances(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean distance to center, bit-identical to sqrt(d @ d) row by row."""
+    d = x - center
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
+
+
+def _check_inputs(instance: NetworkInstance, cfg: SimConfig) -> None:
+    """Everything the slot kernels trust, checked once per run."""
+    for name, table in (("arrival", instance.arrivals), ("service", instance.services)):
+        if not (np.isfinite(table).all() and (table >= 0).all()):
+            raise ValueError(f"instance {name} entries must be finite and non-negative")
+    if (instance.action_counts == 0).any():
+        raise ValueError(f"state {int(np.argmin(instance.action_counts))} has no actions")
+    if cfg.initial_backlog is not None:
+        backlog = np.asarray(cfg.initial_backlog, dtype=float)
+        if backlog.shape != (instance.r,):
+            raise ValueError(f"initial_backlog has shape {backlog.shape}, expected ({instance.r},)")
+        if not (np.isfinite(backlog).all() and (backlog >= 0).all()):
+            raise ValueError("initial_backlog must be finite and non-negative")
 
 
 def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     """Execute the slot loop and collect metrics against the supplied optimum.
 
     gamma_star is measurement-side knowledge (the true-distribution optimum,
-    typically from the analysis oracles); controllers never see it.
+    typically from the analysis oracles); controllers never see it. The loop
+    only decides and serves; every metric is derived from the recorded
+    backlog and action paths afterwards.
     """
     ctrl = cfg.controller
     kind = ctrl.kind
     V = ctrl.V
     r = instance.r
+    H = cfg.horizon
     gamma_star = np.asarray(gamma_star, dtype=float)
     if gamma_star.shape != (r,):
         raise ValueError(f"gamma_star has shape {gamma_star.shape}, expected ({r},)")
+    _check_inputs(instance, cfg)
     # per-kind facts, settled once: the slot loop branches on `olac` only
     olac = kind == OLAC
     theta = ctrl.resolved_theta(r) if olac else None
     t_learn = ctrl.learn_slot() if kind == OLAC2 else None
     discipline = "LIFO" if kind == OLAC2 else "FIFO"
 
-    states_seq = sample_states(instance, cfg.horizon, cfg.seed)
+    states_seq = sample_states(instance, H, cfg.seed)
     flagged = 0
     if olac:
         beta_path, flagged = dual_learn(instance, states_seq, V)
+        if (beta_path < 0).any():
+            raise ValueError("the learned beta must be non-negative")
     ledger = QueueLedger(r)
     if cfg.initial_backlog is not None:
         ledger.add_initial(cfg.initial_backlog)
     delay_acc = DelayAccumulator(r)
-
-    n_samples = (cfg.horizon + cfg.metric_sample_period - 1) // cfg.metric_sample_period
-    trace_slots = np.empty(n_samples, dtype=np.int64)
-    gamma_trace = np.empty(n_samples)
-    beta_trace = np.empty(n_samples) if olac else None
-    queue_trace = np.empty((n_samples, r))
-    cost_trace = np.empty(n_samples)
-    checkpoint_set = set(cfg.checkpoints)
-    checkpoints: dict[int, dict] = {}
-
-    cost_sum = 0.0
-    backlog_sum = 0.0
     dropped = np.zeros(r)
-    t_first = None
-    t_sustained = None
-    run_start = None
-    run_len = 0
-    sample_idx = 0
-    costs_tab = instance.costs
+    q_path = np.empty((H, r))
+    actions = np.empty(H, dtype=np.int64)
     arrivals_tab = instance.arrivals
     services_tab = instance.services
 
-    for t in range(cfg.horizon):
-        sid = int(states_seq[t])
+    for t, sid in enumerate(states_seq.tolist()):
         q = ledger.totals
         if olac:
-            beta = beta_path[t]
-            action = olac_decide(instance, sid, q, beta, theta, V)
-            gamma_t = q + beta - theta
-            bdiff = beta - gamma_star
-            beta_dist = math.sqrt(float(bdiff @ bdiff))
+            action = olac_decide(instance, sid, q, beta_path[t], theta, V)
         else:
             action = bp_decide(instance, sid, q, V)
             if t == t_learn:
@@ -155,52 +162,35 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
                 if not learned.converged:
                     flagged += 1
                 q = ledger.totals
-            gamma_t = q
-        backlog_sum += q.sum()
-        diff = gamma_t - gamma_star
-        dist = math.sqrt(float(diff @ diff))
-        if cfg.zeta is not None:
-            if dist <= cfg.zeta:
-                if t_first is None:
-                    t_first = t
-                if run_start is None:
-                    run_start = t
-                    run_len = 0
-                run_len += 1
-                if run_len >= SUSTAIN_WINDOW and t_sustained is None:
-                    t_sustained = run_start
-            else:
-                run_start = None
-                run_len = 0
-        if t in checkpoint_set:
-            entry = {"distance": dist}
-            if olac:
-                entry["beta"] = beta.copy()
-                entry["beta_distance"] = beta_dist
-            if kind != BACKPRESSURE and t > 0:
-                empirical = np.bincount(states_seq[:t], minlength=instance.M) / t
-                entry["max_delta"] = float(np.abs(empirical - instance.probabilities).max())
-            checkpoints[t] = entry
-
-        cost = float(costs_tab[sid, action])
-        cost_sum += cost
-        if t % cfg.metric_sample_period == 0:
-            trace_slots[sample_idx] = t
-            gamma_trace[sample_idx] = dist
-            if beta_trace is not None:
-                beta_trace[sample_idx] = beta_dist
-            queue_trace[sample_idx] = q
-            cost_trace[sample_idx] = cost
-            sample_idx += 1
-
+        q_path[t] = q
+        actions[t] = action
         records = apply_slot(ledger, arrivals_tab[sid, action], services_tab[sid, action], t, discipline)
         delay_acc.add_many(records)
 
-    delay = delay_acc.finalize(cfg.horizon, ledger.totals)
+    delay = delay_acc.finalize(H, ledger.totals)
+    costs = instance.costs[states_seq, actions]
+    # the estimate is q(t), or q(t) + beta(t) - theta for OLAC
+    dist = _distances(q_path + beta_path - theta if olac else q_path, gamma_star)
+    beta_dist = _distances(beta_path, gamma_star) if olac else None
+    t_first = t_sustained = None
+    if cfg.zeta is not None:
+        t_first = convergence_time(dist, cfg.zeta)
+        t_sustained = convergence_time(dist, cfg.zeta, SUSTAIN_WINDOW)
+    checkpoints: dict[int, dict] = {}
+    for t in sorted(c for c in set(cfg.checkpoints) if 0 <= c < H):
+        entry = {"distance": float(dist[t])}
+        if olac:
+            entry["beta"] = beta_path[t].copy()
+            entry["beta_distance"] = float(beta_dist[t])
+        if kind != BACKPRESSURE and t > 0:
+            empirical = np.bincount(states_seq[:t], minlength=instance.M) / t
+            entry["max_delta"] = float(np.abs(empirical - instance.probabilities).max())
+        checkpoints[t] = entry
+
     metadata = {
         "kind": kind,
         "V": V,
-        "horizon": cfg.horizon,
+        "horizon": H,
         "seed": cfg.seed,
         "rng": RNG_NAME,
         "rng_streams": "seedsequence-spawn(states, reserved)",
@@ -214,18 +204,22 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         "initial_backlog": None if cfg.initial_backlog is None else list(map(float, cfg.initial_backlog)),
         "burn_in": 0,
     }
+    # sequential sums (cumsum, not the pairwise np.sum) keep the averages'
+    # rounding; a strided trace is copied so a stored result does not pin the
+    # full-length path
+    step = cfg.metric_sample_period
     return RunResult(
-        avg_cost=cost_sum / cfg.horizon,
-        avg_backlog=backlog_sum / cfg.horizon,
+        avg_cost=float(np.cumsum(costs)[-1]) / H,
+        avg_backlog=float(np.cumsum(q_path.sum(axis=1))[-1]) / H,
         delay=delay,
         t_zeta_first=t_first,
         t_zeta_sustained=t_sustained,
         dropped=dropped,
-        trace_slots=trace_slots[:sample_idx],
-        gamma_trace=gamma_trace[:sample_idx],
-        beta_trace=None if beta_trace is None else beta_trace[:sample_idx],
-        queue_trace=queue_trace[:sample_idx],
-        cost_trace=cost_trace[:sample_idx],
+        trace_slots=np.arange(0, H, step, dtype=np.int64),
+        gamma_trace=np.ascontiguousarray(dist[::step]),
+        beta_trace=None if beta_dist is None else np.ascontiguousarray(beta_dist[::step]),
+        queue_trace=np.ascontiguousarray(q_path[::step]),
+        cost_trace=np.ascontiguousarray(costs[::step]),
         checkpoints=checkpoints,
         solver_flagged_slots=flagged,
         metadata=metadata,

@@ -72,6 +72,8 @@ class TestScenarioParsing:
         ({"kind": "OLAC", "prior": [1.0, 1.0]}, "unknown key.*'prior'"),
         ({"kind": "OLAC2", "prior": [float("nan")] * 64}, "prior"),
         ({"kind": "OLAC", "relearn_perod": 2}, "unknown key.*'relearn_perod'"),
+        ({"kind": "OLAC", "theta": [float("nan"), 1.0]}, "positive and finite"),
+        ({"kind": "OLAC", "theta": [float("inf"), 1.0]}, "positive and finite"),
     ])
     def test_bad_controller_knob_rejected_at_load(self, controller, match):
         with pytest.raises(ScenarioError, match=match):

@@ -53,8 +53,11 @@ class TestBpDecide:
             assert bp_decide(two_queue, sid, q, v) == per_state_dual(two_queue, sid, q, v)[1]
 
     def test_negative_backlog_rejected(self, two_queue):
-        with pytest.raises(ValueError):
-            bp_decide(two_queue, 0, np.array([-1.0, 0.0]), 1.0)
+        # the rule trusts q >= 0; a run refuses a negative backlog before its first slot
+        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 1.0),
+                        initial_backlog=np.array([-1.0, 0.0]))
+        with pytest.raises(ValueError, match="initial_backlog"):
+            run(two_queue, cfg, np.zeros(2))
 
 
 class TestOlacDecide:
@@ -87,8 +90,11 @@ class TestOlacDecide:
             assert a1 == a2
 
     def test_input_validation(self, two_queue):
-        with pytest.raises(ValueError):
-            olac_decide(two_queue, 0, np.zeros(2), np.zeros(2), np.zeros(2), 1.0)  # theta must be > 0
+        # the rule trusts a finite theta > 0; a run refuses others before its first slot
+        for theta in ([0.0, 1.0], [-1.0, 1.0], [np.nan, 1.0], [np.inf, 1.0]):
+            cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("OLAC", 1.0, theta=np.array(theta)))
+            with pytest.raises(ValueError, match="theta must be componentwise positive"):
+                run(two_queue, cfg, np.zeros(2))
 
 
 class TestOlac2Step:

@@ -9,9 +9,8 @@ commit with one of the change cell by cell:
     python3 scripts/compare_outputs.py OUT_PARENT OUT_CHANGE
 """
 import hashlib
+import json
 import os
-
-import pytest
 
 from olacsim.cli import Scenario, run_scenario
 
@@ -29,20 +28,39 @@ GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def smoke_out(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("smoke")
-    run_scenario(Scenario.from_file(SMOKE), out_dir=str(out_dir))
+# smoke.json with an absolute zeta of 10: OLAC and OLAC2 cross it at slots
+# 27, 73 and 116 and stay within for SUSTAIN_WINDOW slots from 73 and 126, so
+# the convergence-time columns are exercised; only summary.csv differs
+GOLDEN_ZETA_10 = {
+    **GOLDEN,
+    "summary.csv": "47a3bc3d45bd9543199fd922bc8b53495de56921c444a60a7fd88b9f12122366",
+}
+
+
+def run_smoke(out_dir, zeta=None):
+    with open(SMOKE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if zeta is not None:
+        doc["zeta"] = zeta
+    run_scenario(Scenario.from_dict(doc), out_dir=str(out_dir))
     return out_dir
 
 
-def test_smoke_csvs_written_as_recorded(smoke_out):
-    written = sorted(name for name in os.listdir(smoke_out) if name.endswith(".csv"))
-    assert written == sorted(GOLDEN)
-    for name, expected in GOLDEN.items():
-        with open(smoke_out / name, "rb") as fh:
+def assert_written_as_recorded(out_dir, golden):
+    written = sorted(name for name in os.listdir(out_dir) if name.endswith(".csv"))
+    assert written == sorted(golden)
+    for name, expected in golden.items():
+        with open(out_dir / name, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == expected, (
             f"{name} differs from its golden hash; run scenarios/smoke.json at the parent commit and "
             f"here, then `python3 scripts/compare_outputs.py OUT_PARENT OUT_CHANGE` shows the cells that moved"
         )
+
+
+def test_smoke_csvs_written_as_recorded(tmp_path):
+    assert_written_as_recorded(run_smoke(tmp_path), GOLDEN)
+
+
+def test_smoke_zeta_10_csvs_written_as_recorded(tmp_path):
+    assert_written_as_recorded(run_smoke(tmp_path, {"policy": "absolute", "value": 10}), GOLDEN_ZETA_10)

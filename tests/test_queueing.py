@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from olacsim.controllers import ControllerConfig
 from olacsim.queueing import (
     DelayAccumulator,
     DepartureRecord,
@@ -10,8 +11,9 @@ from olacsim.queueing import (
     adjust_to,
     apply_slot,
 )
+from olacsim.sim import SimConfig, run
 
-from conftest import total
+from conftest import single_state_instance, total
 
 
 def ledger_with_chunks(chunks, r=1, queue=0):
@@ -64,11 +66,13 @@ class TestApplySlot:
         assert list(led.chunks[0]) == [[0, 1.0, False]]
 
     def test_negative_inputs_rejected(self):
-        led = QueueLedger(1)
-        with pytest.raises(ValueError):
-            apply_slot(led, np.array([-1.0]), np.array([0.0]), 0)
-        with pytest.raises(ValueError):
-            apply_slot(led, np.array([0.0]), np.array([-1.0]), 0)
+        # apply_slot trusts its vectors; a run refuses an instance whose tables
+        # hold a negative arrival or service, before its first slot
+        for arrivals, services, name in (([-1.0], [0.0], "arrival"), ([0.0], [-1.0], "service")):
+            instance = single_state_instance([(0.0, [0.0], [1.0]), (1.0, arrivals, services)])
+            cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 1.0))
+            with pytest.raises(ValueError, match=f"instance {name} entries"):
+                run(instance, cfg, np.zeros(1))
 
     def test_scalar_recursion_equivalence_bulk(self):
         # ledger totals track max(q - mu, 0) + a over a long random schedule

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olacsim.controllers import ControllerConfig
 from olacsim.dual import primal_oracle
 from olacsim.sim import SimConfig, convergence_time, run, sample_states
+
+from conftest import make_instance, single_state_instance
 
 
 @pytest.fixture(scope="module")
@@ -11,22 +15,63 @@ def gamma_star_100(two_queue):
     return 100.0 * primal_oracle(two_queue, two_queue.probabilities).multiplier_v1
 
 
+def state_machine_convergence(dist, zeta, window):
+    """The per-slot run tracker sim.run once used; reference for convergence_time."""
+    t_first = t_sustained = run_start = None
+    run_len = 0
+    for t, d in enumerate(dist):
+        if d <= zeta:
+            if t_first is None:
+                t_first = t
+            if run_start is None:
+                run_start = t
+                run_len = 0
+            run_len += 1
+            if run_len >= window and t_sustained is None:
+                t_sustained = run_start
+        else:
+            run_start = None
+            run_len = 0
+    return t_first, t_sustained
+
+
 class TestConvergenceTime:
     def test_immediate_hit(self):
-        gamma_star = np.array([3.0, 4.0])
-        assert convergence_time([gamma_star], gamma_star, 1.0) == 0
+        assert convergence_time([0.0], 1.0) == 0
 
     def test_first_touch_no_sojourn(self):
-        trace = np.array([[5.0], [3.0], [1.0], [2.0]])
-        assert convergence_time(trace, np.array([0.0]), 2.0) == 2
+        assert convergence_time([5.0, 3.0, 1.0, 2.0], 2.0) == 2
 
     def test_never_within(self):
-        trace = np.array([[5.0], [4.0]])
-        assert convergence_time(trace, np.array([0.0]), 2.0) is None
+        assert convergence_time([5.0, 4.0], 2.0) is None
 
     def test_zeta_must_be_positive(self):
         with pytest.raises(ValueError):
-            convergence_time(np.zeros((1, 1)), np.zeros(1), 0.0)
+            convergence_time(np.zeros(1), 0.0)
+
+    def test_window_needs_consecutive_slots(self):
+        dist = [0.0, 9.0, 0.0, 0.0, 9.0, 0.0, 0.0, 0.0]
+        assert convergence_time(dist, 1.0, window=2) == 2
+        assert convergence_time(dist, 1.0, window=3) == 5
+
+    def test_window_run_may_end_at_horizon(self):
+        assert convergence_time([9.0, 0.0, 0.0], 1.0, window=2) == 1
+        assert convergence_time([9.0, 0.0, 0.0], 1.0, window=3) is None
+        assert convergence_time([0.0], 1.0, window=5) is None
+
+    def test_nan_distance_is_not_within(self):
+        assert convergence_time([np.nan, 0.0, 0.0], 1.0, window=2) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]), min_size=1, max_size=60),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_matches_per_slot_state_machine(self, dist, zeta, window):
+        t_first, t_sustained = state_machine_convergence(dist, zeta, window)
+        assert convergence_time(dist, zeta) == t_first
+        assert convergence_time(dist, zeta, window) == t_sustained
 
 
 class TestRun:
@@ -144,6 +189,15 @@ class TestRun:
         assert "beta_distance" in res.checkpoints[50]
         assert "max_delta" in res.checkpoints[150]
 
+    def test_checkpoints_agree_with_traces(self, two_queue, gamma_star_100):
+        horizon = 300
+        cfg = SimConfig(horizon=horizon, seed=0, controller=ControllerConfig("OLAC", 100.0),
+                        checkpoints=(0, 137, horizon - 1))
+        res = run(two_queue, cfg, gamma_star_100)
+        for t in cfg.checkpoints:
+            assert res.checkpoints[t]["distance"] == res.gamma_trace[t]
+            assert res.checkpoints[t]["beta_distance"] == res.beta_trace[t]
+
     def test_sustained_requires_run_of_window(self, two_queue, gamma_star_100):
         cfg = SimConfig(
             horizon=400, seed=0, controller=ControllerConfig("Backpressure", 100.0),
@@ -153,3 +207,32 @@ class TestRun:
         # zeta larger than any distance: both are slot 0
         assert res.t_zeta_first == 0
         assert res.t_zeta_sustained == 0
+
+
+class TestRunInputs:
+    """The slot kernels trust their inputs; run checks them once, before slot 0."""
+
+    @pytest.mark.parametrize("backlog", [[-5.0, 3.0], [np.nan, 3.0], [np.inf, 3.0], [4.0, 3.0, 7.0], [4.0]])
+    def test_bad_initial_backlog_rejected(self, two_queue, backlog):
+        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 10.0),
+                        initial_backlog=np.array(backlog))
+        with pytest.raises(ValueError, match="initial_backlog"):
+            run(two_queue, cfg, np.zeros(2))
+
+    def test_zero_initial_backlog_accepted(self, two_queue):
+        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 10.0),
+                        initial_backlog=np.array([0.0, 3.0]))
+        assert run(two_queue, cfg, np.zeros(2)).queue_trace[0].tolist() == [0.0, 3.0]
+
+    @pytest.mark.parametrize("arrival, service", [([np.nan], [1.0]), ([0.0], [np.inf])])
+    def test_non_finite_table_rejected(self, arrival, service):
+        instance = single_state_instance([(0.0, [0.0], [1.0]), (1.0, arrival, service)])
+        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 1.0))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            run(instance, cfg, np.zeros(1))
+
+    def test_state_without_actions_rejected(self):
+        instance = make_instance(1, [0.5, 0.5], [[(0.0, [0.0], [1.0])], []])
+        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("OLAC2", 1.0))
+        with pytest.raises(ValueError, match="state 1 has no actions"):
+            run(instance, cfg, np.zeros(1))
