@@ -288,10 +288,11 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     """Execute the sweep; returns the manifest dict (also written to disk).
 
     Oracles (gamma*, f*, eta_0, rho_hat, D_p) are computed once per V in the
-    parent process; runs execute in a process pool when workers > 1; a single
-    collector writes all outputs sorted by (controller, V, seed). A run that
-    raises is recorded in the manifest (status "error", counted in "failed")
-    and the other runs' outputs are still written.
+    parent process, with the V-independent policy and slack LPs solved for
+    the first V only; runs execute in a process pool when workers > 1; a
+    single collector writes all outputs sorted by (controller, V, seed). A
+    run that raises is recorded in the manifest (status "error", counted in
+    "failed") and the other runs' outputs are still written.
     """
     out_dir = out_dir or scenario.out_dir or os.environ.get(OUT_DIR_ENV, "out")
     workers = workers if workers is not None else scenario.workers
@@ -307,9 +308,10 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
         perturbed = _perturbed_distributions(pi, scenario.perturbation_count, scenario.epsilon_s, scenario.rho_seed)
         min_slack = min(dual.max_slack(instance, p) for p in perturbed) if perturbed else None
     analyses: dict[float, dual.InstanceAnalysis] = {}
+    solved = None
     for v in sorted(set(scenario.v_values)):
-        analyses[v] = dual.compute_analysis(
-            instance, pi, v, rho_samples=scenario.rho_samples, rho_seed=scenario.rho_seed
+        solved = analyses[v] = dual.compute_analysis(
+            instance, pi, v, rho_samples=scenario.rho_samples, rho_seed=scenario.rho_seed, lps_from=solved
         )
     oracle_rows = [_oracle_row(ana, r, min_slack) for ana in analyses.values()]
     _write_csv(os.path.join(out_dir, "oracle.csv"), _oracle_columns(r), oracle_rows)

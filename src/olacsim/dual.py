@@ -49,18 +49,15 @@ class InfeasibleInstanceError(RuntimeError):
 class DualSolverConfig:
     """Projected supergradient ascent settings.
 
-    The step at inner iteration k is a/(b + step_offset + k) with
-    a = V * delta_max and b = 10. The ascent stops once the best value has not
-    improved by more than ``tolerance`` over ``window`` consecutive
-    iterations. ``step_offset`` shifts the diminishing schedule, which lets
-    warm-started re-solves continue a schedule instead of restarting it.
+    The step at inner iteration k is a/(b + k) with a = V * delta_max and
+    b = 10. The ascent stops once the best value has not improved by more
+    than ``tolerance`` over ``window`` consecutive iterations.
     """
 
     max_iterations: int = 4000
     tolerance: float = 1e-9
     window: int = 200
     warm_start: np.ndarray | None = None
-    step_offset: int = 0
 
 
 @dataclass
@@ -109,6 +106,7 @@ class InstanceAnalysis:
     g_star: float
     eta_0: float
     constants: AnalysisConstants
+    multiplier_v1: np.ndarray  # the policy LP's dual prices, as in PrimalSolution
 
     @property
     def xi(self) -> float:
@@ -160,10 +158,6 @@ def supergradient(instance: NetworkInstance, dist, gamma, V: float) -> np.ndarra
     return dist @ instance.drift[np.arange(instance.M), sel]
 
 
-# Bound on the selections a DualTables keeps gathered (each holds M*(r+1) floats).
-SELECTED_CACHE_SIZE = 4096
-
-
 class DualTables:
     """The dual's tables reduced for the ascent, built once per (instance, V).
 
@@ -185,7 +179,9 @@ class DualTables:
     a per-class selection back to the full-table rows i*K + x of every state;
     the ascent computes its supergradient on those rows, as ``supergradient``
     does. The two-queue instance reduces from 64 states x 10 actions to
-    16 classes x 9 slots (112 real actions).
+    16 classes x 9 slots (112 real actions). OLAC's exact learner writes its
+    LP on the same classes; ``folded`` marks the states whose arrivals left
+    the class's drift.
     """
 
     def __init__(self, instance: NetworkInstance, V: float):
@@ -227,27 +223,11 @@ class DualTables:
         self._state_offset = np.arange(M) * width
         self.full_base = base.ravel()
         self.full_drift = instance.drift.reshape(M * K, r)
-        self._selected: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self.folded = fold
 
     def rows(self, sel: np.ndarray) -> np.ndarray:
         """Full-table row of each state's selected action, from a per-class selection."""
         return self._state_rows[self._state_offset + sel[self.class_of]]
-
-    def selected(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """V*cost and drift rows of each state's selected action, kept per selection.
-
-        An ascent visits few distinct selections (56 over a 3e4-slot OLAC run
-        on the two-queue instance), so the gathers are kept for reuse across
-        solves; the store is emptied once it holds SELECTED_CACHE_SIZE of them.
-        """
-        key = sel.tobytes()
-        hit = self._selected.get(key)
-        if hit is None:
-            if len(self._selected) >= SELECTED_CACHE_SIZE:
-                self._selected.clear()
-            rows = self.rows(sel)
-            hit = self._selected[key] = (self.full_base[rows], self.full_drift[rows])
-        return hit
 
 
 def maximize_dual(
@@ -297,8 +277,8 @@ def maximize_dual(
         key = sel.tobytes()
         hit = memo.get(key)
         if hit is None:
-            base_rows, drift_rows = tables.selected(sel)
-            hit = memo[key] = (float(dist @ base_rows), dist @ drift_rows)
+            rows = tables.rows(sel)
+            hit = memo[key] = (float(dist @ tables.full_base[rows]), dist @ tables.full_drift[rows])
         const, grad = hit
         return const + grad.dot(g), grad
 
@@ -309,7 +289,7 @@ def maximize_dual(
     iterations = 0
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        step = a / (b + cfg.step_offset + it)
+        step = a / (b + it)
         gamma = np.maximum(gamma + step * grad, 0.0)
         value, grad = evaluate(gamma)
         if value > best_value + cfg.tolerance:
@@ -427,7 +407,12 @@ ETA_FRACTION = 0.1
 
 
 def compute_analysis(
-    instance: NetworkInstance, dist, V: float, rho_samples: int = 512, rho_seed: int = 0
+    instance: NetworkInstance,
+    dist,
+    V: float,
+    rho_samples: int = 512,
+    rho_seed: int = 0,
+    lps_from: InstanceAnalysis | None = None,
 ) -> InstanceAnalysis:
     """Oracle bundle per (instance, V): optimum, multiplier, slack, constants.
 
@@ -435,16 +420,24 @@ def compute_analysis(
     duality its value can never exceed V*f_av_star, so equality certifies both
     oracles at once.
 
+    The policy LP and the slack LP do not depend on V. ``lps_from``, an
+    analysis of the same instance and distribution at any V, supplies their
+    results (f_av_star, the V=1 multiplier, eta_0) instead of solving them again.
+
     eta = ETA_FRACTION * rho_hat; any fraction in (0, 1) yields a valid drift
     margin. D_p = (B - eta^2)/(2(rho_hat - eta)) is increasing in eta, so the
     small fraction keeps the convergence-measurement radius close to its
     minimum B/(2 rho_hat), which matters on instances whose dual has shallow
     directions (large D_p otherwise swallows the whole approach path).
     """
-    primal = primal_oracle(instance, dist)
-    warm = V * primal.multiplier_v1
+    if lps_from is None:
+        primal = primal_oracle(instance, dist)
+        f_av_star, multiplier_v1 = primal.f_av_star, primal.multiplier_v1
+        eta_0 = max_slack(instance, dist)
+    else:
+        f_av_star, multiplier_v1, eta_0 = lps_from.f_av_star, lps_from.multiplier_v1, lps_from.eta_0
+    warm = V * multiplier_v1
     res = maximize_dual(instance, dist, V, DualSolverConfig(max_iterations=2000, window=100, warm_start=warm))
-    eta_0 = max_slack(instance, dist)
     rho_hat = estimate_polyhedral_rho(instance, dist, V, res.gamma, sample_count=rho_samples, seed=rho_seed)
     if rho_hat > 0:
         eta = ETA_FRACTION * rho_hat
@@ -455,9 +448,10 @@ def compute_analysis(
     constants = AnalysisConstants(B=instance.B, eta=eta, rho_hat=rho_hat, D_p=d_p, f_max=instance.f_max)
     return InstanceAnalysis(
         V=V,
-        f_av_star=primal.f_av_star,
+        f_av_star=f_av_star,
         gamma_star=res.gamma,
         g_star=res.value,
         eta_0=eta_0,
         constants=constants,
+        multiplier_v1=multiplier_v1,
     )

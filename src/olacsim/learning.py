@@ -1,45 +1,206 @@
-"""OLAC's learned dual multiplier beta(t), computed as a whole path.
+"""OLAC's learned dual multiplier beta(t), computed exactly as a whole path.
 
-beta(t) is the maximizer of the empirical dual: the dual function evaluated
-with the frequencies of the states seen before slot t instead of the true
-probabilities. It depends on the state sequence and V only, never on the
-backlog or the actions taken, so the whole path is learned before the slot
-loop. beta(0) = 0; every later slot re-solves warm-started at the previous
-beta, and the diminishing step schedule is continued across re-solves (offset
-by the slot index) so that the step size matches the drift rate of the
-empirical optimum, which moves by O(1/t) per slot.
+beta(t) maximizes the empirical dual: the dual function with the frequencies
+of the states seen before slot t in place of the true probabilities, over the
+box 0 <= beta <= xi. It depends on the state sequence and V only, never on
+the backlog or the actions taken, so the whole path is learned before the
+slot loop.
+
+The maximizer is read off the policy LP written in counts on the classes of
+``DualTables`` (n_c observations of class c, n_i of state i):
+
+    min  sum_cx f_cx y_cx + xi * sum_j s_j
+    s.t. sum_x y_cx = n_c                                   (one row per class)
+         sum_cx services_cx,j y_cx + s_j - u_j = sum_i n_i A_ij     (one per queue)
+         y, s, u >= 0
+
+where an unfolded class keeps its arrivals in its drift (``services`` is
+-drift) and the right-hand side sums the arrivals of folded states only. Its
+dual is the empirical dual times the count t, with beta the prices of the
+queue rows; the shortfall column s_j turns the box beta_j <= xi into a column,
+so the LP is always feasible. Costs are in units of V: the LP is solved at
+V = 1 and the path scaled by V, so beta(t; V) = V * beta(t; 1) exactly.
+
+The box is the paper's multiplier bound xi = V * f_max / eta_0, where eta_0 is
+the largest service slack of the true distribution (the slack LP on the class
+tables). eta_0 is the one number derived from the true probabilities that the
+learner sees. An instance without slack (eta_0 <= 0) has no box and is
+rejected.
+
+An observation of state i adds e_class(i) plus its folded arrivals to the
+right-hand side b, so the basic solution x_B = B^-1 b grows by the column
+B^-1 b_i. The kept basis stays optimal while x_B >= 0 (right-hand-side
+ranging), so beta only changes at a slot where that check fails; the dual
+simplex then restores feasibility from the kept basis.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .dual import DualSolverConfig, DualTables, maximize_dual
+from ._simplex import solve_lp
+# maximize_dual is no longer called here; it stays a module attribute because
+# profilers rebind it by name
+from .dual import DualTables, maximize_dual  # noqa: F401
 from .model import NetworkInstance
 
-__all__ = ["default_tracking_solver", "dual_learn"]
+__all__ = ["dual_learn"]
+
+# x_B entries above -FEAS_TOL * (1 + max|b|) count as non-negative
+FEAS_TOL = 1e-9
+# a pivot row entry must be below -PIVOT_TOL to enter
+PIVOT_TOL = 1e-9
+# ratios within TIE_TOL * max(1, best) of the minimum tie; the smallest column wins
+TIE_TOL = 1e-12
+# slots checked per block: the first block after a pivot, and the cap as blocks double
+FIRST_BLOCK = 8
+MAX_BLOCK = 4096
 
 
-def default_tracking_solver(instance: NetworkInstance, V: float) -> DualSolverConfig:
-    """Per-slot re-solve budget: cheap once warm, capped during early learning."""
-    return DualSolverConfig(max_iterations=150, tolerance=1e-7 * max(1.0, V), window=8)
+def _lp_data(instance: NetworkInstance, tables: DualTables):
+    """Columns, costs and the per-state right-hand side of the count LP (costs in units of V)."""
+    n_class, width = tables.shape
+    r = instance.r
+    real = np.isfinite(tables.base)
+    n_y = int(real.sum())
+    m = n_class + r
+    a = np.zeros((m, n_y + 2 * r))
+    a[np.repeat(np.arange(n_class), width)[real], np.arange(n_y)] = 1.0
+    a[n_class:, :n_y] = -tables.drift[real].T
+    a[n_class:, n_y : n_y + r] = np.eye(r)
+    a[n_class:, n_y + r :] = -np.eye(r)
+    rhs = np.zeros((m, instance.M))
+    rhs[tables.class_of, np.arange(instance.M)] = 1.0
+    rhs[n_class:] = (instance.arrivals[:, 0] * tables.folded[:, None]).T
+    return a, tables.base[real], rhs
+
+
+def _nominal_slack(instance: NetworkInstance, a: np.ndarray, rhs: np.ndarray, n_class: int) -> float:
+    """eta_0: the largest service slack of the true distribution, on the count LP's columns.
+
+    The same LP as ``dual.max_slack(instance, instance.probabilities)``, in the
+    reduced variables of ``DualTables``: the class rows hold the class
+    probabilities, and services.y >= folded arrivals + eta in every queue.
+    """
+    r = instance.r
+    n_y = a.shape[1] - 2 * r
+    b = rhs @ instance.probabilities
+    # maximize eta (free, split eta = ep - en)
+    a_ub = np.hstack([-a[n_class:, :n_y], np.ones((r, 1)), -np.ones((r, 1))])
+    a_eq = np.hstack([a[:n_class, :n_y], np.zeros((n_class, 2))])
+    c = np.concatenate([np.zeros(n_y), [-1.0, 1.0]])
+    res = solve_lp(c, a_ub=a_ub, b_ub=-b[n_class:], a_eq=a_eq, b_eq=b[:n_class])
+    if res.status != "optimal":
+        raise RuntimeError(f"slack LP ended with status {res.status}")
+    return 0.0 - float(res.objective)  # 0.0 - x turns an optimum of -0.0 into 0.0
+
+
+class _CountLP:
+    """The count LP with one kept basis and its inverse.
+
+    Columns are the kept actions of ``DualTables`` at V = 1 in class order,
+    then s (cost xi), then u (cost 0); rows are the classes, then the queues.
+    The start basis, the cheapest action of each class (smallest id on ties)
+    plus every u_j, is dual feasible at beta = 0 and primal feasible at b = 0.
+    """
+
+    def __init__(self, instance: NetworkInstance):
+        tables = DualTables(instance, 1.0)
+        self.a, costs, self.rhs = _lp_data(instance, tables)
+        self.n_class = n_class = tables.shape[0]
+        self.eta_0 = _nominal_slack(instance, self.a, self.rhs, n_class)
+        if not self.eta_0 > 0:
+            raise ValueError(
+                f"OLAC needs service slack: eta_0 = {self.eta_0:g} <= 0, so the multiplier bound "
+                "xi = V * f_max / eta_0 is infinite"
+            )
+        self.xi = instance.f_max / self.eta_0
+        r = instance.r
+        n_y = costs.size
+        self.c = np.concatenate([costs, np.full(r, self.xi), np.zeros(r)])
+        self.s_cols = np.arange(n_y, n_y + r)
+        self.u_cols = np.arange(n_y + r, n_y + 2 * r)
+        column = np.cumsum(np.isfinite(tables.base)).reshape(tables.shape) - 1  # LP column of each kept slot
+        cheapest = column[np.arange(n_class), tables.base.reshape(tables.shape).argmin(axis=1)]
+        self.basis = np.concatenate([cheapest, self.u_cols])
+        self._refactor()
+        self._read_basis()
+
+    def _refactor(self):
+        self.binv = np.linalg.inv(self.a[:, self.basis])
+        self.y = self.c[self.basis] @ self.binv
+        self.d = self.c - self.y @ self.a
+        self.d[self.basis] = 0.0
+
+    def _read_basis(self):
+        """beta and the per-state growth of x_B for the current basis."""
+        # x_B grows by step[i] when state i is observed
+        self.step = (self.binv @ self.rhs).T
+        basic = np.zeros(self.c.size, dtype=bool)
+        basic[self.basis] = True
+        beta = np.clip(self.y[self.n_class :], 0.0, self.xi)
+        # a basic column has zero reduced cost: beta_j = xi exactly when s_j is basic, 0 when u_j is
+        beta[basic[self.s_cols]] = self.xi
+        beta[basic[self.u_cols]] = 0.0
+        self.beta = beta
+
+    def restore(self, b: np.ndarray) -> np.ndarray:
+        """Dual simplex from the kept basis until x_B = B^-1 b >= 0; returns x_B.
+
+        Leaving row: the most negative x_B, ties to the smallest row. Entering
+        column: the minimum ratio of reduced cost to |pivot row entry|, ties to
+        the smallest column. B^-1 is refactored after every pivot.
+        """
+        tol = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+        limit = 50 * self.a.shape[1]
+        for _ in range(limit):
+            x = self.binv @ b
+            row = int(np.argmin(x))
+            if x[row] >= -tol:
+                self._read_basis()
+                return x
+            alpha = self.binv[row] @ self.a
+            enter = alpha < -PIVOT_TOL
+            if not enter.any():
+                raise RuntimeError("count LP infeasible, which its shortfall columns rule out")
+            ratio = np.full(alpha.size, np.inf)
+            ratio[enter] = np.maximum(self.d[enter], 0.0) / -alpha[enter]
+            best = ratio.min()
+            col = int(np.argmax(ratio <= best + TIE_TOL * max(1.0, best)))
+            self.basis[row] = col
+            self._refactor()
+        raise RuntimeError(f"dual simplex did not restore feasibility within {limit} pivots")
 
 
 def dual_learn(instance: NetworkInstance, states, V: float) -> tuple[np.ndarray, int]:
-    """OLAC's beta path over ``states``: row t maximizes the dual on states[:t].
+    """OLAC's beta path over ``states``: row t maximizes the empirical dual on states[:t].
 
-    Returns the (len(states), r) path and the number of solves that hit their
-    iteration cap; such a solve still sets beta to the best iterate found.
+    Returns the (len(states), r) path and the number of slots at which the box
+    binds (some beta_j = xi). beta(0) = 0.
     """
-    path = np.zeros((len(states), instance.r))
-    counts = np.zeros(instance.M, dtype=np.int64)
-    tables = DualTables(instance, V)
-    cfg = default_tracking_solver(instance, V)
-    flagged = 0
-    for t in range(1, len(states)):
-        counts[states[t - 1]] += 1
-        cfg.warm_start = path[t - 1]
-        cfg.step_offset = t
-        result = maximize_dual(instance, counts / t, V, cfg, tables=tables)
-        path[t] = result.gamma
-        flagged += not result.converged
-    return path, flagged
+    states = np.asarray(states, dtype=np.int64)
+    H = len(states)
+    lp = _CountLP(instance)
+    starts, betas = [0], [lp.beta]
+    x = np.zeros(lp.a.shape[0])
+    t = 0  # observations folded into x: states[:t]
+    block = FIRST_BLOCK
+    bscale = max(1.0, float(np.abs(lp.rhs).max()))
+    while t < H - 1:
+        n = min(block, H - 1 - t)
+        # row k is x_B after observing states[t..t+k], the basis check for slot t+k+1
+        ahead = x + np.cumsum(lp.step[states[t : t + n]], axis=0)
+        bad = (ahead < -FEAS_TOL * (1.0 + bscale * (t + n))).any(axis=1)
+        if not bad.any():
+            x = ahead[-1]
+            t += n
+            block = min(2 * block, MAX_BLOCK)
+            continue
+        t += int(bad.argmax()) + 1
+        x = lp.restore(lp.rhs @ np.bincount(states[:t], minlength=instance.M))
+        if not np.array_equal(lp.beta, betas[-1]):
+            starts.append(t)
+            betas.append(lp.beta)
+        block = FIRST_BLOCK
+    betas = np.array(betas)
+    lengths = np.diff(np.append(starts, H))
+    return V * np.repeat(betas, lengths, axis=0), int(lengths[(betas >= lp.xi).any(axis=1)].sum())

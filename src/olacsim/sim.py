@@ -61,6 +61,8 @@ class RunResult:
     queue_trace: np.ndarray
     cost_trace: np.ndarray
     checkpoints: dict = field(default_factory=dict)
+    # OLAC: slots whose beta sits on the box xi in some queue; OLAC2: 1 when
+    # its one-shot ascent stopped at its iteration cap
     solver_flagged_slots: int = 0
     metadata: dict = field(default_factory=dict)
 
@@ -135,6 +137,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     states_seq = sample_states(instance, H, cfg.seed)
     flagged = 0
     if olac:
+        # rejects an instance without service slack before the first slot
         beta_path, flagged = dual_learn(instance, states_seq, V)
         if (beta_path < 0).any():
             raise ValueError("the learned beta must be non-negative")

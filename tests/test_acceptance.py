@@ -243,7 +243,7 @@ class TestCriterion5:
         most 1e-3 of the measured slots may have an empty queue.
 
         Measured (V=100 over seeds 0-9, V=400/1600 over seeds 0-4):
-        |backlog - sum theta| = 22.4 / 30.4 / 30.4, cap 2C = 44.7, no empty
+        |backlog - sum theta| = 22.4 / 30.4 / 30.5, cap 2C = 44.8, no empty
         slot. The V=100 offset is the smaller one for the reason in the class
         docstring.
         """

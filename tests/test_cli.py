@@ -169,6 +169,29 @@ class TestRunScenario:
         ).read_bytes()
 
 
+    def test_v_independent_lps_solved_once(self, tmp_path, monkeypatch):
+        # the policy and slack LPs do not depend on V: one solve each per sweep,
+        # and every oracle row is the row a single-V sweep writes
+        import olacsim.dual
+
+        calls = {"primal_oracle": 0, "max_slack": 0}
+        for name in calls:
+            real = getattr(olacsim.dual, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(olacsim.dual, name, counted)
+        doc = smoke_doc(controllers=[{"kind": "Backpressure"}], V_values=[20, 50, 100], seeds=[0], horizon=50)
+        run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "all"))
+        assert calls == {"primal_oracle": 1, "max_slack": 1}
+        rows = (tmp_path / "all" / "oracle.csv").read_text().splitlines()
+        for k, v in enumerate((20, 50, 100), start=1):
+            run_scenario(Scenario.from_dict({**doc, "V_values": [v]}), out_dir=str(tmp_path / str(v)))
+            assert (tmp_path / str(v) / "oracle.csv").read_text().splitlines() == [rows[0], rows[k]]
+
+
 class TestPlotdata:
     def test_aggregates_mean_and_stderr(self, tmp_path):
         scenario = Scenario.from_dict(smoke_doc())

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olacsim import learning
-from olacsim.controllers import OLAC, ControllerConfig, default_oneshot_solver
+from olacsim import controllers
+from olacsim.controllers import OLAC2, ControllerConfig, default_oneshot_solver
 from olacsim.dual import DualSolveResult, DualSolverConfig, DualTables, maximize_dual, per_state_dual, primal_oracle
-from olacsim.learning import default_tracking_solver
 from olacsim.sim import SimConfig, run
 
 from conftest import make_instance
@@ -40,7 +39,7 @@ def reference_maximize_dual(instance, dist, V, cfg=None):
     iterations = 0
     for it in range(1, cfg.max_iterations + 1):
         iterations = it
-        step = a / (b + cfg.step_offset + it)
+        step = a / (b + it)
         gamma = np.maximum(gamma + step * grad, 0.0)
         value, grad = evaluate(gamma)
         if value > best_value + cfg.tolerance:
@@ -140,7 +139,8 @@ def test_ascent_matches_reference(two_queue, V, warm, solver):
     pi = two_queue.probabilities
     cfg = {
         "analysis": DualSolverConfig(max_iterations=2000, window=100),
-        "tracking": default_tracking_solver(two_queue, V),
+        # a short budget that stops on its window or at its cap
+        "tracking": DualSolverConfig(max_iterations=150, tolerance=1e-7 * V, window=8),
         "oneshot": default_oneshot_solver(two_queue, V),
     }[solver]
     if warm:
@@ -153,17 +153,17 @@ def test_ascent_matches_reference(two_queue, V, warm, solver):
     assert res.value == pytest.approx(ref.value, rel=1e-12)
 
 
-def test_olac_run_matches_reference_ascent(two_queue, monkeypatch):
-    """OLAC's decisions and learned multiplier over a run do not move."""
-    ctrl = ControllerConfig(kind=OLAC, V=100.0)
+def test_olac2_run_matches_reference_ascent(two_queue, monkeypatch):
+    """OLAC2's decisions, learn and adjustment over a run do not move."""
+    ctrl = ControllerConfig(kind=OLAC2, V=100.0)
     cfg = SimConfig(horizon=3000, seed=4, controller=ctrl)
     gamma_star = np.zeros(2)
     res = run(two_queue, cfg, gamma_star)
     monkeypatch.setattr(
-        learning, "maximize_dual", lambda inst, dist, V, cfg, tables=None: reference_maximize_dual(inst, dist, V, cfg)
+        controllers, "maximize_dual", lambda inst, dist, V, cfg: reference_maximize_dual(inst, dist, V, cfg)
     )
     ref = run(two_queue, cfg, gamma_star)
     assert np.array_equal(res.cost_trace, ref.cost_trace)
     assert np.array_equal(res.queue_trace, ref.queue_trace)
-    assert np.allclose(res.beta_trace, ref.beta_trace, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(res.dropped, ref.dropped)
     assert res.solver_flagged_slots == ref.solver_flagged_slots

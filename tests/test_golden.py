@@ -18,22 +18,22 @@ SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "smoke.j
 
 GOLDEN = {
     "oracle.csv": "92caf14302d732ca294c1edcd2bf3e43155cc90c1ba0a3f04591513ddea5261d",
-    "summary.csv": "ffcae9f1afd7d490aaddcb9d3c86f4c292cf5e191304eb0102a37fe5883324d6",
+    "summary.csv": "aff2e961289d30b1107f7f0eb9c16ef0c4b4cfdf10a65a690d64c5fbf3ac6de7",
     "trace_Backpressure_V50_seed0.csv": "1f6825d222ae6ec65b99c4a9fda068d5d2b84ff678a530cbf04355b4fa7607b3",
     "trace_Backpressure_V50_seed1.csv": "07101eb2fb0ac615d3ad71049119fb2a7ce79d069d91e7c5c7771f889f8b575b",
     "trace_OLAC2_V50_seed0.csv": "416f907c611261ca8e6c38a3a691c302ed3397b9d2ccfd0549e1ec4c829e6a1e",
     "trace_OLAC2_V50_seed1.csv": "b98eb844bdf6cdd22470656afa005418a9b75476dda75da0519dd90c288efdf6",
-    "trace_OLAC_V50_seed0.csv": "8395d4d2a1bc80f06011ffa0e8d51541a3a8ee44d1e3db1b6972249c2c3f97a6",
-    "trace_OLAC_V50_seed1.csv": "aefe6bef8a9c5ef372c0f519c16410f2ab852d786c070444dcda446fdf8e80af",
+    "trace_OLAC_V50_seed0.csv": "4e8910386cba9533059812786d62a0768bcb23342917e52df6057a9fb9bbab42",
+    "trace_OLAC_V50_seed1.csv": "880b1382aded219546d5fffd2a65fee1d2f6aa7501da6808f2b078afae3e1548",
 }
 
 
 # smoke.json with an absolute zeta of 10: OLAC and OLAC2 cross it at slots
-# 27, 73 and 116 and stay within for SUSTAIN_WINDOW slots from 73 and 126, so
+# 15, 47 and 116 and OLAC2 stays within for SUSTAIN_WINDOW slots from 126, so
 # the convergence-time columns are exercised; only summary.csv differs
 GOLDEN_ZETA_10 = {
     **GOLDEN,
-    "summary.csv": "47a3bc3d45bd9543199fd922bc8b53495de56921c444a60a7fd88b9f12122366",
+    "summary.csv": "c29382a0e19a8fc3cb995c2ff28932c1d40941042b2d9982d4f7b311d1dcf912",
 }
 
 

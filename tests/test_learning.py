@@ -1,35 +1,78 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from olacsim import learning
 from olacsim.controllers import ControllerConfig
-from olacsim.dual import DualSolverConfig, maximize_dual, primal_oracle
+from olacsim.dual import DualSolverConfig, dual_value, max_slack, maximize_dual, primal_oracle
 from olacsim.learning import dual_learn
 from olacsim.sim import SimConfig, run, sample_states
 
-from conftest import single_state_instance
+from conftest import make_instance, single_state_instance, state_index
+
+
+def box(instance, V):
+    """The multiplier bound xi = V * f_max / eta_0, with eta_0 from the full tables."""
+    return V * instance.f_max / max_slack(instance, instance.probabilities)
+
+
+def count_lp(instance, V):
+    """The policy LP in counts on the full tables, boxed at xi: (columns, costs).
+
+    min sum V f y + xi sum s  s.t.  sum_x y_ix = n_i,  sum (mu - A) y + s - u = 0.
+    """
+    M, r = instance.M, instance.r
+    cols = [(i, k) for i in range(M) for k in range(instance.action_counts[i])]
+    n = len(cols)
+    a = np.zeros((M + r, n + 2 * r))
+    c = np.zeros(n + 2 * r)
+    for col, (i, k) in enumerate(cols):
+        a[i, col] = 1.0
+        a[M:, col] = -instance.drift[i, k]
+        c[col] = V * instance.costs[i, k]
+    a[M:, n : n + r] = np.eye(r)
+    a[M:, n + r :] = -np.eye(r)
+    c[n : n + r] = box(instance, V)
+    return a, c
+
+
+def assert_path_is_lp_optimal(instance, states, V, path, slots):
+    """At every slot, beta(t) attains the boxed LP optimum on the counts of states[:t]
+    (solved by scipy's HiGHS) to 1e-9 relative, and equals the maximizer wherever
+    the LP's optimal dual face is a single beta."""
+    M, r = instance.M, instance.r
+    scale = box(instance, V)
+    a, c = count_lp(instance, V)
+    for t in slots:
+        counts = np.bincount(states[:t], minlength=M).astype(float)
+        res = linprog(c, A_eq=a, b_eq=np.concatenate([counts, np.zeros(r)]), bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert (path[t] >= 0).all() and (path[t] <= scale * (1 + 1e-12)).all()
+        value = t * dual_value(instance, counts / t, path[t], V)
+        assert value == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+        # the optimal dual face: (lambda, beta) with a^T (lambda, beta) <= c and
+        # counts . lambda >= optimum; beta_j's extent over it, per queue
+        a_ub = np.vstack([a.T, np.concatenate([-counts, np.zeros(r)])])
+        b_ub = np.concatenate([c, [-res.fun + 1e-9 * max(1.0, abs(res.fun))]])
+        for j in range(r):
+            obj = np.zeros(M + r)
+            obj[M + j] = 1.0
+            lo = linprog(obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+            hi = linprog(-obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+            assert lo.status == 0 and hi.status == 0
+            if -hi.fun - lo.fun <= 1e-6 * max(1.0, scale):
+                assert path[t][j] == pytest.approx(res.eqlin.marginals[M + j], rel=0, abs=1e-9 * max(1.0, scale))
 
 
 class TestEmpiricalDistribution:
-    def test_observe_counts(self, two_queue, monkeypatch):
-        # slot t solves on the counts of states[:t] over t, warm-started at
-        # beta(t - 1) with the step schedule offset by t
+    def test_observe_counts(self, two_queue):
+        # slot t maximizes the dual on the counts of states[:t]: beta(0) = 0, and
+        # each later slot's beta is optimal for its own prefix
         states = np.array([0, 0, 1, 1, 5])
-        calls = []
-        real = learning.maximize_dual
-
-        def spy(inst, dist, V, cfg, tables=None):
-            calls.append((dist.copy(), cfg.warm_start.copy(), cfg.step_offset))
-            return real(inst, dist, V, cfg, tables=tables)
-
-        monkeypatch.setattr(learning, "maximize_dual", spy)
         path, _ = dual_learn(two_queue, states, 100.0)
-        assert len(calls) == len(states) - 1
-        for t, (dist, warm, offset) in enumerate(calls, start=1):
-            assert np.array_equal(dist, np.bincount(states[:t], minlength=64) / t)
-            assert np.array_equal(warm, path[t - 1])
-            assert offset == t
-        assert np.allclose(calls[2][0][:2], [2.0 / 3.0, 1.0 / 3.0])
+        assert np.array_equal(path[0], np.zeros(2))
+        assert_path_is_lp_optimal(two_queue, states, 100.0, path, range(1, 5))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_law_of_large_numbers(self, seed, two_queue):
@@ -38,9 +81,35 @@ class TestEmpiricalDistribution:
         assert np.abs(empirical - two_queue.probabilities).max() < 0.02
 
 
+GRID = st.integers(0, 12).map(lambda n: n / 4)
+
+
+@st.composite
+def slack_instances(draw):
+    """Small instances with ragged action lists, ties, unfolded states and slack.
+
+    Every state gets a last action serving 3.25 per queue, above any arrival
+    (at most 3), so eta_0 > 0. A state with action-dependent arrivals is a
+    class of its own and keeps its arrivals in its drift.
+    """
+    r = draw(st.integers(1, 2))
+    vec = st.lists(GRID, min_size=r, max_size=r).map(tuple)
+    m = draw(st.integers(1, 4))
+    states = []
+    for _ in range(m):
+        acts = draw(st.lists(st.tuples(GRID, vec), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            arrivals = [draw(vec) for _ in acts] + [(0.0,) * r]
+        else:
+            arrivals = [draw(vec)] * (len(acts) + 1)
+        acts.append((3.0, (3.25,) * r))
+        states.append([(cost, arr, srv) for (cost, srv), arr in zip(acts, arrivals)])
+    probs = np.array(draw(st.lists(st.integers(1, 4), min_size=m, max_size=m)), dtype=float)
+    return make_instance(r, (probs / probs.sum()).tolist(), states)
+
+
 class TestDualLearn:
-    def test_no_observations_keeps_beta(self, two_queue, monkeypatch):
-        monkeypatch.setattr(learning, "maximize_dual", None)  # slot 0 makes no solve
+    def test_no_observations_keeps_beta(self, two_queue):
         path, flagged = dual_learn(two_queue, np.array([7]), 100.0)
         assert np.array_equal(path, np.zeros((1, 2)))
         assert flagged == 0
@@ -51,7 +120,63 @@ class TestDualLearn:
         path, _ = dual_learn(inst, np.zeros(200, dtype=np.int64), 1.0)
         direct = maximize_dual(inst, [1.0], 1.0, DualSolverConfig(max_iterations=60000, window=60000))
         assert direct.gamma[0] == pytest.approx(0.5, abs=1e-3)
-        assert path[-1, 0] == pytest.approx(0.5, abs=1e-3)
+        assert path[-1, 0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_matches_highs_on_two_queue(self, two_queue):
+        states = sample_states(two_queue, 300, 0)
+        path, _ = dual_learn(two_queue, states, 100.0)
+        assert_path_is_lp_optimal(two_queue, states, 100.0, path, range(1, 300))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_highs_on_random_instances(self, data):
+        instance = data.draw(slack_instances())
+        states = np.array(data.draw(st.lists(st.integers(0, instance.M - 1), min_size=2, max_size=25)))
+        V = data.draw(st.sampled_from([1.0, 7.5, 100.0]))
+        path, _ = dual_learn(instance, states, V)
+        assert_path_is_lp_optimal(instance, states, V, path, range(1, len(states)))
+
+    @pytest.mark.parametrize("V", [2.0, 37.5, 100.0, 1600.0])
+    def test_v_scaling(self, two_queue, V):
+        states = sample_states(two_queue, 2000, 5)
+        unit, flagged_unit = dual_learn(two_queue, states, 1.0)
+        path, flagged = dual_learn(two_queue, states, V)
+        assert np.allclose(path, V * unit, rtol=1e-12, atol=0.0)
+        assert flagged == flagged_unit
+
+    def test_box_binds_and_is_counted(self, two_queue):
+        # both queues receive 2 packets on channels that cannot serve: without
+        # the box the empirical dual is unbounded, so beta = xi in both queues
+        blocked = state_index(1, 1, 0, 0)
+        states = np.concatenate([np.full(6, blocked), sample_states(two_queue, 400, 1)])
+        path, flagged = dual_learn(two_queue, states, 100.0)
+        xi = box(two_queue, 100.0)
+        assert np.allclose(path[1:7], xi, rtol=1e-12, atol=0.0)
+        at_box = np.isclose(path, xi, rtol=1e-12, atol=0.0).any(axis=1)
+        assert flagged == at_box.sum() >= 6
+
+    def test_degenerate_instance_is_deterministic(self):
+        # arrivals 1 on every action; serving costs 1: the dual min(1, beta) is flat
+        # on [1, xi], so the maximizer is not unique and the tie rule picks it
+        inst = make_instance(1, [0.5, 0.5], [
+            [(1.0, [1.0], [1.0]), (0.0, [1.0], [0.0]), (1.0, [1.0], [1.0])],
+            [(1.0, [1.0], [1.0]), (0.0, [1.0], [0.0]), (2.0, [1.0], [2.0])],
+        ])
+        states = sample_states(inst, 500, 3)
+        first, flagged_first = dual_learn(inst, states, 10.0)
+        second, flagged_second = dual_learn(inst, states, 10.0)
+        assert np.array_equal(first, second)
+        assert flagged_first == flagged_second
+        assert_path_is_lp_optimal(inst, states, 10.0, first, range(1, 500, 37))
+
+    def test_instance_without_slack_rejected(self):
+        # arrivals equal the best service: eta_0 = 0, so there is no box
+        inst = single_state_instance([(0.0, [1.0], [0.0]), (1.0, [1.0], [1.0])])
+        cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig("OLAC", 10.0))
+        with pytest.raises(ValueError, match="eta_0 = 0"):
+            run(inst, cfg, np.zeros(1))
+        bp = SimConfig(horizon=10, seed=0, controller=ControllerConfig("Backpressure", 10.0))
+        assert run(inst, bp, np.zeros(1)).avg_cost >= 0
 
     def test_beta_stays_nonnegative(self, two_queue):
         path, _ = dual_learn(two_queue, sample_states(two_queue, 300, 3), 100.0)
