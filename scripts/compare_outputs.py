@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
 """Compare the summary.csv, oracle.csv and trace_*.csv of two sweep output directories.
 
-    python3 scripts/compare_outputs.py DIR_A DIR_B [--rtol 1e-12]
+    python3 scripts/compare_outputs.py DIR_A DIR_B [--rtol 1e-12] [--atol 1e-12]
 
 Cells are compared one by one and each lands in one of three classes:
 
 - identical: the same text;
-- within rtol: both are floats, not both integers, and
-  |a - b| <= rtol * max(|a|, |b|);
+- within tolerance: both are finite numbers, not both integers, and
+  |a - b| <= atol + rtol * max(|a|, |b|);
 - different: anything else, including integer cells that differ at all.
 
+``--atol`` is for cells that sit near 0, such as a trace's distance to a
+multiplier that the run has reached: there a last-digit change of the
+multiplier is a relative difference of order 1.
+
 One line per column (per controller in summary.csv) that is not entirely
-identical gives the counts and the largest relative difference. A different
-header or row count is a difference too, and so is a file present on one side
-only (summary.csv and oracle.csv must be on both). Exits 1 when any cell or
-file differs, 0 otherwise.
+identical gives the counts and the largest relative and absolute
+differences. A different header or row count is a difference too, and so is
+a file present on one side only (summary.csv and oracle.csv must be on
+both). Exits 1 when any cell or file differs, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -43,20 +47,21 @@ def _number(text):
         return None
 
 
-def compare_cell(a: str, b: str, rtol: float):
-    """('identical' | 'within' | 'different', relative difference)."""
+def compare_cell(a: str, b: str, rtol: float, atol: float = 0.0):
+    """('identical' | 'within' | 'different', relative difference, absolute difference)."""
     if a == b:
-        return "identical", 0.0
+        return "identical", 0.0, 0.0
     x, y = _number(a), _number(b)
     if x is None or y is None or (isinstance(x, int) and isinstance(y, int)):
-        return "different", math.inf
+        return "different", math.inf, math.inf
     if not (math.isfinite(x) and math.isfinite(y)):
-        return "different", math.inf
-    rel = abs(x - y) / max(abs(x), abs(y))
-    return ("within" if rel <= rtol else "different"), rel
+        return "different", math.inf, math.inf
+    diff = abs(x - y)
+    rel = diff / max(abs(x), abs(y)) if diff else 0.0
+    return ("within" if diff <= atol + rtol * max(abs(x), abs(y)) else "different"), rel, diff
 
 
-def compare_file(path_a, path_b, rtol: float) -> bool:
+def compare_file(path_a, path_b, rtol: float, atol: float = 0.0) -> bool:
     """Print a report for one file pair; True when nothing differs."""
     name = os.path.basename(path_a)
     rows_a, rows_b = _read(path_a), _read(path_b)
@@ -72,10 +77,13 @@ def compare_file(path_a, path_b, rtol: float) -> bool:
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         group = row_a[group_col] + " " if group_col is not None else ""
         for col, a, b in zip(header, row_a, row_b):
-            kind, rel = compare_cell(a, b, rtol)
-            s = stats.setdefault((group, col), {"identical": 0, "within": 0, "different": 0, "max_rel": 0.0})
+            kind, rel, diff = compare_cell(a, b, rtol, atol)
+            s = stats.setdefault(
+                (group, col), {"identical": 0, "within": 0, "different": 0, "max_rel": 0.0, "max_abs": 0.0}
+            )
             s[kind] += 1
             s["max_rel"] = max(s["max_rel"], rel)
+            s["max_abs"] = max(s["max_abs"], diff)
     cells = sum(s["identical"] + s["within"] + s["different"] for s in stats.values())
     identical = sum(s["identical"] for s in stats.values())
     print(f"{name}: {len(rows_a) - 1} rows, {cells} cells, {identical} identical")
@@ -83,8 +91,9 @@ def compare_file(path_a, path_b, rtol: float) -> bool:
     for (group, col), s in stats.items():
         if s["within"] or s["different"]:
             print(
-                f"  {group}{col}: {s['identical']} identical, {s['within']} within rtol, "
-                f"{s['different']} different, max relative difference {s['max_rel']:.3g}"
+                f"  {group}{col}: {s['identical']} identical, {s['within']} within tolerance, "
+                f"{s['different']} different, max relative difference {s['max_rel']:.3g}, "
+                f"max absolute difference {s['max_abs']:.3g}"
             )
             ok = ok and not s["different"]
     return ok
@@ -95,6 +104,7 @@ def main(argv=None) -> int:
     parser.add_argument("dir_a")
     parser.add_argument("dir_b")
     parser.add_argument("--rtol", type=float, default=0.0, help="relative tolerance for float cells")
+    parser.add_argument("--atol", type=float, default=0.0, help="absolute tolerance for float cells")
     args = parser.parse_args(argv)
     traces = {name for d in (args.dir_a, args.dir_b) for name in os.listdir(d)
               if name.startswith("trace_") and name.endswith(".csv")}
@@ -105,8 +115,8 @@ def main(argv=None) -> int:
             print(f"{name}: missing in {args.dir_a if not os.path.exists(path_a) else args.dir_b}")
             ok = False
             continue
-        ok = compare_file(path_a, path_b, args.rtol) and ok
-    print("same within rtol" if ok else "DIFFERENT")
+        ok = compare_file(path_a, path_b, args.rtol, args.atol) and ok
+    print("same within tolerance" if ok else "DIFFERENT")
     return 0 if ok else 1
 
 

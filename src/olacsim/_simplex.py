@@ -4,8 +4,9 @@ Solves  min c.x  s.t.  a_ub.x <= b_ub,  a_eq.x = b_eq,  x >= 0.
 
 Bland's rule (smallest-index entering variable, smallest-index leaving basis
 variable on ratio ties) is used throughout; it prevents cycling on degenerate
-problems at the cost of speed, which is irrelevant at the few-hundred-column
-sizes handled here. Dual prices of the rows are recovered from the optimal
+problems at the cost of speed. The LPs handled here are small: the oracles'
+policy and slack LPs on ``DualTables``' classes have about a hundred columns
+(112 action columns and 18 rows on the two-queue instance). Dual prices of the rows are recovered from the optimal
 basis with the convention that ub duals are the non-negative multipliers
 lambda of the Lagrangian  c.x + sum_i lambda_i (a_ub_i . x - b_ub_i).
 """

@@ -83,7 +83,7 @@ class ControllerConfig:
 def _decide_weighted(instance: NetworkInstance, state_id: int, weights: np.ndarray, V: float) -> int:
     # padded actions have cost +inf, hence score -inf; never selected
     scores = -V * instance.costs[state_id] - instance.drift[state_id] @ weights
-    return int(np.argmax(scores))
+    return int(scores.argmax())
 
 
 def bp_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, V: float) -> int:

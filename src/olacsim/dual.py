@@ -6,11 +6,14 @@ average arrivals <= average services is separable over states:
     g(gamma) = sum_i pi_i * min_x [ V*f(i,x) + gamma . (A(i,x) - mu(i,x)) ]
 
 g is concave piecewise-linear in gamma; it is maximized here by projected
-supergradient ascent on reduced tables (``DualTables``). The same static problem is solved exactly as a linear
-program over per-state action mixtures (the primal oracle), which also yields
-the optimal multiplier through its dual prices. Analysis constants (slack
-eta_0, polyhedral decay rho, attraction radius D_p) are derived from these
-oracles.
+supergradient ascent on reduced tables (``DualTables``). The same static
+problem is solved exactly as a linear program over action mixtures on the
+classes of those tables (``class_lp``; the primal oracle), which also yields
+the optimal multiplier through its dual prices; the slack LP behind eta_0
+uses the same columns, and so does OLAC's learner. On the two-queue instance
+these LPs have 112 action columns and 18 rows, against 640 and 66 on the full
+tables. Analysis constants (slack eta_0, polyhedral decay rho, attraction
+radius D_p) are derived from these oracles.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ __all__ = [
     "dual_value",
     "supergradient",
     "maximize_dual",
+    "class_lp",
     "primal_oracle",
     "max_slack",
     "estimate_polyhedral_rho",
@@ -110,10 +114,10 @@ class InstanceAnalysis:
 
     @property
     def xi(self) -> float:
-        """Multiplier magnitude bound V*f_max/eta_0 (inf without slack)."""
+        """Multiplier magnitude bound V*f_max/eta_0 (inf without slack): OLAC's box, bit for bit."""
         if self.eta_0 <= 0:
             return math.inf
-        return self.V * self.constants.f_max / self.eta_0
+        return self.V * (self.constants.f_max / self.eta_0)
 
 
 def _check_dims(instance: NetworkInstance, gamma, dist=None):
@@ -219,6 +223,7 @@ class DualTables:
             kept[..., None], np.take_along_axis(drift, order[..., None], axis=1), 0.0
         ).reshape(-1, r)
         self.class_of = class_of
+        self.action_ids = order  # action id of each class slot
         self._state_rows = (np.arange(M)[:, None] * K + order[class_of]).ravel()
         self._state_offset = np.arange(M) * width
         self.full_base = base.ravel()
@@ -302,47 +307,60 @@ def maximize_dual(
     return DualSolveResult(best_gamma, float(best_value), converged, iterations)
 
 
-def _policy_lp_columns(instance: NetworkInstance, dist):
-    """Flattened mixture-variable LP data: objective and constraint rows."""
-    dist = np.asarray(dist, dtype=float)
-    counts = instance.action_counts
-    n = int(counts.sum())
-    c = np.empty(n)
-    a_ub = np.empty((instance.r, n))
-    a_eq = np.zeros((instance.M, n))
-    pos = 0
-    for i in range(instance.M):
-        k = int(counts[i])
-        c[pos : pos + k] = dist[i] * instance.costs[i, :k]
-        a_ub[:, pos : pos + k] = dist[i] * instance.drift[i, :k].T
-        a_eq[i, pos : pos + k] = 1.0
-        pos += k
-    return c, a_ub, a_eq, counts
+def class_lp(instance: NetworkInstance):
+    """The static LP on the classes of ``DualTables(instance, 1.0)``: (tables, a, cost, rhs).
+
+    Columns are the kept actions in class order, with costs in units of V.
+    Rows are the classes, sum_x y_cx = w_c, then the queues,
+    sum_cx services_cx,j y_cx = (arrivals of the folded states)_j, where
+    ``services`` is -drift, so an unfolded class keeps its arrivals in its
+    column. The right-hand side of state weights w (a distribution or counts)
+    is rhs @ w. Folding and pruning leave the optimum in place (see
+    ``DualTables``), so the policy and slack LPs are written on these columns,
+    and so is OLAC's count LP.
+    """
+    tables = DualTables(instance, 1.0)
+    n_class, width = tables.shape
+    real = np.isfinite(tables.base)
+    n_y = int(real.sum())
+    a = np.zeros((n_class + instance.r, n_y))
+    a[np.repeat(np.arange(n_class), width)[real], np.arange(n_y)] = 1.0
+    a[n_class:] = -tables.drift[real].T
+    rhs = np.zeros((n_class + instance.r, instance.M))
+    rhs[tables.class_of, np.arange(instance.M)] = 1.0
+    rhs[n_class:] = (instance.arrivals[:, 0] * tables.folded[:, None]).T
+    return tables, a, tables.base[real], rhs
 
 
 def primal_oracle(instance: NetworkInstance, dist) -> PrimalSolution:
     """Exact solution of the static problem over randomized per-state policies.
 
-    Minimizes the mean cost subject to mean arrivals <= mean services, as a
-    dense LP over the per-state mixture weights. Returns the unscaled optimum
-    (no V factor) and an optimal policy; the LP dual prices give the optimal
-    multiplier of the V=1 problem.
+    Minimizes the mean cost subject to mean arrivals <= mean services, as the
+    LP ``class_lp`` over class mixtures. Returns the unscaled optimum (no V
+    factor) and an optimal policy; the LP dual prices give the optimal
+    multiplier of the V=1 problem. Every state plays its class's mixture,
+    mapped back to the state's action ids with pruned actions at 0; a class
+    without probability mass plays its smallest kept action.
     """
-    c, a_ub, a_eq, counts = _policy_lp_columns(instance, dist)
-    res = solve_lp(c, a_ub=a_ub, b_ub=np.zeros(instance.r), a_eq=a_eq, b_eq=np.ones(instance.M))
+    tables, a, cost, rhs = class_lp(instance)
+    n_class = tables.shape[0]
+    b = rhs @ np.asarray(dist, dtype=float)
+    res = solve_lp(cost, a_ub=-a[n_class:], b_ub=-b[n_class:], a_eq=a[:n_class], b_eq=b[:n_class])
     if res.status == "infeasible":
         raise InfeasibleInstanceError("no randomized policy satisfies the rate constraints")
     if res.status != "optimal":
         raise RuntimeError(f"primal oracle LP ended with status {res.status}")
-    per_state = []
-    pos = 0
-    for i in range(instance.M):
-        k = int(counts[i])
-        per_state.append(np.maximum(res.x[pos : pos + k], 0.0))
-        pos += k
+    mix = np.zeros(tables.base.size)
+    mix[np.isfinite(tables.base)] = np.maximum(res.x, 0.0)
+    mix = mix.reshape(tables.shape)
+    total = mix.sum(axis=1)
+    empty = total <= 0
+    mix[empty, 0] = total[empty] = 1.0
+    full = np.zeros(instance.costs.shape)
+    np.put_along_axis(full, tables.action_ids[tables.class_of], (mix / total[:, None])[tables.class_of], axis=1)
     return PrimalSolution(
         f_av_star=float(res.objective),
-        policy=RandomizedPolicy(per_state),
+        policy=RandomizedPolicy([full[i, :k] for i, k in enumerate(instance.action_counts)]),
         multiplier_v1=np.maximum(res.duals_ub, 0.0),
     )
 
@@ -350,20 +368,20 @@ def primal_oracle(instance: NetworkInstance, dist) -> PrimalSolution:
 def max_slack(instance: NetworkInstance, dist) -> float:
     """Largest eta with mean arrivals <= mean services - eta under some policy.
 
-    May be <= 0, which signals that no randomized policy stabilizes the given
-    distribution with slack.
+    Solved on the columns of ``class_lp``. May be <= 0, which signals that no
+    randomized policy stabilizes the given distribution with slack.
     """
-    c, a_ub, a_eq, _ = _policy_lp_columns(instance, dist)
-    n = c.size
-    # maximize eta (free) -> split eta = ep - en, minimize -(ep - en)
-    c_full = np.concatenate([np.zeros(n), [-1.0, 1.0]])
-    a_ub_full = np.hstack([a_ub, np.ones((instance.r, 1)), -np.ones((instance.r, 1))])
-    a_eq_full = np.hstack([a_eq, np.zeros((instance.M, 2))])
-    res = solve_lp(c_full, a_ub=a_ub_full, b_ub=np.zeros(instance.r),
-                   a_eq=a_eq_full, b_eq=np.ones(instance.M))
+    tables, a, _, rhs = class_lp(instance)
+    n_class, r = tables.shape[0], instance.r
+    b = rhs @ np.asarray(dist, dtype=float)
+    # maximize eta (free, split eta = ep - en)
+    a_ub = np.hstack([-a[n_class:], np.ones((r, 1)), -np.ones((r, 1))])
+    a_eq = np.hstack([a[:n_class], np.zeros((n_class, 2))])
+    c = np.concatenate([np.zeros(a.shape[1]), [-1.0, 1.0]])
+    res = solve_lp(c, a_ub=a_ub, b_ub=-b[n_class:], a_eq=a_eq, b_eq=b[:n_class])
     if res.status != "optimal":
         raise RuntimeError(f"slack LP ended with status {res.status}")
-    return float(-res.objective)
+    return 0.0 - float(res.objective)  # 0.0 - x turns an optimum of -0.0 into 0.0
 
 
 def estimate_polyhedral_rho(

@@ -6,8 +6,8 @@ box 0 <= beta <= xi. It depends on the state sequence and V only, never on
 the backlog or the actions taken, so the whole path is learned before the
 slot loop.
 
-The maximizer is read off the policy LP written in counts on the classes of
-``DualTables`` (n_c observations of class c, n_i of state i):
+The maximizer is read off the policy LP of ``dual.class_lp`` written in
+counts (n_c observations of class c, n_i of state i):
 
     min  sum_cx f_cx y_cx + xi * sum_j s_j
     s.t. sum_x y_cx = n_c                                   (one row per class)
@@ -22,10 +22,10 @@ so the LP is always feasible. Costs are in units of V: the LP is solved at
 V = 1 and the path scaled by V, so beta(t; V) = V * beta(t; 1) exactly.
 
 The box is the paper's multiplier bound xi = V * f_max / eta_0, where eta_0 is
-the largest service slack of the true distribution (the slack LP on the class
-tables). eta_0 is the one number derived from the true probabilities that the
-learner sees. An instance without slack (eta_0 <= 0) has no box and is
-rejected.
+the largest service slack of the true distribution (``dual.max_slack``, the
+slack LP on the same class tables). eta_0 is the one number derived from the
+true probabilities that the learner sees. An instance without slack
+(eta_0 <= 0) has no box and is rejected.
 
 An observation of state i adds e_class(i) plus its folded arrivals to the
 right-hand side b, so the basic solution x_B = B^-1 b grows by the column
@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._simplex import solve_lp
 # maximize_dual is no longer called here; it stays a module attribute because
 # profilers rebind it by name
-from .dual import DualTables, maximize_dual  # noqa: F401
+from .dual import class_lp, max_slack, maximize_dual  # noqa: F401
 from .model import NetworkInstance
 
 __all__ = ["dual_learn"]
@@ -56,66 +55,29 @@ FIRST_BLOCK = 8
 MAX_BLOCK = 4096
 
 
-def _lp_data(instance: NetworkInstance, tables: DualTables):
-    """Columns, costs and the per-state right-hand side of the count LP (costs in units of V)."""
-    n_class, width = tables.shape
-    r = instance.r
-    real = np.isfinite(tables.base)
-    n_y = int(real.sum())
-    m = n_class + r
-    a = np.zeros((m, n_y + 2 * r))
-    a[np.repeat(np.arange(n_class), width)[real], np.arange(n_y)] = 1.0
-    a[n_class:, :n_y] = -tables.drift[real].T
-    a[n_class:, n_y : n_y + r] = np.eye(r)
-    a[n_class:, n_y + r :] = -np.eye(r)
-    rhs = np.zeros((m, instance.M))
-    rhs[tables.class_of, np.arange(instance.M)] = 1.0
-    rhs[n_class:] = (instance.arrivals[:, 0] * tables.folded[:, None]).T
-    return a, tables.base[real], rhs
-
-
-def _nominal_slack(instance: NetworkInstance, a: np.ndarray, rhs: np.ndarray, n_class: int) -> float:
-    """eta_0: the largest service slack of the true distribution, on the count LP's columns.
-
-    The same LP as ``dual.max_slack(instance, instance.probabilities)``, in the
-    reduced variables of ``DualTables``: the class rows hold the class
-    probabilities, and services.y >= folded arrivals + eta in every queue.
-    """
-    r = instance.r
-    n_y = a.shape[1] - 2 * r
-    b = rhs @ instance.probabilities
-    # maximize eta (free, split eta = ep - en)
-    a_ub = np.hstack([-a[n_class:, :n_y], np.ones((r, 1)), -np.ones((r, 1))])
-    a_eq = np.hstack([a[:n_class, :n_y], np.zeros((n_class, 2))])
-    c = np.concatenate([np.zeros(n_y), [-1.0, 1.0]])
-    res = solve_lp(c, a_ub=a_ub, b_ub=-b[n_class:], a_eq=a_eq, b_eq=b[:n_class])
-    if res.status != "optimal":
-        raise RuntimeError(f"slack LP ended with status {res.status}")
-    return 0.0 - float(res.objective)  # 0.0 - x turns an optimum of -0.0 into 0.0
-
-
 class _CountLP:
     """The count LP with one kept basis and its inverse.
 
-    Columns are the kept actions of ``DualTables`` at V = 1 in class order,
+    Columns are those of ``dual.class_lp`` (the kept actions in class order),
     then s (cost xi), then u (cost 0); rows are the classes, then the queues.
     The start basis, the cheapest action of each class (smallest id on ties)
     plus every u_j, is dual feasible at beta = 0 and primal feasible at b = 0.
     """
 
     def __init__(self, instance: NetworkInstance):
-        tables = DualTables(instance, 1.0)
-        self.a, costs, self.rhs = _lp_data(instance, tables)
+        tables, a, costs, self.rhs = class_lp(instance)
         self.n_class = n_class = tables.shape[0]
-        self.eta_0 = _nominal_slack(instance, self.a, self.rhs, n_class)
+        r, n_y = instance.r, costs.size
+        self.a = np.zeros((n_class + r, n_y + 2 * r))
+        self.a[:, :n_y] = a
+        self.a[n_class:, n_y:] = np.hstack([np.eye(r), -np.eye(r)])
+        self.eta_0 = max_slack(instance, instance.probabilities)
         if not self.eta_0 > 0:
             raise ValueError(
                 f"OLAC needs service slack: eta_0 = {self.eta_0:g} <= 0, so the multiplier bound "
                 "xi = V * f_max / eta_0 is infinite"
             )
         self.xi = instance.f_max / self.eta_0
-        r = instance.r
-        n_y = costs.size
         self.c = np.concatenate([costs, np.full(r, self.xi), np.zeros(r)])
         self.s_cols = np.arange(n_y, n_y + r)
         self.u_cols = np.arange(n_y + r, n_y + 2 * r)

@@ -120,18 +120,17 @@ def apply_slot(ledger: QueueLedger, arrivals, services, slot: int, discipline: s
     Serves min(q_j, mu_j) from the existing chunks (front for FIFO, back for
     LIFO), emits a null departure for any service deficit, then appends the
     slot's arrivals as a new chunk. Trusts its inputs: arrivals and services
-    are non-negative r-vectors (``sim.run`` checks the instance tables once).
+    are non-negative float numpy r-vectors (``sim.run`` checks the instance
+    tables once).
     """
     lifo = discipline == LIFO
     out: list[DepartureRecord] = []
-    for j in range(ledger.r):
-        mu = float(services[j])
+    for j, (a, mu) in enumerate(zip(arrivals.tolist(), services.tolist())):
         if mu > 0:
             deficit = _serve(ledger, j, mu, slot, lifo, out)
             if deficit > _DUST:
                 out.append(DepartureRecord(j, deficit, slot, slot, True))
                 ledger.padding_null[j] += deficit
-        a = float(arrivals[j])
         if a > 0:
             ledger.chunks[j].append([slot, a, False])
             ledger.arrived[j] += a

@@ -44,13 +44,36 @@ def test_float_within_rtol_reported_per_column(tmp_path, capsys):
     assert compare_outputs.main([a, b]) == 1  # no tolerance by default
     assert compare_outputs.main([a, b, "--rtol", "1e-12"]) == 0
     out = capsys.readouterr().out
-    assert "g_star: 0 identical, 1 within rtol, 0 different" in out
+    assert "g_star: 0 identical, 1 within tolerance, 0 different" in out
+
+
+@pytest.mark.parametrize("cells, rtol, atol, expected", [
+    (("1e-15", "2e-15"), 1e-12, 0.0, "different"),  # relative difference 0.5
+    (("1e-15", "2e-15"), 0.0, 1e-14, "within"),
+    (("1e-15", "2e-15"), 0.0, 1e-16, "different"),
+    (("0.0", "-0.0"), 0.0, 0.0, "within"),
+    (("100.0", "100.5"), 0.0, 1e-14, "different"),
+    (("22", "23"), 0.0, 10.0, "different"),  # integers get no tolerance
+])
+def test_absolute_tolerance(cells, rtol, atol, expected):
+    assert compare_outputs.compare_cell(*cells, rtol=rtol, atol=atol)[0] == expected
+
+
+def test_atol_option_reported_with_absolute_difference(tmp_path, capsys):
+    a, b = write(tmp_path, "a"), write(tmp_path, "b")
+    write_trace(a, q="1e-15")
+    write_trace(b, q="3.5e-15")
+    assert compare_outputs.main([a, b, "--rtol", "1e-12"]) == 1
+    assert compare_outputs.main([a, b, "--rtol", "1e-12", "--atol", "1e-14"]) == 0
+    out = capsys.readouterr().out
+    assert "q_1: 0 identical, 1 within tolerance, 0 different, max relative difference 0.714, " in out
+    assert "max absolute difference 2.5e-15" in out
 
 
 def test_differences_exit_non_zero(tmp_path, capsys):
     a = write(tmp_path, "a")
     assert compare_outputs.main([a, write(tmp_path, "b", backlog="31.5"), "--rtol", "1e-12"]) == 1
-    assert "OLAC avg_backlog: 0 identical, 0 within rtol, 1 different" in capsys.readouterr().out
+    assert "OLAC avg_backlog: 0 identical, 0 within tolerance, 1 different" in capsys.readouterr().out
     assert compare_outputs.main([a, write(tmp_path, "c", t_l="23"), "--rtol", "0.5"]) == 1
 
 

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from olacsim.dual import (
     DualSolverConfig,
+    DualTables,
     InfeasibleInstanceError,
     compute_analysis,
     dual_value,
@@ -16,7 +20,7 @@ from olacsim.dual import (
     supergradient,
 )
 
-from conftest import random_slack_instances, single_state_instance, state_index
+from conftest import make_instance, random_slack_instances, single_state_instance, state_index
 
 
 def one_d_crossing():
@@ -194,6 +198,133 @@ class TestPrimalOracle:
         sol = primal_oracle(two_queue, two_queue.probabilities)
         assert sol.policy.validate()
         assert 0 < sol.f_av_star < two_queue.f_max
+
+
+def full_policy_lp(instance, dist):
+    """The policy LP on the full tables, one column per (state, action): (c, a_ub, a_eq).
+
+    min sum_ix dist_i f_ix p_ix  s.t.  sum_ix dist_i drift_ix p_ix <= 0,  sum_x p_ix = 1.
+    """
+    cols = [(i, k) for i in range(instance.M) for k in range(instance.action_counts[i])]
+    c = np.array([dist[i] * instance.costs[i, k] for i, k in cols])
+    a_ub = np.array([dist[i] * instance.drift[i, k] for i, k in cols]).T
+    a_eq = np.array([[float(i == s) for s, _ in cols] for i in range(instance.M)])
+    return c, a_ub, a_eq
+
+
+def check_against_highs(instance, dist):
+    """The class-table oracles against scipy's HiGHS on the full tables.
+
+    max_slack and f_av_star match to 1e-9 relative; multiplier_v1 matches
+    HiGHS's prices in every queue where the optimal dual face is a single
+    point; the mapped-back policy is valid, meets the full-table rate
+    constraints within 1e-9, attains f_av_star and plays no pruned action. An
+    infeasible LP raises. Returns the number of queues whose multiplier was
+    compared (None when infeasible).
+    """
+    M, r = instance.M, instance.r
+    c, a_ub, a_eq = full_policy_lp(instance, dist)
+    n = c.size
+    slack = linprog(np.append(np.zeros(n), -1.0), A_ub=np.hstack([a_ub, np.ones((r, 1))]), b_ub=np.zeros(r),
+                    A_eq=np.hstack([a_eq, np.zeros((M, 1))]), b_eq=np.ones(M),
+                    bounds=[(0, None)] * n + [(None, None)], method="highs")
+    assert slack.status == 0
+    assert max_slack(instance, dist) == pytest.approx(-slack.fun, rel=1e-9, abs=1e-12)
+
+    ref = linprog(c, A_ub=a_ub, b_ub=np.zeros(r), A_eq=a_eq, b_eq=np.ones(M), bounds=(0, None), method="highs")
+    if ref.status == 2:
+        with pytest.raises(InfeasibleInstanceError):
+            primal_oracle(instance, dist)
+        return None
+    assert ref.status == 0
+    sol = primal_oracle(instance, dist)
+    assert sol.f_av_star == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+
+    per_state = sol.policy.per_state
+    assert [p.size for p in per_state] == list(instance.action_counts)
+    assert sol.policy.validate()
+    x = np.concatenate(per_state)
+    assert (a_ub @ x <= 1e-9).all()
+    assert c @ x == pytest.approx(sol.f_av_star, rel=1e-9, abs=1e-12)
+    tables = DualTables(instance, 1.0)
+    real = np.isfinite(tables.base).reshape(tables.shape)
+    for i, p in enumerate(per_state):
+        kept = tables.action_ids[tables.class_of[i]][real[tables.class_of[i]]]
+        assert not np.delete(p, kept).any()
+
+    # the optimal dual face: lambda >= 0 and nu with nu_i - lambda . (dist_i drift_ix)
+    # <= dist_i f_ix and sum nu >= optimum; lambda_j's extent over it, per queue
+    face_a = np.vstack([np.hstack([-a_ub.T, a_eq.T]), np.append(np.zeros(r), -np.ones(M))])
+    face_b = np.append(c, -ref.fun + 1e-9 * max(1.0, abs(ref.fun)))
+    bounds = [(0, None)] * r + [(None, None)] * M
+    compared = 0
+    for j in range(r):
+        obj = np.zeros(r + M)
+        obj[j] = 1.0
+        lo = linprog(obj, A_ub=face_a, b_ub=face_b, bounds=bounds, method="highs")
+        hi = linprog(-obj, A_ub=face_a, b_ub=face_b, bounds=bounds, method="highs")
+        if lo.status == 0 and hi.status == 0 and -hi.fun - lo.fun <= 1e-6 * max(1.0, -hi.fun):
+            price = -ref.ineqlin.marginals[j]
+            assert sol.multiplier_v1[j] == pytest.approx(price, rel=0, abs=1e-9 * max(1.0, abs(price)))
+            compared += 1
+    return compared
+
+
+GRID = st.integers(0, 12).map(lambda n: n / 4)
+
+
+@st.composite
+def oracle_instances(draw):
+    """Small instances whose class tables differ from the full ones.
+
+    Ragged action lists with cost ties, dominated copies of actions, states
+    with action-dependent arrivals (unfolded), copies of a state with other
+    constant arrivals (folded into one class) and zero-probability states.
+    Arrivals may exceed every service, so some instances have no slack and
+    some are infeasible.
+    """
+    r = draw(st.integers(1, 2))
+    vec = st.lists(GRID, min_size=r, max_size=r).map(tuple)
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        acts = draw(st.lists(st.tuples(GRID, vec), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            cost, srv = draw(st.sampled_from(acts))
+            acts.append((cost + 0.5, srv))  # dominated by the copied action
+        if draw(st.booleans()):
+            arrivals = [draw(vec) for _ in acts]
+        else:
+            arrivals = [draw(vec)] * len(acts)
+            if draw(st.booleans()):
+                other = draw(vec)
+                states.append([(cost, other, srv) for cost, srv in acts])
+        states.append([(cost, arr, srv) for (cost, srv), arr in zip(acts, arrivals)])
+    m = len(states)
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    probs = np.array(weights, dtype=float) / sum(weights)
+    return make_instance(r, probs.tolist(), states)
+
+
+class TestOraclesAgainstHighs:
+    @pytest.mark.parametrize("name", ["two_queue", "two_queue_unbalanced"])
+    def test_two_queue(self, name, request):
+        instance = request.getfixturevalue(name)
+        assert check_against_highs(instance, instance.probabilities) == 2
+
+    def test_two_queue_empirical(self, two_queue):
+        # an empirical distribution with zero-probability states
+        dist = np.bincount([0, 5, 5, 17, 40, 63, 63, 63], minlength=64) / 8.0
+        assert check_against_highs(two_queue, dist) is not None
+
+    @settings(max_examples=80, deadline=None)
+    @given(instance=oracle_instances())
+    def test_random_instances(self, instance):
+        check_against_highs(instance, instance.probabilities)
+
+    def test_infeasible_instance_with_zero_probability_state(self):
+        # the second state could serve, but it never occurs
+        inst = make_instance(1, [1.0, 0.0], [[(0.0, [1.0], [0.0]), (1.0, [2.0], [0.5])], [(0.0, [0.0], [3.0])]])
+        assert check_against_highs(inst, inst.probabilities) is None
 
 
 class TestMaxSlack:

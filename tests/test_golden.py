@@ -17,14 +17,14 @@ from olacsim.cli import Scenario, run_scenario
 SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "smoke.json")
 
 GOLDEN = {
-    "oracle.csv": "92caf14302d732ca294c1edcd2bf3e43155cc90c1ba0a3f04591513ddea5261d",
+    "oracle.csv": "d316395960e6ca686b02834e78227e519a5dce325fdfaa1569d2768d26ef78ab",
     "summary.csv": "aff2e961289d30b1107f7f0eb9c16ef0c4b4cfdf10a65a690d64c5fbf3ac6de7",
-    "trace_Backpressure_V50_seed0.csv": "1f6825d222ae6ec65b99c4a9fda068d5d2b84ff678a530cbf04355b4fa7607b3",
-    "trace_Backpressure_V50_seed1.csv": "07101eb2fb0ac615d3ad71049119fb2a7ce79d069d91e7c5c7771f889f8b575b",
-    "trace_OLAC2_V50_seed0.csv": "416f907c611261ca8e6c38a3a691c302ed3397b9d2ccfd0549e1ec4c829e6a1e",
-    "trace_OLAC2_V50_seed1.csv": "b98eb844bdf6cdd22470656afa005418a9b75476dda75da0519dd90c288efdf6",
-    "trace_OLAC_V50_seed0.csv": "4e8910386cba9533059812786d62a0768bcb23342917e52df6057a9fb9bbab42",
-    "trace_OLAC_V50_seed1.csv": "880b1382aded219546d5fffd2a65fee1d2f6aa7501da6808f2b078afae3e1548",
+    "trace_Backpressure_V50_seed0.csv": "cebbf42bec085b6d2a997e39b79088dd0c330b4575584103eafae9232c2c15ed",
+    "trace_Backpressure_V50_seed1.csv": "b6db4088a4f63e53312aa12bbac2bd9f34b991c49255ee07051ec7311b98c752",
+    "trace_OLAC2_V50_seed0.csv": "43e68420b642010f18c5a6ed954b8d7bb1e9f670b19378161b8dfc01c4bfa143",
+    "trace_OLAC2_V50_seed1.csv": "34a5b0ef358fd5abaabed064682cf9242e37c15973b40c50e21d27654332157c",
+    "trace_OLAC_V50_seed0.csv": "20c9b27410e4e9f0cd7260705d7d0b09e86fe28aa0aec894d595afadb726c4b9",
+    "trace_OLAC_V50_seed1.csv": "0fb8164df803e855fb580c07dcc5e95a8339db54541e50205bd21a9ea09f0bfe",
 }
 
 

@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from olacsim.controllers import ControllerConfig
-from olacsim.dual import DualSolverConfig, dual_value, max_slack, maximize_dual, primal_oracle
-from olacsim.learning import dual_learn
+from olacsim.dual import DualSolverConfig, compute_analysis, dual_value, max_slack, maximize_dual, primal_oracle
+from olacsim.learning import _CountLP, dual_learn
 from olacsim.sim import SimConfig, run, sample_states
 
 from conftest import make_instance, single_state_instance, state_index
 
 
 def box(instance, V):
-    """The multiplier bound xi = V * f_max / eta_0, with eta_0 from the full tables."""
+    """The multiplier bound xi = V * f_max / eta_0, with eta_0 from ``max_slack``."""
     return V * instance.f_max / max_slack(instance, instance.probabilities)
 
 
@@ -154,6 +154,18 @@ class TestDualLearn:
         assert np.allclose(path[1:7], xi, rtol=1e-12, atol=0.0)
         at_box = np.isclose(path, xi, rtol=1e-12, atol=0.0).any(axis=1)
         assert flagged == at_box.sum() >= 6
+
+    @pytest.mark.parametrize("V", [20.0, 37.5, 1600.0])
+    def test_box_is_the_oracles_xi(self, two_queue_unbalanced, V):
+        # the learner and the oracle solve one slack LP: the same eta_0 and the
+        # same box, bit for bit (at V = 37.5, V * f_max / eta_0 rounds otherwise
+        # than V * (f_max / eta_0), the learner's order)
+        instance = two_queue_unbalanced
+        ana = compute_analysis(instance, instance.probabilities, V, rho_samples=8)
+        assert ana.eta_0 == _CountLP(instance).eta_0 == max_slack(instance, instance.probabilities)
+        blocked = state_index(1, 1, 0, 0)
+        path, _ = dual_learn(instance, np.full(4, blocked), V)
+        assert (path[1:] == ana.xi).all()
 
     def test_degenerate_instance_is_deterministic(self):
         # arrivals 1 on every action; serving costs 1: the dual min(1, beta) is flat
