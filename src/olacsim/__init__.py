@@ -3,7 +3,6 @@
 from .controllers import BACKPRESSURE, OLAC, OLAC2, ControllerConfig, bp_decide, olac2_step, olac_decide
 from .dual import (
     AnalysisConstants,
-    DualSolverConfig,
     InstanceAnalysis,
     compute_analysis,
     dual_value,

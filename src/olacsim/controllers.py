@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualSolveResult, DualSolverConfig, maximize_dual
+from .dual import DualSolveResult, maximize_dual
 from .model import NetworkInstance
 
 __all__ = [
@@ -29,23 +29,12 @@ __all__ = [
     "bp_decide",
     "olac_decide",
     "olac2_step",
-    "default_oneshot_solver",
 ]
 
 BACKPRESSURE = "Backpressure"
 OLAC = "OLAC"
 OLAC2 = "OLAC2"
 KINDS = (BACKPRESSURE, OLAC, OLAC2)
-
-
-def default_oneshot_solver(instance: NetworkInstance, V: float) -> DualSolverConfig:
-    """Full-budget cold solve for the single learn step of OLAC2."""
-    a = V * instance.delta_max  # the ascent's step numerator
-    return DualSolverConfig(
-        max_iterations=max(5000, int(4 * a)),
-        tolerance=1e-9 * max(1.0, V),
-        window=800,
-    )
 
 
 @dataclass
@@ -98,9 +87,10 @@ def olac_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, beta: n
 
 
 def olac2_step(instance: NetworkInstance, dist, cfg: ControllerConfig) -> DualSolveResult:
-    """OLAC2's one-shot learn at slot T_l: maximize the empirical dual.
+    """OLAC2's one-shot learn at slot T_l: the exact maximizer of the empirical dual.
 
     ``dist`` is the empirical distribution of the states seen before T_l; the
-    engine adjusts the backlog to the returned maximizer ``gamma``.
+    engine adjusts the backlog to the returned ``gamma``, which lies in OLAC's
+    box 0 <= gamma <= xi. An instance without service slack raises NoSlackError.
     """
-    return maximize_dual(instance, dist, cfg.V, default_oneshot_solver(instance, cfg.V))
+    return maximize_dual(instance, dist, cfg.V)

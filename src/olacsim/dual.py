@@ -5,15 +5,17 @@ average arrivals <= average services is separable over states:
 
     g(gamma) = sum_i pi_i * min_x [ V*f(i,x) + gamma . (A(i,x) - mu(i,x)) ]
 
-g is concave piecewise-linear in gamma; it is maximized here by projected
-supergradient ascent on reduced tables (``DualTables``). The same static
-problem is solved exactly as a linear program over action mixtures on the
-classes of those tables (``class_lp``; the primal oracle), which also yields
-the optimal multiplier through its dual prices; the slack LP behind eta_0
-uses the same columns, and so does OLAC's learner. On the two-queue instance
-these LPs have 112 action columns and 18 rows, against 640 and 66 on the full
-tables. Analysis constants (slack eta_0, polyhedral decay rho, attraction
-radius D_p) are derived from these oracles.
+g is concave piecewise-linear in gamma. The static problem is solved exactly
+as a linear program over action mixtures on the classes of the reduced tables
+(``DualTables``, ``class_lp``; the primal oracle), which also yields the
+optimal multiplier through its dual prices; the slack LP behind eta_0 uses
+the same columns. ``maximize_dual`` maximizes g over the box
+0 <= gamma <= xi = V*f_max/eta_0 exactly, as the prices of the same LP
+written with a shortfall column per queue (``_CountLP``); OLAC's learner
+keeps that LP's basis over a whole run. On the two-queue instance these LPs
+have 112 action columns and 18 rows, against 640 and 66 on the full tables.
+Analysis constants (slack eta_0, polyhedral decay rho, attraction radius
+D_p) are derived from these oracles.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from ._simplex import solve_lp
 from .model import NetworkInstance
 
 __all__ = [
-    "DualSolverConfig",
     "DualSolveResult",
     "DualTables",
     "RandomizedPolicy",
@@ -34,6 +35,7 @@ __all__ = [
     "AnalysisConstants",
     "InstanceAnalysis",
     "InfeasibleInstanceError",
+    "NoSlackError",
     "per_state_dual",
     "dual_value",
     "supergradient",
@@ -49,27 +51,16 @@ class InfeasibleInstanceError(RuntimeError):
     """The static problem admits no stabilizing mixture (no slack)."""
 
 
-@dataclass
-class DualSolverConfig:
-    """Projected supergradient ascent settings.
-
-    The step at inner iteration k is a/(b + k) with a = V * delta_max and
-    b = 10. The ascent stops once the best value has not improved by more
-    than ``tolerance`` over ``window`` consecutive iterations.
-    """
-
-    max_iterations: int = 4000
-    tolerance: float = 1e-9
-    window: int = 200
-    warm_start: np.ndarray | None = None
+class NoSlackError(ValueError):
+    """The instance has no service slack (eta_0 <= 0), so the learned multiplier has no box."""
 
 
 @dataclass
 class DualSolveResult:
     gamma: np.ndarray
     value: float
-    converged: bool
-    iterations: int
+    at_box: bool  # some gamma_j sits on the box xi
+    iterations: int  # dual simplex pivots
 
 
 @dataclass
@@ -114,7 +105,7 @@ class InstanceAnalysis:
 
     @property
     def xi(self) -> float:
-        """Multiplier magnitude bound V*f_max/eta_0 (inf without slack): OLAC's box, bit for bit."""
+        """Multiplier magnitude bound V*f_max/eta_0 (inf without slack): the learners' box, bit for bit."""
         if self.eta_0 <= 0:
             return math.inf
         return self.V * (self.constants.f_max / self.eta_0)
@@ -163,9 +154,10 @@ def supergradient(instance: NetworkInstance, dist, gamma, V: float) -> np.ndarra
 
 
 class DualTables:
-    """The dual's tables reduced for the ascent, built once per (instance, V).
+    """The dual's tables reduced to classes of states, built once per instance.
 
-    Two reductions that leave every minimizer over gamma >= 0 in place:
+    Two reductions that leave every minimizer over gamma >= 0 in place, at
+    every V > 0:
 
     - Folding. A state whose arrivals are the same for every action adds the
       same gamma . A(i) to all of its action scores, so its argmin is the
@@ -173,28 +165,25 @@ class DualTables:
       rows fold into one class. A state with action-dependent arrivals is a
       class of its own and keeps its full drift.
     - Pruning. Action x of a class is dropped when some action y has
-      V*f_y <= V*f_x and drift_y <= drift_x in every component, and also
-      y < x or V*f_y < V*f_x. For gamma >= 0 the score of y is then at most
-      that of x, so x is never the smallest-id minimizer, not even at
-      gamma = 0, where only costs decide.
+      f_y <= f_x and drift_y <= drift_x in every component, and also y < x
+      or f_y < f_x. For gamma >= 0 the score of y is then at most that of x,
+      so x is never the smallest-id minimizer, not even at gamma = 0, where
+      only costs decide.
 
     The kept actions of a class stay in id order, padded to a common width
-    with +inf cost, so argmin ties still go to the smallest id. ``rows`` maps
-    a per-class selection back to the full-table rows i*K + x of every state;
-    the ascent computes its supergradient on those rows, as ``supergradient``
-    does. The two-queue instance reduces from 64 states x 10 actions to
-    16 classes x 9 slots (112 real actions). OLAC's exact learner writes its
-    LP on the same classes; ``folded`` marks the states whose arrivals left
-    the class's drift.
+    with +inf cost, so argmin ties still go to the smallest id; costs are in
+    units of V. ``action_ids[class_of]`` maps a per-class slot back to each
+    state's action id, and ``folded`` marks the states whose arrivals left the
+    class's drift. The two-queue instance reduces from 64 states x 10 actions
+    to 16 classes x 9 slots (112 real actions). The oracle LPs and the dual
+    maximizer are written on these classes (``class_lp``).
     """
 
-    def __init__(self, instance: NetworkInstance, V: float):
+    def __init__(self, instance: NetworkInstance):
         M, K = instance.costs.shape
         r = instance.r
-        self.V = V
-        self.M = M
         valid = np.arange(K) < instance.action_counts[:, None]
-        base = V * instance.costs
+        base = instance.costs
         services = instance.services
         fold = ((instance.arrivals == instance.arrivals[:, :1]) | ~valid[..., None]).all(axis=(1, 2))
         # states that cannot fold get a tag of their own, so they never share a class
@@ -224,91 +213,11 @@ class DualTables:
         ).reshape(-1, r)
         self.class_of = class_of
         self.action_ids = order  # action id of each class slot
-        self._state_rows = (np.arange(M)[:, None] * K + order[class_of]).ravel()
-        self._state_offset = np.arange(M) * width
-        self.full_base = base.ravel()
-        self.full_drift = instance.drift.reshape(M * K, r)
         self.folded = fold
-
-    def rows(self, sel: np.ndarray) -> np.ndarray:
-        """Full-table row of each state's selected action, from a per-class selection."""
-        return self._state_rows[self._state_offset + sel[self.class_of]]
-
-
-def maximize_dual(
-    instance: NetworkInstance,
-    dist,
-    V: float,
-    cfg: DualSolverConfig | None = None,
-    *,
-    tables: DualTables | None = None,
-) -> DualSolveResult:
-    """Projected supergradient ascent on gamma >= 0, tracking the best iterate.
-
-    Subgradient steps are not monotone, so the best iterate by value (the warm
-    start counts as iterate zero) is returned, together with a convergence
-    flag that is False when the iteration cap was reached before the
-    improvement-based stop triggered.
-
-    Each iteration selects actions on ``tables`` (built here when not given).
-    A selection fixes the value's constant and its supergradient for the
-    whole solve, since ``dist`` does not change, so both are memoized per
-    selection and the value is const + grad . gamma.
-    """
-    cfg = cfg or DualSolverConfig()
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (instance.M,):
-        raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
-    if tables is None:
-        tables = DualTables(instance, V)
-    elif tables.V != V or tables.M != instance.M:
-        raise ValueError("dual tables were built for another instance or V")
-    r = instance.r
-    a, b = V * instance.delta_max, 10.0
-
-    gamma = np.zeros(r) if cfg.warm_start is None else np.asarray(cfg.warm_start, dtype=float).copy()
-    if gamma.shape != (r,):
-        raise ValueError(f"warm start has shape {gamma.shape}, expected ({r},)")
-
-    base, drift = tables.base, tables.drift
-    scores = np.empty(tables.shape)
-    flat = scores.reshape(-1)
-    memo: dict[bytes, tuple[float, np.ndarray]] = {}
-
-    def evaluate(g):
-        np.dot(drift, g, out=flat)
-        np.add(flat, base, out=flat)
-        sel = scores.argmin(axis=1)
-        key = sel.tobytes()
-        hit = memo.get(key)
-        if hit is None:
-            rows = tables.rows(sel)
-            hit = memo[key] = (float(dist @ tables.full_base[rows]), dist @ tables.full_drift[rows])
-        const, grad = hit
-        return const + grad.dot(g), grad
-
-    best_value, grad = evaluate(gamma)
-    best_gamma = gamma.copy()
-    last_improve = 0
-    converged = False
-    iterations = 0
-    for it in range(1, cfg.max_iterations + 1):
-        iterations = it
-        step = a / (b + it)
-        gamma = np.maximum(gamma + step * grad, 0.0)
-        value, grad = evaluate(gamma)
-        if value > best_value + cfg.tolerance:
-            best_value = value
-            best_gamma = gamma.copy()
-            last_improve = it
-        if it - last_improve >= cfg.window:
-            converged = True
-            break
-    return DualSolveResult(best_gamma, float(best_value), converged, iterations)
 
 
 def class_lp(instance: NetworkInstance):
-    """The static LP on the classes of ``DualTables(instance, 1.0)``: (tables, a, cost, rhs).
+    """The static LP on the classes of ``DualTables(instance)``: (tables, a, cost, rhs).
 
     Columns are the kept actions in class order, with costs in units of V.
     Rows are the classes, sum_x y_cx = w_c, then the queues,
@@ -317,9 +226,9 @@ def class_lp(instance: NetworkInstance):
     column. The right-hand side of state weights w (a distribution or counts)
     is rhs @ w. Folding and pruning leave the optimum in place (see
     ``DualTables``), so the policy and slack LPs are written on these columns,
-    and so is OLAC's count LP.
+    and so is the dual maximizer's LP.
     """
-    tables = DualTables(instance, 1.0)
+    tables = DualTables(instance)
     n_class, width = tables.shape
     real = np.isfinite(tables.base)
     n_y = int(real.sum())
@@ -330,6 +239,128 @@ def class_lp(instance: NetworkInstance):
     rhs[tables.class_of, np.arange(instance.M)] = 1.0
     rhs[n_class:] = (instance.arrivals[:, 0] * tables.folded[:, None]).T
     return tables, a, tables.base[real], rhs
+
+
+# x_B entries above -FEAS_TOL * (1 + max|b|) count as non-negative
+FEAS_TOL = 1e-9
+# a pivot row entry must be below -PIVOT_TOL to enter
+PIVOT_TOL = 1e-9
+# ratios within TIE_TOL * max(1, best) of the minimum tie; the smallest column wins
+TIE_TOL = 1e-12
+
+
+class _CountLP:
+    """The boxed dual's LP, in units of V, with one kept basis and its inverse.
+
+    With state weights w (counts n or a distribution):
+
+        min  sum_cx f_cx y_cx + xi * sum_j s_j
+        s.t. sum_x y_cx = w_c                                    (one row per class)
+             sum_cx services_cx,j y_cx + s_j - u_j = sum_i w_i A_ij     (one per queue)
+             y, s, u >= 0
+
+    Its dual is the dual function at w times sum(w), with gamma the prices of
+    the queue rows; the shortfall column s_j turns the box gamma_j <= xi into
+    a column, so the LP is always feasible. xi = f_max / eta_0, where eta_0 is
+    the largest service slack of the true distribution (``max_slack``); an
+    instance without slack (eta_0 <= 0) has no box and is rejected.
+
+    Columns are those of ``class_lp`` (the kept actions in class order), then
+    s (cost xi), then u (cost 0); rows are the classes, then the queues. The
+    start basis, the cheapest action of each class (smallest id on ties) plus
+    every u_j, is dual feasible at gamma = 0 and primal feasible at w = 0.
+    """
+
+    def __init__(self, instance: NetworkInstance):
+        tables, a, costs, self.rhs = class_lp(instance)
+        self.n_class = n_class = tables.shape[0]
+        r, n_y = instance.r, costs.size
+        self.a = np.zeros((n_class + r, n_y + 2 * r))
+        self.a[:, :n_y] = a
+        self.a[n_class:, n_y:] = np.hstack([np.eye(r), -np.eye(r)])
+        self.eta_0 = max_slack(instance, instance.probabilities)
+        if not self.eta_0 > 0:
+            raise NoSlackError(
+                f"the learned multiplier needs service slack: eta_0 = {self.eta_0:g} <= 0, so its bound "
+                "xi = V * f_max / eta_0 is infinite"
+            )
+        self.xi = instance.f_max / self.eta_0
+        self.c = np.concatenate([costs, np.full(r, self.xi), np.zeros(r)])
+        self.s_cols = np.arange(n_y, n_y + r)
+        self.u_cols = np.arange(n_y + r, n_y + 2 * r)
+        column = np.cumsum(np.isfinite(tables.base)).reshape(tables.shape) - 1  # LP column of each kept slot
+        cheapest = column[np.arange(n_class), tables.base.reshape(tables.shape).argmin(axis=1)]
+        self.basis = np.concatenate([cheapest, self.u_cols])
+        self.pivots = 0
+        self._refactor()
+        self._read_basis()
+
+    def _refactor(self):
+        self.binv = np.linalg.inv(self.a[:, self.basis])
+        self.y = self.c[self.basis] @ self.binv
+        self.d = self.c - self.y @ self.a
+        self.d[self.basis] = 0.0
+
+    def _read_basis(self):
+        """beta and the per-state growth of x_B for the current basis."""
+        # x_B grows by step[i] when state i is observed
+        self.step = (self.binv @ self.rhs).T
+        basic = np.zeros(self.c.size, dtype=bool)
+        basic[self.basis] = True
+        beta = np.clip(self.y[self.n_class :], 0.0, self.xi)
+        # a basic column has zero reduced cost: beta_j = xi exactly when s_j is basic, 0 when u_j is
+        beta[basic[self.s_cols]] = self.xi
+        beta[basic[self.u_cols]] = 0.0
+        self.beta = beta
+
+    def restore(self, b: np.ndarray) -> np.ndarray:
+        """Dual simplex from the kept basis until x_B = B^-1 b >= 0; returns x_B.
+
+        Leaving row: the most negative x_B, ties to the smallest row. Entering
+        column: the minimum ratio of reduced cost to |pivot row entry|, ties to
+        the smallest column. B^-1 is refactored after every pivot.
+        """
+        tol = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+        limit = 50 * self.a.shape[1]
+        for _ in range(limit):
+            x = self.binv @ b
+            row = int(np.argmin(x))
+            if x[row] >= -tol:
+                self._read_basis()
+                return x
+            alpha = self.binv[row] @ self.a
+            enter = alpha < -PIVOT_TOL
+            if not enter.any():
+                raise RuntimeError("count LP infeasible, which its shortfall columns rule out")
+            ratio = np.full(alpha.size, np.inf)
+            ratio[enter] = np.maximum(self.d[enter], 0.0) / -alpha[enter]
+            best = ratio.min()
+            col = int(np.argmax(ratio <= best + TIE_TOL * max(1.0, best)))
+            self.basis[row] = col
+            self.pivots += 1
+            self._refactor()
+        raise RuntimeError(f"dual simplex did not restore feasibility within {limit} pivots")
+
+
+def maximize_dual(instance: NetworkInstance, dist, V: float) -> DualSolveResult:
+    """The exact maximizer of the dual at ``dist`` over the box 0 <= gamma <= xi.
+
+    xi = V * f_max / eta_0 is ``InstanceAnalysis.xi`` bit for bit. The LP of
+    ``_CountLP`` is solved once with the dual simplex from its start basis;
+    ``gamma`` is V times its queue-row prices and ``value`` V times its
+    optimum. An instance without service slack (eta_0 <= 0) raises NoSlackError.
+    """
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (instance.M,):
+        raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
+    lp = _CountLP(instance)
+    x = lp.restore(lp.rhs @ dist)
+    return DualSolveResult(
+        gamma=V * lp.beta,
+        value=V * float(lp.c[lp.basis] @ x),
+        at_box=bool((lp.beta >= lp.xi).any()),
+        iterations=lp.pivots,
+    )
 
 
 def primal_oracle(instance: NetworkInstance, dist) -> PrimalSolution:
@@ -434,9 +465,11 @@ def compute_analysis(
 ) -> InstanceAnalysis:
     """Oracle bundle per (instance, V): optimum, multiplier, slack, constants.
 
-    The ascent is warm-started at the LP dual prices scaled by V; by weak
-    duality its value can never exceed V*f_av_star, so equality certifies both
-    oracles at once.
+    gamma_star is V times the policy LP's dual prices, and g_star the dual
+    function evaluated there on the full tables (``dual_value``), so that
+    g_star = V*f_av_star (strong duality) checks the LP's prices against an
+    independent evaluation, and g_star <= V*f_av_star (weak duality) holds
+    for any multiplier.
 
     The policy LP and the slack LP do not depend on V. ``lps_from``, an
     analysis of the same instance and distribution at any V, supplies their
@@ -454,9 +487,9 @@ def compute_analysis(
         eta_0 = max_slack(instance, dist)
     else:
         f_av_star, multiplier_v1, eta_0 = lps_from.f_av_star, lps_from.multiplier_v1, lps_from.eta_0
-    warm = V * multiplier_v1
-    res = maximize_dual(instance, dist, V, DualSolverConfig(max_iterations=2000, window=100, warm_start=warm))
-    rho_hat = estimate_polyhedral_rho(instance, dist, V, res.gamma, sample_count=rho_samples, seed=rho_seed)
+    gamma_star = V * multiplier_v1
+    g_star = dual_value(instance, dist, gamma_star, V)
+    rho_hat = estimate_polyhedral_rho(instance, dist, V, gamma_star, sample_count=rho_samples, seed=rho_seed)
     if rho_hat > 0:
         eta = ETA_FRACTION * rho_hat
         d_p = (instance.B - eta**2) / (2.0 * (rho_hat - eta))
@@ -467,8 +500,8 @@ def compute_analysis(
     return InstanceAnalysis(
         V=V,
         f_av_star=f_av_star,
-        gamma_star=res.gamma,
-        g_star=res.value,
+        gamma_star=gamma_star,
+        g_star=g_star,
         eta_0=eta_0,
         constants=constants,
         multiplier_v1=multiplier_v1,

@@ -4,8 +4,8 @@ States are presampled from the instance distribution with a PCG64 generator;
 the seed is split into two independent streams (state sampling, reserved) via
 SeedSequence spawning, and the generator name is echoed in the run metadata.
 Identical (instance, config, gamma_star) inputs reproduce bit-identical
-results. OLAC's learned multiplier depends on the states only, so its whole
-path is learned before the slot loop.
+results. The learned multipliers depend on the states only, so OLAC's whole
+path and OLAC2's one-shot learn run before the slot loop.
 
 The multiplier estimate whose convergence is measured is q(t) for
 Backpressure and OLAC2 and q(t) + beta(t) - theta for OLAC; at OLAC2's learn
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controllers import BACKPRESSURE, OLAC, OLAC2, ControllerConfig, bp_decide, olac2_step, olac_decide
+from .dual import NoSlackError
 from .learning import dual_learn
 from .model import NetworkInstance
 from .queueing import DelayAccumulator, DelayStats, QueueLedger, adjust_to, apply_slot
@@ -61,8 +62,8 @@ class RunResult:
     queue_trace: np.ndarray
     cost_trace: np.ndarray
     checkpoints: dict = field(default_factory=dict)
-    # OLAC: slots whose beta sits on the box xi in some queue; OLAC2: 1 when
-    # its one-shot ascent stopped at its iteration cap
+    # slots whose learned multiplier sits on the box xi in some queue: OLAC's
+    # beta(t), or OLAC2's gamma (one slot, T_l)
     solver_flagged_slots: int = 0
     metadata: dict = field(default_factory=dict)
 
@@ -136,11 +137,19 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
 
     states_seq = sample_states(instance, H, cfg.seed)
     flagged = 0
-    if olac:
-        # rejects an instance without service slack before the first slot
-        beta_path, flagged = dual_learn(instance, states_seq, V)
-        if (beta_path < 0).any():
-            raise ValueError("the learned beta must be non-negative")
+    # both learners see the states only, so they run before the first slot,
+    # which is where an instance without service slack is rejected
+    try:
+        if olac:
+            beta_path, flagged = dual_learn(instance, states_seq, V)
+        elif t_learn is not None and t_learn < H:
+            empirical = np.bincount(states_seq[:t_learn], minlength=instance.M) / t_learn
+            learned = olac2_step(instance, empirical, ctrl)
+            flagged = int(learned.at_box)
+    except NoSlackError as exc:
+        raise NoSlackError(f"{kind}: {exc}") from None
+    if olac and (beta_path < 0).any():
+        raise ValueError("the learned beta must be non-negative")
     ledger = QueueLedger(r)
     if cfg.initial_backlog is not None:
         ledger.add_initial(cfg.initial_backlog)
@@ -159,11 +168,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
             action = bp_decide(instance, sid, q, V)
             if t == t_learn:
                 # OLAC2 keeps the action taken on the backlog before the adjustment
-                empirical = np.bincount(states_seq[:t], minlength=instance.M) / t
-                learned = olac2_step(instance, empirical, ctrl)
                 dropped += adjust_to(ledger, learned.gamma, t).dropped
-                if not learned.converged:
-                    flagged += 1
                 q = ledger.totals
         q_path[t] = q
         actions[t] = action

@@ -269,6 +269,30 @@ class TestMainEntry:
         ]
         assert "injected failure" in capsys.readouterr().err
 
+    def test_run_verb_records_olac2_without_slack_as_failed(self, tmp_path, capsys):
+        from olacsim.model import serialize_instance
+
+        from conftest import single_state_instance
+
+        # arrivals equal the best service: eta_0 = 0, so OLAC2's learn has no box
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(serialize_instance(
+            single_state_instance([(0.0, [1.0], [0.0]), (1.0, [1.0], [1.0])])
+        )))
+        doc = smoke_doc(instance={"file": str(inst)}, controllers=[{"kind": "Backpressure"}, {"kind": "OLAC2"}],
+                        V_values=[10])
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main(["run", str(scen), "--out", str(out_dir)]) == 1
+        assert [row["controller"] for row in read_csv(out_dir / "summary.csv")] == ["Backpressure"] * 2
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["failed"] == 2
+        failed = [r for r in manifest["runs"] if r["status"] != "ok"]
+        assert [(r["controller"], r["seed"]) for r in failed] == [("OLAC2", 0), ("OLAC2", 1)]
+        assert all(r["error"].startswith("NoSlackError: OLAC2: ") and "eta_0 = 0" in r["error"] for r in failed)
+        assert "OLAC2" in capsys.readouterr().err
+
     def test_run_verb_bad_scenario(self, tmp_path, capsys):
         scen = tmp_path / "bad.json"
         scen.write_text("{")

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from olacsim.dual import (
-    DualSolverConfig,
     DualTables,
     InfeasibleInstanceError,
+    NoSlackError,
     compute_analysis,
     dual_value,
     estimate_polyhedral_rho,
@@ -114,8 +114,7 @@ class TestMaximizeDual:
     def test_one_d_derived_optimum(self):
         # max over gamma >= 0 of min(gamma, 1 - gamma) = 0.5 at gamma = 0.5
         inst = single_state_instance([(0.0, [1.0], [0.0]), (1.0, [0.0], [1.0])])
-        cfg = DualSolverConfig(max_iterations=60000, window=60000, tolerance=1e-15)
-        res = maximize_dual(inst, np.array([1.0]), 1.0, cfg)
+        res = maximize_dual(inst, np.array([1.0]), 1.0)
         assert res.gamma[0] == pytest.approx(0.5, abs=1e-4)
         assert res.value == pytest.approx(0.5, abs=1e-4)
 
@@ -123,37 +122,31 @@ class TestMaximizeDual:
         # some action has f=0 and A-mu <= 0 in every state... not true here, but the
         # all-idle action gives g(0) = 0 and g <= 0 is false; use a custom instance.
         inst = single_state_instance([(0.0, [0.0, 0.0], [0.5, 0.2]), (2.0, [1.0, 0.0], [0.0, 0.0])], r=2)
-        res = maximize_dual(inst, np.array([1.0]), 3.0, DualSolverConfig(max_iterations=500, window=50))
+        res = maximize_dual(inst, np.array([1.0]), 3.0)
         assert np.allclose(res.gamma, 0.0, atol=1e-9)
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_two_queue_strong_duality_cold(self, two_queue):
         pi = two_queue.probabilities
         primal = primal_oracle(two_queue, pi)
-        cfg = DualSolverConfig(max_iterations=200000, window=200000, tolerance=1e-15)
-        res = maximize_dual(two_queue, pi, 100.0, cfg)
+        res = maximize_dual(two_queue, pi, 100.0)
         assert res.value == pytest.approx(100.0 * primal.f_av_star, abs=1e-3)
 
     def test_two_queue_strong_duality_warm(self, two_queue):
+        # the oracle's gamma* is V times the policy LP's prices (the point the
+        # ascent was once warm-started at); the dual there is V * f_av_star
         pi = two_queue.probabilities
         primal = primal_oracle(two_queue, pi)
-        cfg = DualSolverConfig(max_iterations=500, window=100, warm_start=100.0 * primal.multiplier_v1)
-        res = maximize_dual(two_queue, pi, 100.0, cfg)
-        assert abs(res.value / 100.0 - primal.f_av_star) <= 1e-6 * max(1.0, primal.f_av_star)
-
-    def test_warm_start_never_worsens(self, two_queue):
-        pi = two_queue.probabilities
-        warm = np.array([40.0, 200.0])
-        g_warm = dual_value(two_queue, pi, warm, 100.0)
-        res = maximize_dual(two_queue, pi, 100.0, DualSolverConfig(max_iterations=50, window=5, warm_start=warm))
-        assert res.value >= g_warm
+        ana = compute_analysis(two_queue, pi, 100.0, rho_samples=8)
+        assert np.array_equal(ana.gamma_star, 100.0 * primal.multiplier_v1)
+        assert abs(ana.g_star / 100.0 - primal.f_av_star) <= 1e-6 * max(1.0, primal.f_av_star)
 
     def test_unbounded_dual_flagged(self):
-        # every action strictly increases the queue: supergradient ascent runs out
+        # every action strictly increases the queue: the dual is unbounded, the
+        # instance has no service slack and so no box, and it is rejected
         inst = single_state_instance([(0.0, [1.0], [0.0])])
-        res = maximize_dual(inst, np.array([1.0]), 1.0, DualSolverConfig(max_iterations=200, window=200))
-        assert not res.converged
-        assert res.iterations == 200
+        with pytest.raises(NoSlackError, match="eta_0 = -1 <= 0"):
+            maximize_dual(inst, np.array([1.0]), 1.0)
 
     def test_v_scaling_identity(self, two_queue):
         rng = np.random.default_rng(3)
@@ -168,9 +161,8 @@ class TestMaximizeDual:
     def test_argmax_scaling(self):
         inst = one_d_crossing()
         dist = np.array([1.0])
-        cfg = DualSolverConfig(max_iterations=40000, window=40000, tolerance=1e-15)
-        res1 = maximize_dual(inst, dist, 1.0, cfg)
-        res8 = maximize_dual(inst, dist, 8.0, cfg)
+        res1 = maximize_dual(inst, dist, 1.0)
+        res8 = maximize_dual(inst, dist, 8.0)
         assert res8.gamma[0] / 8.0 == pytest.approx(res1.gamma[0], abs=1e-3)
 
 
@@ -246,7 +238,7 @@ def check_against_highs(instance, dist):
     x = np.concatenate(per_state)
     assert (a_ub @ x <= 1e-9).all()
     assert c @ x == pytest.approx(sol.f_av_star, rel=1e-9, abs=1e-12)
-    tables = DualTables(instance, 1.0)
+    tables = DualTables(instance)
     real = np.isfinite(tables.base).reshape(tables.shape)
     for i, p in enumerate(per_state):
         kept = tables.action_ids[tables.class_of[i]][real[tables.class_of[i]]]

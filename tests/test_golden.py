@@ -18,22 +18,22 @@ SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "smoke.j
 
 GOLDEN = {
     "oracle.csv": "d316395960e6ca686b02834e78227e519a5dce325fdfaa1569d2768d26ef78ab",
-    "summary.csv": "aff2e961289d30b1107f7f0eb9c16ef0c4b4cfdf10a65a690d64c5fbf3ac6de7",
+    "summary.csv": "1ea5ef28e47cf02c2f13d5228b7c0872ffa2bd0e312448f12d67a456924e0d0a",
     "trace_Backpressure_V50_seed0.csv": "cebbf42bec085b6d2a997e39b79088dd0c330b4575584103eafae9232c2c15ed",
     "trace_Backpressure_V50_seed1.csv": "b6db4088a4f63e53312aa12bbac2bd9f34b991c49255ee07051ec7311b98c752",
-    "trace_OLAC2_V50_seed0.csv": "43e68420b642010f18c5a6ed954b8d7bb1e9f670b19378161b8dfc01c4bfa143",
-    "trace_OLAC2_V50_seed1.csv": "34a5b0ef358fd5abaabed064682cf9242e37c15973b40c50e21d27654332157c",
+    "trace_OLAC2_V50_seed0.csv": "81d7c8bb1d3a3e72ec9ff0cfbf3a1196c2f588155f3a9ab26b55f2b81f68ba5a",
+    "trace_OLAC2_V50_seed1.csv": "456b9b0c4ea457a8e8dc08e4c933f325161bfa46cdda73d41e73786352d8bc16",
     "trace_OLAC_V50_seed0.csv": "20c9b27410e4e9f0cd7260705d7d0b09e86fe28aa0aec894d595afadb726c4b9",
     "trace_OLAC_V50_seed1.csv": "0fb8164df803e855fb580c07dcc5e95a8339db54541e50205bd21a9ea09f0bfe",
 }
 
 
 # smoke.json with an absolute zeta of 10: OLAC and OLAC2 cross it at slots
-# 15, 47 and 116 and OLAC2 stays within for SUSTAIN_WINDOW slots from 126, so
+# 15, 47 and 134 and OLAC2 stays within for SUSTAIN_WINDOW slots from 134, so
 # the convergence-time columns are exercised; only summary.csv differs
 GOLDEN_ZETA_10 = {
     **GOLDEN,
-    "summary.csv": "c29382a0e19a8fc3cb995c2ff28932c1d40941042b2d9982d4f7b311d1dcf912",
+    "summary.csv": "e27b5c7b7591622e7e8df827fa43d2e78526c0e402a2fd61c29dcd76e649172b",
 }
 
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from olacsim.controllers import ControllerConfig
-from olacsim.dual import DualSolverConfig, compute_analysis, dual_value, max_slack, maximize_dual, primal_oracle
-from olacsim.learning import _CountLP, dual_learn
+from olacsim.dual import _CountLP, compute_analysis, dual_value, max_slack, maximize_dual, primal_oracle
+from olacsim.learning import dual_learn
 from olacsim.sim import SimConfig, run, sample_states
 
 from conftest import make_instance, single_state_instance, state_index
@@ -37,32 +37,43 @@ def count_lp(instance, V):
     return a, c
 
 
-def assert_path_is_lp_optimal(instance, states, V, path, slots):
-    """At every slot, beta(t) attains the boxed LP optimum on the counts of states[:t]
-    (solved by scipy's HiGHS) to 1e-9 relative, and equals the maximizer wherever
-    the LP's optimal dual face is a single beta."""
+def assert_lp_optimal(instance, weights, V, beta, value=None):
+    """beta attains the boxed LP optimum on the state weights (counts or a
+    distribution; solved by scipy's HiGHS) to 1e-9 relative, and equals the
+    maximizer wherever the LP's optimal dual face is a single beta. ``value``,
+    when given, is the maximizer's own optimum, held to the same tolerance."""
     M, r = instance.M, instance.r
     scale = box(instance, V)
     a, c = count_lp(instance, V)
-    for t in slots:
-        counts = np.bincount(states[:t], minlength=M).astype(float)
-        res = linprog(c, A_eq=a, b_eq=np.concatenate([counts, np.zeros(r)]), bounds=(0, None), method="highs")
-        assert res.status == 0
-        assert (path[t] >= 0).all() and (path[t] <= scale * (1 + 1e-12)).all()
-        value = t * dual_value(instance, counts / t, path[t], V)
+    weights = np.asarray(weights, dtype=float)
+    res = linprog(c, A_eq=a, b_eq=np.concatenate([weights, np.zeros(r)]), bounds=(0, None), method="highs")
+    assert res.status == 0
+    assert (beta >= 0).all() and (beta <= scale * (1 + 1e-12)).all()
+    total = weights.sum()
+    assert total * dual_value(instance, weights / total, beta, V) == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
+    if value is not None:
         assert value == pytest.approx(res.fun, rel=1e-9, abs=1e-9)
-        # the optimal dual face: (lambda, beta) with a^T (lambda, beta) <= c and
-        # counts . lambda >= optimum; beta_j's extent over it, per queue
-        a_ub = np.vstack([a.T, np.concatenate([-counts, np.zeros(r)])])
-        b_ub = np.concatenate([c, [-res.fun + 1e-9 * max(1.0, abs(res.fun))]])
-        for j in range(r):
-            obj = np.zeros(M + r)
-            obj[M + j] = 1.0
-            lo = linprog(obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
-            hi = linprog(-obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
-            assert lo.status == 0 and hi.status == 0
-            if -hi.fun - lo.fun <= 1e-6 * max(1.0, scale):
-                assert path[t][j] == pytest.approx(res.eqlin.marginals[M + j], rel=0, abs=1e-9 * max(1.0, scale))
+    # the optimal dual face: (lambda, beta) with a^T (lambda, beta) <= c and
+    # weights . lambda >= optimum; beta_j's extent over it, per queue
+    a_ub = np.vstack([a.T, np.concatenate([-weights, np.zeros(r)])])
+    b_ub = np.concatenate([c, [-res.fun + 1e-9 * max(1.0, abs(res.fun))]])
+    unique = 0
+    for j in range(r):
+        obj = np.zeros(M + r)
+        obj[M + j] = 1.0
+        lo = linprog(obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        hi = linprog(-obj, A_ub=a_ub, b_ub=b_ub, bounds=(None, None), method="highs")
+        assert lo.status == 0 and hi.status == 0
+        if -hi.fun - lo.fun <= 1e-6 * max(1.0, scale):
+            assert beta[j] == pytest.approx(res.eqlin.marginals[M + j], rel=0, abs=1e-9 * max(1.0, scale))
+            unique += 1
+    return unique
+
+
+def assert_path_is_lp_optimal(instance, states, V, path, slots):
+    """At every slot, beta(t) is LP-optimal (``assert_lp_optimal``) on the counts of states[:t]."""
+    for t in slots:
+        assert_lp_optimal(instance, np.bincount(states[:t], minlength=instance.M), V, path[t])
 
 
 class TestEmpiricalDistribution:
@@ -118,7 +129,7 @@ class TestDualLearn:
         # dual min(gamma, 1 - gamma) at V=1: maximized at gamma = 1/2
         inst = single_state_instance([(0.0, [1.0], [0.0]), (1.0, [0.0], [1.0])])
         path, _ = dual_learn(inst, np.zeros(200, dtype=np.int64), 1.0)
-        direct = maximize_dual(inst, [1.0], 1.0, DualSolverConfig(max_iterations=60000, window=60000))
+        direct = maximize_dual(inst, [1.0], 1.0)
         assert direct.gamma[0] == pytest.approx(0.5, abs=1e-3)
         assert path[-1, 0] == pytest.approx(0.5, abs=1e-12)
 
@@ -248,13 +259,42 @@ class TestDualLearn:
             dists = {}
             for t in (1_000, 100_000):
                 counts = np.bincount(states[:t], minlength=64)
-                est = counts / t
-                beta = v * primal_oracle(two_queue, est).multiplier_v1
-                res = maximize_dual(
-                    two_queue, est, v,
-                    DualSolverConfig(max_iterations=300, window=50, warm_start=beta),
-                )
+                res = maximize_dual(two_queue, counts / t, v)
                 dists[t] = np.linalg.norm(res.gamma - gamma_star)
             if dists[100_000] < dists[1_000] or dists[100_000] <= exact:
                 wins += 1
         assert wins >= 9
+
+
+class TestMaximizeDualAgainstHighs:
+    """``maximize_dual`` is the boxed LP's optimum, as OLAC2 learns it at T_l."""
+
+    @pytest.mark.parametrize("V", [100.0, 500.0])
+    def test_two_queue_at_learn_slot(self, two_queue, V):
+        t_l = ControllerConfig("OLAC2", V).learn_slot()
+        unique = 0
+        for seed in range(20):
+            dist = np.bincount(sample_states(two_queue, t_l, seed), minlength=two_queue.M) / t_l
+            res = maximize_dual(two_queue, dist, V)
+            unique += assert_lp_optimal(two_queue, dist, V, res.gamma, res.value)
+            assert res.at_box == bool(np.isclose(res.gamma, box(two_queue, V), rtol=1e-12, atol=0.0).any())
+        assert unique > 0
+
+    def test_box_binds(self, two_queue):
+        # both queues receive 2 packets on channels that cannot serve: the dual is
+        # unbounded, so gamma sits on the oracle's box xi in both queues
+        dist = np.bincount([state_index(1, 1, 0, 0)], minlength=two_queue.M).astype(float)
+        res = maximize_dual(two_queue, dist, 100.0)
+        assert res.at_box
+        assert (res.gamma == compute_analysis(two_queue, two_queue.probabilities, 100.0, rho_samples=8).xi).all()
+        assert_lp_optimal(two_queue, dist, 100.0, res.gamma, res.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_instances(self, data):
+        instance = data.draw(slack_instances())
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=instance.M, max_size=instance.M).filter(any))
+        dist = np.array(weights, dtype=float) / sum(weights)
+        V = data.draw(st.sampled_from([1.0, 7.5, 100.0]))
+        res = maximize_dual(instance, dist, V)
+        assert_lp_optimal(instance, dist, V, res.gamma, res.value)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olacsim.controllers import ControllerConfig
-from olacsim.dual import primal_oracle
+from olacsim.dual import NoSlackError, primal_oracle
 from olacsim.sim import SimConfig, convergence_time, run, sample_states
 
 from conftest import make_instance, single_state_instance
@@ -235,4 +235,18 @@ class TestRunInputs:
         instance = make_instance(1, [0.5, 0.5], [[(0.0, [0.0], [1.0])], []])
         cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("OLAC2", 1.0))
         with pytest.raises(ValueError, match="state 1 has no actions"):
+            run(instance, cfg, np.zeros(1))
+
+    @pytest.mark.parametrize("kind", ["OLAC", "OLAC2"])
+    def test_learner_without_slack_rejected_before_first_slot(self, kind, monkeypatch):
+        # arrivals equal the best service: eta_0 = 0, so the learned multiplier has no box
+        import olacsim.sim
+
+        def no_slot(*args):
+            raise AssertionError("a slot ran")
+
+        monkeypatch.setattr(olacsim.sim, "apply_slot", no_slot)
+        instance = single_state_instance([(0.0, [1.0], [0.0]), (1.0, [1.0], [1.0])])
+        cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig(kind, 10.0))
+        with pytest.raises(NoSlackError, match=f"^{kind}: .*eta_0 = 0 <= 0"):
             run(instance, cfg, np.zeros(1))
