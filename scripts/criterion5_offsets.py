@@ -78,8 +78,11 @@ def main(argv=None):
     jobs = [
         (v, t, seed, args.horizon, args.start_at_theta, gamma_stars[v]) for v, t in cells for seed in args.seeds
     ]
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(one_run, jobs, chunksize=1))
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(jobs))) as pool:
+            results = list(pool.map(one_run, jobs, chunksize=1))
+    else:
+        results = [one_run(job) for job in jobs]
     n = len(args.seeds)
     start = "theta" if args.start_at_theta else "empty"
     print(f"second half of {args.horizon} slots, seeds {args.seeds}, queues start {start}:")

@@ -8,7 +8,6 @@ from .dual import (
     dual_value,
     max_slack,
     maximize_dual,
-    per_state_dual,
     primal_oracle,
     supergradient,
 )

@@ -59,7 +59,6 @@ class Scenario:
     zeta_value: float | None = None
     out_dir: str | None = None
     trace: bool = False
-    metric_sample_period: int = 100
     assumption_check: bool = False
     perturbation_count: int = 100
     epsilon_s: float = 0.05
@@ -144,7 +143,6 @@ class Scenario:
                 raise ScenarioError(f"zeta value must be positive and finite, got {zeta_value:g}")
 
         try:
-            period = int(doc.get("metric_sample_period", 100))
             perturbation_count = int(doc.get("perturbation_count", 100))
             epsilon_s = float(doc.get("epsilon_s", 0.05))
             workers = int(doc.get("workers", 1))
@@ -154,8 +152,8 @@ class Scenario:
             raise ScenarioError(f"malformed sweep field: {exc}") from exc
         if min(seeds) < 0:
             raise ScenarioError("seeds must be non-negative")
-        if period < 1:
-            raise ScenarioError("metric_sample_period must be >= 1")
+        if workers < 1:
+            raise ScenarioError("workers must be >= 1")
         if perturbation_count < 0:
             raise ScenarioError("perturbation_count must be >= 0")
         # the perturbed draw only ends once a candidate lies within epsilon_s of the
@@ -176,7 +174,6 @@ class Scenario:
             zeta_value=zeta_value,
             out_dir=doc.get("out_dir"),
             trace=bool(doc.get("trace", False)),
-            metric_sample_period=period,
             assumption_check=bool(doc.get("assumption_check", False)),
             perturbation_count=perturbation_count,
             epsilon_s=epsilon_s,
@@ -220,14 +217,20 @@ def _write_csv(path, header, rows):
 
 
 def _execute_run(args):
-    """Worker entry: one (controller, V, seed) simulation; its exception if it fails."""
-    instance, ctrl_kwargs, v, seed, horizon, zeta, period, gamma_star = args
+    """Worker entry: one (controller, V, seed) simulation; its exception if it fails.
+
+    Without ``trace`` the per-slot paths are dropped here, so neither the
+    pool's pickles nor the collector hold a full-length path per run.
+    """
+    instance, ctrl_kwargs, v, seed, horizon, zeta, trace, gamma_star = args
     try:
         ctrl = ControllerConfig(**{**ctrl_kwargs, "V": v})
-        cfg = SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, metric_sample_period=period)
-        return run(instance, cfg, gamma_star)
+        res = run(instance, SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta), gamma_star)
     except Exception as exc:  # recorded per run by the collector
         return exc
+    if not trace:
+        res.gamma_trace = res.beta_trace = res.queue_trace = res.cost_trace = None
+    return res
 
 
 def _perturbed_distributions(pi: np.ndarray, count: int, eps: float, seed: int):
@@ -289,10 +292,11 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
 
     Oracles (gamma*, f*, eta_0, rho_hat, D_p) are computed once per V in the
     parent process, with the V-independent policy and slack LPs solved for
-    the first V only; runs execute in a process pool when workers > 1; a
-    single collector writes all outputs sorted by (controller, V, seed). A
-    run that raises is recorded in the manifest (status "error", counted in
-    "failed") and the other runs' outputs are still written.
+    the first V only; runs execute in a pool of min(workers, runs) processes
+    when that is more than one; a single collector writes all outputs sorted
+    by (controller, V, seed). A run that raises is recorded in the manifest
+    (status "error", counted in "failed") and the other runs' outputs are
+    still written.
     """
     out_dir = out_dir or scenario.out_dir or os.environ.get(OUT_DIR_ENV, "out")
     workers = workers if workers is not None else scenario.workers
@@ -323,12 +327,11 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
             if zeta is not None and math.isnan(zeta):
                 zeta = None
             for seed in scenario.seeds:
-                period = 1 if trace else scenario.metric_sample_period
-                jobs.append(
-                    (instance, ctrl_kwargs, v, seed, scenario.horizon, zeta, period, analyses[v].gamma_star)
-                )
+                jobs.append((instance, ctrl_kwargs, v, seed, scenario.horizon, zeta, trace, analyses[v].gamma_star))
 
     manifest = {"runs": [], "failed": 0, "out_dir": os.path.abspath(out_dir)}
+    # a fork pool starts all its processes at once, so it gets no more than there are runs
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_run, jobs, chunksize=1))
@@ -349,15 +352,9 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
         if trace:
             trace_path = os.path.join(out_dir, f"trace_{label}_V{v:g}_seed{seed}.csv")
             header = ["slot"] + [f"q_{j + 1}" for j in range(r)] + ["dist_gamma", "dist_beta", "inst_cost"]
-            rows = []
-            for k in range(len(res.trace_slots)):
-                row = [int(res.trace_slots[k])]
-                row += [res.queue_trace[k][j] for j in range(r)]
-                row += [res.gamma_trace[k],
-                        res.beta_trace[k] if res.beta_trace is not None else None,
-                        res.cost_trace[k]]
-                rows.append(row)
-            _write_csv(trace_path, header, rows)
+            beta = res.beta_trace if res.beta_trace is not None else [None] * horizon
+            paths = zip(res.queue_trace, res.gamma_trace, beta, res.cost_trace)
+            _write_csv(trace_path, header, ([t, *q, g, b, c] for t, (q, g, b, c) in enumerate(paths)))
 
     summary_rows.sort(key=lambda row: (row[0], row[1], row[2]))
     _write_csv(os.path.join(out_dir, "summary.csv"), _summary_columns(r), summary_rows)
@@ -436,6 +433,9 @@ def _cmd_run(args) -> int:
         scenario = Scenario.from_file(args.scenario)
     except (ScenarioError, InstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.workers is not None and args.workers < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     try:
         manifest = run_scenario(scenario, out_dir=args.out, workers=args.workers, trace=args.trace or None)

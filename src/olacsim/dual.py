@@ -36,7 +36,6 @@ __all__ = [
     "InstanceAnalysis",
     "InfeasibleInstanceError",
     "NoSlackError",
-    "per_state_dual",
     "dual_value",
     "supergradient",
     "maximize_dual",
@@ -68,11 +67,6 @@ class RandomizedPolicy:
     """Per-state probability vectors over that state's actions."""
 
     per_state: list[np.ndarray]
-
-    def validate(self, tol=1e-9) -> bool:
-        return all(
-            v.min(initial=0.0) >= -tol and abs(v.sum() - 1.0) <= tol for v in self.per_state
-        )
 
 
 @dataclass
@@ -121,21 +115,6 @@ def _check_dims(instance: NetworkInstance, gamma, dist=None):
             raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
         return gamma, dist
     return gamma
-
-
-def per_state_dual(instance: NetworkInstance, state_id: int, gamma, V: float):
-    """Minimum of V*f + gamma.(A - mu) over one state's actions.
-
-    Returns (value, argmin action id); exact ties go to the smallest id.
-    """
-    gamma = _check_dims(instance, gamma)
-    if not 0 <= state_id < instance.M:
-        raise KeyError(f"unknown state id {state_id}")
-    if instance.action_counts[state_id] == 0:
-        raise ValueError(f"state {state_id} has no actions")
-    scores = V * instance.costs[state_id] + instance.drift[state_id] @ gamma
-    k = int(np.argmin(scores))
-    return float(scores[k]), k
 
 
 def dual_value(instance: NetworkInstance, dist, gamma, V: float) -> float:

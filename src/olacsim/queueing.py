@@ -49,10 +49,6 @@ class AdjustmentRecord:
     dropped_null: np.ndarray   # portion of `dropped` that was null padding
     added_null: np.ndarray     # null amount appended per queue
 
-    @property
-    def empty(self) -> bool:
-        return not (self.dropped.any() or self.added_null.any())
-
 
 class QueueLedger:
     """Per-queue chunk lists plus conservation counters.
@@ -178,7 +174,6 @@ def adjust_to(ledger: QueueLedger, target, slot: int) -> AdjustmentRecord:
 class DelayStats:
     mean_delay: float | None
     delivered_rate: np.ndarray
-    stuck_backlog: np.ndarray
 
 
 class DelayAccumulator:
@@ -194,10 +189,9 @@ class DelayAccumulator:
                 self.weighted_delay[rec.queue] += rec.amount * (rec.departure_slot - rec.arrival_slot)
                 self.delivered[rec.queue] += rec.amount
 
-    def finalize(self, horizon: int, remaining) -> DelayStats:
+    def finalize(self, horizon: int) -> DelayStats:
         total = self.delivered.sum()
         return DelayStats(
             mean_delay=float(self.weighted_delay.sum() / total) if total > 0 else None,
             delivered_rate=self.delivered / max(horizon, 1),
-            stuck_backlog=np.asarray(remaining, dtype=float),
         )

@@ -14,11 +14,12 @@ so the measured estimate jumps to the learned target there.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controllers import BACKPRESSURE, OLAC, OLAC2, ControllerConfig, bp_decide, olac2_step, olac_decide
+from .controllers import OLAC, OLAC2, ControllerConfig, bp_decide, olac2_step, olac_decide
 from .dual import NoSlackError
 from .learning import dual_learn
 from .model import NetworkInstance
@@ -37,15 +38,13 @@ class SimConfig:
     seed: int
     controller: ControllerConfig
     zeta: float | None = None
-    metric_sample_period: int = 1
     initial_backlog: np.ndarray | None = None  # test hook
-    checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.metric_sample_period < 1:
-            raise ValueError("metric_sample_period must be >= 1")
+        if self.zeta is not None and not 0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be None or positive and finite, got {self.zeta!r}")
 
 
 @dataclass
@@ -56,12 +55,12 @@ class RunResult:
     t_zeta_first: int | None
     t_zeta_sustained: int | None
     dropped: np.ndarray
-    trace_slots: np.ndarray
-    gamma_trace: np.ndarray
+    # per-slot paths, one entry per slot (beta_trace for OLAC only); a sweep
+    # that writes no trace files drops them from its results
+    gamma_trace: np.ndarray | None
     beta_trace: np.ndarray | None
-    queue_trace: np.ndarray
-    cost_trace: np.ndarray
-    checkpoints: dict = field(default_factory=dict)
+    queue_trace: np.ndarray | None
+    cost_trace: np.ndarray | None
     # slots whose learned multiplier sits on the box xi in some queue: OLAC's
     # beta(t), or OLAC2's gamma (one slot, T_l)
     solver_flagged_slots: int = 0
@@ -175,7 +174,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         records = apply_slot(ledger, arrivals_tab[sid, action], services_tab[sid, action], t, discipline)
         delay_acc.add_many(records)
 
-    delay = delay_acc.finalize(H, ledger.totals)
+    delay = delay_acc.finalize(H)
     costs = instance.costs[states_seq, actions]
     # the estimate is q(t), or q(t) + beta(t) - theta for OLAC
     dist = _distances(q_path + beta_path - theta if olac else q_path, gamma_star)
@@ -184,16 +183,6 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     if cfg.zeta is not None:
         t_first = convergence_time(dist, cfg.zeta)
         t_sustained = convergence_time(dist, cfg.zeta, SUSTAIN_WINDOW)
-    checkpoints: dict[int, dict] = {}
-    for t in sorted(c for c in set(cfg.checkpoints) if 0 <= c < H):
-        entry = {"distance": float(dist[t])}
-        if olac:
-            entry["beta"] = beta_path[t].copy()
-            entry["beta_distance"] = float(beta_dist[t])
-        if kind != BACKPRESSURE and t > 0:
-            empirical = np.bincount(states_seq[:t], minlength=instance.M) / t
-            entry["max_delta"] = float(np.abs(empirical - instance.probabilities).max())
-        checkpoints[t] = entry
 
     metadata = {
         "kind": kind,
@@ -204,18 +193,13 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         "rng_streams": "seedsequence-spawn(states, reserved)",
         "discipline": discipline,
         "zeta": cfg.zeta,
-        "metric_sample_period": cfg.metric_sample_period,
         "sustain_window": SUSTAIN_WINDOW,
         "theta": None if theta is None else theta.tolist(),
         "c": ctrl.c if kind == OLAC2 else None,
         "T_l": t_learn,
         "initial_backlog": None if cfg.initial_backlog is None else list(map(float, cfg.initial_backlog)),
-        "burn_in": 0,
     }
-    # sequential sums (cumsum, not the pairwise np.sum) keep the averages'
-    # rounding; a strided trace is copied so a stored result does not pin the
-    # full-length path
-    step = cfg.metric_sample_period
+    # sequential sums (cumsum, not the pairwise np.sum) keep the averages' rounding
     return RunResult(
         avg_cost=float(np.cumsum(costs)[-1]) / H,
         avg_backlog=float(np.cumsum(q_path.sum(axis=1))[-1]) / H,
@@ -223,12 +207,10 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         t_zeta_first=t_first,
         t_zeta_sustained=t_sustained,
         dropped=dropped,
-        trace_slots=np.arange(0, H, step, dtype=np.int64),
-        gamma_trace=np.ascontiguousarray(dist[::step]),
-        beta_trace=None if beta_dist is None else np.ascontiguousarray(beta_dist[::step]),
-        queue_trace=np.ascontiguousarray(q_path[::step]),
-        cost_trace=np.ascontiguousarray(costs[::step]),
-        checkpoints=checkpoints,
+        gamma_trace=dist,
+        beta_trace=beta_dist,
+        queue_trace=q_path,
+        cost_trace=costs,
         solver_flagged_slots=flagged,
         metadata=metadata,
     )

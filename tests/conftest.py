@@ -29,6 +29,17 @@ def single_state_instance(actions, r=1):
     return make_instance(r, [1.0], [actions])
 
 
+def per_state_dual(instance, state_id, gamma, V):
+    """Minimum of V*f + gamma.(A - mu) over one state's actions, as (value, argmin action id).
+
+    The reference the decision rule and the reduced tables are checked
+    against; exact ties go to the smallest id, and padded actions cost +inf.
+    """
+    scores = V * instance.costs[state_id] + instance.drift[state_id] @ np.asarray(gamma, dtype=float)
+    k = int(np.argmin(scores))
+    return float(scores[k]), k
+
+
 def total(ledger, j):
     """Queue j's backlog as a float, from the ledger's cached totals."""
     return float(ledger.totals[j])

@@ -19,7 +19,7 @@ from olacsim.cli import _execute_run
 from olacsim.controllers import ControllerConfig
 from olacsim.dual import compute_analysis, dual_value, maximize_dual, supergradient
 from olacsim.queueing import QueueLedger, apply_slot
-from olacsim.sim import SimConfig, run
+from olacsim.sim import SimConfig, run, sample_states
 
 from conftest import random_slack_instances, single_state_instance, total
 
@@ -27,7 +27,7 @@ SEEDS10 = list(range(10))
 
 
 def run_many(jobs):
-    """Execute (instance, ctrl_kwargs, V, seed, horizon, zeta, period, gamma_star) jobs."""
+    """Execute (instance, ctrl_kwargs, V, seed, horizon, zeta, trace, gamma_star) jobs."""
     if len(jobs) <= 2:
         return [_execute_run(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=2) as pool:
@@ -48,7 +48,7 @@ def delay_runs(two_queue, analyses):
     """Criterion 3 sweep: all three controllers, V=100, horizon 1e5, 10 seeds."""
     ana = analyses[100.0]
     jobs = [
-        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.constants.D_p, 10_000, ana.gamma_star)
+        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.constants.D_p, False, ana.gamma_star)
         for kind in ("Backpressure", "OLAC", "OLAC2")
         for seed in SEEDS10
     ]
@@ -142,7 +142,7 @@ def convergence_runs(two_queue, analyses):
         for kind in ("Backpressure", "OLAC2"):
             for seed in SEEDS10:
                 jobs.append(
-                    (two_queue, {"kind": kind, "V": v}, v, seed, 40_000, ana.constants.D_p, 40_000, ana.gamma_star)
+                    (two_queue, {"kind": kind, "V": v}, v, seed, 40_000, ana.constants.D_p, False, ana.gamma_star)
                 )
     results = run_many(jobs)
     out = {}
@@ -186,7 +186,7 @@ class TestCriterion4:
         assert ok
 
 
-def olac_law_runs(instance, analyses, seeds, theta, period):
+def olac_law_runs(instance, analyses, seeds, theta, trace):
     """Criterion 5's OLAC runs, 1e5 slots each, as {V: [RunResult]}.
 
     seeds maps V to its seeds; theta(V) is the per-queue offset, None for the
@@ -198,7 +198,7 @@ def olac_law_runs(instance, analyses, seeds, theta, period):
         if theta is not None:
             ctrl["theta"] = np.full(instance.r, theta(v))
         gamma_star = (analyses.get(v) or compute_analysis(instance, instance.probabilities, v)).gamma_star
-        jobs += [(instance, ctrl, v, seed, 100_000, None, period, gamma_star) for seed in v_seeds]
+        jobs += [(instance, ctrl, v, seed, 100_000, None, trace, gamma_star) for seed in v_seeds]
     runs = {v: [] for v in seeds}
     for job, res in zip(jobs, run_many(jobs)):
         runs[job[2]].append(res)
@@ -247,7 +247,7 @@ class TestCriterion5:
         def theta(v):
             return kappa * math.log(v) ** 2
 
-        runs = olac_law_runs(two_queue, analyses, self.SEEDS, theta, 1)
+        runs = olac_law_runs(two_queue, analyses, self.SEEDS, theta, True)
         tails = {v: [r.queue_trace[50_000:] for r in rs] for v, rs in runs.items()}
         deviations = {
             v: abs(float(np.mean([q.sum(axis=1).mean() for q in qs])) - two_queue.r * theta(v))
@@ -277,7 +277,7 @@ class TestCriterion5:
     def test_queue_law_default_theta(self, two_queue, delay_runs, analyses):
         """The same law, whole-run averages, at the default theta criterion 3 runs with."""
         runs = {100.0: delay_runs["OLAC"]}
-        runs.update(olac_law_runs(two_queue, analyses, {v: self.SEEDS[v] for v in (400.0, 1600.0)}, None, 10_000))
+        runs.update(olac_law_runs(two_queue, analyses, {v: self.SEEDS[v] for v in (400.0, 1600.0)}, None, False))
         deviations = {
             v: abs(float(np.mean([r.avg_backlog for r in rs])) - two_queue.r * math.log(v) ** 2)
             for v, rs in runs.items()
@@ -303,21 +303,15 @@ class TestCriterion6:
         bound_coeff = 2 * m * (v * two_queue.f_max + two_queue.r * xi * two_queue.B) / rho
         violations = 0
         worst_margin = 0.0
+        jobs = [(two_queue, v, seed, ana.gamma_star) for seed in SEEDS10]
         with ProcessPoolExecutor(max_workers=2) as pool:
-            cfgs = [
-                SimConfig(
-                    horizon=100_001, seed=seed, controller=ControllerConfig("OLAC", v),
-                    metric_sample_period=10_000, checkpoints=(1_000, 10_000, 100_000),
-                )
-                for seed in SEEDS10
-            ]
-            results = list(pool.map(_run_with_cfg, [(two_queue, c, ana.gamma_star) for c in cfgs], chunksize=1))
-        for res in results:
-            for t, entry in res.checkpoints.items():
-                bound = bound_coeff * entry["max_delta"]
-                if entry["beta_distance"] > bound:
+            results = list(pool.map(_beta_error_at_checks, jobs, chunksize=1))
+        for checks in results:
+            for beta_distance, max_delta in checks:
+                bound = bound_coeff * max_delta
+                if beta_distance > bound:
                     violations += 1
-                worst_margin = max(worst_margin, entry["beta_distance"] / bound)
+                worst_margin = max(worst_margin, beta_distance / bound)
         ok = violations == 0
         report(
             6,
@@ -328,9 +322,24 @@ class TestCriterion6:
         assert ok
 
 
-def _run_with_cfg(args):
-    instance, cfg, gamma_star = args
-    return run(instance, cfg, gamma_star)
+CRITERION6_SLOTS = (1_000, 10_000, 100_000)
+
+
+def _beta_error_at_checks(args):
+    """One OLAC run's (|beta(t) - gamma*|, max_i |pi_hat_t(i) - pi(i)|) at each of CRITERION6_SLOTS.
+
+    pi_hat_t is the empirical distribution of the states before slot t. Only
+    these values go back to the parent, not the run's 1e5-slot paths.
+    """
+    instance, v, seed, gamma_star = args
+    horizon = CRITERION6_SLOTS[-1] + 1
+    res = run(instance, SimConfig(horizon=horizon, seed=seed, controller=ControllerConfig("OLAC", v)), gamma_star)
+    states = sample_states(instance, horizon, seed)
+    checks = []
+    for t in CRITERION6_SLOTS:
+        empirical = np.bincount(states[:t], minlength=instance.M) / t
+        checks.append((float(res.beta_trace[t]), float(np.abs(empirical - instance.probabilities).max())))
+    return checks
 
 
 class TestCriterion7:

@@ -8,11 +8,15 @@ import pytest
 from olacsim.cli import (
     Scenario,
     ScenarioError,
+    _execute_run,
     _perturbed_distributions,
     emit_plotdata,
     main,
     run_scenario,
 )
+
+
+SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "smoke.json")
 
 
 def smoke_doc(**overrides):
@@ -22,7 +26,6 @@ def smoke_doc(**overrides):
         "V_values": [50],
         "seeds": [0, 1],
         "horizon": 300,
-        "metric_sample_period": 10,
         "workers": 1,
     }
     doc.update(overrides)
@@ -84,12 +87,17 @@ class TestScenarioParsing:
                                            {"epsilon_s": -0.05, "assumption_check": True},
                                            {"epsilon_s": float("nan"), "assumption_check": True},
                                            {"epsilon_s": float("inf")}, {"epsilon_s": 0.0},
-                                           {"seeds": [0, -1]}, {"metric_sample_period": 0},
-                                           {"metric_sample_period": "x"}, {"perturbation_count": -1},
+                                           {"seeds": [0, -1]}, {"workers": 0},
+                                           {"workers": -1}, {"perturbation_count": -1},
                                            {"rho_samples": 0}])
     def test_bad_grid_rejected_at_load(self, overrides):
         with pytest.raises(ScenarioError):
             Scenario.from_dict(smoke_doc(**overrides))
+
+    def test_former_metric_sample_period_key_still_loads(self):
+        # older scenario documents (and perfbench's generated ones) still carry it
+        scenario = Scenario.from_dict(smoke_doc(metric_sample_period=100))
+        assert not hasattr(scenario, "metric_sample_period")
 
     def test_bad_knob_fails_before_any_output(self, tmp_path):
         scen = tmp_path / "bad.json"
@@ -168,6 +176,47 @@ class TestRunScenario:
             tmp_path / "pooled" / "summary.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("workers, runs, pool_size", [(5000, 2, 2), (2, 1, None), (2, 3, 2)])
+    def test_pool_never_larger_than_the_sweep(self, tmp_path, monkeypatch, workers, runs, pool_size):
+        import olacsim.cli
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(olacsim.cli, "ProcessPoolExecutor", InProcessPool)
+        doc = smoke_doc(controllers=[{"kind": "Backpressure"}], seeds=list(range(runs)), horizon=20, workers=workers)
+        manifest = run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path))
+        assert len(manifest["runs"]) == runs and manifest["failed"] == 0
+        assert sizes == ([] if pool_size is None else [pool_size])
+
+    def test_trace_setting_does_not_change_summary_or_oracle(self, tmp_path):
+        scenario = Scenario.from_file(SMOKE)
+        run_scenario(scenario, out_dir=str(tmp_path / "off"), trace=False)
+        run_scenario(scenario, out_dir=str(tmp_path / "on"), trace=True)
+        assert not list((tmp_path / "off").glob("trace_*.csv"))
+        for name in ("summary.csv", "oracle.csv"):
+            assert (tmp_path / "off" / name).read_bytes() == (tmp_path / "on" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["Backpressure", "OLAC"])
+    def test_worker_returns_paths_only_for_traces(self, two_queue, kind):
+        off = _execute_run((two_queue, {"kind": kind}, 50.0, 0, 120, None, False, np.zeros(2)))
+        on = _execute_run((two_queue, {"kind": kind}, 50.0, 0, 120, None, True, np.zeros(2)))
+        assert off.gamma_trace is off.beta_trace is off.queue_trace is off.cost_trace is None
+        assert on.queue_trace.shape == (120, 2) and on.gamma_trace.shape == on.cost_trace.shape == (120,)
+        assert (on.beta_trace is not None) == (kind == "OLAC")
+        assert (off.avg_cost, off.avg_backlog) == (on.avg_cost, on.avg_backlog)
 
     def test_v_independent_lps_solved_once(self, tmp_path, monkeypatch):
         # the policy and slack LPs do not depend on V: one solve each per sweep,
@@ -292,6 +341,14 @@ class TestMainEntry:
         assert [(r["controller"], r["seed"]) for r in failed] == [("OLAC2", 0), ("OLAC2", 1)]
         assert all(r["error"].startswith("NoSlackError: OLAC2: ") and "eta_0 = 0" in r["error"] for r in failed)
         assert "OLAC2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_verb_rejects_workers_below_one(self, tmp_path, capsys, workers):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(smoke_doc()))
+        assert main(["run", str(scen), "--out", str(tmp_path / "out"), "--workers", workers]) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_verb_bad_scenario(self, tmp_path, capsys):
         scen = tmp_path / "bad.json"

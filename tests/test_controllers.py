@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from olacsim.controllers import ControllerConfig, bp_decide, olac2_step, olac_decide
-from olacsim.dual import per_state_dual, primal_oracle
+from olacsim.dual import primal_oracle
 from olacsim.sim import SimConfig, run
 
-from conftest import state_index
+from conftest import per_state_dual, state_index
 
 
 def enumerate_best(instance, sid, weights, v):

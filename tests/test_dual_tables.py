@@ -3,9 +3,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olacsim.dual import DualTables, per_state_dual
+from olacsim.dual import DualTables
 
-from conftest import make_instance
+from conftest import make_instance, per_state_dual
 
 
 # Multiples of 1/4 keep every score exact in floating point, so exact ties

@@ -34,10 +34,10 @@ def remaining_null(led, j):
     return float(sum(c[1] for c in led.chunks[j] if c[2]))
 
 
-def delay_stats(records, *, horizon, r, remaining=None):
+def delay_stats(records, *, horizon, r):
     acc = DelayAccumulator(r)
     acc.add_many(records)
-    return acc.finalize(horizon, np.zeros(r) if remaining is None else remaining)
+    return acc.finalize(horizon)
 
 
 class TestApplySlot:
@@ -118,7 +118,7 @@ class TestAdjustTo:
     def test_noop_when_equal(self):
         led = ledger_with_chunks([(0, 3.0)])
         rec = adjust_to(led, np.array([3.0]), 1)
-        assert rec.empty
+        assert not (rec.dropped.any() or rec.added_null.any())
         assert total(led, 0) == 3.0
 
     def test_exact_postcondition(self):
@@ -138,10 +138,9 @@ class TestDelayStats:
         assert stats.delivered_rate[0] == pytest.approx(2.0 / 20)
 
     def test_no_departures(self):
-        stats = delay_stats([], horizon=10, r=2, remaining=np.array([1.0, 0.0]))
+        stats = delay_stats([], horizon=10, r=2)
         assert stats.mean_delay is None
         assert np.allclose(stats.delivered_rate, 0.0)
-        assert np.allclose(stats.stuck_backlog, [1.0, 0.0])
 
     def test_null_departures_excluded_by_default(self):
         recs = [DepartureRecord(0, 1.0, 0, 5, False), DepartureRecord(0, 3.0, 5, 5, True)]

@@ -182,22 +182,6 @@ class TestRun:
         np.testing.assert_allclose(paths[0][0], paths[1][0], rtol=0, atol=1e-9)
         np.testing.assert_array_equal(paths[0][1], paths[1][1])
 
-    def test_checkpoints_recorded(self, two_queue, gamma_star_100):
-        cfg = SimConfig(horizon=200, seed=0, controller=ControllerConfig("OLAC", 100.0), checkpoints=(50, 150))
-        res = run(two_queue, cfg, gamma_star_100)
-        assert set(res.checkpoints) == {50, 150}
-        assert "beta_distance" in res.checkpoints[50]
-        assert "max_delta" in res.checkpoints[150]
-
-    def test_checkpoints_agree_with_traces(self, two_queue, gamma_star_100):
-        horizon = 300
-        cfg = SimConfig(horizon=horizon, seed=0, controller=ControllerConfig("OLAC", 100.0),
-                        checkpoints=(0, 137, horizon - 1))
-        res = run(two_queue, cfg, gamma_star_100)
-        for t in cfg.checkpoints:
-            assert res.checkpoints[t]["distance"] == res.gamma_trace[t]
-            assert res.checkpoints[t]["beta_distance"] == res.beta_trace[t]
-
     def test_sustained_requires_run_of_window(self, two_queue, gamma_star_100):
         cfg = SimConfig(
             horizon=400, seed=0, controller=ControllerConfig("Backpressure", 100.0),
@@ -211,6 +195,11 @@ class TestRun:
 
 class TestRunInputs:
     """The slot kernels trust their inputs; run checks them once, before slot 0."""
+
+    @pytest.mark.parametrize("zeta", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_zeta_rejected_by_config(self, zeta):
+        with pytest.raises(ValueError, match="zeta must be None or positive and finite"):
+            SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 10.0), zeta=zeta)
 
     @pytest.mark.parametrize("backlog", [[-5.0, 3.0], [np.nan, 3.0], [np.inf, 3.0], [4.0, 3.0, 7.0], [4.0]])
     def test_bad_initial_backlog_rejected(self, two_queue, backlog):
