@@ -39,6 +39,12 @@ ORACLE_COLUMNS_BASE = ["V", "f_av_star", "g_star"]
 ORACLE_COLUMNS_TAIL = ["eta_0", "rho_hat", "D_p", "eta", "B", "f_max", "min_perturbed_slack"]
 
 CONTROLLER_KEYS = ("kind", "c", "theta")
+SCENARIO_KEYS = (
+    "instance", "controllers", "V_values", "seeds", "horizon", "zeta", "out_dir", "trace", "assumption_check",
+    "perturbation_count", "epsilon_s", "workers", "rho_samples", "rho_seed",
+)
+# accepted and ignored: older documents, and perfbench's generated ones, still carry it
+LEGACY_SCENARIO_KEYS = ("metric_sample_period",)
 
 
 class ScenarioError(ValueError):
@@ -70,6 +76,11 @@ class Scenario:
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "Scenario":
         if not isinstance(doc, dict):
             raise ScenarioError("scenario document must be an object")
+        unknown = [key for key in doc if key not in SCENARIO_KEYS + LEGACY_SCENARIO_KEYS]
+        if unknown:
+            raise ScenarioError(
+                f"unknown scenario key(s) {', '.join(map(repr, unknown))}; accepted: {', '.join(SCENARIO_KEYS)}"
+            )
         try:
             inst_desc = doc["instance"]
             controllers_raw = doc["controllers"]
@@ -222,10 +233,11 @@ def _execute_run(args):
     Without ``trace`` the per-slot paths are dropped here, so neither the
     pool's pickles nor the collector hold a full-length path per run.
     """
-    instance, ctrl_kwargs, v, seed, horizon, zeta, trace, gamma_star = args
+    instance, ctrl_kwargs, v, seed, horizon, zeta, trace, gamma_star, eta_0 = args
     try:
         ctrl = ControllerConfig(**{**ctrl_kwargs, "V": v})
-        res = run(instance, SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta), gamma_star)
+        cfg = SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, eta_0=eta_0)
+        res = run(instance, cfg, gamma_star)
     except Exception as exc:  # recorded per run by the collector
         return exc
     if not trace:
@@ -296,7 +308,8 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     when that is more than one; a single collector writes all outputs sorted
     by (controller, V, seed). A run that raises is recorded in the manifest
     (status "error", counted in "failed") and the other runs' outputs are
-    still written.
+    still written. Each run gets the oracle's gamma* and eta_0, so the
+    learners do not solve the slack LP again.
     """
     out_dir = out_dir or scenario.out_dir or os.environ.get(OUT_DIR_ENV, "out")
     workers = workers if workers is not None else scenario.workers
@@ -323,11 +336,12 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     jobs = []
     for ctrl_kwargs in scenario.controllers:
         for v in scenario.v_values:
-            zeta = analyses[v].constants.D_p if scenario.zeta_policy == "auto_Dp" else scenario.zeta_value
+            ana = analyses[v]
+            zeta = ana.constants.D_p if scenario.zeta_policy == "auto_Dp" else scenario.zeta_value
             if zeta is not None and math.isnan(zeta):
                 zeta = None
             for seed in scenario.seeds:
-                jobs.append((instance, ctrl_kwargs, v, seed, scenario.horizon, zeta, trace, analyses[v].gamma_star))
+                jobs.append((instance, ctrl_kwargs, v, seed, scenario.horizon, zeta, trace, ana.gamma_star, ana.eta_0))
 
     manifest = {"runs": [], "failed": 0, "out_dir": os.path.abspath(out_dir)}
     # a fork pool starts all its processes at once, so it gets no more than there are runs
@@ -340,7 +354,7 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
 
     summary_rows = []
     for job, res in zip(jobs, outcomes):
-        _, ctrl_kwargs, v, seed, horizon, zeta, _, _ = job
+        _, ctrl_kwargs, v, seed, horizon, *_ = job
         label = ctrl_kwargs["kind"]
         if isinstance(res, Exception):
             message = f"{type(res).__name__}: {res}"

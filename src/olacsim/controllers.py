@@ -86,11 +86,13 @@ def olac_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, beta: n
     return _decide_weighted(instance, state_id, q + beta - theta, V)
 
 
-def olac2_step(instance: NetworkInstance, dist, cfg: ControllerConfig) -> DualSolveResult:
+def olac2_step(instance: NetworkInstance, dist, cfg: ControllerConfig, eta_0: float | None = None) -> DualSolveResult:
     """OLAC2's one-shot learn at slot T_l: the exact maximizer of the empirical dual.
 
     ``dist`` is the empirical distribution of the states seen before T_l; the
     engine adjusts the backlog to the returned ``gamma``, which lies in OLAC's
-    box 0 <= gamma <= xi. An instance without service slack raises NoSlackError.
+    box 0 <= gamma <= xi. ``eta_0`` is the true distribution's slack when the
+    caller has it (see ``maximize_dual``). An instance without service slack
+    raises NoSlackError.
     """
-    return maximize_dual(instance, dist, cfg.V)
+    return maximize_dual(instance, dist, cfg.V, eta_0=eta_0)

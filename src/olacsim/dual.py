@@ -248,16 +248,20 @@ class _CountLP:
     s (cost xi), then u (cost 0); rows are the classes, then the queues. The
     start basis, the cheapest action of each class (smallest id on ties) plus
     every u_j, is dual feasible at gamma = 0 and primal feasible at w = 0.
+
+    ``eta_0``, when given, is taken as ``max_slack(instance,
+    instance.probabilities)`` (a caller that has already solved it, such as
+    the sweep's oracle); otherwise the slack LP is solved here.
     """
 
-    def __init__(self, instance: NetworkInstance):
+    def __init__(self, instance: NetworkInstance, eta_0: float | None = None):
         tables, a, costs, self.rhs = class_lp(instance)
         self.n_class = n_class = tables.shape[0]
         r, n_y = instance.r, costs.size
         self.a = np.zeros((n_class + r, n_y + 2 * r))
         self.a[:, :n_y] = a
         self.a[n_class:, n_y:] = np.hstack([np.eye(r), -np.eye(r)])
-        self.eta_0 = max_slack(instance, instance.probabilities)
+        self.eta_0 = max_slack(instance, instance.probabilities) if eta_0 is None else eta_0
         if not self.eta_0 > 0:
             raise NoSlackError(
                 f"the learned multiplier needs service slack: eta_0 = {self.eta_0:g} <= 0, so its bound "
@@ -321,18 +325,20 @@ class _CountLP:
         raise RuntimeError(f"dual simplex did not restore feasibility within {limit} pivots")
 
 
-def maximize_dual(instance: NetworkInstance, dist, V: float) -> DualSolveResult:
+def maximize_dual(instance: NetworkInstance, dist, V: float, eta_0: float | None = None) -> DualSolveResult:
     """The exact maximizer of the dual at ``dist`` over the box 0 <= gamma <= xi.
 
     xi = V * f_max / eta_0 is ``InstanceAnalysis.xi`` bit for bit. The LP of
     ``_CountLP`` is solved once with the dual simplex from its start basis;
     ``gamma`` is V times its queue-row prices and ``value`` V times its
-    optimum. An instance without service slack (eta_0 <= 0) raises NoSlackError.
+    optimum. ``eta_0`` is the true distribution's slack if the caller has
+    solved it already. An instance without service slack (eta_0 <= 0) raises
+    NoSlackError.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (instance.M,):
         raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
-    lp = _CountLP(instance)
+    lp = _CountLP(instance, eta_0)
     x = lp.restore(lp.rhs @ dist)
     return DualSolveResult(
         gamma=V * lp.beta,

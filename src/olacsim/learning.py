@@ -38,15 +38,17 @@ FIRST_BLOCK = 8
 MAX_BLOCK = 4096
 
 
-def dual_learn(instance: NetworkInstance, states, V: float) -> tuple[np.ndarray, int]:
+def dual_learn(instance: NetworkInstance, states, V: float, eta_0: float | None = None) -> tuple[np.ndarray, int]:
     """OLAC's beta path over ``states``: row t maximizes the empirical dual on states[:t].
 
     Returns the (len(states), r) path and the number of slots at which the box
-    binds (some beta_j = xi). beta(0) = 0.
+    binds (some beta_j = xi). beta(0) = 0. ``eta_0`` is the true
+    distribution's slack when the caller has already solved it; it is solved
+    here otherwise.
     """
     states = np.asarray(states, dtype=np.int64)
     H = len(states)
-    lp = _CountLP(instance)
+    lp = _CountLP(instance, eta_0)
     starts, betas = [0], [lp.beta]
     x = np.zeros(lp.a.shape[0])
     t = 0  # observations folded into x: states[:t]

@@ -39,12 +39,17 @@ class SimConfig:
     controller: ControllerConfig
     zeta: float | None = None
     initial_backlog: np.ndarray | None = None  # test hook
+    # the true distribution's service slack max_slack(instance, instance.probabilities)
+    # when the caller has solved it (the sweep's oracle); the learners solve it otherwise
+    eta_0: float | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.zeta is not None and not 0 < self.zeta < math.inf:
             raise ValueError(f"zeta must be None or positive and finite, got {self.zeta!r}")
+        if self.eta_0 is not None and not math.isfinite(self.eta_0):
+            raise ValueError(f"eta_0 must be None or finite, got {self.eta_0!r}")
 
 
 @dataclass
@@ -140,10 +145,10 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     # which is where an instance without service slack is rejected
     try:
         if olac:
-            beta_path, flagged = dual_learn(instance, states_seq, V)
+            beta_path, flagged = dual_learn(instance, states_seq, V, eta_0=cfg.eta_0)
         elif t_learn is not None and t_learn < H:
             empirical = np.bincount(states_seq[:t_learn], minlength=instance.M) / t_learn
-            learned = olac2_step(instance, empirical, ctrl)
+            learned = olac2_step(instance, empirical, ctrl, eta_0=cfg.eta_0)
             flagged = int(learned.at_box)
     except NoSlackError as exc:
         raise NoSlackError(f"{kind}: {exc}") from None
@@ -156,8 +161,9 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     dropped = np.zeros(r)
     q_path = np.empty((H, r))
     actions = np.empty(H, dtype=np.int64)
-    arrivals_tab = instance.arrivals
-    services_tab = instance.services
+    # per-(state, action) rows of r floats, read by the ledger once per slot
+    arrival_rows = instance.arrivals.tolist()
+    service_rows = instance.services.tolist()
 
     for t, sid in enumerate(states_seq.tolist()):
         q = ledger.totals
@@ -171,7 +177,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
                 q = ledger.totals
         q_path[t] = q
         actions[t] = action
-        records = apply_slot(ledger, arrivals_tab[sid, action], services_tab[sid, action], t, discipline)
+        records = apply_slot(ledger, arrival_rows[sid][action], service_rows[sid][action], t, discipline)
         delay_acc.add_many(records)
 
     delay = delay_acc.finalize(H)

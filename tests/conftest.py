@@ -1,3 +1,6 @@
+from collections import deque
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -79,3 +82,155 @@ def random_slack_instances(seed, count, **kwargs):
 def state_index(a1_on, a2_on, c1_idx, c2_idx):
     """Two-queue builder enumeration order: (a1, a2, C1, C2) nested loops."""
     return ((a1_on * 2 + a2_on) * 4 + c1_idx) * 4 + c2_idx
+
+
+# -- reference ledger ----------------------------------------------------------
+#
+# The queue ledger as it was written with numpy counters and a dataclass per
+# departure. The code is kept as it was; only the names (Ref prefix) and the
+# docstrings changed, and the unused add_initial hook is left out. The
+# plain-float ledger of olacsim.queueing must reproduce it to the last bit.
+
+_REF_DUST = 1e-12
+
+
+@dataclass
+class RefDepartureRecord:
+    queue: int
+    amount: float
+    arrival_slot: int
+    departure_slot: int
+    was_null: bool
+
+
+@dataclass
+class RefAdjustmentRecord:
+    dropped: np.ndarray        # total amount removed per queue (newest first)
+    dropped_null: np.ndarray   # portion of `dropped` that was null padding
+    added_null: np.ndarray     # null amount appended per queue
+
+
+class RefQueueLedger:
+    """Per-queue chunk lists plus conservation counters."""
+
+    def __init__(self, r: int):
+        self.r = int(r)
+        self.chunks: list[deque] = [deque() for _ in range(self.r)]
+        self._totals = np.zeros(self.r)
+        # conservation counters (real = non-null)
+        self.arrived = np.zeros(self.r)
+        self.departed_real = np.zeros(self.r)
+        self.departed_null = np.zeros(self.r)  # null chunks served from the ledger
+        self.padding_null = np.zeros(self.r)   # service deficit, never enqueued
+        self.dropped_real = np.zeros(self.r)
+        self.dropped_null = np.zeros(self.r)
+        self.added_null = np.zeros(self.r)
+
+    @property
+    def totals(self) -> np.ndarray:
+        return self._totals.copy()
+
+    def remaining_real(self) -> np.ndarray:
+        return np.array([sum(c[1] for c in q if not c[2]) for q in self.chunks])
+
+
+def _ref_serve(ledger: RefQueueLedger, j: int, amount: float, slot: int, lifo: bool, out: list):
+    """Remove up to `amount` from queue j, newest-first when lifo."""
+    chunks = ledger.chunks[j]
+    need = amount
+    while need > _REF_DUST and chunks:
+        chunk = chunks[-1] if lifo else chunks[0]
+        take = chunk[1] if chunk[1] <= need else need
+        out.append(RefDepartureRecord(j, take, chunk[0], slot, chunk[2]))
+        if chunk[2]:
+            ledger.departed_null[j] += take
+        else:
+            ledger.departed_real[j] += take
+        need -= take
+        chunk[1] -= take
+        if chunk[1] <= _REF_DUST:
+            if lifo:
+                chunks.pop()
+            else:
+                chunks.popleft()
+    return need
+
+
+def ref_apply_slot(ledger: RefQueueLedger, arrivals, services, slot: int, discipline: str = "FIFO"):
+    """One slot of queue dynamics on numpy r-vectors; returns the departures it caused."""
+    lifo = discipline == "LIFO"
+    out: list[RefDepartureRecord] = []
+    for j, (a, mu) in enumerate(zip(arrivals.tolist(), services.tolist())):
+        if mu > 0:
+            deficit = _ref_serve(ledger, j, mu, slot, lifo, out)
+            if deficit > _REF_DUST:
+                out.append(RefDepartureRecord(j, deficit, slot, slot, True))
+                ledger.padding_null[j] += deficit
+        if a > 0:
+            ledger.chunks[j].append([slot, a, False])
+            ledger.arrived[j] += a
+        ledger._totals[j] = max(ledger._totals[j] - mu, 0.0) + a
+    return out
+
+
+def ref_adjust_to(ledger: RefQueueLedger, target, slot: int) -> RefAdjustmentRecord:
+    """Force totals to `target`: drop newest-first when above, pad with null below."""
+    target = np.asarray(target, dtype=float)
+    if target.shape != (ledger.r,):
+        raise ValueError("target must be an r-vector")
+    if (target < 0).any():
+        raise ValueError("target must be non-negative")
+    dropped = np.zeros(ledger.r)
+    dropped_null = np.zeros(ledger.r)
+    added = np.zeros(ledger.r)
+    for j in range(ledger.r):
+        excess = ledger._totals[j] - target[j]
+        if excess > 0:
+            chunks = ledger.chunks[j]
+            need = excess
+            while need > _REF_DUST and chunks:
+                chunk = chunks[-1]
+                take = chunk[1] if chunk[1] <= need else need
+                if chunk[2]:
+                    dropped_null[j] += take
+                    ledger.dropped_null[j] += take
+                else:
+                    ledger.dropped_real[j] += take
+                need -= take
+                chunk[1] -= take
+                if chunk[1] <= _REF_DUST:
+                    chunks.pop()
+            dropped[j] = excess
+        elif excess < 0:
+            ledger.chunks[j].append([slot, float(-excess), True])
+            ledger.added_null[j] += -excess
+            added[j] = -excess
+        ledger._totals[j] = float(target[j])
+    return RefAdjustmentRecord(dropped=dropped, dropped_null=dropped_null, added_null=added)
+
+
+@dataclass
+class RefDelayStats:
+    mean_delay: float | None
+    delivered_rate: np.ndarray
+
+
+class RefDelayAccumulator:
+    """Streaming amount-weighted delay over the real (non-null) departures."""
+
+    def __init__(self, r: int):
+        self.weighted_delay = np.zeros(r)
+        self.delivered = np.zeros(r)
+
+    def add_many(self, records) -> None:
+        for rec in records:
+            if not rec.was_null:
+                self.weighted_delay[rec.queue] += rec.amount * (rec.departure_slot - rec.arrival_slot)
+                self.delivered[rec.queue] += rec.amount
+
+    def finalize(self, horizon: int) -> RefDelayStats:
+        total = self.delivered.sum()
+        return RefDelayStats(
+            mean_delay=float(self.weighted_delay.sum() / total) if total > 0 else None,
+            delivered_rate=self.delivered / max(horizon, 1),
+        )

@@ -27,7 +27,7 @@ SEEDS10 = list(range(10))
 
 
 def run_many(jobs):
-    """Execute (instance, ctrl_kwargs, V, seed, horizon, zeta, trace, gamma_star) jobs."""
+    """Execute (instance, ctrl_kwargs, V, seed, horizon, zeta, trace, gamma_star, eta_0) jobs."""
     if len(jobs) <= 2:
         return [_execute_run(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=2) as pool:
@@ -48,7 +48,8 @@ def delay_runs(two_queue, analyses):
     """Criterion 3 sweep: all three controllers, V=100, horizon 1e5, 10 seeds."""
     ana = analyses[100.0]
     jobs = [
-        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.constants.D_p, False, ana.gamma_star)
+        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.constants.D_p, False, ana.gamma_star,
+         ana.eta_0)
         for kind in ("Backpressure", "OLAC", "OLAC2")
         for seed in SEEDS10
     ]
@@ -141,9 +142,10 @@ def convergence_runs(two_queue, analyses):
         ana = analyses[v]
         for kind in ("Backpressure", "OLAC2"):
             for seed in SEEDS10:
-                jobs.append(
-                    (two_queue, {"kind": kind, "V": v}, v, seed, 40_000, ana.constants.D_p, False, ana.gamma_star)
-                )
+                jobs.append((
+                    two_queue, {"kind": kind, "V": v}, v, seed, 40_000, ana.constants.D_p, False, ana.gamma_star,
+                    ana.eta_0,
+                ))
     results = run_many(jobs)
     out = {}
     for job, res in zip(jobs, results):
@@ -197,8 +199,8 @@ def olac_law_runs(instance, analyses, seeds, theta, trace):
         ctrl = {"kind": "OLAC", "V": v}
         if theta is not None:
             ctrl["theta"] = np.full(instance.r, theta(v))
-        gamma_star = (analyses.get(v) or compute_analysis(instance, instance.probabilities, v)).gamma_star
-        jobs += [(instance, ctrl, v, seed, 100_000, None, trace, gamma_star) for seed in v_seeds]
+        ana = analyses.get(v) or compute_analysis(instance, instance.probabilities, v)
+        jobs += [(instance, ctrl, v, seed, 100_000, None, trace, ana.gamma_star, ana.eta_0) for seed in v_seeds]
     runs = {v: [] for v in seeds}
     for job, res in zip(jobs, run_many(jobs)):
         runs[job[2]].append(res)

@@ -16,7 +16,8 @@ from olacsim.cli import (
 )
 
 
-SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "smoke.json")
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SMOKE = os.path.join(SCENARIOS, "smoke.json")
 
 
 def smoke_doc(**overrides):
@@ -98,6 +99,19 @@ class TestScenarioParsing:
         # older scenario documents (and perfbench's generated ones) still carry it
         scenario = Scenario.from_dict(smoke_doc(metric_sample_period=100))
         assert not hasattr(scenario, "metric_sample_period")
+
+    @pytest.mark.parametrize("key, value", [("traces", False), ("worker", 3)])
+    def test_unknown_top_level_key_rejected(self, key, value):
+        # a misspelt field would otherwise take its default without a word
+        with open(SMOKE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[key] = value
+        with pytest.raises(ScenarioError, match=f"unknown scenario key\\(s\\) '{key}'"):
+            Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("name", sorted(n for n in os.listdir(SCENARIOS) if n.endswith(".json")))
+    def test_shipped_scenarios_load(self, name):
+        Scenario.from_file(os.path.join(SCENARIOS, name))
 
     def test_bad_knob_fails_before_any_output(self, tmp_path):
         scen = tmp_path / "bad.json"
@@ -211,8 +225,8 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("kind", ["Backpressure", "OLAC"])
     def test_worker_returns_paths_only_for_traces(self, two_queue, kind):
-        off = _execute_run((two_queue, {"kind": kind}, 50.0, 0, 120, None, False, np.zeros(2)))
-        on = _execute_run((two_queue, {"kind": kind}, 50.0, 0, 120, None, True, np.zeros(2)))
+        off = _execute_run((two_queue, {"kind": kind}, 50.0, 0, 120, None, False, np.zeros(2), None))
+        on = _execute_run((two_queue, {"kind": kind}, 50.0, 0, 120, None, True, np.zeros(2), None))
         assert off.gamma_trace is off.beta_trace is off.queue_trace is off.cost_trace is None
         assert on.queue_trace.shape == (120, 2) and on.gamma_trace.shape == on.cost_trace.shape == (120,)
         assert (on.beta_trace is not None) == (kind == "OLAC")

@@ -6,14 +6,20 @@ from hypothesis import strategies as st
 from olacsim.controllers import ControllerConfig
 from olacsim.queueing import (
     DelayAccumulator,
-    DepartureRecord,
     QueueLedger,
     adjust_to,
     apply_slot,
 )
 from olacsim.sim import SimConfig, run
 
-from conftest import single_state_instance, total
+from conftest import (
+    RefDelayAccumulator,
+    RefQueueLedger,
+    ref_adjust_to,
+    ref_apply_slot,
+    single_state_instance,
+    total,
+)
 
 
 def ledger_with_chunks(chunks, r=1, queue=0):
@@ -45,23 +51,25 @@ class TestApplySlot:
         led = ledger_with_chunks([(0, 2.0), (1, 3.0)])
         recs = apply_slot(led, np.array([1.0]), np.array([3.0]), 2, "FIFO")
         assert total(led, 0) == pytest.approx(3.0, abs=1e-12)
-        served = [(r.arrival_slot, r.amount) for r in recs if not r.was_null]
+        served = [(arrived, amount) for _, amount, arrived, _, was_null in recs if not was_null]
         assert served == [(0, 2.0), (1, 1.0)]
-        assert not any(r.was_null for r in recs)
+        assert not any(was_null for *_, was_null in recs)
 
     def test_null_padding_when_empty(self):
         led = QueueLedger(1)
         recs = apply_slot(led, np.array([2.0]), np.array([2.0]), 4, "FIFO")
         assert total(led, 0) == pytest.approx(2.0)
-        nulls = [r for r in recs if r.was_null]
-        assert len(nulls) == 1 and nulls[0].amount == pytest.approx(2.0)
-        assert nulls[0].arrival_slot == 4 and nulls[0].departure_slot == 4
+        nulls = [rec for rec in recs if rec[4]]
+        assert len(nulls) == 1
+        _, amount, arrived, departed, _ = nulls[0]
+        assert amount == pytest.approx(2.0)
+        assert arrived == 4 and departed == 4
         assert list(led.chunks[0]) == [[4, 2.0, False]]
 
     def test_lifo_hand_trace(self):
         led = ledger_with_chunks([(0, 2.0), (1, 2.0)])
         recs = apply_slot(led, np.array([0.0]), np.array([3.0]), 5, "LIFO")
-        served = [(r.arrival_slot, r.amount, r.departure_slot - r.arrival_slot) for r in recs]
+        served = [(arrived, amount, departed - arrived) for _, amount, arrived, departed, _ in recs]
         assert served == [(1, 2.0, 4), (0, 1.0, 5)]
         assert list(led.chunks[0]) == [[0, 1.0, False]]
 
@@ -133,7 +141,7 @@ class TestAdjustTo:
 
 class TestDelayStats:
     def test_single_departure(self):
-        stats = delay_stats([DepartureRecord(0, 2.0, 3, 10, False)], horizon=20, r=1)
+        stats = delay_stats([(0, 2.0, 3, 10, False)], horizon=20, r=1)
         assert stats.mean_delay == pytest.approx(7.0)
         assert stats.delivered_rate[0] == pytest.approx(2.0 / 20)
 
@@ -143,7 +151,7 @@ class TestDelayStats:
         assert np.allclose(stats.delivered_rate, 0.0)
 
     def test_null_departures_excluded_by_default(self):
-        recs = [DepartureRecord(0, 1.0, 0, 5, False), DepartureRecord(0, 3.0, 5, 5, True)]
+        recs = [(0, 1.0, 0, 5, False), (0, 3.0, 5, 5, True)]
         stats = delay_stats(recs, horizon=10, r=1)
         assert stats.mean_delay == pytest.approx(5.0)
         assert stats.delivered_rate[0] == pytest.approx(0.1)  # null never counts as delivered
@@ -185,3 +193,76 @@ class TestConservation:
         assert null_in == pytest.approx(null_out, abs=1e-6)
         # chunk sum matches cached total
         assert chunk_sum(led, 0) == pytest.approx(total(led, 0), abs=1e-9)
+
+
+COUNTERS = ("arrived", "departed_real", "departed_null", "padding_null", "dropped_real", "dropped_null", "added_null")
+
+
+@st.composite
+def ledger_runs(draw):
+    """(r, discipline, slots, adjust slot, adjust scale, adjust offset).
+
+    A slot is (arrivals, services) per queue; a service ("backlog", extra)
+    serves the queue's backlog plus extra, so service at and above the
+    backlog is drawn often. The adjustment, at most one, sets queue j to
+    scale_j * q_j + offset_j, which lies above or below the backlog.
+    """
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    amount = st.one_of(st.just(0.0), st.floats(0, 3))
+    service = st.one_of(amount, st.tuples(st.just("backlog"), st.one_of(st.just(0.0), st.floats(0, 2))))
+    slots = [
+        (draw(st.lists(amount, min_size=r, max_size=r)), draw(st.lists(service, min_size=r, max_size=r)))
+        for _ in range(n)
+    ]
+    adjust_slot = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    scale = draw(st.lists(st.floats(0, 2), min_size=r, max_size=r))
+    offset = draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 3)), min_size=r, max_size=r))
+    return r, draw(st.sampled_from(["FIFO", "LIFO"])), slots, adjust_slot, scale, offset
+
+
+def chunk_lists(led):
+    return [[list(chunk) for chunk in chunks] for chunks in led.chunks]
+
+
+class TestReferenceLedger:
+    """The plain-float ledger against the numpy/dataclass ledger it replaced, compared with ==."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger_runs())
+    def test_bit_identical_to_reference(self, case):
+        r, discipline, slots, adjust_slot, scale, offset = case
+        led, ref = QueueLedger(r), RefQueueLedger(r)
+        acc, ref_acc = DelayAccumulator(r), RefDelayAccumulator(r)
+        for t, (arrivals, services) in enumerate(slots):
+            if t == adjust_slot:
+                target = [s * q + o for s, q, o in zip(scale, led._totals, offset)]
+                rec, ref_rec = adjust_to(led, np.array(target), t), ref_adjust_to(ref, np.array(target), t)
+                for name in ("dropped", "dropped_null", "added_null"):
+                    assert getattr(rec, name).tolist() == getattr(ref_rec, name).tolist()
+            mu = [q + s[1] if isinstance(s, tuple) else s for s, q in zip(services, led._totals)]
+            recs = apply_slot(led, arrivals, mu, t, discipline)
+            ref_recs = ref_apply_slot(ref, np.array(arrivals), np.array(mu), t, discipline)
+            assert recs == [
+                (d.queue, d.amount, d.arrival_slot, d.departure_slot, d.was_null) for d in ref_recs
+            ]
+            acc.add_many(recs)
+            ref_acc.add_many(ref_recs)
+            assert led.totals.tolist() == ref.totals.tolist()
+            for name in COUNTERS:
+                assert getattr(led, name) == getattr(ref, name).tolist(), name
+            assert chunk_lists(led) == chunk_lists(ref)
+        # the ledger's per-slot state stays plain Python floats
+        assert all(type(x) is float for name in ("_totals", *COUNTERS) for x in getattr(led, name))
+        stats, ref_stats = acc.finalize(len(slots)), ref_acc.finalize(len(slots))
+        assert stats.mean_delay == ref_stats.mean_delay
+        assert stats.delivered_rate.tolist() == ref_stats.delivered_rate.tolist()
+        assert led.remaining_real().tolist() == ref.remaining_real().tolist()
+        remaining = led.remaining_real()
+        for j in range(r):
+            assert led.arrived[j] == pytest.approx(
+                led.departed_real[j] + led.dropped_real[j] + remaining[j], abs=1e-6
+            )
+            assert led.added_null[j] == pytest.approx(
+                led.departed_null[j] + led.dropped_null[j] + remaining_null(led, j), abs=1e-6
+            )

@@ -239,3 +239,41 @@ class TestRunInputs:
         cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig(kind, 10.0))
         with pytest.raises(NoSlackError, match=f"^{kind}: .*eta_0 = 0 <= 0"):
             run(instance, cfg, np.zeros(1))
+
+    @pytest.mark.parametrize("kind", ["OLAC", "OLAC2"])
+    def test_supplied_eta_0_replaces_the_slack_solve(self, two_queue, gamma_star_100, kind, monkeypatch):
+        # the same float the learner would solve for, so the run is bit-identical
+        import olacsim.dual
+
+        eta_0 = olacsim.dual.max_slack(two_queue, two_queue.probabilities)
+        ctrl = ControllerConfig(kind, 100.0)
+        solved = run(two_queue, SimConfig(horizon=300, seed=4, controller=ctrl), gamma_star_100)
+
+        def no_slack_lp(*args):
+            raise AssertionError("the slack LP was solved again")
+
+        monkeypatch.setattr(olacsim.dual, "max_slack", no_slack_lp)
+        given_eta = run(two_queue, SimConfig(horizon=300, seed=4, controller=ctrl, eta_0=eta_0), gamma_star_100)
+        assert (given_eta.avg_cost, given_eta.avg_backlog, given_eta.delay.mean_delay) == (
+            solved.avg_cost, solved.avg_backlog, solved.delay.mean_delay,
+        )
+        assert np.array_equal(given_eta.queue_trace, solved.queue_trace)
+        assert given_eta.solver_flagged_slots == solved.solver_flagged_slots
+
+    @pytest.mark.parametrize("kind", ["OLAC", "OLAC2"])
+    @pytest.mark.parametrize("eta_0", [0.0, -0.5])
+    def test_non_positive_supplied_eta_0_rejected_before_first_slot(self, two_queue, kind, eta_0, monkeypatch):
+        import olacsim.sim
+
+        def no_slot(*args):
+            raise AssertionError("a slot ran")
+
+        monkeypatch.setattr(olacsim.sim, "apply_slot", no_slot)
+        cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig(kind, 1.0, c=0.5), eta_0=eta_0)
+        with pytest.raises(NoSlackError, match=f"^{kind}: .*eta_0 = {eta_0:g} <= 0"):
+            run(two_queue, cfg, np.zeros(2))
+
+    @pytest.mark.parametrize("eta_0", [np.nan, np.inf])
+    def test_non_finite_eta_0_rejected_by_config(self, eta_0):
+        with pytest.raises(ValueError, match="eta_0 must be None or finite"):
+            SimConfig(horizon=10, seed=0, controller=ControllerConfig("OLAC", 1.0), eta_0=eta_0)
