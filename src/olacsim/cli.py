@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -227,22 +228,44 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _execute_run(args):
-    """Worker entry: one (controller, V, seed) simulation; its exception if it fails.
+def _execute_run(args, unit_beta=None):
+    """One (controller, V, seed) simulation; its exception if it fails.
 
-    Without ``trace`` the per-slot paths are dropped here, so neither the
-    pool's pickles nor the collector hold a full-length path per run.
+    ``unit_beta`` is OLAC's V = 1 beta path from an earlier run of the same
+    seed (``SimConfig.unit_beta``). Without ``trace`` the per-slot paths are
+    dropped here, so neither the pool's pickles nor the collector hold a
+    full-length path per run.
     """
     instance, ctrl_kwargs, v, seed, horizon, zeta, trace, gamma_star, eta_0 = args
     try:
         ctrl = ControllerConfig(**{**ctrl_kwargs, "V": v})
-        cfg = SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, eta_0=eta_0)
+        cfg = SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, eta_0=eta_0, unit_beta=unit_beta)
         res = run(instance, cfg, gamma_star)
     except Exception as exc:  # recorded per run by the collector
         return exc
     if not trace:
         res.gamma_trace = res.beta_trace = res.queue_trace = res.cost_trace = None
     return res
+
+
+def _execute_seed(jobs):
+    """Worker entry: one (controller, seed)'s runs, one per V in scenario order.
+
+    The jobs share the instance, seed, horizon and eta_0, so they sample the
+    same states, and OLAC's beta path, learned at V = 1 and scaled by V, is
+    the same for every V: the first run that learns it hands it to the later
+    ones. The path is dropped from every result before they are returned.
+    """
+    outcomes, unit_beta = [], None
+    for job in jobs:
+        res = _execute_run(job, unit_beta)
+        if unit_beta is None and isinstance(res, RunResult):
+            unit_beta = res.unit_beta
+        outcomes.append(res)
+    for res in outcomes:
+        if isinstance(res, RunResult):
+            res.unit_beta = None
+    return outcomes
 
 
 def _perturbed_distributions(pi: np.ndarray, count: int, eps: float, seed: int):
@@ -304,12 +327,16 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
 
     Oracles (gamma*, f*, eta_0, rho_hat, D_p) are computed once per V in the
     parent process, with the V-independent policy and slack LPs solved for
-    the first V only; runs execute in a pool of min(workers, runs) processes
-    when that is more than one; a single collector writes all outputs sorted
-    by (controller, V, seed). A run that raises is recorded in the manifest
-    (status "error", counted in "failed") and the other runs' outputs are
-    still written. Each run gets the oracle's gamma* and eta_0, so the
-    learners do not solve the slack LP again.
+    the first V only. The runs are grouped into one task per (controller,
+    seed), which runs that seed's V values in scenario order: OLAC's beta path
+    does not depend on V, so it is learned once per task, in the task's first
+    run that succeeds, and scaled by V in the others (``SimConfig.unit_beta``).
+    Tasks execute in a pool of min(workers, tasks) processes when that is more
+    than one; a single collector writes all outputs, the manifest in
+    (controller, V, seed) order and summary.csv sorted by it. A run that
+    raises is recorded in the manifest (status "error", counted in "failed")
+    and the other runs' outputs are still written. Each run gets the oracle's
+    gamma* and eta_0, so the learners do not solve the slack LP again.
     """
     out_dir = out_dir or scenario.out_dir or os.environ.get(OUT_DIR_ENV, "out")
     workers = workers if workers is not None else scenario.workers
@@ -333,27 +360,31 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     oracle_rows = [_oracle_row(ana, r, min_slack) for ana in analyses.values()]
     _write_csv(os.path.join(out_dir, "oracle.csv"), _oracle_columns(r), oracle_rows)
 
-    jobs = []
-    for ctrl_kwargs in scenario.controllers:
-        for v in scenario.v_values:
-            ana = analyses[v]
-            zeta = ana.constants.D_p if scenario.zeta_policy == "auto_Dp" else scenario.zeta_value
-            if zeta is not None and math.isnan(zeta):
-                zeta = None
-            for seed in scenario.seeds:
-                jobs.append((instance, ctrl_kwargs, v, seed, scenario.horizon, zeta, trace, ana.gamma_star, ana.eta_0))
+    zetas = {}
+    for v, ana in analyses.items():
+        zeta = ana.constants.D_p if scenario.zeta_policy == "auto_Dp" else scenario.zeta_value
+        zetas[v] = None if zeta is not None and math.isnan(zeta) else zeta
+    tasks = [
+        [(instance, ctrl_kwargs, v, seed, scenario.horizon, zetas[v], trace, analyses[v].gamma_star,
+          analyses[v].eta_0) for v in scenario.v_values]
+        for ctrl_kwargs in scenario.controllers
+        for seed in scenario.seeds
+    ]
 
     manifest = {"runs": [], "failed": 0, "out_dir": os.path.abspath(out_dir)}
-    # a fork pool starts all its processes at once, so it gets no more than there are runs
-    workers = min(workers, len(jobs))
+    # a fork pool starts all its processes at once, so it gets no more than there are tasks
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_execute_run, jobs, chunksize=1))
+            outcomes = list(pool.map(_execute_seed, tasks, chunksize=1))
     else:
-        outcomes = [_execute_run(job) for job in jobs]
+        outcomes = [_execute_seed(task) for task in tasks]
 
+    # back to (controller, V, seed) order: task i * seeds + s holds its seed's runs in V order
+    n_seeds = len(scenario.seeds)
     summary_rows = []
-    for job, res in zip(jobs, outcomes):
+    for i, k, s in itertools.product(range(len(scenario.controllers)), range(len(scenario.v_values)), range(n_seeds)):
+        job, res = tasks[i * n_seeds + s][k], outcomes[i * n_seeds + s][k]
         _, ctrl_kwargs, v, seed, horizon, *_ = job
         label = ctrl_kwargs["kind"]
         if isinstance(res, Exception):

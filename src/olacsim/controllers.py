@@ -69,21 +69,28 @@ class ControllerConfig:
         return max(1, round(self.V**self.c))
 
 
-def _decide_weighted(instance: NetworkInstance, state_id: int, weights: np.ndarray, V: float) -> int:
+def _decide_weighted(instance: NetworkInstance, state_id: int, weights: np.ndarray, V: float,
+                     neg_v_costs: np.ndarray | None) -> int:
     # padded actions have cost +inf, hence score -inf; never selected
-    scores = -V * instance.costs[state_id] - instance.drift[state_id] @ weights
+    base = -V * instance.costs[state_id] if neg_v_costs is None else neg_v_costs[state_id]
+    scores = base - instance.drift[state_id] @ weights
     return int(scores.argmax())
 
 
-def bp_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, V: float) -> int:
-    """Max-weight rule: argmax of -V*f + q.(mu - A); ties to the smallest id."""
-    return _decide_weighted(instance, state_id, q, V)
+def bp_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, V: float,
+              neg_v_costs: np.ndarray | None = None) -> int:
+    """Max-weight rule: argmax of -V*f + q.(mu - A); ties to the smallest id.
+
+    ``neg_v_costs`` is ``-V * instance.costs`` when the caller builds it once
+    for many slots; the scores are the same floats either way.
+    """
+    return _decide_weighted(instance, state_id, q, V, neg_v_costs)
 
 
 def olac_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, beta: np.ndarray, theta: np.ndarray,
-                V: float) -> int:
-    """Backpressure rule on the effective backlog q + beta - theta (unclamped)."""
-    return _decide_weighted(instance, state_id, q + beta - theta, V)
+                V: float, neg_v_costs: np.ndarray | None = None) -> int:
+    """Backpressure rule on the effective backlog q + beta - theta (unclamped); ``neg_v_costs`` as for bp_decide."""
+    return _decide_weighted(instance, state_id, q + beta - theta, V, neg_v_costs)
 
 
 def olac2_step(instance: NetworkInstance, dist, cfg: ControllerConfig, eta_0: float | None = None) -> DualSolveResult:

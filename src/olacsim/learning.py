@@ -44,7 +44,10 @@ def dual_learn(instance: NetworkInstance, states, V: float, eta_0: float | None 
     Returns the (len(states), r) path and the number of slots at which the box
     binds (some beta_j = xi). beta(0) = 0. ``eta_0`` is the true
     distribution's slack when the caller has already solved it; it is solved
-    here otherwise.
+    here otherwise. The path is V times the V = 1 path, bit for bit, and the
+    count does not depend on V: ``sim.run`` learns at V = 1 and scales, and a
+    sweep learns once per (controller, seed) and hands that path to the same
+    seed's runs at other V (``SimConfig.unit_beta``).
     """
     states = np.asarray(states, dtype=np.int64)
     H = len(states)

@@ -5,7 +5,9 @@ the seed is split into two independent streams (state sampling, reserved) via
 SeedSequence spawning, and the generator name is echoed in the run metadata.
 Identical (instance, config, gamma_star) inputs reproduce bit-identical
 results. The learned multipliers depend on the states only, so OLAC's whole
-path and OLAC2's one-shot learn run before the slot loop.
+path and OLAC2's one-shot learn run before the slot loop. OLAC's path is
+learned at V = 1 and scaled by V, so runs of one seed at several V can share
+it (``SimConfig.unit_beta``).
 
 The multiplier estimate whose convergence is measured is q(t) for
 Backpressure and OLAC2 and q(t) + beta(t) - theta for OLAC; at OLAC2's learn
@@ -34,6 +36,14 @@ SUSTAIN_WINDOW = 100
 
 @dataclass
 class SimConfig:
+    """One run's settings; ``eta_0`` and ``unit_beta`` are optional hand-overs from the sweep.
+
+    Both are results the run would otherwise compute itself and that do not
+    depend on V: the oracle's slack ``eta_0``, and OLAC's V = 1 beta path from
+    an earlier run of the same seed. Either way the run's outputs are the same
+    bit for bit.
+    """
+
     horizon: int
     seed: int
     controller: ControllerConfig
@@ -42,6 +52,9 @@ class SimConfig:
     # the true distribution's service slack max_slack(instance, instance.probabilities)
     # when the caller has solved it (the sweep's oracle); the learners solve it otherwise
     eta_0: float | None = None
+    # RunResult.unit_beta of an earlier OLAC run with the same instance, seed,
+    # horizon and eta_0; this run scales it by its V (other kinds ignore it)
+    unit_beta: tuple[np.ndarray, int] | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -70,6 +83,9 @@ class RunResult:
     # beta(t), or OLAC2's gamma (one slot, T_l)
     solver_flagged_slots: int = 0
     metadata: dict = field(default_factory=dict)
+    # OLAC: the (horizon, r) beta path at V = 1 and its box-bound slot count,
+    # for SimConfig.unit_beta of the same seed's runs at other V
+    unit_beta: tuple[np.ndarray, int] | None = None
 
 
 def sample_states(instance: NetworkInstance, horizon: int, seed: int) -> np.ndarray:
@@ -114,6 +130,17 @@ def _check_inputs(instance: NetworkInstance, cfg: SimConfig) -> None:
             raise ValueError(f"initial_backlog has shape {backlog.shape}, expected ({instance.r},)")
         if not (np.isfinite(backlog).all() and (backlog >= 0).all()):
             raise ValueError("initial_backlog must be finite and non-negative")
+    if cfg.unit_beta is not None:
+        path, flagged = cfg.unit_beta
+        expected = (cfg.horizon, instance.r)
+        if np.shape(path) != expected:
+            raise ValueError(f"unit_beta's path has shape {np.shape(path)}, expected {expected}")
+        if not (np.isfinite(path).all() and (np.asarray(path) >= 0).all()):
+            raise ValueError("unit_beta's path must be finite and non-negative")
+        if not (isinstance(flagged, (int, np.integer)) and 0 <= flagged <= cfg.horizon):
+            raise ValueError(
+                f"unit_beta's flagged slot count must be an integer in [0, {cfg.horizon}], got {flagged!r}"
+            )
 
 
 def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
@@ -141,11 +168,16 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
 
     states_seq = sample_states(instance, H, cfg.seed)
     flagged = 0
+    unit_beta = None
     # both learners see the states only, so they run before the first slot,
     # which is where an instance without service slack is rejected
     try:
         if olac:
-            beta_path, flagged = dual_learn(instance, states_seq, V, eta_0=cfg.eta_0)
+            # learned at V = 1 and scaled: V * beta(t; 1) is dual_learn(..., V) bit for bit
+            unit_beta = cfg.unit_beta
+            if unit_beta is None:
+                unit_beta = dual_learn(instance, states_seq, 1.0, eta_0=cfg.eta_0)
+            beta_path, flagged = V * np.asarray(unit_beta[0], dtype=float), int(unit_beta[1])
         elif t_learn is not None and t_learn < H:
             empirical = np.bincount(states_seq[:t_learn], minlength=instance.M) / t_learn
             learned = olac2_step(instance, empirical, ctrl, eta_0=cfg.eta_0)
@@ -164,18 +196,21 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     # per-(state, action) rows of r floats, read by the ledger once per slot
     arrival_rows = instance.arrivals.tolist()
     service_rows = instance.services.tolist()
+    neg_v_costs = -V * instance.costs
+    # the ledger's float list, updated in place; each slot copies it into its q_path row
+    totals = ledger._totals
 
     for t, sid in enumerate(states_seq.tolist()):
-        q = ledger.totals
+        q = q_path[t]
+        q[:] = totals
         if olac:
-            action = olac_decide(instance, sid, q, beta_path[t], theta, V)
+            action = olac_decide(instance, sid, q, beta_path[t], theta, V, neg_v_costs)
         else:
-            action = bp_decide(instance, sid, q, V)
+            action = bp_decide(instance, sid, q, V, neg_v_costs)
             if t == t_learn:
                 # OLAC2 keeps the action taken on the backlog before the adjustment
                 dropped += adjust_to(ledger, learned.gamma, t).dropped
-                q = ledger.totals
-        q_path[t] = q
+                q[:] = totals
         actions[t] = action
         records = apply_slot(ledger, arrival_rows[sid][action], service_rows[sid][action], t, discipline)
         delay_acc.add_many(records)
@@ -219,4 +254,5 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         cost_trace=costs,
         solver_flagged_slots=flagged,
         metadata=metadata,
+        unit_beta=unit_beta,
     )

@@ -369,8 +369,10 @@ class TestCriterion8:
         mus = rng.uniform(0, 3.0, size=n)
         arrs = rng.uniform(0, 3.0, size=n) * np.where(np.arange(n) % 200_000 < 100_000, 1.2, 0.6)
         worst = 0.0
+        # one-float list rows, as sim.run hands the ledger
+        arr_rows, mu_rows = arrs[:, None].tolist(), mus[:, None].tolist()
         for t in range(n):
-            apply_slot(led, arrs[t : t + 1], mus[t : t + 1], t, "LIFO" if t % 2 else "FIFO")
+            apply_slot(led, arr_rows[t], mu_rows[t], t, "LIFO" if t % 2 else "FIFO")
             q = max(q - mus[t], 0.0) + arrs[t]
             worst = max(worst, abs(total(led, 0) - q))
         conserved = abs(led.arrived[0] - (led.departed_real[0] + led.remaining_real()[0]))

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from olacsim.cli import (
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SMOKE = os.path.join(SCENARIOS, "smoke.json")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def smoke_doc(**overrides):
@@ -182,13 +184,98 @@ class TestRunScenario:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_workers_do_not_change_outputs(self, tmp_path):
-        doc = smoke_doc()
-        run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "serial"))
+        # several V per seed: OLAC's shared beta path must not depend on how the pool splits the tasks
+        doc = smoke_doc(V_values=[20, 50], seeds=[0, 1, 2], trace=True)
+        serial = run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "serial"))
         doc["workers"] = 2
-        run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "pooled"))
-        assert (tmp_path / "serial" / "summary.csv").read_bytes() == (
-            tmp_path / "pooled" / "summary.csv"
-        ).read_bytes()
+        pooled = run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "pooled"))
+        assert serial["runs"] == pooled["runs"] and serial["failed"] == pooled["failed"] == 0
+        names = sorted(p.name for p in (tmp_path / "serial").glob("*.csv"))
+        assert len(names) == 2 + 18 and names == sorted(p.name for p in (tmp_path / "pooled").glob("*.csv"))
+        for name in names:
+            assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes(), name
+
+    def test_several_v_sweep_matches_single_v_sweeps(self, tmp_path):
+        # OLAC learns its beta path once per seed and scales it by each V; every
+        # row and trace is the one a sweep of that V alone writes
+        doc = smoke_doc(V_values=[20, 100, 50], trace=True)
+        manifest = run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "all"))
+        # the manifest keeps the (controller, V, seed) order of the scenario
+        assert [(r["controller"], r["V"], r["seed"]) for r in manifest["runs"]] == [
+            (kind, v, seed) for kind in ("Backpressure", "OLAC", "OLAC2") for v in (20.0, 100.0, 50.0) for seed in (0, 1)
+        ]
+        summary = (tmp_path / "all" / "summary.csv").read_text().splitlines()
+        for v in (20, 50, 100):
+            one = tmp_path / str(v)
+            run_scenario(Scenario.from_dict({**doc, "V_values": [v]}), out_dir=str(one))
+            assert (one / "summary.csv").read_text().splitlines() == [
+                summary[0], *(row for row in summary[1:] if row.split(",")[1] == repr(float(v)))
+            ]
+            for trace in one.glob("trace_*.csv"):
+                assert trace.read_bytes() == (tmp_path / "all" / trace.name).read_bytes(), trace.name
+
+    def test_beta_path_learned_once_per_seed(self, tmp_path, monkeypatch):
+        # perfbench's assumption_sweep document (6 seeds, V 20 to 200) at a shorter horizon
+        import importlib.util
+        import olacsim.sim
+
+        sys.path.insert(0, PERFBENCH)
+        try:
+            spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(PERFBENCH, "run.py"))
+            perfbench = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, spec.name, perfbench)  # its dataclasses look their module up
+            spec.loader.exec_module(perfbench)
+        finally:
+            sys.path.remove(PERFBENCH)
+        doc = {**perfbench.WORKLOADS["assumption_sweep"].document(7), "horizon": 200, "trace": False}
+        calls = []
+        real = olacsim.sim.dual_learn
+
+        def counted(instance, states, V, eta_0=None):
+            calls.append(V)
+            return real(instance, states, V, eta_0=eta_0)
+
+        monkeypatch.setattr(olacsim.sim, "dual_learn", counted)
+        scenario = Scenario.from_dict(doc)
+        manifest = run_scenario(scenario, out_dir=str(tmp_path / "first"))
+        assert manifest["failed"] == 0 and len(manifest["runs"]) == 3 * 4 * 6
+        assert calls == [1.0] * 6
+        # nothing is kept between sweeps
+        run_scenario(scenario, out_dir=str(tmp_path / "second"))
+        assert calls == [1.0] * 12
+        assert (tmp_path / "first" / "summary.csv").read_bytes() == (tmp_path / "second" / "summary.csv").read_bytes()
+
+    def test_first_run_of_a_seed_fails(self, tmp_path, monkeypatch):
+        # the failed run hands no path over: the seed's next V learns its own,
+        # and every other row is the row of a sweep without the failure
+        import olacsim.cli
+        import olacsim.sim
+
+        doc = smoke_doc(controllers=[{"kind": "OLAC"}], V_values=[20, 50, 100])
+        clean = tmp_path / "clean"
+        run_scenario(Scenario.from_dict(doc), out_dir=str(clean))
+        real_run, real_learn = olacsim.cli.run, olacsim.sim.dual_learn
+        learns = []
+
+        def failing_run(instance, cfg, gamma_star):
+            if (cfg.controller.V, cfg.seed) == (20.0, 1):
+                raise RuntimeError("injected failure")
+            return real_run(instance, cfg, gamma_star)
+
+        def counted(instance, states, V, eta_0=None):
+            learns.append(len(states))
+            return real_learn(instance, states, V, eta_0=eta_0)
+
+        monkeypatch.setattr(olacsim.cli, "run", failing_run)
+        monkeypatch.setattr(olacsim.sim, "dual_learn", counted)
+        manifest = run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "out"))
+        assert learns == [300, 300]
+        assert manifest["failed"] == 1
+        assert [r for r in manifest["runs"] if r["status"] != "ok"] == [
+            {"controller": "OLAC", "V": 20.0, "seed": 1, "status": "error", "error": "RuntimeError: injected failure"}
+        ]
+        rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert rows == [row for row in read_csv(clean / "summary.csv") if (row["V"], row["seed"]) != ("20.0", "1")]
 
     @pytest.mark.parametrize("workers, runs, pool_size", [(5000, 2, 2), (2, 1, None), (2, 3, 2)])
     def test_pool_never_larger_than_the_sweep(self, tmp_path, monkeypatch, workers, runs, pool_size):

@@ -94,8 +94,10 @@ class TestApplySlot:
         arrs[: n // 3] *= 1.2      # overload: queue builds
         arrs[n // 3 :] *= 0.6      # drain: queue empties often
         worst = 0.0
+        # one-float list rows, as sim.run hands the ledger
+        arr_rows, mu_rows = arrs[:, None].tolist(), mus[:, None].tolist()
         for t in range(n):
-            apply_slot(led, arrs[t : t + 1], mus[t : t + 1], t, "FIFO")
+            apply_slot(led, arr_rows[t], mu_rows[t], t, "FIFO")
             q = max(q - mus[t], 0.0) + arrs[t]
             worst = max(worst, abs(total(led, 0) - q))
         assert worst <= 1e-9

@@ -277,3 +277,59 @@ class TestRunInputs:
     def test_non_finite_eta_0_rejected_by_config(self, eta_0):
         with pytest.raises(ValueError, match="eta_0 must be None or finite"):
             SimConfig(horizon=10, seed=0, controller=ControllerConfig("OLAC", 1.0), eta_0=eta_0)
+
+
+class TestUnitBeta:
+    """OLAC's beta path is learned at V = 1 and scaled, so a run can take another V's path."""
+
+    @pytest.mark.parametrize("V", [20.0, 100.0, 700.0])
+    def test_handed_over_path_replaces_the_learn(self, two_queue, gamma_star_100, V, monkeypatch):
+        import olacsim.sim
+
+        learner = run(two_queue, SimConfig(horizon=400, seed=2, controller=ControllerConfig("OLAC", 50.0)),
+                      gamma_star_100)
+        path, flagged = learner.unit_beta
+        assert path.shape == (400, 2) and flagged == learner.solver_flagged_slots
+        cfg = SimConfig(horizon=400, seed=2, controller=ControllerConfig("OLAC", V), zeta=30.0)
+        learned = run(two_queue, cfg, gamma_star_100)
+
+        def no_learn(*args, **kwargs):
+            raise AssertionError("the beta path was learned again")
+
+        monkeypatch.setattr(olacsim.sim, "dual_learn", no_learn)
+        cfg.unit_beta = learner.unit_beta
+        shared = run(two_queue, cfg, gamma_star_100)
+        for name in ("avg_cost", "avg_backlog", "t_zeta_first", "solver_flagged_slots"):
+            assert getattr(shared, name) == getattr(learned, name)
+        assert shared.delay.mean_delay == learned.delay.mean_delay
+        for name in ("queue_trace", "gamma_trace", "beta_trace", "cost_trace"):
+            assert np.array_equal(getattr(shared, name), getattr(learned, name))
+        assert shared.unit_beta is learner.unit_beta
+
+    def test_other_kinds_return_no_path(self, two_queue, gamma_star_100):
+        for kind in ("Backpressure", "OLAC2"):
+            res = run(two_queue, SimConfig(horizon=50, seed=0, controller=ControllerConfig(kind, 20.0)), gamma_star_100)
+            assert res.unit_beta is None
+
+    @pytest.mark.parametrize("path, flagged, match", [
+        (np.zeros((9, 2)), 0, r"shape \(9, 2\), expected \(10, 2\)"),
+        (np.zeros((10, 3)), 0, r"shape \(10, 3\), expected \(10, 2\)"),
+        (np.zeros(20), 0, r"shape \(20,\), expected \(10, 2\)"),
+        (np.full((10, 2), np.nan), 0, "finite and non-negative"),
+        (np.full((10, 2), np.inf), 0, "finite and non-negative"),
+        (np.full((10, 2), -1e-9), 0, "finite and non-negative"),
+        (np.zeros((10, 2)), -1, "integer in"),
+        (np.zeros((10, 2)), 11, "integer in"),
+        (np.zeros((10, 2)), 2.0, "integer in"),
+    ])
+    def test_bad_handed_over_path_rejected_before_first_slot(self, two_queue, path, flagged, match, monkeypatch):
+        import olacsim.sim
+
+        def no_slot(*args, **kwargs):
+            raise AssertionError("a slot ran or the path was learned")
+
+        monkeypatch.setattr(olacsim.sim, "apply_slot", no_slot)
+        monkeypatch.setattr(olacsim.sim, "dual_learn", no_slot)
+        cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig("OLAC", 10.0), unit_beta=(path, flagged))
+        with pytest.raises(ValueError, match=f"unit_beta's .*{match}"):
+            run(two_queue, cfg, np.zeros(2))
