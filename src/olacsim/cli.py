@@ -228,23 +228,48 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_trace(path, queue_trace, gamma_trace, beta_trace, cost_trace):
+    """One run's trace CSV ``(slot, q_1..q_r, dist_gamma, dist_beta, inst_cost)``, a column at a time.
+
+    Each path becomes Python floats once and each cell is the float's
+    ``repr``, the text ``_fmt`` gives it; no such text holds a comma or a
+    quote, so ``csv.writer`` would quote none of them. The slot is the row
+    index, and ``dist_beta`` is empty without a beta path.
+    """
+    horizon, r = queue_trace.shape
+    header = ["slot", *(f"q_{j + 1}" for j in range(r)), "dist_gamma", "dist_beta", "inst_cost"]
+    beta = map(repr, beta_trace.tolist()) if beta_trace is not None else itertools.repeat("", horizon)
+    columns = [
+        map(str, range(horizon)),
+        *(map(repr, q) for q in queue_trace.T.tolist()),
+        map(repr, gamma_trace.tolist()),
+        beta,
+        map(repr, cost_trace.tolist()),
+    ]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
+
+
 def _execute_run(args, unit_beta=None):
-    """One (controller, V, seed) simulation; its exception if it fails.
+    """One (controller, V, seed) simulation without its per-slot paths; its exception if it fails.
 
     ``unit_beta`` is OLAC's V = 1 beta path from an earlier run of the same
-    seed (``SimConfig.unit_beta``). Without ``trace`` the per-slot paths are
-    dropped here, so neither the pool's pickles nor the collector hold a
-    full-length path per run.
+    seed (``SimConfig.unit_beta``). With a ``trace_dir`` the run's trace file
+    is written there first, in the task that ran it; then the paths are
+    dropped, so neither the pool's pickles nor the collector hold a
+    full-length path per run. A failed write is not a failed run: it raises.
     """
-    instance, ctrl_kwargs, v, seed, horizon, zeta, trace, gamma_star, eta_0 = args
+    instance, ctrl_kwargs, v, seed, horizon, zeta, trace_dir, gamma_star, eta_0 = args
     try:
         ctrl = ControllerConfig(**{**ctrl_kwargs, "V": v})
         cfg = SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, eta_0=eta_0, unit_beta=unit_beta)
         res = run(instance, cfg, gamma_star)
     except Exception as exc:  # recorded per run by the collector
         return exc
-    if not trace:
-        res.gamma_trace = res.beta_trace = res.queue_trace = res.cost_trace = None
+    if trace_dir is not None:
+        path = os.path.join(trace_dir, f"trace_{ctrl_kwargs['kind']}_V{v:g}_seed{seed}.csv")
+        _write_trace(path, res.queue_trace, res.gamma_trace, res.beta_trace, res.cost_trace)
+    res.gamma_trace = res.beta_trace = res.queue_trace = res.cost_trace = None
     return res
 
 
@@ -332,11 +357,14 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     does not depend on V, so it is learned once per task, in the task's first
     run that succeeds, and scaled by V in the others (``SimConfig.unit_beta``).
     Tasks execute in a pool of min(workers, tasks) processes when that is more
-    than one; a single collector writes all outputs, the manifest in
-    (controller, V, seed) order and summary.csv sorted by it. A run that
-    raises is recorded in the manifest (status "error", counted in "failed")
-    and the other runs' outputs are still written. Each run gets the oracle's
-    gamma* and eta_0, so the learners do not solve the slack LP again.
+    than one. With traces, each run's trace file is written by the task that
+    ran it, right after the run, and no run hands its per-slot paths back. A
+    single collector writes the other outputs, the manifest in (controller,
+    V, seed) order and summary.csv sorted by it. A run that raises is
+    recorded in the manifest (status "error", counted in "failed") and the
+    other runs' outputs are still written; a failed output write raises. Each
+    run gets the oracle's gamma* and eta_0, so the learners do not solve the
+    slack LP again.
     """
     out_dir = out_dir or scenario.out_dir or os.environ.get(OUT_DIR_ENV, "out")
     workers = workers if workers is not None else scenario.workers
@@ -364,8 +392,9 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     for v, ana in analyses.items():
         zeta = ana.constants.D_p if scenario.zeta_policy == "auto_Dp" else scenario.zeta_value
         zetas[v] = None if zeta is not None and math.isnan(zeta) else zeta
+    trace_dir = out_dir if trace else None
     tasks = [
-        [(instance, ctrl_kwargs, v, seed, scenario.horizon, zetas[v], trace, analyses[v].gamma_star,
+        [(instance, ctrl_kwargs, v, seed, scenario.horizon, zetas[v], trace_dir, analyses[v].gamma_star,
           analyses[v].eta_0) for v in scenario.v_values]
         for ctrl_kwargs in scenario.controllers
         for seed in scenario.seeds
@@ -394,12 +423,6 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
             continue
         summary_rows.append(_summary_row(label, v, seed, horizon, res, r))
         manifest["runs"].append({"controller": label, "V": v, "seed": seed, "status": "ok"})
-        if trace:
-            trace_path = os.path.join(out_dir, f"trace_{label}_V{v:g}_seed{seed}.csv")
-            header = ["slot"] + [f"q_{j + 1}" for j in range(r)] + ["dist_gamma", "dist_beta", "inst_cost"]
-            beta = res.beta_trace if res.beta_trace is not None else [None] * horizon
-            paths = zip(res.queue_trace, res.gamma_trace, beta, res.cost_trace)
-            _write_csv(trace_path, header, ([t, *q, g, b, c] for t, (q, g, b, c) in enumerate(paths)))
 
     summary_rows.sort(key=lambda row: (row[0], row[1], row[2]))
     _write_csv(os.path.join(out_dir, "summary.csv"), _summary_columns(r), summary_rows)
@@ -459,10 +482,11 @@ def emit_plotdata(summary_path, out_dir=None) -> list[str]:
         if not os.path.exists(path):
             continue
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            for trow in csv.DictReader(fh):
+            reader = csv.DictReader(fh)
+            qcols = sorted((k for k in reader.fieldnames or () if k.startswith("q_")), key=lambda s: int(s[2:]))
+            for trow in reader:
                 out = [ctrl, v, seeds[0], int(trow["slot"])]
-                qcols = [k for k in trow if k.startswith("q_")]
-                out += [float(trow[k]) for k in sorted(qcols, key=lambda s: int(s[2:]))]
+                out += [float(trow[k]) for k in qcols]
                 out.append(float(trow["dist_gamma"]))
                 trace_rows.append(out)
     qcount = max((len(rw) - 5 for rw in trace_rows), default=0)

@@ -74,7 +74,7 @@ class RunResult:
     t_zeta_sustained: int | None
     dropped: np.ndarray
     # per-slot paths, one entry per slot (beta_trace for OLAC only); a sweep
-    # that writes no trace files drops them from its results
+    # writes them to its trace files, if any, and drops them from its results
     gamma_trace: np.ndarray | None
     beta_trace: np.ndarray | None
     queue_trace: np.ndarray | None

@@ -44,8 +44,8 @@ def per_state_dual(instance, state_id, gamma, V):
 
 
 def total(ledger, j):
-    """Queue j's backlog as a float, from the ledger's cached totals."""
-    return float(ledger.totals[j])
+    """Queue j's backlog as a float, read from the ledger's float list of totals."""
+    return ledger._totals[j]
 
 
 def random_instance(rng, max_m=8, max_r=2, max_actions=5):

@@ -26,12 +26,19 @@ from conftest import random_slack_instances, single_state_instance, total
 SEEDS10 = list(range(10))
 
 
-def run_many(jobs):
-    """Execute (instance, ctrl_kwargs, V, seed, horizon, zeta, trace, gamma_star, eta_0) jobs."""
+def run_many(jobs, worker=_execute_run):
+    """Execute (instance, ctrl_kwargs, V, seed, horizon, zeta, trace_dir, gamma_star, eta_0) jobs."""
     if len(jobs) <= 2:
-        return [_execute_run(j) for j in jobs]
+        return [worker(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=2) as pool:
-        return list(pool.map(_execute_run, jobs, chunksize=1))
+        return list(pool.map(worker, jobs, chunksize=1))
+
+
+def run_with_paths(job):
+    """One job's RunResult with the per-slot paths that _execute_run drops."""
+    instance, ctrl_kwargs, v, seed, horizon, zeta, _, gamma_star, eta_0 = job
+    ctrl = ControllerConfig(**{**ctrl_kwargs, "V": v})
+    return run(instance, SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, eta_0=eta_0), gamma_star)
 
 
 def report(k, ok, detail):
@@ -48,7 +55,7 @@ def delay_runs(two_queue, analyses):
     """Criterion 3 sweep: all three controllers, V=100, horizon 1e5, 10 seeds."""
     ana = analyses[100.0]
     jobs = [
-        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.constants.D_p, False, ana.gamma_star,
+        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.constants.D_p, None, ana.gamma_star,
          ana.eta_0)
         for kind in ("Backpressure", "OLAC", "OLAC2")
         for seed in SEEDS10
@@ -143,7 +150,7 @@ def convergence_runs(two_queue, analyses):
         for kind in ("Backpressure", "OLAC2"):
             for seed in SEEDS10:
                 jobs.append((
-                    two_queue, {"kind": kind, "V": v}, v, seed, 40_000, ana.constants.D_p, False, ana.gamma_star,
+                    two_queue, {"kind": kind, "V": v}, v, seed, 40_000, ana.constants.D_p, None, ana.gamma_star,
                     ana.eta_0,
                 ))
     results = run_many(jobs)
@@ -188,11 +195,12 @@ class TestCriterion4:
         assert ok
 
 
-def olac_law_runs(instance, analyses, seeds, theta, trace):
+def olac_law_runs(instance, analyses, seeds, theta, paths):
     """Criterion 5's OLAC runs, 1e5 slots each, as {V: [RunResult]}.
 
     seeds maps V to its seeds; theta(V) is the per-queue offset, None for the
-    controller's default (ln V)^2.
+    controller's default (ln V)^2. The results keep their per-slot paths when
+    ``paths`` is true.
     """
     jobs = []
     for v, v_seeds in seeds.items():
@@ -200,9 +208,9 @@ def olac_law_runs(instance, analyses, seeds, theta, trace):
         if theta is not None:
             ctrl["theta"] = np.full(instance.r, theta(v))
         ana = analyses.get(v) or compute_analysis(instance, instance.probabilities, v)
-        jobs += [(instance, ctrl, v, seed, 100_000, None, trace, ana.gamma_star, ana.eta_0) for seed in v_seeds]
+        jobs += [(instance, ctrl, v, seed, 100_000, None, None, ana.gamma_star, ana.eta_0) for seed in v_seeds]
     runs = {v: [] for v in seeds}
-    for job, res in zip(jobs, run_many(jobs)):
+    for job, res in zip(jobs, run_many(jobs, run_with_paths if paths else _execute_run)):
         runs[job[2]].append(res)
     return runs
 
@@ -369,11 +377,11 @@ class TestCriterion8:
         mus = rng.uniform(0, 3.0, size=n)
         arrs = rng.uniform(0, 3.0, size=n) * np.where(np.arange(n) % 200_000 < 100_000, 1.2, 0.6)
         worst = 0.0
-        # one-float list rows, as sim.run hands the ledger
+        # one-float list rows, as sim.run hands the ledger; the reference recursion runs on Python floats
         arr_rows, mu_rows = arrs[:, None].tolist(), mus[:, None].tolist()
-        for t in range(n):
+        for t, (a, mu) in enumerate(zip(arrs.tolist(), mus.tolist())):
             apply_slot(led, arr_rows[t], mu_rows[t], t, "LIFO" if t % 2 else "FIFO")
-            q = max(q - mus[t], 0.0) + arrs[t]
+            q = max(q - mu, 0.0) + a
             worst = max(worst, abs(total(led, 0) - q))
         conserved = abs(led.arrived[0] - (led.departed_real[0] + led.remaining_real()[0]))
         ok = worst <= 1e-9 and conserved <= 1e-6

@@ -1,20 +1,25 @@
 import csv
 import json
+import math
 import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olacsim.cli import (
     Scenario,
     ScenarioError,
     _execute_run,
     _perturbed_distributions,
+    _write_trace,
     emit_plotdata,
     main,
     run_scenario,
 )
+from olacsim.dual import compute_analysis
 
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -311,12 +316,24 @@ class TestRunScenario:
             assert (tmp_path / "off" / name).read_bytes() == (tmp_path / "on" / name).read_bytes()
 
     @pytest.mark.parametrize("kind", ["Backpressure", "OLAC"])
-    def test_worker_returns_paths_only_for_traces(self, two_queue, kind):
-        off = _execute_run((two_queue, {"kind": kind}, 50.0, 0, 120, None, False, np.zeros(2), None))
-        on = _execute_run((two_queue, {"kind": kind}, 50.0, 0, 120, None, True, np.zeros(2), None))
-        assert off.gamma_trace is off.beta_trace is off.queue_trace is off.cost_trace is None
-        assert on.queue_trace.shape == (120, 2) and on.gamma_trace.shape == on.cost_trace.shape == (120,)
-        assert (on.beta_trace is not None) == (kind == "OLAC")
+    def test_worker_writes_the_sweeps_trace_and_returns_no_paths(self, tmp_path, monkeypatch, two_queue, kind):
+        # with a trace directory the worker writes the file a traced sweep
+        # writes; without one it writes nothing, and it never returns a path
+        name = f"trace_{kind}_V50_seed0.csv"
+        doc = smoke_doc(controllers=[{"kind": kind}], seeds=[0], horizon=120, trace=True)
+        run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "sweep"))
+        ana = compute_analysis(two_queue, two_queue.probabilities, 50.0)
+        job = (two_queue, {"kind": kind}, 50.0, 0, 120, ana.constants.D_p, None, ana.gamma_star, ana.eta_0)
+        for sub in ("on", "off"):
+            (tmp_path / sub).mkdir()
+        monkeypatch.chdir(tmp_path / "off")
+        off = _execute_run(job)
+        on = _execute_run((*job[:6], str(tmp_path / "on"), *job[7:]))
+        assert os.listdir(tmp_path / "off") == []
+        assert os.listdir(tmp_path / "on") == [name]
+        assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes()
+        for res in (off, on):
+            assert res.gamma_trace is res.beta_trace is res.queue_trace is res.cost_trace is None
         assert (off.avg_cost, off.avg_backlog) == (on.avg_cost, on.avg_backlog)
 
     def test_v_independent_lps_solved_once(self, tmp_path, monkeypatch):
@@ -340,6 +357,68 @@ class TestRunScenario:
         for k, v in enumerate((20, 50, 100), start=1):
             run_scenario(Scenario.from_dict({**doc, "V_values": [v]}), out_dir=str(tmp_path / str(v)))
             assert (tmp_path / str(v) / "oracle.csv").read_text().splitlines() == [rows[0], rows[k]]
+
+
+def _ref_fmt(value) -> str:
+    """The cell text of the cell-by-cell trace writer."""
+    if value is None:
+        return ""
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        if math.isnan(v):
+            return "nan"
+        return repr(v)
+    if isinstance(value, (np.integer, int)):
+        return str(int(value))
+    return str(value)
+
+
+def reference_trace(path, queue_trace, gamma_trace, beta_trace, cost_trace):
+    """A trace CSV as the cell-by-cell writer wrote it: csv.writer rows of _ref_fmt cells."""
+    horizon, r = queue_trace.shape
+    header = ["slot"] + [f"q_{j + 1}" for j in range(r)] + ["dist_gamma", "dist_beta", "inst_cost"]
+    beta = beta_trace if beta_trace is not None else [None] * horizon
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for t, (q, g, b, c) in enumerate(zip(queue_trace, gamma_trace, beta, cost_trace)):
+            writer.writerow([_ref_fmt(v) for v in [t, *q, g, b, c]])
+
+
+# the special floats, and both sides of repr's switches to exponent notation at 1e-4 and 1e16
+EDGE_FLOATS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), -1e-4,
+    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf), -1e16, 1.7976931348623157e308,
+]
+CELLS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-10**17, 10**17).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e-6, max_value=1e-2) | st.floats(min_value=1e14, max_value=1e18),
+)
+
+
+@st.composite
+def trace_paths(draw):
+    horizon = draw(st.integers(1, 12))
+    r = draw(st.integers(1, 3))
+
+    def column(n):
+        return np.array(draw(st.lists(CELLS, min_size=n, max_size=n)), dtype=float)
+
+    beta = column(horizon) if draw(st.booleans()) else None
+    return column(horizon * r).reshape(horizon, r), column(horizon), beta, column(horizon)
+
+
+class TestTraceWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(paths=trace_paths())
+    def test_matches_the_cell_by_cell_writer(self, tmp_path_factory, paths):
+        out = tmp_path_factory.mktemp("trace")
+        _write_trace(out / "column.csv", *paths)
+        reference_trace(out / "reference.csv", *paths)
+        assert (out / "column.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
 class TestPlotdata:

@@ -94,11 +94,11 @@ class TestApplySlot:
         arrs[: n // 3] *= 1.2      # overload: queue builds
         arrs[n // 3 :] *= 0.6      # drain: queue empties often
         worst = 0.0
-        # one-float list rows, as sim.run hands the ledger
+        # one-float list rows, as sim.run hands the ledger; the reference recursion runs on Python floats
         arr_rows, mu_rows = arrs[:, None].tolist(), mus[:, None].tolist()
-        for t in range(n):
+        for t, (a, mu) in enumerate(zip(arrs.tolist(), mus.tolist())):
             apply_slot(led, arr_rows[t], mu_rows[t], t, "FIFO")
-            q = max(q - mus[t], 0.0) + arrs[t]
+            q = max(q - mu, 0.0) + a
             worst = max(worst, abs(total(led, 0) - q))
         assert worst <= 1e-9
         assert abs(chunk_sum(led, 0) - q) <= 1e-9
