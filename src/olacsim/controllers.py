@@ -10,10 +10,18 @@ LIFO queues and performs a one-shot learn-and-adjust at slot T_l = round(V^c).
 
 The rules trust their arguments (numpy vectors, q >= 0, beta >= 0, theta > 0,
 a state with at least one action): ``sim.run`` checks its inputs once.
+
+A score vector is ``neg_v_costs[s] - np.dot(instance.drift_rows[s], w)``, on
+per-state rows made once (the drift rows per instance, -V*costs per run), so
+a slot creates no view. ``np.dot`` and ``@`` reach the same BLAS matrix-vector
+kernel and give the same bits. The scores stay in numpy on purpose: an
+OpenBLAS kernel may fuse the multiply-add (FMA), so the same sum in Python
+floats can differ in the last bit and flip an argmax on a near-tie.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,25 +78,25 @@ class ControllerConfig:
 
 
 def _decide_weighted(instance: NetworkInstance, state_id: int, weights: np.ndarray, V: float,
-                     neg_v_costs: np.ndarray | None) -> int:
+                     neg_v_costs: Sequence[np.ndarray] | None) -> int:
     # padded actions have cost +inf, hence score -inf; never selected
     base = -V * instance.costs[state_id] if neg_v_costs is None else neg_v_costs[state_id]
-    scores = base - instance.drift[state_id] @ weights
-    return int(scores.argmax())
+    return int((base - np.dot(instance.drift_rows[state_id], weights)).argmax())
 
 
 def bp_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, V: float,
-              neg_v_costs: np.ndarray | None = None) -> int:
+              neg_v_costs: Sequence[np.ndarray] | None = None) -> int:
     """Max-weight rule: argmax of -V*f + q.(mu - A); ties to the smallest id.
 
-    ``neg_v_costs`` is ``-V * instance.costs`` when the caller builds it once
-    for many slots; the scores are the same floats either way.
+    ``neg_v_costs`` holds the rows of ``-V * instance.costs`` when the caller
+    builds them once for many slots (``sim.run`` passes a tuple of rows); the
+    scores are the same floats either way.
     """
     return _decide_weighted(instance, state_id, q, V, neg_v_costs)
 
 
 def olac_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, beta: np.ndarray, theta: np.ndarray,
-                V: float, neg_v_costs: np.ndarray | None = None) -> int:
+                V: float, neg_v_costs: Sequence[np.ndarray] | None = None) -> int:
     """Backpressure rule on the effective backlog q + beta - theta (unclamped); ``neg_v_costs`` as for bp_decide."""
     return _decide_weighted(instance, state_id, q + beta - theta, V, neg_v_costs)
 

@@ -20,6 +20,7 @@ D_p) are derived from these oracles.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,6 +196,16 @@ class DualTables:
         self.folded = fold
 
 
+# class_lp's result per live instance, keyed by id(instance); weakref.finalize
+# drops an entry when its instance goes, before the id can be reused
+_CLASS_LPS: dict[int, tuple] = {}
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def class_lp(instance: NetworkInstance):
     """The static LP on the classes of ``DualTables(instance)``: (tables, a, cost, rhs).
 
@@ -206,8 +217,22 @@ def class_lp(instance: NetworkInstance):
     is rhs @ w. Folding and pruning leave the optimum in place (see
     ``DualTables``), so the policy and slack LPs are written on these columns,
     and so is the dual maximizer's LP.
+
+    It is built once per instance: later calls return the same tuple, whose
+    arrays (the tables' too) are read-only.
     """
+    lp = _CLASS_LPS.get(id(instance))
+    if lp is None:
+        lp = _CLASS_LPS[id(instance)] = _build_class_lp(instance)
+        weakref.finalize(instance, _CLASS_LPS.pop, id(instance), None)
+    return lp
+
+
+def _build_class_lp(instance: NetworkInstance):
     tables = DualTables(instance)
+    for value in vars(tables).values():
+        if isinstance(value, np.ndarray):
+            _frozen(value)
     n_class, width = tables.shape
     real = np.isfinite(tables.base)
     n_y = int(real.sum())
@@ -217,7 +242,7 @@ def class_lp(instance: NetworkInstance):
     rhs = np.zeros((n_class + instance.r, instance.M))
     rhs[tables.class_of, np.arange(instance.M)] = 1.0
     rhs[n_class:] = (instance.arrivals[:, 0] * tables.folded[:, None]).T
-    return tables, a, tables.base[real], rhs
+    return tables, _frozen(a), _frozen(tables.base[real]), _frozen(rhs)
 
 
 # x_B entries above -FEAS_TOL * (1 + max|b|) count as non-negative
@@ -226,6 +251,12 @@ FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
 # ratios within TIE_TOL * max(1, best) of the minimum tie; the smallest column wins
 TIE_TOL = 1e-12
+# factorisations a _CountLP keeps, for its most recent bases: the dual simplex
+# flickers between degenerate bases of one vertex, so a basis it has just left
+# comes back at once. On the two-queue instance this size inverts each
+# distinct basis of a run once, as an unbounded cache would (10 runs of 5000
+# uniform or 2500 unbalanced slots); a size of 4 comes within 2% of that.
+BASIS_CACHE = 16
 
 
 class _CountLP:
@@ -252,6 +283,12 @@ class _CountLP:
     ``eta_0``, when given, is taken as ``max_slack(instance,
     instance.probabilities)`` (a caller that has already solved it, such as
     the sweep's oracle); otherwise the slack LP is solved here.
+
+    ``factors`` keeps the factorisation of each of the last ``BASIS_CACHE``
+    bases, keyed by the basis bytes: B^-1, the prices y, the reduced costs d
+    and, once read, ``step`` and ``beta``, all read-only. A basis that comes
+    back reuses them; they are the floats a new factorisation would give,
+    since it would make the same numpy calls on the same operands.
     """
 
     def __init__(self, instance: NetworkInstance, eta_0: float | None = None):
@@ -275,51 +312,66 @@ class _CountLP:
         cheapest = column[np.arange(n_class), tables.base.reshape(tables.shape).argmin(axis=1)]
         self.basis = np.concatenate([cheapest, self.u_cols])
         self.pivots = 0
+        # basis bytes -> [binv, y, d, step, beta], least recently used first
+        self.factors: dict[bytes, list] = {}
         self._refactor()
         self._read_basis()
 
     def _refactor(self):
-        self.binv = np.linalg.inv(self.a[:, self.basis])
-        self.y = self.c[self.basis] @ self.binv
-        self.d = self.c - self.y @ self.a
-        self.d[self.basis] = 0.0
+        """B^-1, y and d of the current basis: kept ones, or a new inversion."""
+        key = self.basis.tobytes()
+        factor = self.factors.pop(key, None)
+        if factor is None:
+            binv = np.linalg.inv(self.a[:, self.basis])
+            y = self.c[self.basis] @ binv
+            d = self.c - y @ self.a
+            d[self.basis] = 0.0
+            factor = [_frozen(binv), _frozen(y), _frozen(d), None, None]
+            if len(self.factors) == BASIS_CACHE:
+                del self.factors[next(iter(self.factors))]
+        self.factors[key] = factor
+        self._factor = factor
+        self.binv, self.y, self.d = factor[:3]
 
     def _read_basis(self):
         """beta and the per-state growth of x_B for the current basis."""
-        # x_B grows by step[i] when state i is observed
-        self.step = (self.binv @ self.rhs).T
-        basic = np.zeros(self.c.size, dtype=bool)
-        basic[self.basis] = True
-        beta = np.clip(self.y[self.n_class :], 0.0, self.xi)
-        # a basic column has zero reduced cost: beta_j = xi exactly when s_j is basic, 0 when u_j is
-        beta[basic[self.s_cols]] = self.xi
-        beta[basic[self.u_cols]] = 0.0
-        self.beta = beta
+        factor = self._factor
+        if factor[3] is None:
+            # x_B grows by step[i] when state i is observed
+            step = (self.binv @ self.rhs).T
+            basic = np.zeros(self.c.size, dtype=bool)
+            basic[self.basis] = True
+            beta = np.clip(self.y[self.n_class :], 0.0, self.xi)
+            # a basic column has zero reduced cost: beta_j = xi exactly when s_j is basic, 0 when u_j is
+            beta[basic[self.s_cols]] = self.xi
+            beta[basic[self.u_cols]] = 0.0
+            factor[3], factor[4] = _frozen(step), _frozen(beta)
+        self.step, self.beta = factor[3], factor[4]
 
     def restore(self, b: np.ndarray) -> np.ndarray:
         """Dual simplex from the kept basis until x_B = B^-1 b >= 0; returns x_B.
 
         Leaving row: the most negative x_B, ties to the smallest row. Entering
         column: the minimum ratio of reduced cost to |pivot row entry|, ties to
-        the smallest column. B^-1 is refactored after every pivot.
+        the smallest column; only the entering columns are tested. After
+        every pivot the new basis's factorisation is a kept one or a new
+        inversion.
         """
         tol = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
         limit = 50 * self.a.shape[1]
         for _ in range(limit):
             x = self.binv @ b
-            row = int(np.argmin(x))
+            row = int(x.argmin())
             if x[row] >= -tol:
                 self._read_basis()
                 return x
             alpha = self.binv[row] @ self.a
-            enter = alpha < -PIVOT_TOL
-            if not enter.any():
+            enter = (alpha < -PIVOT_TOL).nonzero()[0]
+            if not enter.size:
                 raise RuntimeError("count LP infeasible, which its shortfall columns rule out")
-            ratio = np.full(alpha.size, np.inf)
-            ratio[enter] = np.maximum(self.d[enter], 0.0) / -alpha[enter]
+            ratio = np.maximum(self.d[enter], 0.0) / -alpha[enter]
             best = ratio.min()
-            col = int(np.argmax(ratio <= best + TIE_TOL * max(1.0, best)))
-            self.basis[row] = col
+            self.basis[row] = enter[(ratio <= best + TIE_TOL * max(1.0, best)).argmax()]
             self.pivots += 1
             self._refactor()
         raise RuntimeError(f"dual simplex did not restore feasibility within {limit} pivots")

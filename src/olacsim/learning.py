@@ -55,6 +55,7 @@ def dual_learn(instance: NetworkInstance, states, V: float, eta_0: float | None 
     starts, betas = [0], [lp.beta]
     x = np.zeros(lp.a.shape[0])
     t = 0  # observations folded into x: states[:t]
+    counts, counted = np.zeros(instance.M, dtype=np.int64), 0  # counts of states[:counted]
     block = FIRST_BLOCK
     bscale = max(1.0, float(np.abs(lp.rhs).max()))
     while t < H - 1:
@@ -68,8 +69,11 @@ def dual_learn(instance: NetworkInstance, states, V: float, eta_0: float | None 
             block = min(2 * block, MAX_BLOCK)
             continue
         t += int(bad.argmax()) + 1
-        x = lp.restore(lp.rhs @ np.bincount(states[:t], minlength=instance.M))
-        if not np.array_equal(lp.beta, betas[-1]):
+        counts += np.bincount(states[counted:t], minlength=instance.M)
+        counted = t
+        x = lp.restore(lp.rhs @ counts)
+        # a kept basis hands back its own beta array, equal to itself
+        if lp.beta is not betas[-1] and not np.array_equal(lp.beta, betas[-1]):
             starts.append(t)
             betas.append(lp.beta)
         block = FIRST_BLOCK

@@ -90,6 +90,9 @@ class NetworkInstance:
                 self.services[i, k, :] = act.services
         # drift = arrivals - services; the dual's per-action slope vectors
         self.drift = self.arrivals - self.services
+        # drift's (K, r) block of each state, made once: the decision rule
+        # indexes this tuple instead of slicing drift, a new view, every slot
+        self.drift_rows = tuple(self.drift)
 
         finite = self.costs[np.isfinite(self.costs)]
         magnitudes = [np.abs(finite).max(initial=0.0)]

@@ -196,7 +196,8 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     # per-(state, action) rows of r floats, read by the ledger once per slot
     arrival_rows = instance.arrivals.tolist()
     service_rows = instance.services.tolist()
-    neg_v_costs = -V * instance.costs
+    # -V * costs per state, made once per run; the rules index it like instance.drift_rows
+    neg_v_costs = tuple(-V * instance.costs)
     # the ledger's float list, updated in place; each slot copies it into its q_path row
     totals = ledger._totals
 

@@ -45,12 +45,15 @@ class TestBpDecide:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_per_state_dual_argmin(self, seed, two_queue):
+        # with and without the per-run rows of -V * costs that sim.run hands over
         rng = np.random.default_rng(seed)
         for _ in range(2000):
             sid = int(rng.integers(0, 64))
             q = rng.uniform(0, 400, size=2)
             v = float(rng.uniform(1, 300))
-            assert bp_decide(two_queue, sid, q, v) == per_state_dual(two_queue, sid, q, v)[1]
+            expected = per_state_dual(two_queue, sid, q, v)[1]
+            assert bp_decide(two_queue, sid, q, v) == expected
+            assert bp_decide(two_queue, sid, q, v, tuple(-v * two_queue.costs)) == expected
 
     def test_negative_backlog_rejected(self, two_queue):
         # the rule trusts q >= 0; a run refuses a negative backlog before its first slot
@@ -64,13 +67,14 @@ class TestOlacDecide:
     def test_beta_equals_theta_reduces_to_backpressure(self, two_queue):
         theta = np.full(2, math.log(100.0) ** 2)
         grid = np.arange(0.0, 400.0, 23.0)
+        rows = tuple(-100.0 * two_queue.costs)  # as sim.run hands them over
         for sid in range(0, 64, 5):
             for q1 in grid:
                 for q2 in grid[::3]:
                     q = np.array([q1, q2])
-                    assert olac_decide(two_queue, sid, q, theta, theta, 100.0) == bp_decide(
-                        two_queue, sid, q, 100.0
-                    )
+                    expected = bp_decide(two_queue, sid, q, 100.0)
+                    assert olac_decide(two_queue, sid, q, theta, theta, 100.0) == expected
+                    assert olac_decide(two_queue, sid, q, theta, theta, 100.0, rows) == expected
 
     def test_under_provisioning_with_negative_weights(self, two_queue):
         theta = np.full(2, math.log(100.0) ** 2)

@@ -1,10 +1,20 @@
 """Golden outputs: the smoke scenario's CSVs must not move by a single byte.
 
 The hashes below are of the CSVs that `olacsim run scenarios/smoke.json`
-writes, recorded with numpy 2.4 on x86-64. A refactor that claims
+writes, recorded with numpy 2.4 on x86-64, whose bundled OpenBLAS 0.3.31
+ran its SkylakeX kernel. They pin that BLAS kernel as well as the code: with
+`OPENBLAS_CORETYPE=Haswell` or `Prescott` the same code writes another
+oracle.csv (rho_hat, D_p, eta and, under Prescott, gamma_star_2 move in
+their last digits) and six other traces (dist_gamma, dist_beta and, in one
+OLAC2 trace, q_2), while summary.csv holds. A refactor that claims
 byte-identical results keeps them; a change that moves results on purpose
-says so and records new hashes. On a mismatch, compare a sweep of the parent
-commit with one of the change cell by cell:
+says so and records new hashes. On a mismatch, first rerun on the recording
+kernel; if that passes, the host's kernel differs, not the code:
+
+    OPENBLAS_CORETYPE=SkylakeX python3 -m pytest tests/test_golden.py
+
+Otherwise compare a sweep of the parent commit with one of the change, run
+on one kernel, cell by cell:
 
     python3 scripts/compare_outputs.py OUT_PARENT OUT_CHANGE
 """

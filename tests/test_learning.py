@@ -1,12 +1,27 @@
+import gc
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import olacsim.dual
+import olacsim.learning
 from olacsim.controllers import ControllerConfig
-from olacsim.dual import _CountLP, compute_analysis, dual_value, max_slack, maximize_dual, primal_oracle
+from olacsim.dual import (
+    BASIS_CACHE,
+    _CountLP,
+    class_lp,
+    compute_analysis,
+    dual_value,
+    max_slack,
+    maximize_dual,
+    primal_oracle,
+)
 from olacsim.learning import dual_learn
+from olacsim.model import build_two_queue_example
 from olacsim.sim import SimConfig, run, sample_states
 
 from conftest import make_instance, single_state_instance, state_index
@@ -298,3 +313,101 @@ class TestMaximizeDualAgainstHighs:
         V = data.draw(st.sampled_from([1.0, 7.5, 100.0]))
         res = maximize_dual(instance, dist, V)
         assert_lp_optimal(instance, dist, V, res.gamma, res.value)
+
+
+class TestRecordedOutputs:
+    """The learners' outputs, bit for bit, on both shipped channels.
+
+    Recorded with numpy 2.4 on x86-64 (see ``tests/test_golden.py`` on the
+    BLAS kernel these digits depend on). A change to the learner's kernel that
+    claims byte-identical results keeps every value below; the smoke scenario
+    only covers 500 uniform-channel slots at V = 50.
+    """
+
+    # (channel fixture, seed): (SHA-256 of the 2000-slot V = 1 path's bytes, flagged slots)
+    PATHS = {
+        ("two_queue", 0): ("d6bfb68d3d296ed7ea0805c5e04ab4f9c783ef361274cdec06396a8b2c717200", 6),
+        ("two_queue", 1): ("ed0a7407aa8c8eac20d99c7c5519fe4b8ba43ea2d55e1e86a5bc75bc701d7387", 0),
+        ("two_queue_unbalanced", 0): ("4f750ed7ac123142785e4e8b07721463582af2398ee512cc100986e90223a33e", 1),
+        ("two_queue_unbalanced", 1): ("197a21c7df794aa144d78ca30c974606436b18ad44f53fed91afcb923d13d584", 0),
+    }
+    # (channel fixture, V, seed): (gamma at T_l, dual simplex pivots)
+    GAMMAS = {
+        ("two_queue", 20.0, 0): ([16.370350019059373, 62.19883922863268], 48),
+        ("two_queue", 20.0, 1): ([8.798953973489537, 10.820212806667225], 7),
+        ("two_queue", 200.0, 0): ([163.70350019059373, 304.56843001332004], 24),
+        ("two_queue", 200.0, 1): ([108.20212806667226, 108.20212806667224], 10),
+        ("two_queue_unbalanced", 20.0, 0): ([31.914647178516656, 31.91464717851666], 31),
+        ("two_queue_unbalanced", 20.0, 1): ([10.820212806667227, 10.820212806667225], 12),
+        ("two_queue_unbalanced", 200.0, 0): ([268.0410439337165, 268.0410439337165], 27),
+        ("two_queue_unbalanced", 200.0, 1): ([108.20212806667226, 108.20212806667226], 13),
+    }
+
+    @pytest.mark.parametrize("channel, seed", sorted(PATHS))
+    def test_dual_learn_path(self, request, channel, seed):
+        instance = request.getfixturevalue(channel)
+        path, flagged = dual_learn(instance, sample_states(instance, 2000, seed), 1.0)
+        assert (hashlib.sha256(path.tobytes()).hexdigest(), flagged) == self.PATHS[channel, seed]
+
+    @pytest.mark.parametrize("channel, V, seed", sorted(GAMMAS))
+    def test_maximize_dual_at_learn_slot(self, request, channel, V, seed):
+        instance = request.getfixturevalue(channel)
+        t_l = ControllerConfig("OLAC2", V).learn_slot()
+        res = maximize_dual(instance, np.bincount(sample_states(instance, t_l, seed), minlength=instance.M) / t_l, V)
+        assert (res.gamma.tolist(), res.iterations) == self.GAMMAS[channel, V, seed]
+
+
+class TestKeptFactorisations:
+    """The count LP's kept bases and the class LP memo, read back after real runs."""
+
+    @pytest.mark.parametrize("channel, horizon", [("two_queue", 5000), ("two_queue_unbalanced", 2500)])
+    def test_kept_factorisations_are_fresh_ones(self, request, monkeypatch, channel, horizon):
+        instance = request.getfixturevalue(channel)
+        lps = []
+
+        class Recorded(_CountLP):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                lps.append(self)
+
+        monkeypatch.setattr(olacsim.learning, "_CountLP", Recorded)
+        dual_learn(instance, sample_states(instance, horizon, 0), 1.0)
+        (lp,) = lps
+        assert lp.pivots > BASIS_CACHE  # the run left more bases than are kept
+        assert 0 < len(lp.factors) <= BASIS_CACHE
+        assert lp.basis.tobytes() == list(lp.factors)[-1]  # the current basis is the most recent
+        for key, (binv, y, d, step, beta) in lp.factors.items():
+            basis = np.frombuffer(key, dtype=lp.basis.dtype)
+            fresh = np.linalg.inv(lp.a[:, basis])
+            assert binv.tobytes() == fresh.tobytes()
+            assert y.tobytes() == (lp.c[basis] @ fresh).tobytes()
+            fresh_d = lp.c - y @ lp.a
+            fresh_d[basis] = 0.0
+            assert d.tobytes() == fresh_d.tobytes()
+            if step is not None:
+                assert step.tobytes() == (fresh @ lp.rhs).T.tobytes()
+                basic = np.isin(np.arange(lp.c.size), basis)
+                fresh_beta = np.clip(y[lp.n_class :], 0.0, lp.xi)
+                fresh_beta[basic[lp.s_cols]] = lp.xi
+                fresh_beta[basic[lp.u_cols]] = 0.0
+                assert beta.tobytes() == fresh_beta.tobytes()
+            for array in (binv, y, d, step, beta):
+                assert array is None or not array.flags.writeable
+
+    def test_class_lp_is_built_once(self, two_queue_unbalanced):
+        first, second = class_lp(two_queue_unbalanced), class_lp(two_queue_unbalanced)
+        assert first is second
+        tables, *arrays = first
+        for array in [*arrays, *(v for v in vars(tables).values() if isinstance(v, np.ndarray))]:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][0, 0] = 1.0
+
+    def test_class_lp_memo_goes_with_its_instance(self):
+        instance = build_two_queue_example([0.25, 0.25, 0.25, 0.25])
+        key = id(instance)
+        class_lp(instance)
+        assert key in olacsim.dual._CLASS_LPS
+        del instance
+        gc.collect()
+        assert key not in olacsim.dual._CLASS_LPS
