@@ -52,6 +52,38 @@ class ScenarioError(ValueError):
     pass
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer, or a float with an integral value; never a boolean."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ScenarioError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(doc: dict, field: str) -> bool:
+    value = doc.get(field, False)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
+def _load_instance(desc, base_dir: str = ".") -> NetworkInstance:
+    """A scenario's instance, ``{"builtin": "two_queue", "channel_dist": [...]}`` or ``{"file": path}``."""
+    if not isinstance(desc, dict):
+        raise ScenarioError(f"instance must be an object with 'builtin' or 'file', got {desc!r}")
+    if "builtin" in desc:
+        if desc["builtin"] != "two_queue":
+            raise ScenarioError(f"unknown builtin instance {desc['builtin']!r}")
+        try:
+            return build_two_queue_example(desc.get("channel_dist", [0.25, 0.25, 0.25, 0.25]))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"builtin two_queue: {exc}") from exc
+    if "file" in desc:
+        if not isinstance(desc["file"], str):
+            raise ScenarioError(f"instance file must be a path string, got {desc['file']!r}")
+        return load_instance_file(os.path.join(base_dir, desc["file"]))
+    raise ScenarioError("instance must give 'builtin' or 'file'")
+
+
 @dataclass
 class Scenario:
     """Validated scenario document."""
@@ -86,32 +118,19 @@ class Scenario:
             inst_desc = doc["instance"]
             controllers_raw = doc["controllers"]
             v_values = [float(v) for v in doc["V_values"]]
-            seeds = [int(s) for s in doc["seeds"]]
-            horizon = int(doc["horizon"])
+            seeds = [_integer(s, "seeds") for s in doc["seeds"]]
+            horizon = _integer(doc["horizon"], "horizon")
         except KeyError as exc:
             raise ScenarioError(f"missing scenario field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"malformed V_values, seeds or horizon: {exc}") from exc
+        if not isinstance(controllers_raw, list):
+            raise ScenarioError(f"controllers must be a list, got {controllers_raw!r}")
         if not controllers_raw or not v_values or not seeds:
             raise ScenarioError("controllers, V_values and seeds must be non-empty")
         if horizon < 1:
             raise ScenarioError("horizon must be >= 1")
-
-        if "builtin" in inst_desc:
-            if inst_desc["builtin"] != "two_queue":
-                raise ScenarioError(f"unknown builtin instance {inst_desc['builtin']!r}")
-            channel = inst_desc.get("channel_dist", [0.25, 0.25, 0.25, 0.25])
-            try:
-                instance = build_two_queue_example(channel)
-            except (TypeError, ValueError) as exc:
-                raise ScenarioError(f"builtin two_queue: {exc}") from exc
-        elif "file" in inst_desc:
-            path = inst_desc["file"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            instance = load_instance_file(path)
-        else:
-            raise ScenarioError("instance must give 'builtin' or 'file'")
+        instance = _load_instance(inst_desc, base_dir)
 
         controllers = []
         for c in controllers_raw:
@@ -154,14 +173,17 @@ class Scenario:
             if not 0 < zeta_value < math.inf:
                 raise ScenarioError(f"zeta value must be positive and finite, got {zeta_value:g}")
 
+        perturbation_count = _integer(doc.get("perturbation_count", 100), "perturbation_count")
+        workers = _integer(doc.get("workers", 1), "workers")
+        rho_samples = _integer(doc.get("rho_samples", 512), "rho_samples")
+        rho_seed = _integer(doc.get("rho_seed", 0), "rho_seed")
         try:
-            perturbation_count = int(doc.get("perturbation_count", 100))
             epsilon_s = float(doc.get("epsilon_s", 0.05))
-            workers = int(doc.get("workers", 1))
-            rho_samples = int(doc.get("rho_samples", 512))
-            rho_seed = int(doc.get("rho_seed", 0))
         except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed sweep field: {exc}") from exc
+            raise ScenarioError(f"malformed epsilon_s: {exc}") from exc
+        out_dir = doc.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ScenarioError(f"out_dir must be a path string, got {out_dir!r}")
         if min(seeds) < 0:
             raise ScenarioError("seeds must be non-negative")
         if workers < 1:
@@ -184,9 +206,9 @@ class Scenario:
             horizon=horizon,
             zeta_policy=policy,
             zeta_value=zeta_value,
-            out_dir=doc.get("out_dir"),
-            trace=bool(doc.get("trace", False)),
-            assumption_check=bool(doc.get("assumption_check", False)),
+            out_dir=out_dir,
+            trace=_flag(doc, "trace"),
+            assumption_check=_flag(doc, "assumption_check"),
             perturbation_count=perturbation_count,
             epsilon_s=epsilon_s,
             workers=workers,
@@ -519,35 +541,26 @@ def _cmd_run(args) -> int:
     return 1 if manifest["failed"] else 0
 
 
-def _load_cli_instance(token: str, channel_dist) -> NetworkInstance:
-    if token == "two_queue":
-        return build_two_queue_example(channel_dist or [0.25, 0.25, 0.25, 0.25])
-    return load_instance_file(token)
-
-
 def _cmd_oracle(args) -> int:
+    """Print the oracle.csv row a sweep writes for V, one name and value a line, and xi."""
+    desc = {"builtin": args.instance} if args.instance == "two_queue" else {"file": args.instance}
     try:
-        channel = [float(x) for x in args.channel_dist.split(",")] if args.channel_dist else None
-        instance = _load_cli_instance(args.instance, channel)
+        if args.channel_dist:
+            desc["channel_dist"] = [float(x) for x in args.channel_dist.split(",")]
+        ControllerConfig(KINDS[0], args.V)  # the V a sweep accepts
+        instance = _load_instance(desc)
     except (InstanceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    pi = instance.probabilities
-    ana = dual.compute_analysis(instance, pi, args.V)
-    print(f"V            {args.V:g}")
-    print(f"f_av_star    {ana.f_av_star!r}")
-    print(f"g_star       {ana.g_star!r}")
-    print(f"gamma_star   {ana.gamma_star.tolist()!r}")
-    print(f"eta_0        {ana.eta_0!r}")
-    print(f"rho_hat      {ana.constants.rho_hat!r}")
-    print(f"eta          {ana.constants.eta!r}")
-    print(f"D_p          {ana.constants.D_p!r}")
-    print(f"xi           {ana.xi!r}")
+    ana = dual.compute_analysis(instance, instance.probabilities, args.V)
+    row = _oracle_row(ana, instance.r)
+    for name, value in [*zip(_oracle_columns(instance.r), row), ("xi", ana.xi)]:
+        print(f"{name:<20}{_fmt(value)}")
     if ana.constants.rho_hat <= 0:
         print("warning: polyhedral decay not numerically confirmed (rho_hat <= 0)")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_csv(os.path.join(args.out, "oracle.csv"), _oracle_columns(instance.r), [_oracle_row(ana, instance.r)])
+        _write_csv(os.path.join(args.out, "oracle.csv"), _oracle_columns(instance.r), [row])
     return 0
 
 

@@ -5,15 +5,21 @@ average arrivals <= average services is separable over states:
 
     g(gamma) = sum_i pi_i * min_x [ V*f(i,x) + gamma . (A(i,x) - mu(i,x)) ]
 
-g is concave piecewise-linear in gamma. The static problem is solved exactly
-as a linear program over action mixtures on the classes of the reduced tables
-(``DualTables``, ``class_lp``; the primal oracle), which also yields the
-optimal multiplier through its dual prices; the slack LP behind eta_0 uses
-the same columns. ``maximize_dual`` maximizes g over the box
-0 <= gamma <= xi = V*f_max/eta_0 exactly, as the prices of the same LP
-written with a shortfall column per queue (``_CountLP``); OLAC's learner
-keeps that LP's basis over a whole run. On the two-queue instance these LPs
-have 112 action columns and 18 rows, against 640 and 66 on the full tables.
+g is concave piecewise-linear in gamma. Every LP here is written on the
+classes of the reduced tables (``DualTables``, ``class_lp``; on the two-queue
+instance 112 action columns and 18 rows, against 640 and 66 on the full
+tables) and solved by one engine, a dual simplex from a dual feasible start
+basis (``_DualSimplex``):
+
+- the policy LP (``primal_oracle``) gives the optimal mean cost and, as its
+  queue-row prices, the optimal multiplier; the slack LP (``max_slack``)
+  gives eta_0. Both go through ``solve_lp``, each from a start basis of its
+  own;
+- ``maximize_dual`` maximizes g over the box 0 <= gamma <= xi =
+  V*f_max/eta_0 exactly, as the prices of the same LP written with a
+  shortfall column per queue (``_CountLP``); OLAC's learner keeps that LP's
+  basis over a whole run.
+
 Analysis constants (slack eta_0, polyhedral decay rho, attraction radius
 D_p) are derived from these oracles.
 """
@@ -25,13 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import solve_lp
 from .model import NetworkInstance
 
 __all__ = [
     "DualSolveResult",
     "DualTables",
-    "RandomizedPolicy",
     "PrimalSolution",
     "AnalysisConstants",
     "InstanceAnalysis",
@@ -64,16 +68,8 @@ class DualSolveResult:
 
 
 @dataclass
-class RandomizedPolicy:
-    """Per-state probability vectors over that state's actions."""
-
-    per_state: list[np.ndarray]
-
-
-@dataclass
 class PrimalSolution:
     f_av_star: float
-    policy: RandomizedPolicy
     multiplier_v1: np.ndarray  # optimal dual prices of the V=1 problem
 
 
@@ -251,7 +247,7 @@ FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
 # ratios within TIE_TOL * max(1, best) of the minimum tie; the smallest column wins
 TIE_TOL = 1e-12
-# factorisations a _CountLP keeps, for its most recent bases: the dual simplex
+# factorisations a _DualSimplex keeps, for its most recent bases: the dual simplex
 # flickers between degenerate bases of one vertex, so a basis it has just left
 # comes back at once. On the two-queue instance this size inverts each
 # distinct basis of a run once, as an unbounded cache would (10 runs of 5000
@@ -259,7 +255,92 @@ TIE_TOL = 1e-12
 BASIS_CACHE = 16
 
 
-class _CountLP:
+class _DualSimplex:
+    """min c.x s.t. a.x = b, x >= 0, by the dual simplex, with one kept basis and its inverse.
+
+    ``basis`` lists one column per row and must be dual feasible: every
+    reduced cost d = c - y.a, with prices y = c_B B^-1, is >= 0. ``restore``
+    keeps d >= 0 while it pivots to x_B = B^-1 b >= 0, so the basis it ends
+    on is optimal (Bertsimas & Tsitsiklis, Introduction to Linear
+    Optimization, 1997, section 4.5).
+
+    ``factors`` keeps the factorisation of each of the last ``BASIS_CACHE``
+    bases, keyed by the basis bytes: B^-1, the prices y, the reduced costs d
+    and two slots that ``_CountLP`` fills when it reads a basis, all
+    read-only. A basis that comes back reuses them; they are the floats a new
+    factorisation would give, since it would make the same numpy calls on the
+    same operands.
+    """
+
+    def __init__(self, a: np.ndarray, c: np.ndarray, basis: np.ndarray):
+        self.a, self.c, self.basis = a, c, basis
+        self.pivots = 0
+        # basis bytes -> [binv, y, d, step, beta], least recently used first
+        self.factors: dict[bytes, list] = {}
+        self._refactor()
+
+    def _refactor(self):
+        """B^-1, y and d of the current basis: kept ones, or a new inversion."""
+        key = self.basis.tobytes()
+        factor = self.factors.pop(key, None)
+        if factor is None:
+            binv = np.linalg.inv(self.a[:, self.basis])
+            y = self.c[self.basis] @ binv
+            d = self.c - y @ self.a
+            d[self.basis] = 0.0
+            factor = [_frozen(binv), _frozen(y), _frozen(d), None, None]
+            if len(self.factors) == BASIS_CACHE:
+                del self.factors[next(iter(self.factors))]
+        self.factors[key] = factor
+        self._factor = factor
+        self.binv, self.y, self.d = factor[:3]
+
+    def restore(self, b: np.ndarray) -> np.ndarray | None:
+        """Dual simplex from the kept basis until x_B = B^-1 b >= 0; returns x_B, or None if a.x = b has no x >= 0.
+
+        Leaving row: the most negative x_B, ties to the smallest row. Entering
+        column: the minimum ratio of reduced cost to |pivot row entry|, ties to
+        the smallest column; only the entering columns are tested. A leaving
+        row without an entering column proves the LP infeasible. After every
+        pivot the new basis's factorisation is a kept one or a new inversion.
+        """
+        tol = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
+        limit = 50 * self.a.shape[1]
+        for _ in range(limit):
+            x = self.binv @ b
+            row = int(x.argmin())
+            if x[row] >= -tol:
+                return x
+            alpha = self.binv[row] @ self.a
+            enter = (alpha < -PIVOT_TOL).nonzero()[0]
+            if not enter.size:
+                return None
+            ratio = np.maximum(self.d[enter], 0.0) / -alpha[enter]
+            best = ratio.min()
+            self.basis[row] = enter[(ratio <= best + TIE_TOL * max(1.0, best)).argmax()]
+            self.pivots += 1
+            self._refactor()
+        raise RuntimeError(f"dual simplex did not restore feasibility within {limit} pivots")
+
+
+def solve_lp(a: np.ndarray, c: np.ndarray, basis, b: np.ndarray):
+    """min c.x s.t. a.x = b, x >= 0 from a dual feasible start ``basis``: (x_B, final basis, row prices).
+
+    x_B is None when the LP is infeasible. The oracles' policy and slack LPs
+    are solved here; the learners keep a ``_CountLP`` of their own.
+    """
+    lp = _DualSimplex(a, c, np.array(basis))
+    return lp.restore(b), lp.basis, lp.y
+
+
+def _best_in_class(tables: DualTables, score: np.ndarray) -> np.ndarray:
+    """``class_lp``'s column of each class's kept action of smallest score, smallest id on ties."""
+    column = np.cumsum(np.isfinite(tables.base)).reshape(tables.shape) - 1  # LP column of each kept slot
+    score = np.where(np.isfinite(tables.base), score, np.inf).reshape(tables.shape)
+    return column[np.arange(tables.shape[0]), score.argmin(axis=1)]
+
+
+class _CountLP(_DualSimplex):
     """The boxed dual's LP, in units of V, with one kept basis and its inverse.
 
     With state weights w (counts n or a distribution):
@@ -282,22 +363,17 @@ class _CountLP:
 
     ``eta_0``, when given, is taken as ``max_slack(instance,
     instance.probabilities)`` (a caller that has already solved it, such as
-    the sweep's oracle); otherwise the slack LP is solved here.
-
-    ``factors`` keeps the factorisation of each of the last ``BASIS_CACHE``
-    bases, keyed by the basis bytes: B^-1, the prices y, the reduced costs d
-    and, once read, ``step`` and ``beta``, all read-only. A basis that comes
-    back reuses them; they are the floats a new factorisation would give,
-    since it would make the same numpy calls on the same operands.
+    the sweep's oracle); otherwise the slack LP is solved here. Each kept
+    factorisation also holds, once read, ``step`` and ``beta``.
     """
 
     def __init__(self, instance: NetworkInstance, eta_0: float | None = None):
         tables, a, costs, self.rhs = class_lp(instance)
         self.n_class = n_class = tables.shape[0]
         r, n_y = instance.r, costs.size
-        self.a = np.zeros((n_class + r, n_y + 2 * r))
-        self.a[:, :n_y] = a
-        self.a[n_class:, n_y:] = np.hstack([np.eye(r), -np.eye(r)])
+        count_a = np.zeros((n_class + r, n_y + 2 * r))
+        count_a[:, :n_y] = a
+        count_a[n_class:, n_y:] = np.hstack([np.eye(r), -np.eye(r)])
         self.eta_0 = max_slack(instance, instance.probabilities) if eta_0 is None else eta_0
         if not self.eta_0 > 0:
             raise NoSlackError(
@@ -305,33 +381,11 @@ class _CountLP:
                 "xi = V * f_max / eta_0 is infinite"
             )
         self.xi = instance.f_max / self.eta_0
-        self.c = np.concatenate([costs, np.full(r, self.xi), np.zeros(r)])
         self.s_cols = np.arange(n_y, n_y + r)
         self.u_cols = np.arange(n_y + r, n_y + 2 * r)
-        column = np.cumsum(np.isfinite(tables.base)).reshape(tables.shape) - 1  # LP column of each kept slot
-        cheapest = column[np.arange(n_class), tables.base.reshape(tables.shape).argmin(axis=1)]
-        self.basis = np.concatenate([cheapest, self.u_cols])
-        self.pivots = 0
-        # basis bytes -> [binv, y, d, step, beta], least recently used first
-        self.factors: dict[bytes, list] = {}
-        self._refactor()
+        c = np.concatenate([costs, np.full(r, self.xi), np.zeros(r)])
+        super().__init__(count_a, c, np.concatenate([_best_in_class(tables, tables.base), self.u_cols]))
         self._read_basis()
-
-    def _refactor(self):
-        """B^-1, y and d of the current basis: kept ones, or a new inversion."""
-        key = self.basis.tobytes()
-        factor = self.factors.pop(key, None)
-        if factor is None:
-            binv = np.linalg.inv(self.a[:, self.basis])
-            y = self.c[self.basis] @ binv
-            d = self.c - y @ self.a
-            d[self.basis] = 0.0
-            factor = [_frozen(binv), _frozen(y), _frozen(d), None, None]
-            if len(self.factors) == BASIS_CACHE:
-                del self.factors[next(iter(self.factors))]
-        self.factors[key] = factor
-        self._factor = factor
-        self.binv, self.y, self.d = factor[:3]
 
     def _read_basis(self):
         """beta and the per-state growth of x_B for the current basis."""
@@ -349,32 +403,12 @@ class _CountLP:
         self.step, self.beta = factor[3], factor[4]
 
     def restore(self, b: np.ndarray) -> np.ndarray:
-        """Dual simplex from the kept basis until x_B = B^-1 b >= 0; returns x_B.
-
-        Leaving row: the most negative x_B, ties to the smallest row. Entering
-        column: the minimum ratio of reduced cost to |pivot row entry|, ties to
-        the smallest column; only the entering columns are tested. After
-        every pivot the new basis's factorisation is a kept one or a new
-        inversion.
-        """
-        tol = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
-        limit = 50 * self.a.shape[1]
-        for _ in range(limit):
-            x = self.binv @ b
-            row = int(x.argmin())
-            if x[row] >= -tol:
-                self._read_basis()
-                return x
-            alpha = self.binv[row] @ self.a
-            enter = (alpha < -PIVOT_TOL).nonzero()[0]
-            if not enter.size:
-                raise RuntimeError("count LP infeasible, which its shortfall columns rule out")
-            ratio = np.maximum(self.d[enter], 0.0) / -alpha[enter]
-            best = ratio.min()
-            self.basis[row] = enter[(ratio <= best + TIE_TOL * max(1.0, best)).argmax()]
-            self.pivots += 1
-            self._refactor()
-        raise RuntimeError(f"dual simplex did not restore feasibility within {limit} pivots")
+        """``_DualSimplex.restore``, then the new basis's beta and growth columns; returns x_B."""
+        x = super().restore(b)
+        if x is None:
+            raise RuntimeError("count LP infeasible, which its shortfall columns rule out")
+        self._read_basis()
+        return x
 
 
 def maximize_dual(instance: NetworkInstance, dist, V: float, eta_0: float | None = None) -> DualSolveResult:
@@ -401,55 +435,52 @@ def maximize_dual(instance: NetworkInstance, dist, V: float, eta_0: float | None
 
 
 def primal_oracle(instance: NetworkInstance, dist) -> PrimalSolution:
-    """Exact solution of the static problem over randomized per-state policies.
+    """Exact optimum of the static problem over randomized per-state policies, and its multiplier.
 
     Minimizes the mean cost subject to mean arrivals <= mean services, as the
-    LP ``class_lp`` over class mixtures. Returns the unscaled optimum (no V
-    factor) and an optimal policy; the LP dual prices give the optimal
-    multiplier of the V=1 problem. Every state plays its class's mixture,
-    mapped back to the state's action ids with pruned actions at 0; a class
-    without probability mass plays its smallest kept action.
+    policy LP: ``class_lp``'s columns plus a surplus column u_j per queue,
+    sum_cx services_cx,j y_cx - u_j = (mean folded arrivals)_j. It is solved
+    by ``solve_lp`` from ``_CountLP``'s start basis without the shortfall
+    columns (each class's cheapest kept action, smallest id on ties, plus
+    every u_j), which is dual feasible at zero queue prices. Returns the
+    unscaled optimum (no V factor); the queue rows' prices are the optimal
+    multiplier of the V=1 problem. An LP without a feasible point raises
+    InfeasibleInstanceError.
     """
     tables, a, cost, rhs = class_lp(instance)
-    n_class = tables.shape[0]
-    b = rhs @ np.asarray(dist, dtype=float)
-    res = solve_lp(cost, a_ub=-a[n_class:], b_ub=-b[n_class:], a_eq=a[:n_class], b_eq=b[:n_class])
-    if res.status == "infeasible":
+    n_class, r, n_y = tables.shape[0], instance.r, cost.size
+    surplus = np.vstack([np.zeros((n_class, r)), -np.eye(r)])
+    c = np.concatenate([cost, np.zeros(r)])
+    basis = np.concatenate([_best_in_class(tables, tables.base), np.arange(n_y, n_y + r)])
+    x, basis, y = solve_lp(np.hstack([a, surplus]), c, basis, rhs @ np.asarray(dist, dtype=float))
+    if x is None:
         raise InfeasibleInstanceError("no randomized policy satisfies the rate constraints")
-    if res.status != "optimal":
-        raise RuntimeError(f"primal oracle LP ended with status {res.status}")
-    mix = np.zeros(tables.base.size)
-    mix[np.isfinite(tables.base)] = np.maximum(res.x, 0.0)
-    mix = mix.reshape(tables.shape)
-    total = mix.sum(axis=1)
-    empty = total <= 0
-    mix[empty, 0] = total[empty] = 1.0
-    full = np.zeros(instance.costs.shape)
-    np.put_along_axis(full, tables.action_ids[tables.class_of], (mix / total[:, None])[tables.class_of], axis=1)
-    return PrimalSolution(
-        f_av_star=float(res.objective),
-        policy=RandomizedPolicy([full[i, :k] for i, k in enumerate(instance.action_counts)]),
-        multiplier_v1=np.maximum(res.duals_ub, 0.0),
-    )
+    return PrimalSolution(f_av_star=float(c[basis] @ x), multiplier_v1=np.maximum(y[n_class:], 0.0))
 
 
 def max_slack(instance: NetworkInstance, dist) -> float:
     """Largest eta with mean arrivals <= mean services - eta under some policy.
 
-    Solved on the columns of ``class_lp``. May be <= 0, which signals that no
+    The slack LP maximizes eta = ep - en subject to
+    sum_cx services_cx,j y_cx - ep + en - u_j = (mean folded arrivals)_j on
+    ``class_lp``'s columns. ``solve_lp`` starts it from each class's kept
+    action with the largest queue-1 service (smallest id on ties), ep on queue
+    row 1 and u_j for j >= 2: its prices are e_1 on the queue rows, so every
+    reduced cost is >= 0 on any instance. May be <= 0, which signals that no
     randomized policy stabilizes the given distribution with slack.
     """
     tables, a, _, rhs = class_lp(instance)
-    n_class, r = tables.shape[0], instance.r
-    b = rhs @ np.asarray(dist, dtype=float)
-    # maximize eta (free, split eta = ep - en)
-    a_ub = np.hstack([-a[n_class:], np.ones((r, 1)), -np.ones((r, 1))])
-    a_eq = np.hstack([a[:n_class], np.zeros((n_class, 2))])
-    c = np.concatenate([np.zeros(a.shape[1]), [-1.0, 1.0]])
-    res = solve_lp(c, a_ub=a_ub, b_ub=-b[n_class:], a_eq=a_eq, b_eq=b[:n_class])
-    if res.status != "optimal":
-        raise RuntimeError(f"slack LP ended with status {res.status}")
-    return 0.0 - float(res.objective)  # 0.0 - x turns an optimum of -0.0 into 0.0
+    n_class, r, n_y = tables.shape[0], instance.r, a.shape[1]
+    extra = np.zeros((n_class + r, r + 2))  # columns ep, en, u
+    extra[n_class:] = np.hstack([-np.ones((r, 1)), np.ones((r, 1)), -np.eye(r)])
+    c = np.zeros(n_y + r + 2)
+    c[n_y : n_y + 2] = -1.0, 1.0
+    # the largest service has the smallest drift
+    basis = np.concatenate([_best_in_class(tables, tables.drift[:, 0]), [n_y], np.arange(n_y + 3, n_y + r + 2)])
+    x, basis, _ = solve_lp(np.hstack([a, extra]), c, basis, rhs @ np.asarray(dist, dtype=float))
+    if x is None:
+        raise RuntimeError("slack LP infeasible, which its free eta rules out")
+    return 0.0 - float(c[basis] @ x)  # 0.0 - x turns an optimum of -0.0 into 0.0
 
 
 def estimate_polyhedral_rho(

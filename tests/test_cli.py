@@ -40,6 +40,17 @@ def smoke_doc(**overrides):
     return doc
 
 
+# fields of the wrong JSON type, each with the name its error gives: none may
+# load (a string "false" is not false, 2.7 slots are not 2) or fail later
+WRONG_TYPES = [
+    ({"instance": "file.json"}, "instance"), ({"instance": 5}, "instance"),
+    ({"instance": {"file": 5}}, "instance file"), ({"controllers": 5}, "controllers"),
+    ({"trace": "false"}, "trace"), ({"assumption_check": "no"}, "assumption_check"),
+    ({"horizon": 2.7}, "horizon"), ({"seeds": [1.5]}, "seeds"), ({"horizon": True}, "horizon"),
+    ({"workers": "2"}, "workers"), ({"out_dir": 5}, "out_dir"),
+]
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -97,9 +108,14 @@ class TestScenarioParsing:
                                            {"epsilon_s": float("inf")}, {"epsilon_s": 0.0},
                                            {"seeds": [0, -1]}, {"workers": 0},
                                            {"workers": -1}, {"perturbation_count": -1},
-                                           {"rho_samples": 0}])
+                                           {"rho_samples": 0}, *(doc for doc, _ in WRONG_TYPES)])
     def test_bad_grid_rejected_at_load(self, overrides):
         with pytest.raises(ScenarioError):
+            Scenario.from_dict(smoke_doc(**overrides))
+
+    @pytest.mark.parametrize("overrides, field", WRONG_TYPES)
+    def test_wrongly_typed_field_named_at_load(self, overrides, field):
+        with pytest.raises(ScenarioError, match=field):
             Scenario.from_dict(smoke_doc(**overrides))
 
     def test_former_metric_sample_period_key_still_loads(self):
@@ -461,6 +477,34 @@ class TestMainEntry:
         assert rc == 0
         out = capsys.readouterr().out
         assert "f_av_star" in out and "D_p" in out
+
+    def test_oracle_verb_prints_the_row_it_writes(self, tmp_path, capsys):
+        assert main(["oracle", "two_queue", "--V", "50", "--channel-dist", "0.1,0.4,0.4,0.1",
+                     "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (row,) = read_csv(tmp_path / "oracle.csv")
+        assert lines[:-1] == [f"{name:<20}{cell}" for name, cell in row.items()]
+        name, xi = lines[-1].split()
+        assert name == "xi" and float(xi) == 50.0 * (float(row["f_max"]) / float(row["eta_0"]))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--V", "0"], "V must be"), (["--V", "-5"], "V must be"), (["--V", "nan"], "V must be"),
+        (["--V", "inf"], "V must be"), (["--V", "0.5"], "V must be"),
+        (["--V", "50", "--channel-dist", "0.5,0.5"], "builtin two_queue"),
+        (["--V", "50", "--channel-dist", "x"], "could not convert"),
+    ])
+    def test_oracle_verb_rejects_what_a_sweep_rejects(self, tmp_path, capsys, argv, message):
+        assert main(["oracle", "two_queue", *argv, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_run_verb_rejects_a_wrongly_typed_field(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(smoke_doc(instance="file.json")))
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        assert "instance must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_verb_and_plotdata_verb(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"

@@ -3,12 +3,12 @@
 The hashes below are of the CSVs that `olacsim run scenarios/smoke.json`
 writes, recorded with numpy 2.4 on x86-64, whose bundled OpenBLAS 0.3.31
 ran its SkylakeX kernel. They pin that BLAS kernel as well as the code: with
-`OPENBLAS_CORETYPE=Haswell` or `Prescott` the same code writes another
-oracle.csv (rho_hat, D_p, eta and, under Prescott, gamma_star_2 move in
-their last digits) and six other traces (dist_gamma, dist_beta and, in one
-OLAC2 trace, q_2), while summary.csv holds. A refactor that claims
-byte-identical results keeps them; a change that moves results on purpose
-says so and records new hashes. On a mismatch, first rerun on the recording
+`OPENBLAS_CORETYPE=Haswell`, `Zen` or `Prescott` the same code writes another
+oracle.csv (rho_hat, D_p, eta and, under Haswell and Zen, gamma_star_1 or,
+under Prescott, f_av_star move in their last digits) and six other traces
+(dist_gamma, dist_beta and, in one OLAC2 trace, q_2), while summary.csv
+holds. A refactor that claims byte-identical results keeps them; a change
+that moves results on purpose says so and records new hashes. On a mismatch, first rerun on the recording
 kernel; if that passes, the host's kernel differs, not the code:
 
     OPENBLAS_CORETYPE=SkylakeX python3 -m pytest tests/test_golden.py
@@ -27,14 +27,14 @@ from olacsim.cli import Scenario, run_scenario
 SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "smoke.json")
 
 GOLDEN = {
-    "oracle.csv": "d316395960e6ca686b02834e78227e519a5dce325fdfaa1569d2768d26ef78ab",
+    "oracle.csv": "a0444c146b32e4b442e55afaf34e5271ac1d9b8879ebefa88c78a88ed65e0766",
     "summary.csv": "1ea5ef28e47cf02c2f13d5228b7c0872ffa2bd0e312448f12d67a456924e0d0a",
-    "trace_Backpressure_V50_seed0.csv": "cebbf42bec085b6d2a997e39b79088dd0c330b4575584103eafae9232c2c15ed",
-    "trace_Backpressure_V50_seed1.csv": "b6db4088a4f63e53312aa12bbac2bd9f34b991c49255ee07051ec7311b98c752",
-    "trace_OLAC2_V50_seed0.csv": "81d7c8bb1d3a3e72ec9ff0cfbf3a1196c2f588155f3a9ab26b55f2b81f68ba5a",
-    "trace_OLAC2_V50_seed1.csv": "456b9b0c4ea457a8e8dc08e4c933f325161bfa46cdda73d41e73786352d8bc16",
-    "trace_OLAC_V50_seed0.csv": "20c9b27410e4e9f0cd7260705d7d0b09e86fe28aa0aec894d595afadb726c4b9",
-    "trace_OLAC_V50_seed1.csv": "0fb8164df803e855fb580c07dcc5e95a8339db54541e50205bd21a9ea09f0bfe",
+    "trace_Backpressure_V50_seed0.csv": "0d1d16947cd52827bdb6420a55b4bfad6f55a78a2e074707848939db022bfb56",
+    "trace_Backpressure_V50_seed1.csv": "ca1e33c3aa3dcb3e1f092f3b6b5e07bfa8bff057755ff4f93986790adcef7ea1",
+    "trace_OLAC2_V50_seed0.csv": "3690ff713faca3d114c4fb305c45437b9d78a7f7327fc5cd2770b5d48899f207",
+    "trace_OLAC2_V50_seed1.csv": "6b4a32b01f2c884807ab0fe72ea287fa137f6bbeeab640016db56371f185f618",
+    "trace_OLAC_V50_seed0.csv": "5dde7642df446bd0ecf1fac0f475f25d453b5e0ee9ebd96c58f99fc5ede8d651",
+    "trace_OLAC_V50_seed1.csv": "c88b1f55831aaa793bceb482f328785b39867b52da84f92a2d87eff2fc90d31d",
 }
 
 

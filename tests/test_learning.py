@@ -326,10 +326,22 @@ class TestRecordedOutputs:
 
     # (channel fixture, seed): (SHA-256 of the 2000-slot V = 1 path's bytes, flagged slots)
     PATHS = {
-        ("two_queue", 0): ("d6bfb68d3d296ed7ea0805c5e04ab4f9c783ef361274cdec06396a8b2c717200", 6),
+        ("two_queue", 0): ("849f0382015a0ee8c26860aad3fab0e5e94f6b04e404e9e92b26ba13fa0b0c5b", 6),
         ("two_queue", 1): ("ed0a7407aa8c8eac20d99c7c5519fe4b8ba43ea2d55e1e86a5bc75bc701d7387", 0),
-        ("two_queue_unbalanced", 0): ("4f750ed7ac123142785e4e8b07721463582af2398ee512cc100986e90223a33e", 1),
+        ("two_queue_unbalanced", 0): ("eddf0f710a9c7f34eed2ba9347adbd23bf33f7045667d15831ce18db10b14bad", 1),
         ("two_queue_unbalanced", 1): ("197a21c7df794aa144d78ca30c974606436b18ad44f53fed91afcb923d13d584", 0),
+    }
+    # the two paths above whose box binds (flagged > 0) depend on eta_0 through
+    # xi = f_max / eta_0. Handed the eta_0 that a dense tableau simplex once
+    # solved the slack LP to, one ulp from the dual simplex's, the learner gives
+    # the paths recorded then, bit for bit: it did not move when the slack LP's
+    # engine did.
+    # (channel fixture, seed): (eta_0, SHA-256 of the path's bytes, flagged slots)
+    PATHS_AT_ETA_0 = {
+        ("two_queue", 0): (0.5272984402699591, "d6bfb68d3d296ed7ea0805c5e04ab4f9c783ef361274cdec06396a8b2c717200", 6),
+        ("two_queue_unbalanced", 0): (
+            0.5314167409966799, "4f750ed7ac123142785e4e8b07721463582af2398ee512cc100986e90223a33e", 1
+        ),
     }
     # (channel fixture, V, seed): (gamma at T_l, dual simplex pivots)
     GAMMAS = {
@@ -348,6 +360,14 @@ class TestRecordedOutputs:
         instance = request.getfixturevalue(channel)
         path, flagged = dual_learn(instance, sample_states(instance, 2000, seed), 1.0)
         assert (hashlib.sha256(path.tobytes()).hexdigest(), flagged) == self.PATHS[channel, seed]
+
+    @pytest.mark.parametrize("channel, seed", sorted(PATHS_AT_ETA_0))
+    def test_dual_learn_path_at_given_eta_0(self, request, channel, seed):
+        instance = request.getfixturevalue(channel)
+        eta_0, digest, flagged = self.PATHS_AT_ETA_0[channel, seed]
+        assert eta_0 != max_slack(instance, instance.probabilities)  # one ulp apart
+        path, count = dual_learn(instance, sample_states(instance, 2000, seed), 1.0, eta_0=eta_0)
+        assert (hashlib.sha256(path.tobytes()).hexdigest(), count) == (digest, flagged)
 
     @pytest.mark.parametrize("channel, V, seed", sorted(GAMMAS))
     def test_maximize_dual_at_learn_slot(self, request, channel, V, seed):

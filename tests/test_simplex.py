@@ -1,87 +1,83 @@
-"""The dense simplex against scipy's HiGHS on random LPs, plus dual certificates."""
+"""The one LP engine, ``dual.solve_lp``'s dual simplex, against scipy's HiGHS, plus its prices as certificates.
+
+The engine solves min c.x s.t. a.x = b, x >= 0 from a dual feasible start
+basis, so each LP here is drawn with one: random prices y, c_B = y.a_B on a
+random basis and c_N = y.a_N plus non-negative reduced costs, some of them 0.
+Such an LP is bounded, so it is either optimal or infeasible.
+"""
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from olacsim._simplex import solve_lp
+from olacsim.dual import solve_lp
 
 
-def _reference(c, a_ub, b_ub, a_eq, b_eq):
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    return {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "other"), res
+def dual_feasible_lp(rng):
+    m = int(rng.integers(1, 5))
+    n = m + int(rng.integers(0, 6))
+    a = rng.normal(size=(m, n))
+    basis = rng.permutation(n)[:m]
+    y = rng.normal(size=m)
+    c = y @ a + rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.7)
+    c[basis] = y @ a[:, basis]
+    return a, c, basis, rng.normal(size=m)
 
 
-def _is_truly_feasible(n, a_ub, b_ub, a_eq, b_eq):
-    res = linprog(np.zeros(n), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    return res.status == 0
+def objective(c, x, basis):
+    return float(c[basis] @ x)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_lps_match_scipy(seed):
     rng = np.random.default_rng(seed)
     for _ in range(60):
-        n = int(rng.integers(1, 8))
-        m_ub = int(rng.integers(0, 5))
-        m_eq = int(rng.integers(0, 3))
-        c = rng.normal(size=n)
-        a_ub = rng.normal(size=(m_ub, n)) if m_ub else None
-        b_ub = rng.normal(size=m_ub) if m_ub else None
-        a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
-        b_eq = rng.normal(size=m_eq) if m_eq else None
-        mine = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-        status, ref = _reference(c, a_ub, b_ub, a_eq, b_eq)
-        if mine.status == "optimal":
-            assert status == "optimal"
-            assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
-        elif mine.status == "infeasible":
-            assert not _is_truly_feasible(n, a_ub, b_ub, a_eq, b_eq)
-        else:  # unbounded: feasible and HiGHS agrees it is not optimal
-            assert status in ("unbounded", "infeasible")
-            assert _is_truly_feasible(n, a_ub, b_ub, a_eq, b_eq)
+        a, c, basis, b = dual_feasible_lp(rng)
+        x, final, _ = solve_lp(a, c, basis, b)
+        ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        if x is None:
+            assert ref.status == 2
+        else:
+            assert ref.status == 0
+            assert objective(c, x, final) == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_duals_certify_optimality(seed):
-    # lambda >= 0, reduced costs c + A_ub^T lam + A_eq^T nu >= 0, complementary slackness
+    # x >= 0 solves a.x = b, the prices leave every reduced cost >= 0, and strong duality c.x = y.b
     rng = np.random.default_rng(100 + seed)
     checked = 0
     while checked < 25:
-        n = int(rng.integers(2, 7))
-        m_ub = int(rng.integers(1, 4))
-        m_eq = int(rng.integers(0, 3))
-        c = rng.normal(size=n)
-        a_ub = rng.normal(size=(m_ub, n))
-        b_ub = rng.uniform(0.0, 2.0, size=m_ub)
-        a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
-        b_eq = rng.normal(size=m_eq) if m_eq else None
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-        if res.status != "optimal":
+        a, c, basis, b = dual_feasible_lp(rng)
+        x_b, final, y = solve_lp(a, c, basis, b)
+        if x_b is None:
             continue
         checked += 1
-        assert (res.duals_ub >= -1e-7).all()
-        reduced = c + a_ub.T @ res.duals_ub
-        if m_eq:
-            reduced = reduced + a_eq.T @ res.duals_eq
-        assert (reduced >= -1e-6).all()
-        assert abs(res.x @ reduced) < 1e-6 * max(1.0, abs(res.objective))
+        x = np.zeros(c.size)
+        x[final] = x_b
+        assert (x >= -1e-9).all()
+        assert np.allclose(a @ x, b, atol=1e-9)
+        assert (c - y @ a >= -1e-9).all()
+        assert objective(c, x_b, final) == pytest.approx(y @ b, abs=1e-9)
 
 
 def test_known_small_lp():
-    # min -x1 - 2 x2 s.t. x1 + x2 <= 4, x1 <= 3 -> x = (3, 1)? no: (0,4) scores -8, (3,1) scores -5
-    res = solve_lp([-1.0, -2.0], a_ub=[[1.0, 1.0], [1.0, 0.0]], b_ub=[4.0, 3.0])
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(-8.0, abs=1e-9)
-    assert np.allclose(res.x, [0.0, 4.0], atol=1e-9)
+    # min x1 + x2 s.t. x1 + 2 x2 >= 3, 2 x1 + x2 >= 3, from the surplus basis: x = (1, 1), prices (1/3, 1/3)
+    a = np.array([[1.0, 2.0, -1.0, 0.0], [2.0, 1.0, 0.0, -1.0]])
+    c = np.array([1.0, 1.0, 0.0, 0.0])
+    x, final, y = solve_lp(a, c, [2, 3], np.array([3.0, 3.0]))
+    assert sorted(final.tolist()) == [0, 1]
+    assert objective(c, x, final) == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(x, [1.0, 1.0], atol=1e-12)
+    assert np.allclose(y, [1 / 3, 1 / 3], atol=1e-12)
 
 
-def test_infeasible_and_unbounded():
-    # x1 <= -1 with x1 >= 0 is infeasible
-    assert solve_lp([1.0], a_ub=[[1.0]], b_ub=[-1.0]).status == "infeasible"
-    # min -x1, no constraints: unbounded
-    assert solve_lp([-1.0]).status == "unbounded"
+def test_infeasible_lp_reported():
+    # x1 + x2 = -1 has no solution with x >= 0: the leaving row has no entering column
+    x, _, _ = solve_lp(np.array([[1.0, 1.0]]), np.array([1.0, 1.0]), [0], np.array([-1.0]))
+    assert x is None
 
 
 def test_equality_only_system():
-    res = solve_lp([1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(1.0, abs=1e-12)
+    x, final, y = solve_lp(np.array([[1.0, 1.0]]), np.array([1.0, 1.0]), [0], np.array([1.0]))
+    assert objective(np.array([1.0, 1.0]), x, final) == pytest.approx(1.0, abs=1e-12)
+    assert y.tolist() == [1.0]

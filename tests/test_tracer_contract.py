@@ -48,24 +48,29 @@ def test_every_traced_attribute_resolves(tracing):
         assert callable(traced)
 
 
+def traced_sweep(tracing, out_dir, **fields):
+    doc = {
+        "instance": {"builtin": "two_queue"},
+        "V_values": [100],
+        "seeds": [0],
+        "workers": 1,
+        **fields,
+    }
+    tracer = tracing.Tracer()
+    with tracer.installed(modules()):
+        manifest = run_scenario(Scenario.from_dict(doc), out_dir=str(out_dir))
+    assert manifest["failed"] == 0
+    return tracer
+
+
 @pytest.mark.parametrize("kind", ["Backpressure", "OLAC", "OLAC2"])
 def test_traced_sweep_pins_per_slot_calls(tracing, tmp_path, kind):
     # the ledger and the delay accounting are called once per slot (and
     # finalize once per run), and the only slack LP is the oracle's: the
-    # learners take its eta_0
+    # learners take its eta_0. The oracles' LPs, the policy LP and that slack
+    # LP, are solved through dual.solve_lp, the tracer's simplex.* metrics
     horizon = 200
-    doc = {
-        "instance": {"builtin": "two_queue"},
-        "controllers": [{"kind": kind}],
-        "V_values": [100],
-        "seeds": [0],
-        "horizon": horizon,
-        "workers": 1,
-    }
-    tracer = tracing.Tracer()
-    with tracer.installed(modules()):
-        manifest = run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path))
-    assert manifest["failed"] == 0
+    tracer = traced_sweep(tracing, tmp_path, controllers=[{"kind": kind}], horizon=horizon)
     if kind == "OLAC2":
         assert tracer.calls("controllers.olac2_learn", controller="OLAC2") == 1
         assert tracer.calls("controllers.olac2_maximize_dual", controller="OLAC2") == 1
@@ -75,3 +80,11 @@ def test_traced_sweep_pins_per_slot_calls(tracing, tmp_path, kind):
     assert tracer.calls("queueing.delay_accounting", controller=kind) == horizon + 1
     assert tracer.calls("dual.compute_analysis") == 1
     assert tracer.calls("dual.max_slack") == 1
+    assert tracer.calls("simplex.solve_lp") == 2
+
+
+def test_traced_assumption_check_solves_one_lp_per_perturbation(tracing, tmp_path):
+    tracer = traced_sweep(tracing, tmp_path, controllers=[{"kind": "Backpressure"}], horizon=50,
+                          assumption_check=True, perturbation_count=3)
+    assert tracer.calls("dual.max_slack") == 1 + 3
+    assert tracer.calls("simplex.solve_lp") == 2 + 3
