@@ -24,7 +24,10 @@ import numpy as np
 
 from . import dual
 from .controllers import KINDS, ControllerConfig
-from .model import InstanceError, NetworkInstance, build_two_queue_example, load_instance_file
+from .model import (
+    InstanceError, NetworkInstance, build_two_queue_example, load_instance_file, read_int, read_list, read_number,
+    read_object,
+)
 from .sim import RunResult, SimConfig, run
 
 __all__ = ["Scenario", "ScenarioError", "run_scenario", "emit_plotdata", "main"]
@@ -42,21 +45,14 @@ ORACLE_COLUMNS_TAIL = ["eta_0", "rho_hat", "D_p", "eta", "B", "f_max", "min_pert
 CONTROLLER_KEYS = ("kind", "c", "theta")
 SCENARIO_KEYS = (
     "instance", "controllers", "V_values", "seeds", "horizon", "zeta", "out_dir", "trace", "assumption_check",
-    "perturbation_count", "epsilon_s", "workers", "rho_samples", "rho_seed",
+    "perturbation_count", "epsilon_s", "workers", "rho_seed",
+    # accepted and ignored: older documents, and perfbench's generated ones, still carry it
+    "metric_sample_period",
 )
-# accepted and ignored: older documents, and perfbench's generated ones, still carry it
-LEGACY_SCENARIO_KEYS = ("metric_sample_period",)
+UNIFORM_CHANNEL = [0.25, 0.25, 0.25, 0.25]
 
-
-class ScenarioError(ValueError):
-    pass
-
-
-def _integer(value, field: str) -> int:
-    """A JSON integer, or a float with an integral value; never a boolean."""
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ScenarioError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+# a scenario's errors are the instance loader's: both read JSON through model's readers
+ScenarioError = InstanceError
 
 
 def _flag(doc: dict, field: str) -> bool:
@@ -68,20 +64,19 @@ def _flag(doc: dict, field: str) -> bool:
 
 def _load_instance(desc, base_dir: str = ".") -> NetworkInstance:
     """A scenario's instance, ``{"builtin": "two_queue", "channel_dist": [...]}`` or ``{"file": path}``."""
-    if not isinstance(desc, dict):
-        raise ScenarioError(f"instance must be an object with 'builtin' or 'file', got {desc!r}")
-    if "builtin" in desc:
-        if desc["builtin"] != "two_queue":
-            raise ScenarioError(f"unknown builtin instance {desc['builtin']!r}")
-        try:
-            return build_two_queue_example(desc.get("channel_dist", [0.25, 0.25, 0.25, 0.25]))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"builtin two_queue: {exc}") from exc
-    if "file" in desc:
-        if not isinstance(desc["file"], str):
-            raise ScenarioError(f"instance file must be a path string, got {desc['file']!r}")
-        return load_instance_file(os.path.join(base_dir, desc["file"]))
-    raise ScenarioError("instance must give 'builtin' or 'file'")
+    if isinstance(desc, dict) and "file" in desc:
+        path = read_object(desc, "instance", ("file",))["file"]
+        if not isinstance(path, str):
+            raise ScenarioError(f"instance file must be a path string, got {path!r}")
+        return load_instance_file(os.path.join(base_dir, path))
+    desc = read_object(desc, "instance", ("builtin", "channel_dist"), ("builtin",))
+    if desc["builtin"] != "two_queue":
+        raise ScenarioError(f"unknown builtin instance {desc['builtin']!r}")
+    channel = read_list(desc.get("channel_dist", UNIFORM_CHANNEL), "instance.channel_dist", read_number)
+    try:
+        return build_two_queue_example(channel)
+    except ValueError as exc:
+        raise ScenarioError(f"builtin two_queue: {exc}") from exc
 
 
 @dataclass
@@ -89,7 +84,6 @@ class Scenario:
     """Validated scenario document."""
 
     instance: NetworkInstance
-    instance_desc: dict
     controllers: list[dict]                 # ControllerConfig kwargs without V
     v_values: list[float]
     seeds: list[int]
@@ -102,85 +96,50 @@ class Scenario:
     perturbation_count: int = 100
     epsilon_s: float = 0.05
     workers: int = 1
-    rho_samples: int = 512
     rho_seed: int = 0
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "Scenario":
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario document must be an object")
-        unknown = [key for key in doc if key not in SCENARIO_KEYS + LEGACY_SCENARIO_KEYS]
-        if unknown:
-            raise ScenarioError(
-                f"unknown scenario key(s) {', '.join(map(repr, unknown))}; accepted: {', '.join(SCENARIO_KEYS)}"
-            )
-        try:
-            inst_desc = doc["instance"]
-            controllers_raw = doc["controllers"]
-            v_values = [float(v) for v in doc["V_values"]]
-            seeds = [_integer(s, "seeds") for s in doc["seeds"]]
-            horizon = _integer(doc["horizon"], "horizon")
-        except KeyError as exc:
-            raise ScenarioError(f"missing scenario field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed V_values, seeds or horizon: {exc}") from exc
-        if not isinstance(controllers_raw, list):
-            raise ScenarioError(f"controllers must be a list, got {controllers_raw!r}")
-        if not controllers_raw or not v_values or not seeds:
-            raise ScenarioError("controllers, V_values and seeds must be non-empty")
+        doc = read_object(doc, "scenario", SCENARIO_KEYS, SCENARIO_KEYS[:5])
+        v_values = read_list(doc["V_values"], "V_values", read_number)
+        seeds = read_list(doc["seeds"], "seeds", read_int)
+        horizon = read_int(doc["horizon"], "horizon")
         if horizon < 1:
             raise ScenarioError("horizon must be >= 1")
-        instance = _load_instance(inst_desc, base_dir)
+        instance = _load_instance(doc["instance"], base_dir)
 
         controllers = []
-        for c in controllers_raw:
-            if not isinstance(c, dict) or "kind" not in c:
-                raise ScenarioError("each controller needs a 'kind'")
+        for entry in read_list(doc["controllers"], "controllers"):
+            c = read_object(entry, "controller", CONTROLLER_KEYS, ("kind",))
             if c["kind"] not in KINDS:
                 raise ScenarioError(f"unknown controller kind {c['kind']!r}")
-            unknown = [key for key in c if key not in CONTROLLER_KEYS]
-            if unknown:
-                raise ScenarioError(
-                    f"controller {c['kind']}: unknown key(s) {', '.join(map(repr, unknown))}; "
-                    f"accepted: {', '.join(CONTROLLER_KEYS)}"
-                )
             kwargs = {"kind": c["kind"], "V": 1.0}
             if "c" in c:
-                kwargs["c"] = c["c"]
+                kwargs["c"] = read_number(c["c"], "controller.c")
+            if c.get("theta") is not None:
+                kwargs["theta"] = np.array(read_list(c["theta"], "controller.theta", read_number))
             # every run's configuration is built here, so a bad knob fails at
             # load, not in a worker after the oracles have run
             try:
-                if c.get("theta") is not None:
-                    kwargs["theta"] = np.asarray(c["theta"], dtype=float)
                 for v in v_values:
                     ControllerConfig(**{**kwargs, "V": v}).resolved_theta(instance.r)
-            except (TypeError, ValueError, ArithmeticError) as exc:
+            except (ValueError, ArithmeticError) as exc:
                 raise ScenarioError(f"controller {c['kind']}: {exc}") from exc
             controllers.append(kwargs)
 
-        zeta = doc.get("zeta", {"policy": "auto_Dp"})
-        if not isinstance(zeta, dict):
-            raise ScenarioError("zeta must be an object")
+        zeta = read_object(doc.get("zeta", {}), "zeta", ("policy", "value"))
         policy = zeta.get("policy", "auto_Dp")
         if policy not in ("auto_Dp", "absolute"):
             raise ScenarioError(f"unknown zeta policy {policy!r}")
         zeta_value = None
         if policy == "absolute":
-            try:
-                zeta_value = float(zeta["value"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ScenarioError(f"zeta policy 'absolute' needs a numeric 'value' ({exc!r})") from exc
+            zeta_value = read_number(zeta.get("value"), "zeta.value")
             if not 0 < zeta_value < math.inf:
                 raise ScenarioError(f"zeta value must be positive and finite, got {zeta_value:g}")
 
-        perturbation_count = _integer(doc.get("perturbation_count", 100), "perturbation_count")
-        workers = _integer(doc.get("workers", 1), "workers")
-        rho_samples = _integer(doc.get("rho_samples", 512), "rho_samples")
-        rho_seed = _integer(doc.get("rho_seed", 0), "rho_seed")
-        try:
-            epsilon_s = float(doc.get("epsilon_s", 0.05))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"malformed epsilon_s: {exc}") from exc
+        perturbation_count = read_int(doc.get("perturbation_count", 100), "perturbation_count")
+        workers = read_int(doc.get("workers", 1), "workers")
+        epsilon_s = read_number(doc.get("epsilon_s", 0.05), "epsilon_s")
         out_dir = doc.get("out_dir")
         if out_dir is not None and not isinstance(out_dir, str):
             raise ScenarioError(f"out_dir must be a path string, got {out_dir!r}")
@@ -194,12 +153,9 @@ class Scenario:
         # true distribution: a negative, zero, NaN or infinite radius can stall it
         if not 0 < epsilon_s < math.inf:
             raise ScenarioError(f"epsilon_s must be positive and finite, got {epsilon_s:g}")
-        if rho_samples < 1:
-            raise ScenarioError("rho_samples must be >= 1")
 
         return cls(
             instance=instance,
-            instance_desc=inst_desc,
             controllers=controllers,
             v_values=v_values,
             seeds=seeds,
@@ -212,8 +168,7 @@ class Scenario:
             perturbation_count=perturbation_count,
             epsilon_s=epsilon_s,
             workers=workers,
-            rho_samples=rho_samples,
-            rho_seed=rho_seed,
+            rho_seed=read_int(doc.get("rho_seed", 0), "rho_seed"),
         )
 
     @classmethod
@@ -363,7 +318,7 @@ def _summary_row(label, v, seed, horizon, res: RunResult, r: int):
         res.t_zeta_first,
         res.t_zeta_sustained,
         float(res.dropped.sum()),
-        res.metadata.get("T_l"),
+        res.t_learn,
         res.solver_flagged_slots,
     ]
     return row
@@ -404,9 +359,7 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     analyses: dict[float, dual.InstanceAnalysis] = {}
     solved = None
     for v in sorted(set(scenario.v_values)):
-        solved = analyses[v] = dual.compute_analysis(
-            instance, pi, v, rho_samples=scenario.rho_samples, rho_seed=scenario.rho_seed, lps_from=solved
-        )
+        solved = analyses[v] = dual.compute_analysis(instance, pi, v, rho_seed=scenario.rho_seed, lps_from=solved)
     oracle_rows = [_oracle_row(ana, r, min_slack) for ana in analyses.values()]
     _write_csv(os.path.join(out_dir, "oracle.csv"), _oracle_columns(r), oracle_rows)
 
@@ -522,7 +475,7 @@ def emit_plotdata(summary_path, out_dir=None) -> list[str]:
 def _cmd_run(args) -> int:
     try:
         scenario = Scenario.from_file(args.scenario)
-    except (ScenarioError, InstanceError, OSError) as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.workers is not None and args.workers < 1:
@@ -546,10 +499,12 @@ def _cmd_oracle(args) -> int:
     desc = {"builtin": args.instance} if args.instance == "two_queue" else {"file": args.instance}
     try:
         if args.channel_dist:
+            if "file" in desc:
+                raise ScenarioError("--channel-dist applies to the builtin instance only")
             desc["channel_dist"] = [float(x) for x in args.channel_dist.split(",")]
         ControllerConfig(KINDS[0], args.V)  # the V a sweep accepts
         instance = _load_instance(desc)
-    except (InstanceError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ana = dual.compute_analysis(instance, instance.probabilities, args.V)

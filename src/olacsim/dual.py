@@ -527,7 +527,6 @@ def compute_analysis(
     instance: NetworkInstance,
     dist,
     V: float,
-    rho_samples: int = 512,
     rho_seed: int = 0,
     lps_from: InstanceAnalysis | None = None,
 ) -> InstanceAnalysis:
@@ -557,7 +556,7 @@ def compute_analysis(
         f_av_star, multiplier_v1, eta_0 = lps_from.f_av_star, lps_from.multiplier_v1, lps_from.eta_0
     gamma_star = V * multiplier_v1
     g_star = dual_value(instance, dist, gamma_star, V)
-    rho_hat = estimate_polyhedral_rho(instance, dist, V, gamma_star, sample_count=rho_samples, seed=rho_seed)
+    rho_hat = estimate_polyhedral_rho(instance, dist, V, gamma_star, seed=rho_seed)
     if rho_hat > 0:
         eta = ETA_FRACTION * rho_hat
         d_p = (instance.B - eta**2) / (2.0 * (rho_hat - eta))

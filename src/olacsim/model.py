@@ -5,6 +5,11 @@ and a finite ordered list of actions; each action has a scalar cost, an
 arrival vector and a service vector (one entry per queue). Bounds
 (``delta_max``, ``f_max``, ``B``) are always derived from the tables, never
 user-supplied.
+
+JSON documents, instances here and scenarios in ``cli``, are read through
+``read_int``, ``read_number``, ``read_list`` and ``read_object``: a number
+must be a JSON number, an object may hold only the keys it lists, and each
+error names the field it rejects.
 """
 from __future__ import annotations
 
@@ -28,6 +33,9 @@ __all__ = [
 ]
 
 PROB_SUM_TOL = 1e-9
+# the keys of an instance document's states and actions, every one required
+STATE_KEYS = ("probability", "actions")
+ACTION_KEYS = ("cost", "arrivals", "services")
 
 # Two-queue example constants: on/off arrivals of 2 packets with rates
 # (0.3, 0.4), four channel gains per queue, five power levels, log rate law.
@@ -38,7 +46,7 @@ TWO_QUEUE_POWER_LEVELS = (0.0, 0.75, 1.5, 2.25, 3.0)
 
 
 class InstanceError(ValueError):
-    """Raised when an instance document cannot be parsed or fails validation."""
+    """Raised when an instance or scenario document cannot be parsed or fails validation."""
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -222,25 +230,60 @@ def serialize_instance(instance: NetworkInstance) -> dict:
     }
 
 
-def _instance_from_dict(doc: dict) -> NetworkInstance:
-    if not isinstance(doc, dict):
-        raise InstanceError(f"instance document must be an object, got {type(doc).__name__}")
+def read_int(value, field: str) -> int:
+    """A JSON integer, or a float with an integral value; never a boolean."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise InstanceError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
+def read_number(value, field: str) -> float:
+    """A JSON integer or float (NaN and Infinity included); never a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceError(f"{field} must be a number, got {value!r}")
     try:
-        r = int(doc["r"])
-        raw_states = doc["states"]
-    except KeyError as exc:
-        raise InstanceError(f"missing top-level field {exc}") from exc
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InstanceError(f"{field} lies beyond the float range") from None
+
+
+def read_list(value, field: str, read=None) -> list:
+    """A non-empty JSON list, each entry passed through ``read(entry, "field[i]")`` if given."""
+    if not isinstance(value, list) or not value:
+        raise InstanceError(f"{field} must be a non-empty list, got {value!r}")
+    return value if read is None else [read(v, f"{field}[{i}]") for i, v in enumerate(value)]
+
+
+def read_object(value, field: str, allowed, required=()) -> dict:
+    """A JSON object whose keys are all in ``allowed`` and include every ``required`` one."""
+    if not isinstance(value, dict):
+        raise InstanceError(f"{field} must be an object, got {value!r}")
+    unknown = [key for key in value if key not in allowed]
+    if unknown:
+        raise InstanceError(f"{field}: unknown key(s) {', '.join(map(repr, unknown))}; accepted: {', '.join(allowed)}")
+    for key in required:
+        if key not in value:
+            raise InstanceError(f"missing {field} field {key!r}")
+    return value
+
+
+def _instance_from_dict(doc) -> NetworkInstance:
+    doc = read_object(doc, "top-level", ("r", "states"), ("r", "states"))
+    r = read_int(doc["r"], "r")
     states = []
-    for i, rs in enumerate(raw_states):
-        try:
-            actions = tuple(
-                ActionSpec(k, float(ra["cost"]), tuple(map(float, ra["arrivals"])),
-                           tuple(map(float, ra["services"])))
-                for k, ra in enumerate(rs["actions"])
-            )
-            states.append(StateSpec(i, float(rs["probability"]), actions))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceError(f"state {i}: malformed entry ({exc})") from exc
+    for i, raw_state in enumerate(read_list(doc["states"], "states")):
+        state = read_object(raw_state, f"states[{i}]", STATE_KEYS, STATE_KEYS)
+        actions = []
+        for k, raw_action in enumerate(read_list(state["actions"], f"states[{i}].actions")):
+            where = f"states[{i}].actions[{k}]"
+            action = read_object(raw_action, where, ACTION_KEYS, ACTION_KEYS)
+            actions.append(ActionSpec(
+                k,
+                read_number(action["cost"], f"{where}.cost"),
+                tuple(read_list(action["arrivals"], f"{where}.arrivals", read_number)),
+                tuple(read_list(action["services"], f"{where}.services", read_number)),
+            ))
+        states.append(StateSpec(i, read_number(state["probability"], f"states[{i}].probability"), tuple(actions)))
     return NetworkInstance(r, states)
 
 

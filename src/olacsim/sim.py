@@ -2,12 +2,11 @@
 
 States are presampled from the instance distribution with a PCG64 generator;
 the seed is split into two independent streams (state sampling, reserved) via
-SeedSequence spawning, and the generator name is echoed in the run metadata.
-Identical (instance, config, gamma_star) inputs reproduce bit-identical
-results. The learned multipliers depend on the states only, so OLAC's whole
-path and OLAC2's one-shot learn run before the slot loop. OLAC's path is
-learned at V = 1 and scaled by V, so runs of one seed at several V can share
-it (``SimConfig.unit_beta``).
+SeedSequence spawning. Identical (instance, config, gamma_star) inputs
+reproduce bit-identical results. The learned multipliers depend on the
+states only, so OLAC's whole path and OLAC2's one-shot learn run before the
+slot loop. OLAC's path is learned at V = 1 and scaled by V, so runs of one
+seed at several V can share it (``SimConfig.unit_beta``).
 
 The multiplier estimate whose convergence is measured is q(t) for
 Backpressure and OLAC2 and q(t) + beta(t) - theta for OLAC; at OLAC2's learn
@@ -17,7 +16,7 @@ so the measured estimate jumps to the learned target there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .queueing import DelayAccumulator, DelayStats, QueueLedger, adjust_to, appl
 
 __all__ = ["SimConfig", "RunResult", "run", "convergence_time", "sample_states"]
 
-RNG_NAME = "pcg64"
 # consecutive within-zeta slots that make T_zeta_sustained
 SUSTAIN_WINDOW = 100
 
@@ -82,7 +80,8 @@ class RunResult:
     # slots whose learned multiplier sits on the box xi in some queue: OLAC's
     # beta(t), or OLAC2's gamma (one slot, T_l)
     solver_flagged_slots: int = 0
-    metadata: dict = field(default_factory=dict)
+    # OLAC2's learn slot T_l (None for the other kinds)
+    t_learn: int | None = None
     # OLAC: the (horizon, r) beta path at V = 1 and its box-bound slot count,
     # for SimConfig.unit_beta of the same seed's runs at other V
     unit_beta: tuple[np.ndarray, int] | None = None
@@ -226,21 +225,6 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         t_first = convergence_time(dist, cfg.zeta)
         t_sustained = convergence_time(dist, cfg.zeta, SUSTAIN_WINDOW)
 
-    metadata = {
-        "kind": kind,
-        "V": V,
-        "horizon": H,
-        "seed": cfg.seed,
-        "rng": RNG_NAME,
-        "rng_streams": "seedsequence-spawn(states, reserved)",
-        "discipline": discipline,
-        "zeta": cfg.zeta,
-        "sustain_window": SUSTAIN_WINDOW,
-        "theta": None if theta is None else theta.tolist(),
-        "c": ctrl.c if kind == OLAC2 else None,
-        "T_l": t_learn,
-        "initial_backlog": None if cfg.initial_backlog is None else list(map(float, cfg.initial_backlog)),
-    }
     # sequential sums (cumsum, not the pairwise np.sum) keep the averages' rounding
     return RunResult(
         avg_cost=float(np.cumsum(costs)[-1]) / H,
@@ -254,6 +238,6 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         queue_trace=q_path,
         cost_trace=costs,
         solver_flagged_slots=flagged,
-        metadata=metadata,
+        t_learn=t_learn,
         unit_beta=unit_beta,
     )

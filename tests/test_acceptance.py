@@ -73,7 +73,7 @@ class TestCriterion1:
         worst = 0.0
         v = 100.0
         for inst in instances:
-            ana = compute_analysis(inst, inst.probabilities, v, rho_samples=64)
+            ana = compute_analysis(inst, inst.probabilities, v)
             gap = abs(ana.g_star / v - ana.f_av_star) / max(1.0, ana.f_av_star)
             worst = max(worst, gap)
         ok = worst <= 1e-6

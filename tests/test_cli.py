@@ -48,6 +48,17 @@ WRONG_TYPES = [
     ({"trace": "false"}, "trace"), ({"assumption_check": "no"}, "assumption_check"),
     ({"horizon": 2.7}, "horizon"), ({"seeds": [1.5]}, "seeds"), ({"horizon": True}, "horizon"),
     ({"workers": "2"}, "workers"), ({"out_dir": 5}, "out_dir"),
+    # numbers are JSON numbers: a string or a boolean is not read as one
+    ({"V_values": ["50"]}, r"V_values\[0\]"), ({"V_values": [True]}, r"V_values\[0\]"),
+    ({"epsilon_s": "0.05"}, "epsilon_s"), ({"zeta": {"policy": "absolute", "value": "3"}}, "zeta.value"),
+    ({"instance": {"builtin": "two_queue", "channel_dist": ["0.25"] * 4}}, "channel_dist"),
+    ({"controllers": [{"kind": "OLAC", "theta": ["1", "1"]}]}, "theta"),
+    ({"controllers": [{"kind": "OLAC2", "c": False}]}, "controller.c"),
+    ({"epsilon_s": 10**400}, "epsilon_s lies beyond the float range"),
+    # every object is key-checked: a misspelt key is not dropped without a word
+    ({"zeta": {"policy": "auto_Dp", "radius": 3}}, r"zeta: unknown key\(s\) 'radius'"),
+    ({"instance": {"builtin": "two_queue", "chanel_dist": [0.1, 0.4, 0.4, 0.1]}}, "'chanel_dist'"),
+    ({"instance": {"file": "inst.json", "builtin": "two_queue"}}, r"instance: unknown key\(s\) 'builtin'"),
 ]
 
 
@@ -108,7 +119,7 @@ class TestScenarioParsing:
                                            {"epsilon_s": float("inf")}, {"epsilon_s": 0.0},
                                            {"seeds": [0, -1]}, {"workers": 0},
                                            {"workers": -1}, {"perturbation_count": -1},
-                                           {"rho_samples": 0}, *(doc for doc, _ in WRONG_TYPES)])
+                                           {"rho_samples": 512}, *(doc for doc, _ in WRONG_TYPES)])
     def test_bad_grid_rejected_at_load(self, overrides):
         with pytest.raises(ScenarioError):
             Scenario.from_dict(smoke_doc(**overrides))
@@ -129,7 +140,7 @@ class TestScenarioParsing:
         with open(SMOKE, encoding="utf-8") as fh:
             doc = json.load(fh)
         doc[key] = value
-        with pytest.raises(ScenarioError, match=f"unknown scenario key\\(s\\) '{key}'"):
+        with pytest.raises(ScenarioError, match=f"scenario: unknown key\\(s\\) '{key}'"):
             Scenario.from_dict(doc)
 
     @pytest.mark.parametrize("name", sorted(n for n in os.listdir(SCENARIOS) if n.endswith(".json")))
@@ -248,6 +259,10 @@ class TestRunScenario:
             spec.loader.exec_module(perfbench)
         finally:
             sys.path.remove(PERFBENCH)
+        # the benchmark's own documents load, at full and at self-test size
+        for name in ("delay_table", "assumption_sweep"):
+            for tiny in (False, True):
+                Scenario.from_dict(perfbench.WORKLOADS[name].document(7, tiny=tiny))
         doc = {**perfbench.WORKLOADS["assumption_sweep"].document(7), "horizon": 200, "trace": False}
         calls = []
         real = olacsim.sim.dual_learn
@@ -497,6 +512,17 @@ class TestMainEntry:
         assert main(["oracle", "two_queue", *argv, "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and not captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_verb_rejects_channel_dist_with_an_instance_file(self, tmp_path, capsys, two_queue):
+        from olacsim.model import serialize_instance
+
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(serialize_instance(two_queue)))
+        argv = ["oracle", str(path), "--V", "50", "--channel-dist", "0.9,0.1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--channel-dist applies to the builtin instance only" in captured.err and not captured.out
         assert not (tmp_path / "out").exists()
 
     def test_run_verb_rejects_a_wrongly_typed_field(self, tmp_path, capsys):

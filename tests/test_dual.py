@@ -133,7 +133,7 @@ class TestMaximizeDual:
         # ascent was once warm-started at); the dual there is V * f_av_star
         pi = two_queue.probabilities
         primal = primal_oracle(two_queue, pi)
-        ana = compute_analysis(two_queue, pi, 100.0, rho_samples=8)
+        ana = compute_analysis(two_queue, pi, 100.0)
         assert np.array_equal(ana.gamma_star, 100.0 * primal.multiplier_v1)
         assert abs(ana.g_star / 100.0 - primal.f_av_star) <= 1e-6 * max(1.0, primal.f_av_star)
 

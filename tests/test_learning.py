@@ -187,7 +187,7 @@ class TestDualLearn:
         # same box, bit for bit (at V = 37.5, V * f_max / eta_0 rounds otherwise
         # than V * (f_max / eta_0), the learner's order)
         instance = two_queue_unbalanced
-        ana = compute_analysis(instance, instance.probabilities, V, rho_samples=8)
+        ana = compute_analysis(instance, instance.probabilities, V)
         assert ana.eta_0 == _CountLP(instance).eta_0 == max_slack(instance, instance.probabilities)
         blocked = state_index(1, 1, 0, 0)
         path, _ = dual_learn(instance, np.full(4, blocked), V)
@@ -301,7 +301,7 @@ class TestMaximizeDualAgainstHighs:
         dist = np.bincount([state_index(1, 1, 0, 0)], minlength=two_queue.M).astype(float)
         res = maximize_dual(two_queue, dist, 100.0)
         assert res.at_box
-        assert (res.gamma == compute_analysis(two_queue, two_queue.probabilities, 100.0, rho_samples=8).xi).all()
+        assert (res.gamma == compute_analysis(two_queue, two_queue.probabilities, 100.0).xi).all()
         assert_lp_optimal(two_queue, dist, 100.0, res.gamma, res.value)
 
     @settings(max_examples=60, deadline=None)

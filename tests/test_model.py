@@ -135,3 +135,23 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(InstanceError, match="missing top-level field"):
             load_instance(json.dumps({"states": []}))
+
+    @pytest.mark.parametrize("top, state, action, match", [
+        ({"r": 1.7}, {}, {}, "r must be an integer, got 1.7"),
+        ({"r": "1"}, {}, {}, "r must be an integer, got '1'"),
+        ({"r": True}, {}, {}, "r must be an integer, got True"),
+        ({}, {"probability": "1.0"}, {}, r"states\[0\]\.probability must be a number"),
+        ({}, {}, {"cost": True}, r"states\[0\]\.actions\[0\]\.cost must be a number"),
+        ({}, {}, {"arrivals": ["0.0"]}, r"states\[0\]\.actions\[0\]\.arrivals\[0\] must be a number"),
+        ({"name": "x"}, {}, {}, r"top-level: unknown key\(s\) 'name'"),
+        ({}, {"id": 0}, {}, r"states\[0\]: unknown key\(s\) 'id'"),
+        ({}, {}, {"servces": [1.0]}, r"states\[0\]\.actions\[0\]: unknown key\(s\) 'servces'"),
+    ], ids=["r-float", "r-string", "r-bool", "probability-string", "cost-bool", "arrivals-string",
+            "top-level-key", "state-key", "action-key"])
+    def test_wrongly_typed_or_unknown_field_rejected(self, top, state, action, match):
+        # numbers must be JSON numbers (a string, a boolean or 1.7 queues is not
+        # read as one) and every object's keys are checked, at all three levels
+        action = {"cost": 0.0, "arrivals": [0.0], "services": [1.0], **action}
+        doc = {"r": 1, "states": [{"probability": 1.0, "actions": [action], **state}], **top}
+        with pytest.raises(InstanceError, match=match):
+            load_instance(json.dumps(doc))

@@ -140,18 +140,8 @@ class TestRun:
         t_l = ControllerConfig("OLAC2", v).learn_slot()
         cfg = SimConfig(horizon=t_l + 3, seed=1, controller=ControllerConfig("OLAC2", v))
         res = run(two_queue, cfg, gamma_star_100)
+        assert res.t_learn == t_l == 22
         assert res.queue_trace[t_l].sum() > res.queue_trace[t_l - 1].sum() + 10
-
-    def test_metadata_echo(self, two_queue, gamma_star_100):
-        cfg = SimConfig(horizon=10, seed=9, controller=ControllerConfig("OLAC2", 100.0), zeta=50.0)
-        res = run(two_queue, cfg, gamma_star_100)
-        md = res.metadata
-        assert md["kind"] == "OLAC2"
-        assert md["rng"] == "pcg64"
-        assert md["discipline"] == "LIFO"
-        assert md["T_l"] == 22
-        assert md["zeta"] == 50.0
-        assert md["seed"] == 9
 
     def test_avg_cost_within_bounds(self, two_queue, gamma_star_100):
         cfg = SimConfig(horizon=3000, seed=0, controller=ControllerConfig("Backpressure", 100.0))
