@@ -65,7 +65,7 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args(argv)
 
-    gamma_stars = {v: compute_analysis(INSTANCE, INSTANCE.probabilities, v).gamma_star for v in args.V}
+    gamma_stars = {v: compute_analysis(INSTANCE, v).gamma_star for v in args.V}
     print("summed supergradient at gamma* + delta*(1,1):")
     for v in args.V:
         row = "  ".join(

@@ -227,20 +227,18 @@ def _write_trace(path, queue_trace, gamma_trace, beta_trace, cost_trace):
         fh.write("\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 
 
-def _execute_run(args, unit_beta=None):
+def _execute_run(args):
     """One (controller, V, seed) simulation without its per-slot paths; its exception if it fails.
 
-    ``unit_beta`` is OLAC's V = 1 beta path from an earlier run of the same
-    seed (``SimConfig.unit_beta``). With a ``trace_dir`` the run's trace file
-    is written there first, in the task that ran it; then the paths are
-    dropped, so neither the pool's pickles nor the collector hold a
-    full-length path per run. A failed write is not a failed run: it raises.
+    With a ``trace_dir`` the run's trace file is written there first, in the
+    task that ran it; then the paths are dropped, so neither the pool's
+    pickles nor the collector hold a full-length path per run. A failed write
+    is not a failed run: it raises.
     """
-    instance, ctrl_kwargs, v, seed, horizon, zeta, trace_dir, gamma_star, eta_0 = args
+    instance, ctrl_kwargs, v, seed, horizon, zeta, trace_dir, gamma_star = args
     try:
         ctrl = ControllerConfig(**{**ctrl_kwargs, "V": v})
-        cfg = SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, eta_0=eta_0, unit_beta=unit_beta)
-        res = run(instance, cfg, gamma_star)
+        res = run(instance, SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta), gamma_star)
     except Exception as exc:  # recorded per run by the collector
         return exc
     if trace_dir is not None:
@@ -253,21 +251,12 @@ def _execute_run(args, unit_beta=None):
 def _execute_seed(jobs):
     """Worker entry: one (controller, seed)'s runs, one per V in scenario order.
 
-    The jobs share the instance, seed, horizon and eta_0, so they sample the
-    same states, and OLAC's beta path, learned at V = 1 and scaled by V, is
-    the same for every V: the first run that learns it hands it to the later
-    ones. The path is dropped from every result before they are returned.
+    The jobs share the instance, seed and horizon, so they sample the same
+    states, and OLAC's beta path, learned at V = 1 and scaled by V, is the
+    same for every V: the instance keeps the path of the task's first run
+    that learns it, and the later runs reuse it.
     """
-    outcomes, unit_beta = [], None
-    for job in jobs:
-        res = _execute_run(job, unit_beta)
-        if unit_beta is None and isinstance(res, RunResult):
-            unit_beta = res.unit_beta
-        outcomes.append(res)
-    for res in outcomes:
-        if isinstance(res, RunResult):
-            res.unit_beta = None
-    return outcomes
+    return [_execute_run(job) for job in jobs]
 
 
 def _perturbed_distributions(pi: np.ndarray, count: int, eps: float, seed: int):
@@ -328,20 +317,21 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     """Execute the sweep; returns the manifest dict (also written to disk).
 
     Oracles (gamma*, f*, eta_0, rho_hat, D_p) are computed once per V in the
-    parent process, with the V-independent policy and slack LPs solved for
-    the first V only. The runs are grouped into one task per (controller,
-    seed), which runs that seed's V values in scenario order: OLAC's beta path
-    does not depend on V, so it is learned once per task, in the task's first
-    run that succeeds, and scaled by V in the others (``SimConfig.unit_beta``).
-    Tasks execute in a pool of min(workers, tasks) processes when that is more
-    than one. With traces, each run's trace file is written by the task that
-    ran it, right after the run, and no run hands its per-slot paths back. A
-    single collector writes the other outputs, the manifest in (controller,
-    V, seed) order and summary.csv sorted by it. A run that raises is
-    recorded in the manifest (status "error", counted in "failed") and the
-    other runs' outputs are still written; a failed output write raises. Each
-    run gets the oracle's gamma* and eta_0, so the learners do not solve the
-    slack LP again.
+    parent process; the V-independent policy and slack LPs are solved once,
+    and the instance keeps them (``dual.instance_store``), so the learners
+    read the oracle's eta_0. The runs are grouped into one task per
+    (controller, seed), which runs that seed's V values in scenario order:
+    OLAC's beta path does not depend on V, so it is learned in the task's
+    first run that succeeds, kept with the instance and scaled by V in the
+    others. Tasks execute in a pool of min(workers, tasks) processes when
+    that is more than one; each task then unpickles an instance of its own,
+    whose learners solve the slack LP again. With traces, each run's trace
+    file is written by the task that ran it, right after the run, and no run
+    hands its per-slot paths back. A single collector writes the other
+    outputs, the manifest in (controller, V, seed) order and summary.csv
+    sorted by it. A run that raises is recorded in the manifest (status
+    "error", counted in "failed") and the other runs' outputs are still
+    written; a failed output write raises.
     """
     out_dir = out_dir or scenario.out_dir or os.environ.get(OUT_DIR_ENV, "out")
     workers = workers if workers is not None else scenario.workers
@@ -356,10 +346,7 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     if scenario.assumption_check:
         perturbed = _perturbed_distributions(pi, scenario.perturbation_count, scenario.epsilon_s, scenario.rho_seed)
         min_slack = min(dual.max_slack(instance, p) for p in perturbed) if perturbed else None
-    analyses: dict[float, dual.InstanceAnalysis] = {}
-    solved = None
-    for v in sorted(set(scenario.v_values)):
-        solved = analyses[v] = dual.compute_analysis(instance, pi, v, rho_seed=scenario.rho_seed, lps_from=solved)
+    analyses = {v: dual.compute_analysis(instance, v, scenario.rho_seed) for v in sorted(set(scenario.v_values))}
     oracle_rows = [_oracle_row(ana, r, min_slack) for ana in analyses.values()]
     _write_csv(os.path.join(out_dir, "oracle.csv"), _oracle_columns(r), oracle_rows)
 
@@ -369,8 +356,8 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
         zetas[v] = None if zeta is not None and math.isnan(zeta) else zeta
     trace_dir = out_dir if trace else None
     tasks = [
-        [(instance, ctrl_kwargs, v, seed, scenario.horizon, zetas[v], trace_dir, analyses[v].gamma_star,
-          analyses[v].eta_0) for v in scenario.v_values]
+        [(instance, ctrl_kwargs, v, seed, scenario.horizon, zetas[v], trace_dir, analyses[v].gamma_star)
+         for v in scenario.v_values]
         for ctrl_kwargs in scenario.controllers
         for seed in scenario.seeds
     ]
@@ -507,7 +494,7 @@ def _cmd_oracle(args) -> int:
     except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ana = dual.compute_analysis(instance, instance.probabilities, args.V)
+    ana = dual.compute_analysis(instance, args.V)
     row = _oracle_row(ana, instance.r)
     for name, value in [*zip(_oracle_columns(instance.r), row), ("xi", ana.xi)]:
         print(f"{name:<20}{_fmt(value)}")

@@ -14,7 +14,8 @@ basis (``_DualSimplex``):
 - the policy LP (``primal_oracle``) gives the optimal mean cost and, as its
   queue-row prices, the optimal multiplier; the slack LP (``max_slack``)
   gives eta_0. Both go through ``solve_lp``, each from a start basis of its
-  own;
+  own; at the true distribution each is solved once per instance
+  (``instance_store``);
 - ``maximize_dual`` maximizes g over the box 0 <= gamma <= xi =
   V*f_max/eta_0 exactly, as the prices of the same LP written with a
   shortfall column per queue (``_CountLP``); OLAC's learner keeps that LP's
@@ -92,7 +93,6 @@ class InstanceAnalysis:
     g_star: float
     eta_0: float
     constants: AnalysisConstants
-    multiplier_v1: np.ndarray  # the policy LP's dual prices, as in PrimalSolution
 
     @property
     def xi(self) -> float:
@@ -192,9 +192,28 @@ class DualTables:
         self.folded = fold
 
 
-# class_lp's result per live instance, keyed by id(instance); weakref.finalize
-# drops an entry when its instance goes, before the id can be reused
-_CLASS_LPS: dict[int, tuple] = {}
+# what depends on the instance alone, one dict per live instance, keyed by
+# id(instance); weakref.finalize drops an entry when its instance goes, before
+# the id can be reused. No value in an entry may refer to its instance.
+_STORES: dict[int, dict] = {}
+
+
+def instance_store(instance: NetworkInstance) -> dict:
+    """The dict that keeps ``instance``'s own results for as long as the instance lives.
+
+    Each slot is filled on first use: ``class_lp``, the true distribution's
+    slack (``nominal_slack``) and policy LP (``compute_analysis``), and
+    ``sim.run``'s last OLAC beta path. The two LPs are solved through this
+    module's ``max_slack`` and ``primal_oracle``, looked up at call time, and
+    each in a slot of its own: the learners read the slack only, so an
+    instance without slack, whose policy LP can be infeasible, raises
+    NoSlackError there.
+    """
+    store = _STORES.get(id(instance))
+    if store is None:
+        store = _STORES[id(instance)] = {}
+        weakref.finalize(instance, _STORES.pop, id(instance), None)
+    return store
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -214,14 +233,21 @@ def class_lp(instance: NetworkInstance):
     ``DualTables``), so the policy and slack LPs are written on these columns,
     and so is the dual maximizer's LP.
 
-    It is built once per instance: later calls return the same tuple, whose
-    arrays (the tables' too) are read-only.
+    It is built once per instance (``instance_store``): later calls return
+    the same tuple, whose arrays (the tables' too) are read-only.
     """
-    lp = _CLASS_LPS.get(id(instance))
-    if lp is None:
-        lp = _CLASS_LPS[id(instance)] = _build_class_lp(instance)
-        weakref.finalize(instance, _CLASS_LPS.pop, id(instance), None)
-    return lp
+    store = instance_store(instance)
+    if "class_lp" not in store:
+        store["class_lp"] = _build_class_lp(instance)
+    return store["class_lp"]
+
+
+def nominal_slack(instance: NetworkInstance) -> float:
+    """eta_0 = ``max_slack(instance, instance.probabilities)``, solved once per instance."""
+    store = instance_store(instance)
+    if "eta_0" not in store:
+        store["eta_0"] = max_slack(instance, instance.probabilities)
+    return store["eta_0"]
 
 
 def _build_class_lp(instance: NetworkInstance):
@@ -353,28 +379,24 @@ class _CountLP(_DualSimplex):
     Its dual is the dual function at w times sum(w), with gamma the prices of
     the queue rows; the shortfall column s_j turns the box gamma_j <= xi into
     a column, so the LP is always feasible. xi = f_max / eta_0, where eta_0 is
-    the largest service slack of the true distribution (``max_slack``); an
+    the largest service slack of the true distribution (``nominal_slack``); an
     instance without slack (eta_0 <= 0) has no box and is rejected.
 
     Columns are those of ``class_lp`` (the kept actions in class order), then
     s (cost xi), then u (cost 0); rows are the classes, then the queues. The
     start basis, the cheapest action of each class (smallest id on ties) plus
     every u_j, is dual feasible at gamma = 0 and primal feasible at w = 0.
-
-    ``eta_0``, when given, is taken as ``max_slack(instance,
-    instance.probabilities)`` (a caller that has already solved it, such as
-    the sweep's oracle); otherwise the slack LP is solved here. Each kept
-    factorisation also holds, once read, ``step`` and ``beta``.
+    Each kept factorisation also holds, once read, ``step`` and ``beta``.
     """
 
-    def __init__(self, instance: NetworkInstance, eta_0: float | None = None):
+    def __init__(self, instance: NetworkInstance):
         tables, a, costs, self.rhs = class_lp(instance)
         self.n_class = n_class = tables.shape[0]
         r, n_y = instance.r, costs.size
         count_a = np.zeros((n_class + r, n_y + 2 * r))
         count_a[:, :n_y] = a
         count_a[n_class:, n_y:] = np.hstack([np.eye(r), -np.eye(r)])
-        self.eta_0 = max_slack(instance, instance.probabilities) if eta_0 is None else eta_0
+        self.eta_0 = nominal_slack(instance)
         if not self.eta_0 > 0:
             raise NoSlackError(
                 f"the learned multiplier needs service slack: eta_0 = {self.eta_0:g} <= 0, so its bound "
@@ -411,20 +433,19 @@ class _CountLP(_DualSimplex):
         return x
 
 
-def maximize_dual(instance: NetworkInstance, dist, V: float, eta_0: float | None = None) -> DualSolveResult:
+def maximize_dual(instance: NetworkInstance, dist, V: float) -> DualSolveResult:
     """The exact maximizer of the dual at ``dist`` over the box 0 <= gamma <= xi.
 
     xi = V * f_max / eta_0 is ``InstanceAnalysis.xi`` bit for bit. The LP of
     ``_CountLP`` is solved once with the dual simplex from its start basis;
     ``gamma`` is V times its queue-row prices and ``value`` V times its
-    optimum. ``eta_0`` is the true distribution's slack if the caller has
-    solved it already. An instance without service slack (eta_0 <= 0) raises
+    optimum. An instance without service slack (eta_0 <= 0) raises
     NoSlackError.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (instance.M,):
         raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
-    lp = _CountLP(instance, eta_0)
+    lp = _CountLP(instance)
     x = lp.restore(lp.rhs @ dist)
     return DualSolveResult(
         gamma=V * lp.beta,
@@ -523,24 +544,15 @@ def estimate_polyhedral_rho(
 ETA_FRACTION = 0.1
 
 
-def compute_analysis(
-    instance: NetworkInstance,
-    dist,
-    V: float,
-    rho_seed: int = 0,
-    lps_from: InstanceAnalysis | None = None,
-) -> InstanceAnalysis:
-    """Oracle bundle per (instance, V): optimum, multiplier, slack, constants.
+def compute_analysis(instance: NetworkInstance, V: float, rho_seed: int = 0) -> InstanceAnalysis:
+    """Oracle bundle per (instance, V) at the true distribution: optimum, multiplier, slack, constants.
 
     gamma_star is V times the policy LP's dual prices, and g_star the dual
     function evaluated there on the full tables (``dual_value``), so that
     g_star = V*f_av_star (strong duality) checks the LP's prices against an
     independent evaluation, and g_star <= V*f_av_star (weak duality) holds
-    for any multiplier.
-
-    The policy LP and the slack LP do not depend on V. ``lps_from``, an
-    analysis of the same instance and distribution at any V, supplies their
-    results (f_av_star, the V=1 multiplier, eta_0) instead of solving them again.
+    for any multiplier. The policy LP and the slack LP do not depend on V:
+    the instance keeps them (``instance_store``).
 
     eta = ETA_FRACTION * rho_hat; any fraction in (0, 1) yields a valid drift
     margin. D_p = (B - eta^2)/(2(rho_hat - eta)) is increasing in eta, so the
@@ -548,13 +560,12 @@ def compute_analysis(
     minimum B/(2 rho_hat), which matters on instances whose dual has shallow
     directions (large D_p otherwise swallows the whole approach path).
     """
-    if lps_from is None:
-        primal = primal_oracle(instance, dist)
-        f_av_star, multiplier_v1 = primal.f_av_star, primal.multiplier_v1
-        eta_0 = max_slack(instance, dist)
-    else:
-        f_av_star, multiplier_v1, eta_0 = lps_from.f_av_star, lps_from.multiplier_v1, lps_from.eta_0
-    gamma_star = V * multiplier_v1
+    dist = instance.probabilities
+    store = instance_store(instance)
+    if "policy" not in store:
+        store["policy"] = primal_oracle(instance, dist)
+    policy = store["policy"]
+    gamma_star = V * policy.multiplier_v1
     g_star = dual_value(instance, dist, gamma_star, V)
     rho_hat = estimate_polyhedral_rho(instance, dist, V, gamma_star, seed=rho_seed)
     if rho_hat > 0:
@@ -566,10 +577,9 @@ def compute_analysis(
     constants = AnalysisConstants(B=instance.B, eta=eta, rho_hat=rho_hat, D_p=d_p, f_max=instance.f_max)
     return InstanceAnalysis(
         V=V,
-        f_av_star=f_av_star,
+        f_av_star=policy.f_av_star,
         gamma_star=gamma_star,
         g_star=g_star,
-        eta_0=eta_0,
+        eta_0=nominal_slack(instance),
         constants=constants,
-        multiplier_v1=multiplier_v1,
     )

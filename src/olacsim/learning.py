@@ -12,9 +12,9 @@ empirical dual times the count t, with beta the prices of the queue rows.
 Costs are in units of V: the LP is solved at V = 1 and the path scaled by V,
 so beta(t; V) = V * beta(t; 1) exactly. The box is the paper's multiplier
 bound xi = V * f_max / eta_0, where eta_0 is the largest service slack of the
-true distribution (``dual.max_slack``); eta_0 is the one number derived from
-the true probabilities that the learner sees. An instance without slack
-(eta_0 <= 0) has no box and is rejected.
+true distribution (``dual.nominal_slack``, solved once per instance); eta_0 is
+the one number derived from the true probabilities that the learner sees. An
+instance without slack (eta_0 <= 0) has no box and is rejected.
 
 An observation of state i adds e_class(i) plus its folded arrivals to the
 right-hand side b, so the basic solution x_B = B^-1 b grows by the column
@@ -38,20 +38,18 @@ FIRST_BLOCK = 8
 MAX_BLOCK = 4096
 
 
-def dual_learn(instance: NetworkInstance, states, V: float, eta_0: float | None = None) -> tuple[np.ndarray, int]:
+def dual_learn(instance: NetworkInstance, states, V: float) -> tuple[np.ndarray, int]:
     """OLAC's beta path over ``states``: row t maximizes the empirical dual on states[:t].
 
     Returns the (len(states), r) path and the number of slots at which the box
-    binds (some beta_j = xi). beta(0) = 0. ``eta_0`` is the true
-    distribution's slack when the caller has already solved it; it is solved
-    here otherwise. The path is V times the V = 1 path, bit for bit, and the
-    count does not depend on V: ``sim.run`` learns at V = 1 and scales, and a
-    sweep learns once per (controller, seed) and hands that path to the same
-    seed's runs at other V (``SimConfig.unit_beta``).
+    binds (some beta_j = xi). beta(0) = 0. The path is V times the V = 1
+    path, bit for bit, and the count does not depend on V: ``sim.run`` learns
+    at V = 1, keeps that path with the instance and scales it, so the same
+    seed's runs at other V reuse it.
     """
     states = np.asarray(states, dtype=np.int64)
     H = len(states)
-    lp = _CountLP(instance, eta_0)
+    lp = _CountLP(instance)
     starts, betas = [0], [lp.beta]
     x = np.zeros(lp.a.shape[0])
     t = 0  # observations folded into x: states[:t]

@@ -48,10 +48,6 @@ TWO_QUEUE_POWER_LEVELS = (0.0, 0.75, 1.5, 2.25, 3.0)
 class InstanceError(ValueError):
     """Raised when an instance or scenario document cannot be parsed or fails validation."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 @dataclass(frozen=True)
 class ActionSpec:
@@ -302,10 +298,15 @@ def load_instance(text: str) -> NetworkInstance:
     instance = _instance_from_dict(doc)
     report = validate(instance)
     if not report.ok:
-        raise InstanceError(f"invalid instance: {report}", report=report)
+        raise InstanceError(f"invalid instance: {report}")
     return instance
 
 
 def load_instance_file(path) -> NetworkInstance:
+    """``load_instance`` on a file's text; an InstanceError's message starts with the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_instance(fh.read())
+        text = fh.read()
+    try:
+        return load_instance(text)
+    except InstanceError as exc:
+        raise InstanceError(f"{path}: {exc}") from None

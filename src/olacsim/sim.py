@@ -5,8 +5,9 @@ the seed is split into two independent streams (state sampling, reserved) via
 SeedSequence spawning. Identical (instance, config, gamma_star) inputs
 reproduce bit-identical results. The learned multipliers depend on the
 states only, so OLAC's whole path and OLAC2's one-shot learn run before the
-slot loop. OLAC's path is learned at V = 1 and scaled by V, so runs of one
-seed at several V can share it (``SimConfig.unit_beta``).
+slot loop. OLAC's path is learned at V = 1 and scaled by V, and the instance
+keeps the last one learned (``dual.instance_store``), keyed by (seed,
+horizon): the same seed's next run at another V reuses it.
 
 The multiplier estimate whose convergence is measured is q(t) for
 Backpressure and OLAC2 and q(t) + beta(t) - theta for OLAC; at OLAC2's learn
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controllers import OLAC, OLAC2, ControllerConfig, bp_decide, olac2_step, olac_decide
-from .dual import NoSlackError
+from .dual import NoSlackError, instance_store
 from .learning import dual_learn
 from .model import NetworkInstance
 from .queueing import DelayAccumulator, DelayStats, QueueLedger, adjust_to, apply_slot
@@ -34,33 +35,19 @@ SUSTAIN_WINDOW = 100
 
 @dataclass
 class SimConfig:
-    """One run's settings; ``eta_0`` and ``unit_beta`` are optional hand-overs from the sweep.
-
-    Both are results the run would otherwise compute itself and that do not
-    depend on V: the oracle's slack ``eta_0``, and OLAC's V = 1 beta path from
-    an earlier run of the same seed. Either way the run's outputs are the same
-    bit for bit.
-    """
+    """One run's settings."""
 
     horizon: int
     seed: int
     controller: ControllerConfig
     zeta: float | None = None
     initial_backlog: np.ndarray | None = None  # test hook
-    # the true distribution's service slack max_slack(instance, instance.probabilities)
-    # when the caller has solved it (the sweep's oracle); the learners solve it otherwise
-    eta_0: float | None = None
-    # RunResult.unit_beta of an earlier OLAC run with the same instance, seed,
-    # horizon and eta_0; this run scales it by its V (other kinds ignore it)
-    unit_beta: tuple[np.ndarray, int] | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.zeta is not None and not 0 < self.zeta < math.inf:
             raise ValueError(f"zeta must be None or positive and finite, got {self.zeta!r}")
-        if self.eta_0 is not None and not math.isfinite(self.eta_0):
-            raise ValueError(f"eta_0 must be None or finite, got {self.eta_0!r}")
 
 
 @dataclass
@@ -82,9 +69,6 @@ class RunResult:
     solver_flagged_slots: int = 0
     # OLAC2's learn slot T_l (None for the other kinds)
     t_learn: int | None = None
-    # OLAC: the (horizon, r) beta path at V = 1 and its box-bound slot count,
-    # for SimConfig.unit_beta of the same seed's runs at other V
-    unit_beta: tuple[np.ndarray, int] | None = None
 
 
 def sample_states(instance: NetworkInstance, horizon: int, seed: int) -> np.ndarray:
@@ -129,17 +113,6 @@ def _check_inputs(instance: NetworkInstance, cfg: SimConfig) -> None:
             raise ValueError(f"initial_backlog has shape {backlog.shape}, expected ({instance.r},)")
         if not (np.isfinite(backlog).all() and (backlog >= 0).all()):
             raise ValueError("initial_backlog must be finite and non-negative")
-    if cfg.unit_beta is not None:
-        path, flagged = cfg.unit_beta
-        expected = (cfg.horizon, instance.r)
-        if np.shape(path) != expected:
-            raise ValueError(f"unit_beta's path has shape {np.shape(path)}, expected {expected}")
-        if not (np.isfinite(path).all() and (np.asarray(path) >= 0).all()):
-            raise ValueError("unit_beta's path must be finite and non-negative")
-        if not (isinstance(flagged, (int, np.integer)) and 0 <= flagged <= cfg.horizon):
-            raise ValueError(
-                f"unit_beta's flagged slot count must be an integer in [0, {cfg.horizon}], got {flagged!r}"
-            )
 
 
 def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
@@ -167,19 +140,23 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
 
     states_seq = sample_states(instance, H, cfg.seed)
     flagged = 0
-    unit_beta = None
     # both learners see the states only, so they run before the first slot,
     # which is where an instance without service slack is rejected
     try:
         if olac:
-            # learned at V = 1 and scaled: V * beta(t; 1) is dual_learn(..., V) bit for bit
-            unit_beta = cfg.unit_beta
-            if unit_beta is None:
-                unit_beta = dual_learn(instance, states_seq, 1.0, eta_0=cfg.eta_0)
-            beta_path, flagged = V * np.asarray(unit_beta[0], dtype=float), int(unit_beta[1])
+            # learned at V = 1 and scaled: V * beta(t; 1) is dual_learn(..., V) bit for bit.
+            # The instance keeps one path, the last learned: a sweep task runs
+            # one seed's V values back to back
+            store = instance_store(instance)
+            kept = store.get("olac_path")
+            if kept is None or kept[0] != (cfg.seed, H):
+                path, count = dual_learn(instance, states_seq, 1.0)
+                path.flags.writeable = False
+                kept = store["olac_path"] = ((cfg.seed, H), path, count)
+            beta_path, flagged = V * kept[1], kept[2]
         elif t_learn is not None and t_learn < H:
             empirical = np.bincount(states_seq[:t_learn], minlength=instance.M) / t_learn
-            learned = olac2_step(instance, empirical, ctrl, eta_0=cfg.eta_0)
+            learned = olac2_step(instance, empirical, ctrl)
             flagged = int(learned.at_box)
     except NoSlackError as exc:
         raise NoSlackError(f"{kind}: {exc}") from None
@@ -239,5 +216,4 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         cost_trace=costs,
         solver_flagged_slots=flagged,
         t_learn=t_learn,
-        unit_beta=unit_beta,
     )

@@ -27,7 +27,7 @@ SEEDS10 = list(range(10))
 
 
 def run_many(jobs, worker=_execute_run):
-    """Execute (instance, ctrl_kwargs, V, seed, horizon, zeta, trace_dir, gamma_star, eta_0) jobs."""
+    """Execute (instance, ctrl_kwargs, V, seed, horizon, zeta, trace_dir, gamma_star) jobs."""
     if len(jobs) <= 2:
         return [worker(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=2) as pool:
@@ -36,9 +36,9 @@ def run_many(jobs, worker=_execute_run):
 
 def run_with_paths(job):
     """One job's RunResult with the per-slot paths that _execute_run drops."""
-    instance, ctrl_kwargs, v, seed, horizon, zeta, _, gamma_star, eta_0 = job
+    instance, ctrl_kwargs, v, seed, horizon, zeta, _, gamma_star = job
     ctrl = ControllerConfig(**{**ctrl_kwargs, "V": v})
-    return run(instance, SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta, eta_0=eta_0), gamma_star)
+    return run(instance, SimConfig(horizon=horizon, seed=seed, controller=ctrl, zeta=zeta), gamma_star)
 
 
 def report(k, ok, detail):
@@ -47,7 +47,7 @@ def report(k, ok, detail):
 
 @pytest.fixture(scope="module")
 def analyses(two_queue):
-    return {v: compute_analysis(two_queue, two_queue.probabilities, v) for v in (100.0, 200.0, 400.0, 800.0)}
+    return {v: compute_analysis(two_queue, v) for v in (100.0, 200.0, 400.0, 800.0)}
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +55,7 @@ def delay_runs(two_queue, analyses):
     """Criterion 3 sweep: all three controllers, V=100, horizon 1e5, 10 seeds."""
     ana = analyses[100.0]
     jobs = [
-        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.constants.D_p, None, ana.gamma_star,
-         ana.eta_0)
+        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.constants.D_p, None, ana.gamma_star)
         for kind in ("Backpressure", "OLAC", "OLAC2")
         for seed in SEEDS10
     ]
@@ -73,7 +72,7 @@ class TestCriterion1:
         worst = 0.0
         v = 100.0
         for inst in instances:
-            ana = compute_analysis(inst, inst.probabilities, v)
+            ana = compute_analysis(inst, v)
             gap = abs(ana.g_star / v - ana.f_av_star) / max(1.0, ana.f_av_star)
             worst = max(worst, gap)
         ok = worst <= 1e-6
@@ -84,7 +83,7 @@ class TestCriterion1:
         # the dual's value never exceeds V * f_av_star: at the exact maximizer, solved
         # from its LP's start basis, nor at the oracle's gamma*
         pi = two_queue.probabilities
-        ana = compute_analysis(two_queue, pi, 100.0)
+        ana = compute_analysis(two_queue, 100.0)
         cold = maximize_dual(two_queue, pi, 100.0)
         assert cold.value <= 100.0 * ana.f_av_star + 1e-9
         assert ana.g_star <= 100.0 * ana.f_av_star + 1e-9
@@ -151,7 +150,6 @@ def convergence_runs(two_queue, analyses):
             for seed in SEEDS10:
                 jobs.append((
                     two_queue, {"kind": kind, "V": v}, v, seed, 40_000, ana.constants.D_p, None, ana.gamma_star,
-                    ana.eta_0,
                 ))
     results = run_many(jobs)
     out = {}
@@ -207,8 +205,8 @@ def olac_law_runs(instance, analyses, seeds, theta, paths):
         ctrl = {"kind": "OLAC", "V": v}
         if theta is not None:
             ctrl["theta"] = np.full(instance.r, theta(v))
-        ana = analyses.get(v) or compute_analysis(instance, instance.probabilities, v)
-        jobs += [(instance, ctrl, v, seed, 100_000, None, None, ana.gamma_star, ana.eta_0) for seed in v_seeds]
+        ana = analyses.get(v) or compute_analysis(instance, v)
+        jobs += [(instance, ctrl, v, seed, 100_000, None, None, ana.gamma_star) for seed in v_seeds]
     runs = {v: [] for v in seeds}
     for job, res in zip(jobs, run_many(jobs, run_with_paths if paths else _execute_run)):
         runs[job[2]].append(res)
@@ -306,7 +304,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_learning_rate_bound(self, two_queue):
         v = 500.0
-        ana = compute_analysis(two_queue, two_queue.probabilities, v)
+        ana = compute_analysis(two_queue, v)
         rho = ana.constants.rho_hat
         xi = ana.xi
         m = two_queue.M
@@ -355,7 +353,7 @@ def _beta_error_at_checks(args):
 class TestCriterion7:
     @pytest.mark.parametrize("v", [100.0, 500.0])
     def test_drop_rarity(self, two_queue, v):
-        gamma = compute_analysis(two_queue, two_queue.probabilities, v).gamma_star
+        gamma = compute_analysis(two_queue, v).gamma_star
         t_l = ControllerConfig("OLAC2", v).learn_slot()
         clean = 0
         for seed in range(20):

@@ -60,6 +60,30 @@ WRONG_TYPES = [
     ({"instance": {"builtin": "two_queue", "chanel_dist": [0.1, 0.4, 0.4, 0.1]}}, "'chanel_dist'"),
     ({"instance": {"file": "inst.json", "builtin": "two_queue"}}, r"instance: unknown key\(s\) 'builtin'"),
 ]
+# controller entries that must not load, with the error they raise, keyed by test id
+BAD_KNOBS = {
+    "OLAC2-c-above-range": ({"kind": "OLAC2", "c": 1.5}, "c must lie"),
+    "OLAC-theta-shape": ({"kind": "OLAC", "theta": [1.0]}, "theta has shape"),
+    "OLAC-theta-negative": ({"kind": "OLAC", "theta": [1.0, -1.0]}, "positive"),
+    "OLAC-discipline": ({"kind": "OLAC", "discipline": "LIFO"}, "unknown key.*'discipline'"),
+    "OLAC-relearn_period": ({"kind": "OLAC", "relearn_period": 0}, "relearn_period'; accepted"),
+    "OLAC-theta_log_base": ({"kind": "OLAC", "theta_log_base": 1.0}, "unknown key.*'theta_log_base'"),
+    "OLAC-prior": ({"kind": "OLAC", "prior": [1.0, 1.0]}, "unknown key.*'prior'"),
+    "OLAC2-prior": ({"kind": "OLAC2", "prior": [float("nan")] * 64}, "prior"),
+    "OLAC-relearn_perod": ({"kind": "OLAC", "relearn_perod": 2}, "unknown key.*'relearn_perod'"),
+    "OLAC-theta-nan": ({"kind": "OLAC", "theta": [float("nan"), 1.0]}, "positive and finite"),
+    "OLAC-theta-inf": ({"kind": "OLAC", "theta": [float("inf"), 1.0]}, "positive and finite"),
+}
+# oracle verb arguments a sweep would reject too, with the message, keyed by test id
+BAD_ORACLE_ARGS = {
+    "V-zero": (["--V", "0"], "V must be"),
+    "V-negative": (["--V", "-5"], "V must be"),
+    "V-nan": (["--V", "nan"], "V must be"),
+    "V-inf": (["--V", "inf"], "V must be"),
+    "V-below-one": (["--V", "0.5"], "V must be"),
+    "channel-dist-length": (["--V", "50", "--channel-dist", "0.5,0.5"], "builtin two_queue"),
+    "channel-dist-not-float": (["--V", "50", "--channel-dist", "x"], "could not convert"),
+}
 
 
 def read_csv(path):
@@ -95,19 +119,7 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="builtin two_queue"):
             Scenario.from_dict(smoke_doc(instance={"builtin": "two_queue", "channel_dist": channel}))
 
-    @pytest.mark.parametrize("controller, match", [
-        ({"kind": "OLAC2", "c": 1.5}, "c must lie"),
-        ({"kind": "OLAC", "theta": [1.0]}, "theta has shape"),
-        ({"kind": "OLAC", "theta": [1.0, -1.0]}, "positive"),
-        ({"kind": "OLAC", "discipline": "LIFO"}, "unknown key.*'discipline'"),
-        ({"kind": "OLAC", "relearn_period": 0}, "relearn_period'; accepted"),
-        ({"kind": "OLAC", "theta_log_base": 1.0}, "unknown key.*'theta_log_base'"),
-        ({"kind": "OLAC", "prior": [1.0, 1.0]}, "unknown key.*'prior'"),
-        ({"kind": "OLAC2", "prior": [float("nan")] * 64}, "prior"),
-        ({"kind": "OLAC", "relearn_perod": 2}, "unknown key.*'relearn_perod'"),
-        ({"kind": "OLAC", "theta": [float("nan"), 1.0]}, "positive and finite"),
-        ({"kind": "OLAC", "theta": [float("inf"), 1.0]}, "positive and finite"),
-    ])
+    @pytest.mark.parametrize("controller, match", list(BAD_KNOBS.values()), ids=list(BAD_KNOBS))
     def test_bad_controller_knob_rejected_at_load(self, controller, match):
         with pytest.raises(ScenarioError, match=match):
             Scenario.from_dict(smoke_doc(controllers=[{"kind": "Backpressure"}, controller]))
@@ -267,23 +279,24 @@ class TestRunScenario:
         calls = []
         real = olacsim.sim.dual_learn
 
-        def counted(instance, states, V, eta_0=None):
+        def counted(instance, states, V):
             calls.append(V)
-            return real(instance, states, V, eta_0=eta_0)
+            return real(instance, states, V)
 
         monkeypatch.setattr(olacsim.sim, "dual_learn", counted)
         scenario = Scenario.from_dict(doc)
         manifest = run_scenario(scenario, out_dir=str(tmp_path / "first"))
         assert manifest["failed"] == 0 and len(manifest["runs"]) == 3 * 4 * 6
         assert calls == [1.0] * 6
-        # nothing is kept between sweeps
+        # the instance keeps one path, the last seed's: the second sweep starts
+        # on another seed, so it learns each seed's path again
         run_scenario(scenario, out_dir=str(tmp_path / "second"))
         assert calls == [1.0] * 12
         assert (tmp_path / "first" / "summary.csv").read_bytes() == (tmp_path / "second" / "summary.csv").read_bytes()
 
     def test_first_run_of_a_seed_fails(self, tmp_path, monkeypatch):
-        # the failed run hands no path over: the seed's next V learns its own,
-        # and every other row is the row of a sweep without the failure
+        # the failed run keeps no path: the seed's next V learns its own, and
+        # every other row is the row of a sweep without the failure
         import olacsim.cli
         import olacsim.sim
 
@@ -298,9 +311,9 @@ class TestRunScenario:
                 raise RuntimeError("injected failure")
             return real_run(instance, cfg, gamma_star)
 
-        def counted(instance, states, V, eta_0=None):
+        def counted(instance, states, V):
             learns.append(len(states))
-            return real_learn(instance, states, V, eta_0=eta_0)
+            return real_learn(instance, states, V)
 
         monkeypatch.setattr(olacsim.cli, "run", failing_run)
         monkeypatch.setattr(olacsim.sim, "dual_learn", counted)
@@ -353,8 +366,8 @@ class TestRunScenario:
         name = f"trace_{kind}_V50_seed0.csv"
         doc = smoke_doc(controllers=[{"kind": kind}], seeds=[0], horizon=120, trace=True)
         run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "sweep"))
-        ana = compute_analysis(two_queue, two_queue.probabilities, 50.0)
-        job = (two_queue, {"kind": kind}, 50.0, 0, 120, ana.constants.D_p, None, ana.gamma_star, ana.eta_0)
+        ana = compute_analysis(two_queue, 50.0)
+        job = (two_queue, {"kind": kind}, 50.0, 0, 120, ana.constants.D_p, None, ana.gamma_star)
         for sub in ("on", "off"):
             (tmp_path / sub).mkdir()
         monkeypatch.chdir(tmp_path / "off")
@@ -369,7 +382,8 @@ class TestRunScenario:
 
     def test_v_independent_lps_solved_once(self, tmp_path, monkeypatch):
         # the policy and slack LPs do not depend on V: one solve each per sweep,
-        # and every oracle row is the row a single-V sweep writes
+        # which the learners of all three controllers reuse, and every oracle
+        # row is the row a single-V sweep writes
         import olacsim.dual
 
         calls = {"primal_oracle": 0, "max_slack": 0}
@@ -381,8 +395,9 @@ class TestRunScenario:
                 return _real(*args)
 
             monkeypatch.setattr(olacsim.dual, name, counted)
-        doc = smoke_doc(controllers=[{"kind": "Backpressure"}], V_values=[20, 50, 100], seeds=[0], horizon=50)
-        run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "all"))
+        doc = smoke_doc(V_values=[20, 50, 100], seeds=[0], horizon=50)
+        manifest = run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "all"))
+        assert manifest["failed"] == 0 and len(manifest["runs"]) == 3 * 3
         assert calls == {"primal_oracle": 1, "max_slack": 1}
         rows = (tmp_path / "all" / "oracle.csv").read_text().splitlines()
         for k, v in enumerate((20, 50, 100), start=1):
@@ -502,12 +517,7 @@ class TestMainEntry:
         name, xi = lines[-1].split()
         assert name == "xi" and float(xi) == 50.0 * (float(row["f_max"]) / float(row["eta_0"]))
 
-    @pytest.mark.parametrize("argv, message", [
-        (["--V", "0"], "V must be"), (["--V", "-5"], "V must be"), (["--V", "nan"], "V must be"),
-        (["--V", "inf"], "V must be"), (["--V", "0.5"], "V must be"),
-        (["--V", "50", "--channel-dist", "0.5,0.5"], "builtin two_queue"),
-        (["--V", "50", "--channel-dist", "x"], "could not convert"),
-    ])
+    @pytest.mark.parametrize("argv, message", list(BAD_ORACLE_ARGS.values()), ids=list(BAD_ORACLE_ARGS))
     def test_oracle_verb_rejects_what_a_sweep_rejects(self, tmp_path, capsys, argv, message):
         assert main(["oracle", "two_queue", *argv, "--out", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
@@ -530,6 +540,19 @@ class TestMainEntry:
         scen.write_text(json.dumps(smoke_doc(instance="file.json")))
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert "instance must be an object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_verb_names_the_bad_instance_file(self, tmp_path, capsys, two_queue):
+        from olacsim.model import serialize_instance
+
+        doc = serialize_instance(two_queue)
+        doc["states"][0]["actions"][0]["cost"] = "0"
+        (tmp_path / "inst.json").write_text(json.dumps(doc))
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(smoke_doc(instance={"file": "inst.json"})))
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'inst.json'}: states[0].actions[0].cost must be a number, got '0'" in err
         assert not (tmp_path / "out").exists()
 
     def test_run_verb_and_plotdata_verb(self, tmp_path, capsys):

@@ -133,7 +133,7 @@ class TestMaximizeDual:
         # ascent was once warm-started at); the dual there is V * f_av_star
         pi = two_queue.probabilities
         primal = primal_oracle(two_queue, pi)
-        ana = compute_analysis(two_queue, pi, 100.0)
+        ana = compute_analysis(two_queue, 100.0)
         assert np.array_equal(ana.gamma_star, 100.0 * primal.multiplier_v1)
         assert abs(ana.g_star / 100.0 - primal.f_av_star) <= 1e-6 * max(1.0, primal.f_av_star)
 
@@ -337,7 +337,7 @@ class TestPolyhedralRho:
 
 class TestAnalysis:
     def test_weak_duality_and_constants(self, two_queue):
-        ana = compute_analysis(two_queue, two_queue.probabilities, 100.0)
+        ana = compute_analysis(two_queue, 100.0)
         assert ana.g_star <= 100.0 * ana.f_av_star + 1e-9
         assert ana.eta_0 > 0
         assert 0 < ana.constants.eta < ana.constants.rho_hat
@@ -354,7 +354,6 @@ class TestAnalysis:
             assert v * sol.multiplier_v1.sum() <= v * inst.f_max / eta_0 + 1e-6
 
     def test_gamma_scales_linearly_in_v(self, two_queue):
-        pi = two_queue.probabilities
-        a1 = compute_analysis(two_queue, pi, 100.0)
-        a2 = compute_analysis(two_queue, pi, 400.0)
+        a1 = compute_analysis(two_queue, 100.0)
+        a2 = compute_analysis(two_queue, 400.0)
         assert np.allclose(a2.gamma_star / 400.0, a1.gamma_star / 100.0, atol=1e-9)

@@ -21,7 +21,7 @@ from olacsim.dual import (
     primal_oracle,
 )
 from olacsim.learning import dual_learn
-from olacsim.model import build_two_queue_example
+from olacsim.model import NetworkInstance, build_two_queue_example
 from olacsim.sim import SimConfig, run, sample_states
 
 from conftest import make_instance, single_state_instance, state_index
@@ -187,7 +187,7 @@ class TestDualLearn:
         # same box, bit for bit (at V = 37.5, V * f_max / eta_0 rounds otherwise
         # than V * (f_max / eta_0), the learner's order)
         instance = two_queue_unbalanced
-        ana = compute_analysis(instance, instance.probabilities, V)
+        ana = compute_analysis(instance, V)
         assert ana.eta_0 == _CountLP(instance).eta_0 == max_slack(instance, instance.probabilities)
         blocked = state_index(1, 1, 0, 0)
         path, _ = dual_learn(instance, np.full(4, blocked), V)
@@ -301,7 +301,7 @@ class TestMaximizeDualAgainstHighs:
         dist = np.bincount([state_index(1, 1, 0, 0)], minlength=two_queue.M).astype(float)
         res = maximize_dual(two_queue, dist, 100.0)
         assert res.at_box
-        assert (res.gamma == compute_analysis(two_queue, two_queue.probabilities, 100.0).xi).all()
+        assert (res.gamma == compute_analysis(two_queue, 100.0).xi).all()
         assert_lp_optimal(two_queue, dist, 100.0, res.gamma, res.value)
 
     @settings(max_examples=60, deadline=None)
@@ -362,11 +362,14 @@ class TestRecordedOutputs:
         assert (hashlib.sha256(path.tobytes()).hexdigest(), flagged) == self.PATHS[channel, seed]
 
     @pytest.mark.parametrize("channel, seed", sorted(PATHS_AT_ETA_0))
-    def test_dual_learn_path_at_given_eta_0(self, request, channel, seed):
+    def test_dual_learn_path_at_given_eta_0(self, request, monkeypatch, channel, seed):
         instance = request.getfixturevalue(channel)
         eta_0, digest, flagged = self.PATHS_AT_ETA_0[channel, seed]
         assert eta_0 != max_slack(instance, instance.probabilities)  # one ulp apart
-        path, count = dual_learn(instance, sample_states(instance, 2000, seed), 1.0, eta_0=eta_0)
+        # an equal instance that has not solved its slack LP yet, whose slack LP gives the recorded eta_0
+        instance = NetworkInstance(instance.r, instance.states)
+        monkeypatch.setattr(olacsim.dual, "max_slack", lambda inst, dist: eta_0)
+        path, count = dual_learn(instance, sample_states(instance, 2000, seed), 1.0)
         assert (hashlib.sha256(path.tobytes()).hexdigest(), count) == (digest, flagged)
 
     @pytest.mark.parametrize("channel, V, seed", sorted(GAMMAS))
@@ -424,10 +427,12 @@ class TestKeptFactorisations:
             arrays[0][0, 0] = 1.0
 
     def test_class_lp_memo_goes_with_its_instance(self):
+        # the whole entry goes: no value the instance keeps refers back to it
         instance = build_two_queue_example([0.25, 0.25, 0.25, 0.25])
         key = id(instance)
-        class_lp(instance)
-        assert key in olacsim.dual._CLASS_LPS
+        cfg = SimConfig(horizon=50, seed=0, controller=ControllerConfig("OLAC", 10.0))
+        run(instance, cfg, compute_analysis(instance, 10.0).gamma_star)
+        assert set(olacsim.dual._STORES[key]) == {"class_lp", "eta_0", "policy", "olac_path"}
         del instance
         gc.collect()
-        assert key not in olacsim.dual._CLASS_LPS
+        assert key not in olacsim.dual._STORES

@@ -3,11 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import olacsim.dual
 from olacsim.controllers import ControllerConfig
 from olacsim.dual import NoSlackError, primal_oracle
+from olacsim.model import NetworkInstance
 from olacsim.sim import SimConfig, convergence_time, run, sample_states
 
 from conftest import make_instance, single_state_instance
+
+
+def fresh_copy(instance):
+    """An equal instance that keeps none of ``instance``'s solved LPs or learned paths."""
+    return NetworkInstance(instance.r, instance.states)
 
 
 @pytest.fixture(scope="module")
@@ -231,95 +238,78 @@ class TestRunInputs:
             run(instance, cfg, np.zeros(1))
 
     @pytest.mark.parametrize("kind", ["OLAC", "OLAC2"])
-    def test_supplied_eta_0_replaces_the_slack_solve(self, two_queue, gamma_star_100, kind, monkeypatch):
-        # the same float the learner would solve for, so the run is bit-identical
-        import olacsim.dual
-
-        eta_0 = olacsim.dual.max_slack(two_queue, two_queue.probabilities)
+    def test_second_run_solves_no_slack_lp(self, two_queue, gamma_star_100, kind, monkeypatch):
+        # the instance keeps the slack LP's eta_0 from its first run: the
+        # second solves none and gives the run of an instance that solved it
         ctrl = ControllerConfig(kind, 100.0)
-        solved = run(two_queue, SimConfig(horizon=300, seed=4, controller=ctrl), gamma_star_100)
+        cfg = SimConfig(horizon=300, seed=4, controller=ctrl)
+        solved = run(fresh_copy(two_queue), cfg, gamma_star_100)
+        instance = fresh_copy(two_queue)
+        run(instance, SimConfig(horizon=300, seed=3, controller=ctrl), gamma_star_100)
 
         def no_slack_lp(*args):
             raise AssertionError("the slack LP was solved again")
 
         monkeypatch.setattr(olacsim.dual, "max_slack", no_slack_lp)
-        given_eta = run(two_queue, SimConfig(horizon=300, seed=4, controller=ctrl, eta_0=eta_0), gamma_star_100)
-        assert (given_eta.avg_cost, given_eta.avg_backlog, given_eta.delay.mean_delay) == (
+        again = run(instance, cfg, gamma_star_100)
+        assert (again.avg_cost, again.avg_backlog, again.delay.mean_delay) == (
             solved.avg_cost, solved.avg_backlog, solved.delay.mean_delay,
         )
-        assert np.array_equal(given_eta.queue_trace, solved.queue_trace)
-        assert given_eta.solver_flagged_slots == solved.solver_flagged_slots
+        assert np.array_equal(again.queue_trace, solved.queue_trace)
+        assert again.solver_flagged_slots == solved.solver_flagged_slots
 
     @pytest.mark.parametrize("kind", ["OLAC", "OLAC2"])
     @pytest.mark.parametrize("eta_0", [0.0, -0.5])
     def test_non_positive_supplied_eta_0_rejected_before_first_slot(self, two_queue, kind, eta_0, monkeypatch):
+        # the slack LP supplies eta_0 to the learners; without slack there is no box
         import olacsim.sim
 
         def no_slot(*args):
             raise AssertionError("a slot ran")
 
         monkeypatch.setattr(olacsim.sim, "apply_slot", no_slot)
-        cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig(kind, 1.0, c=0.5), eta_0=eta_0)
+        monkeypatch.setattr(olacsim.dual, "max_slack", lambda instance, dist: eta_0)
+        cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig(kind, 1.0, c=0.5))
         with pytest.raises(NoSlackError, match=f"^{kind}: .*eta_0 = {eta_0:g} <= 0"):
-            run(two_queue, cfg, np.zeros(2))
-
-    @pytest.mark.parametrize("eta_0", [np.nan, np.inf])
-    def test_non_finite_eta_0_rejected_by_config(self, eta_0):
-        with pytest.raises(ValueError, match="eta_0 must be None or finite"):
-            SimConfig(horizon=10, seed=0, controller=ControllerConfig("OLAC", 1.0), eta_0=eta_0)
+            run(fresh_copy(two_queue), cfg, np.zeros(2))
 
 
-class TestUnitBeta:
-    """OLAC's beta path is learned at V = 1 and scaled, so a run can take another V's path."""
+class TestKeptPath:
+    """OLAC's beta path is learned at V = 1 and scaled; the instance keeps the last one, by (seed, horizon)."""
 
     @pytest.mark.parametrize("V", [20.0, 100.0, 700.0])
-    def test_handed_over_path_replaces_the_learn(self, two_queue, gamma_star_100, V, monkeypatch):
+    def test_same_seed_at_another_v_reuses_the_kept_path(self, two_queue, gamma_star_100, V, monkeypatch):
         import olacsim.sim
 
-        learner = run(two_queue, SimConfig(horizon=400, seed=2, controller=ControllerConfig("OLAC", 50.0)),
-                      gamma_star_100)
-        path, flagged = learner.unit_beta
-        assert path.shape == (400, 2) and flagged == learner.solver_flagged_slots
         cfg = SimConfig(horizon=400, seed=2, controller=ControllerConfig("OLAC", V), zeta=30.0)
-        learned = run(two_queue, cfg, gamma_star_100)
+        learned = run(fresh_copy(two_queue), cfg, gamma_star_100)
+        instance = fresh_copy(two_queue)
+        run(instance, SimConfig(horizon=400, seed=2, controller=ControllerConfig("OLAC", 50.0)), gamma_star_100)
 
         def no_learn(*args, **kwargs):
             raise AssertionError("the beta path was learned again")
 
         monkeypatch.setattr(olacsim.sim, "dual_learn", no_learn)
-        cfg.unit_beta = learner.unit_beta
-        shared = run(two_queue, cfg, gamma_star_100)
+        shared = run(instance, cfg, gamma_star_100)
         for name in ("avg_cost", "avg_backlog", "t_zeta_first", "solver_flagged_slots"):
             assert getattr(shared, name) == getattr(learned, name)
         assert shared.delay.mean_delay == learned.delay.mean_delay
         for name in ("queue_trace", "gamma_trace", "beta_trace", "cost_trace"):
             assert np.array_equal(getattr(shared, name), getattr(learned, name))
-        assert shared.unit_beta is learner.unit_beta
 
-    def test_other_kinds_return_no_path(self, two_queue, gamma_star_100):
-        for kind in ("Backpressure", "OLAC2"):
-            res = run(two_queue, SimConfig(horizon=50, seed=0, controller=ControllerConfig(kind, 20.0)), gamma_star_100)
-            assert res.unit_beta is None
-
-    @pytest.mark.parametrize("path, flagged, match", [
-        (np.zeros((9, 2)), 0, r"shape \(9, 2\), expected \(10, 2\)"),
-        (np.zeros((10, 3)), 0, r"shape \(10, 3\), expected \(10, 2\)"),
-        (np.zeros(20), 0, r"shape \(20,\), expected \(10, 2\)"),
-        (np.full((10, 2), np.nan), 0, "finite and non-negative"),
-        (np.full((10, 2), np.inf), 0, "finite and non-negative"),
-        (np.full((10, 2), -1e-9), 0, "finite and non-negative"),
-        (np.zeros((10, 2)), -1, "integer in"),
-        (np.zeros((10, 2)), 11, "integer in"),
-        (np.zeros((10, 2)), 2.0, "integer in"),
-    ])
-    def test_bad_handed_over_path_rejected_before_first_slot(self, two_queue, path, flagged, match, monkeypatch):
+    def test_another_seed_or_horizon_learns_anew(self, two_queue, gamma_star_100, monkeypatch):
         import olacsim.sim
 
-        def no_slot(*args, **kwargs):
-            raise AssertionError("a slot ran or the path was learned")
+        real_learn, learns = olacsim.sim.dual_learn, []
 
-        monkeypatch.setattr(olacsim.sim, "apply_slot", no_slot)
-        monkeypatch.setattr(olacsim.sim, "dual_learn", no_slot)
-        cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig("OLAC", 10.0), unit_beta=(path, flagged))
-        with pytest.raises(ValueError, match=f"unit_beta's .*{match}"):
-            run(two_queue, cfg, np.zeros(2))
+        def counted(instance, states, V):
+            learns.append(len(states))
+            return real_learn(instance, states, V)
+
+        monkeypatch.setattr(olacsim.sim, "dual_learn", counted)
+        instance = fresh_copy(two_queue)
+        for horizon, seed in [(200, 0), (200, 1), (300, 1), (300, 1), (200, 1)]:
+            run(instance, SimConfig(horizon=horizon, seed=seed, controller=ControllerConfig("OLAC", 20.0)),
+                gamma_star_100)
+        assert learns == [200, 200, 300, 200]
+        assert olacsim.dual.instance_store(instance)["olac_path"][0] == (1, 200)
