@@ -21,7 +21,6 @@ from .model import (
     load_instance,
     load_instance_file,
     serialize_instance,
-    validate,
 )
 from .queueing import QueueLedger, adjust_to, apply_slot
 from .sim import RunResult, SimConfig, convergence_time, run

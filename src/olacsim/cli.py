@@ -62,6 +62,15 @@ def _flag(doc: dict, field: str) -> bool:
     return value
 
 
+def _no_duplicates(values, field: str) -> None:
+    """Reject a second entry equal to an earlier one: its runs would repeat, or share a label."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ScenarioError(f"{field}: duplicate entry {value!r}")
+        seen.add(value)
+
+
 def _load_instance(desc, base_dir: str = ".") -> NetworkInstance:
     """A scenario's instance, ``{"builtin": "two_queue", "channel_dist": [...]}`` or ``{"file": path}``."""
     if isinstance(desc, dict) and "file" in desc:
@@ -103,6 +112,9 @@ class Scenario:
         doc = read_object(doc, "scenario", SCENARIO_KEYS, SCENARIO_KEYS[:5])
         v_values = read_list(doc["V_values"], "V_values", read_number)
         seeds = read_list(doc["seeds"], "seeds", read_int)
+        # compared as numbers: V 10 and 10.0 are one V
+        _no_duplicates(v_values, "V_values")
+        _no_duplicates(seeds, "seeds")
         horizon = read_int(doc["horizon"], "horizon")
         if horizon < 1:
             raise ScenarioError("horizon must be >= 1")
@@ -126,6 +138,8 @@ class Scenario:
             except (ValueError, ArithmeticError) as exc:
                 raise ScenarioError(f"controller {c['kind']}: {exc}") from exc
             controllers.append(kwargs)
+        # one entry per kind: summary rows and trace files are labelled by kind
+        _no_duplicates([c["kind"] for c in controllers], "controllers")
 
         zeta = read_object(doc.get("zeta", {}), "zeta", ("policy", "value"))
         policy = zeta.get("policy", "auto_Dp")
@@ -180,6 +194,8 @@ class Scenario:
                 raise ScenarioError(
                     f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
                 ) from exc
+            except UnicodeDecodeError as exc:
+                raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from None
         return cls.from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -346,7 +362,7 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     if scenario.assumption_check:
         perturbed = _perturbed_distributions(pi, scenario.perturbation_count, scenario.epsilon_s, scenario.rho_seed)
         min_slack = min(dual.max_slack(instance, p) for p in perturbed) if perturbed else None
-    analyses = {v: dual.compute_analysis(instance, v, scenario.rho_seed) for v in sorted(set(scenario.v_values))}
+    analyses = {v: dual.compute_analysis(instance, v, scenario.rho_seed) for v in sorted(scenario.v_values)}
     oracle_rows = [_oracle_row(ana, r, min_slack) for ana in analyses.values()]
     _write_csv(os.path.join(out_dir, "oracle.csv"), _oracle_columns(r), oracle_rows)
 

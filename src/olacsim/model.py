@@ -23,9 +23,7 @@ __all__ = [
     "ActionSpec",
     "StateSpec",
     "NetworkInstance",
-    "ValidationReport",
     "InstanceError",
-    "validate",
     "build_two_queue_example",
     "serialize_instance",
     "load_instance",
@@ -53,7 +51,6 @@ class InstanceError(ValueError):
 class ActionSpec:
     """One feasible action in one state: cost plus per-queue arrivals/services."""
 
-    id: int
     cost: float
     arrivals: tuple[float, ...]
     services: tuple[float, ...]
@@ -61,7 +58,6 @@ class ActionSpec:
 
 @dataclass(frozen=True)
 class StateSpec:
-    id: int
     probability: float
     actions: tuple[ActionSpec, ...]
 
@@ -69,14 +65,19 @@ class StateSpec:
 class NetworkInstance:
     """Immutable problem instance with derived bounds and dense action tables.
 
-    The dense tables pad ragged action lists: padded cost entries are +inf
-    (never selected by any argmin/argmax), padded arrival/service entries are
-    zero. ``action_counts[i]`` gives the number of real actions of state i.
-    Treat instances as read-only; they are shared across concurrent runs.
+    The constructor is the one check of an instance: it raises InstanceError
+    listing every violation, so an instance that exists is valid. States and
+    actions are identified by position. The dense tables pad ragged action
+    lists: padded cost entries are +inf (never selected by any argmin/argmax),
+    padded arrival/service entries are zero. ``action_counts[i]`` gives the
+    number of real actions of state i. Treat instances as read-only; they are
+    shared across concurrent runs.
     """
 
     def __init__(self, r: int, states: tuple[StateSpec, ...] | list[StateSpec]):
         self.r = int(r)
+        if self.r < 1:
+            raise InstanceError(f"invalid instance: r={self.r} must be >= 1")
         self.states = tuple(states)
         self.M = len(self.states)
         self.probabilities = np.array([s.probability for s in self.states], dtype=float)
@@ -87,27 +88,52 @@ class NetworkInstance:
         self.costs = np.full((self.M, k_max), np.inf)
         self.arrivals = np.zeros((self.M, k_max, self.r))
         self.services = np.zeros((self.M, k_max, self.r))
+        violations = []
         for i, state in enumerate(self.states):
             for k, act in enumerate(state.actions):
                 self.costs[i, k] = act.cost
+                if len(act.arrivals) != self.r or len(act.services) != self.r:
+                    violations.append(f"state {i} action {k}: vector length != r={self.r}")
+                    continue
                 self.arrivals[i, k, :] = act.arrivals
                 self.services[i, k, :] = act.services
+        violations += self._violations()
+        if violations:
+            raise InstanceError(f"invalid instance: {'; '.join(violations)}")
         # drift = arrivals - services; the dual's per-action slope vectors
         self.drift = self.arrivals - self.services
         # drift's (K, r) block of each state, made once: the decision rule
         # indexes this tuple instead of slicing drift, a new view, every slot
         self.drift_rows = tuple(self.drift)
 
-        finite = self.costs[np.isfinite(self.costs)]
-        magnitudes = [np.abs(finite).max(initial=0.0)]
-        for i in range(self.M):
-            k = self.action_counts[i]
-            if k:
-                magnitudes.append(np.abs(self.arrivals[i, :k]).max(initial=0.0))
-                magnitudes.append(np.abs(self.services[i, :k]).max(initial=0.0))
-        self.delta_max = float(max(magnitudes, default=0.0))
-        self.f_max = float(finite.max(initial=0.0))
+        # padded entries are 0 (arrivals, services) or left out (costs), and max is exact
+        real_costs = self.costs[np.isfinite(self.costs)]
+        self.delta_max = float(max(real_costs.max(initial=0.0), self.arrivals.max(initial=0.0),
+                                   self.services.max(initial=0.0)))
+        self.f_max = float(real_costs.max(initial=0.0))
         self.B = (self.r / 2.0) * self.delta_max**2
+
+    def _violations(self) -> list[str]:
+        """Every violated invariant of the filled tables, one message each."""
+        p, c = self.probabilities, self.costs
+        # a sequential sum (cumsum, not the pairwise np.sum), in state order
+        total = float(np.cumsum(p)[-1]) if self.M else 0.0
+        out = [] if abs(total - 1.0) <= PROB_SUM_TOL else [f"probability sum {total:g}"]
+        finite = np.isfinite(p)
+        out += [f"state {i}: non-finite probability {p[i]:g}" for i in np.flatnonzero(~finite)]
+        out += [f"state {i}: probability {p[i]:g} outside [0, 1]" for i in np.flatnonzero(finite & ((p < 0) | (p > 1)))]
+        out += [f"state {i}: empty action set" for i in np.flatnonzero(self.action_counts == 0)]
+        real = np.arange(c.shape[1]) < self.action_counts[:, None]
+        finite = np.isfinite(c)
+        out += [f"state {i} action {k}: non-finite cost {c[i, k]:g}" for i, k in np.argwhere(real & ~finite)]
+        out += [f"state {i} action {k}: negative cost {c[i, k]:g}" for i, k in np.argwhere(real & finite & (c < 0))]
+        # padded arrival and service entries are 0, so they pass both checks
+        for name, table in (("arrival", self.arrivals), ("service", self.services)):
+            finite = np.isfinite(table).all(axis=2)
+            out += [f"state {i} action {k}: non-finite {name} entry" for i, k in np.argwhere(~finite)]
+            negative = finite & (table < 0).any(axis=2)
+            out += [f"state {i} action {k}: negative {name} entry" for i, k in np.argwhere(negative)]
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, NetworkInstance):
@@ -116,51 +142,6 @@ class NetworkInstance:
 
     def __repr__(self):
         return f"NetworkInstance(r={self.r}, M={self.M}, delta_max={self.delta_max:g})"
-
-
-@dataclass
-class ValidationReport:
-    violations: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self):
-        return "valid" if self.ok else "; ".join(self.violations)
-
-
-def validate(instance: NetworkInstance) -> ValidationReport:
-    """Report every violated instance invariant; an empty report means valid."""
-    violations: list[str] = []
-    total = float(sum(s.probability for s in instance.states))
-    if not abs(total - 1.0) <= PROB_SUM_TOL:
-        violations.append(f"probability sum {total:g}")
-    for state in instance.states:
-        if not math.isfinite(state.probability):
-            violations.append(f"state {state.id}: non-finite probability {state.probability:g}")
-        elif not (0.0 <= state.probability <= 1.0):
-            violations.append(f"state {state.id}: probability {state.probability:g} outside [0, 1]")
-        if not state.actions:
-            violations.append(f"state {state.id}: empty action set")
-        seen = set()
-        for act in state.actions:
-            where = f"state {state.id} action {act.id}"
-            if act.id in seen:
-                violations.append(f"state {state.id}: duplicate action id {act.id}")
-            seen.add(act.id)
-            if not math.isfinite(act.cost):
-                violations.append(f"{where}: non-finite cost {act.cost:g}")
-            elif act.cost < 0:
-                violations.append(f"{where}: negative cost {act.cost:g}")
-            if len(act.arrivals) != instance.r or len(act.services) != instance.r:
-                violations.append(f"{where}: vector length != r={instance.r}")
-            for name, vec in (("arrival", act.arrivals), ("service", act.services)):
-                if not all(math.isfinite(x) for x in vec):
-                    violations.append(f"{where}: non-finite {name} entry")
-                elif any(x < 0 for x in vec):
-                    violations.append(f"{where}: negative {name} entry")
-    return ValidationReport(violations)
 
 
 def build_two_queue_example(channel_dist) -> NetworkInstance:
@@ -183,25 +164,17 @@ def build_two_queue_example(channel_dist) -> NetworkInstance:
     p1, p2 = TWO_QUEUE_ARRIVAL_PROBS
     amount = TWO_QUEUE_ARRIVAL_SIZE
     states = []
-    sid = 0
     for a1, pa1 in ((0.0, 1 - p1), (amount, p1)):
         for a2, pa2 in ((0.0, 1 - p2), (amount, p2)):
             for c1, pc1 in zip(TWO_QUEUE_CHANNEL_GAINS, cd):
                 for c2, pc2 in zip(TWO_QUEUE_CHANNEL_GAINS, cd):
                     actions = []
-                    aid = 0
                     for served, gain in ((0, c1), (1, c2)):
                         for power in TWO_QUEUE_POWER_LEVELS:
                             mu = [0.0, 0.0]
                             mu[served] = math.log1p(gain * power)
-                            actions.append(
-                                ActionSpec(aid, power, (a1, a2), tuple(mu))
-                            )
-                            aid += 1
-                    states.append(
-                        StateSpec(sid, pa1 * pa2 * pc1 * pc2, tuple(actions))
-                    )
-                    sid += 1
+                            actions.append(ActionSpec(power, (a1, a2), tuple(mu)))
+                    states.append(StateSpec(pa1 * pa2 * pc1 * pc2, tuple(actions)))
     return NetworkInstance(2, states)
 
 
@@ -274,20 +247,19 @@ def _instance_from_dict(doc) -> NetworkInstance:
             where = f"states[{i}].actions[{k}]"
             action = read_object(raw_action, where, ACTION_KEYS, ACTION_KEYS)
             actions.append(ActionSpec(
-                k,
                 read_number(action["cost"], f"{where}.cost"),
                 tuple(read_list(action["arrivals"], f"{where}.arrivals", read_number)),
                 tuple(read_list(action["services"], f"{where}.services", read_number)),
             ))
-        states.append(StateSpec(i, read_number(state["probability"], f"states[{i}].probability"), tuple(actions)))
+        states.append(StateSpec(read_number(state["probability"], f"states[{i}].probability"), tuple(actions)))
     return NetworkInstance(r, states)
 
 
 def load_instance(text: str) -> NetworkInstance:
-    """Parse an instance document (JSON) and validate it.
+    """Parse an instance document (JSON) into a NetworkInstance.
 
-    Raises InstanceError with a position on parse failure and with the full
-    violation report on validation failure.
+    Raises InstanceError with a position on parse failure and, from the
+    constructor, with every violation of an invalid instance.
     """
     if not text.strip():
         raise InstanceError("empty document")
@@ -295,17 +267,16 @@ def load_instance(text: str) -> NetworkInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    instance = _instance_from_dict(doc)
-    report = validate(instance)
-    if not report.ok:
-        raise InstanceError(f"invalid instance: {report}")
-    return instance
+    return _instance_from_dict(doc)
 
 
 def load_instance_file(path) -> NetworkInstance:
     """``load_instance`` on a file's text; an InstanceError's message starts with the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         return load_instance(text)
     except InstanceError as exc:

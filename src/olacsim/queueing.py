@@ -96,7 +96,7 @@ def apply_slot(ledger: QueueLedger, arrivals, services, slot: int, discipline: s
     slot's arrivals as a new chunk. Each departure is a tuple
     ``(queue, amount, arrival_slot, departure_slot, was_null)``. Trusts its
     inputs: arrivals and services are sequences of r non-negative floats
-    (``sim.run`` checks the instance tables once and passes list rows).
+    (a NetworkInstance's tables are, and ``sim.run`` passes their list rows).
     """
     lifo = discipline == LIFO
     out: list[tuple] = []

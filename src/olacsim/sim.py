@@ -100,28 +100,14 @@ def _distances(x: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
 
 
-def _check_inputs(instance: NetworkInstance, cfg: SimConfig) -> None:
-    """Everything the slot kernels trust, checked once per run."""
-    for name, table in (("arrival", instance.arrivals), ("service", instance.services)):
-        if not (np.isfinite(table).all() and (table >= 0).all()):
-            raise ValueError(f"instance {name} entries must be finite and non-negative")
-    if (instance.action_counts == 0).any():
-        raise ValueError(f"state {int(np.argmin(instance.action_counts))} has no actions")
-    if cfg.initial_backlog is not None:
-        backlog = np.asarray(cfg.initial_backlog, dtype=float)
-        if backlog.shape != (instance.r,):
-            raise ValueError(f"initial_backlog has shape {backlog.shape}, expected ({instance.r},)")
-        if not (np.isfinite(backlog).all() and (backlog >= 0).all()):
-            raise ValueError("initial_backlog must be finite and non-negative")
-
-
 def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     """Execute the slot loop and collect metrics against the supplied optimum.
 
     gamma_star is measurement-side knowledge (the true-distribution optimum,
     typically from the analysis oracles); controllers never see it. The loop
     only decides and serves; every metric is derived from the recorded
-    backlog and action paths afterwards.
+    backlog and action paths afterwards. The instance is not checked again:
+    a NetworkInstance is valid once built.
     """
     ctrl = cfg.controller
     kind = ctrl.kind
@@ -131,7 +117,12 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     gamma_star = np.asarray(gamma_star, dtype=float)
     if gamma_star.shape != (r,):
         raise ValueError(f"gamma_star has shape {gamma_star.shape}, expected ({r},)")
-    _check_inputs(instance, cfg)
+    if cfg.initial_backlog is not None:
+        backlog = np.asarray(cfg.initial_backlog, dtype=float)
+        if backlog.shape != (r,):
+            raise ValueError(f"initial_backlog has shape {backlog.shape}, expected ({r},)")
+        if not (np.isfinite(backlog).all() and (backlog >= 0).all()):
+            raise ValueError("initial_backlog must be finite and non-negative")
     # per-kind facts, settled once: the slot loop branches on `olac` only
     olac = kind == OLAC
     theta = ctrl.resolved_theta(r) if olac else None

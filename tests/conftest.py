@@ -20,11 +20,8 @@ def two_queue_unbalanced():
 
 def make_instance(r, probs, actions_per_state):
     """Build an instance from plain nested lists: [(cost, arrivals, services), ...] per state."""
-    states = []
-    for i, (p, acts) in enumerate(zip(probs, actions_per_state)):
-        states.append(
-            StateSpec(i, p, tuple(ActionSpec(k, c, tuple(a), tuple(s)) for k, (c, a, s) in enumerate(acts)))
-        )
+    states = [StateSpec(p, tuple(ActionSpec(c, tuple(a), tuple(s)) for c, a, s in acts))
+              for p, acts in zip(probs, actions_per_state)]
     return NetworkInstance(r, states)
 
 

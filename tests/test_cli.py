@@ -40,26 +40,46 @@ def smoke_doc(**overrides):
     return doc
 
 
-# fields of the wrong JSON type, each with the name its error gives: none may
-# load (a string "false" is not false, 2.7 slots are not 2) or fail later
-WRONG_TYPES = [
-    ({"instance": "file.json"}, "instance"), ({"instance": 5}, "instance"),
-    ({"instance": {"file": 5}}, "instance file"), ({"controllers": 5}, "controllers"),
-    ({"trace": "false"}, "trace"), ({"assumption_check": "no"}, "assumption_check"),
-    ({"horizon": 2.7}, "horizon"), ({"seeds": [1.5]}, "seeds"), ({"horizon": True}, "horizon"),
-    ({"workers": "2"}, "workers"), ({"out_dir": 5}, "out_dir"),
+# fields of the wrong JSON type, each with the name its error gives, keyed by
+# test id: none may load (a string "false" is not false, 2.7 slots are not 2) or fail later
+WRONG_TYPES = {
+    "instance-string": ({"instance": "file.json"}, "instance"),
+    "instance-number": ({"instance": 5}, "instance"),
+    "instance-file-number": ({"instance": {"file": 5}}, "instance file"),
+    "controllers-number": ({"controllers": 5}, "controllers"),
+    "trace-string": ({"trace": "false"}, "trace"),
+    "assumption_check-string": ({"assumption_check": "no"}, "assumption_check"),
+    "horizon-fractional": ({"horizon": 2.7}, "horizon"),
+    "seeds-fractional": ({"seeds": [1.5]}, "seeds"),
+    "horizon-bool": ({"horizon": True}, "horizon"),
+    "workers-string": ({"workers": "2"}, "workers"),
+    "out_dir-number": ({"out_dir": 5}, "out_dir"),
     # numbers are JSON numbers: a string or a boolean is not read as one
-    ({"V_values": ["50"]}, r"V_values\[0\]"), ({"V_values": [True]}, r"V_values\[0\]"),
-    ({"epsilon_s": "0.05"}, "epsilon_s"), ({"zeta": {"policy": "absolute", "value": "3"}}, "zeta.value"),
-    ({"instance": {"builtin": "two_queue", "channel_dist": ["0.25"] * 4}}, "channel_dist"),
-    ({"controllers": [{"kind": "OLAC", "theta": ["1", "1"]}]}, "theta"),
-    ({"controllers": [{"kind": "OLAC2", "c": False}]}, "controller.c"),
-    ({"epsilon_s": 10**400}, "epsilon_s lies beyond the float range"),
+    "V_values-string": ({"V_values": ["50"]}, r"V_values\[0\]"),
+    "V_values-bool": ({"V_values": [True]}, r"V_values\[0\]"),
+    "epsilon_s-string": ({"epsilon_s": "0.05"}, "epsilon_s"),
+    "zeta-value-string": ({"zeta": {"policy": "absolute", "value": "3"}}, "zeta.value"),
+    "channel_dist-string": ({"instance": {"builtin": "two_queue", "channel_dist": ["0.25"] * 4}}, "channel_dist"),
+    "theta-string": ({"controllers": [{"kind": "OLAC", "theta": ["1", "1"]}]}, "theta"),
+    "c-bool": ({"controllers": [{"kind": "OLAC2", "c": False}]}, "controller.c"),
+    "epsilon_s-beyond-float-range": ({"epsilon_s": 10**400}, "epsilon_s lies beyond the float range"),
     # every object is key-checked: a misspelt key is not dropped without a word
-    ({"zeta": {"policy": "auto_Dp", "radius": 3}}, r"zeta: unknown key\(s\) 'radius'"),
-    ({"instance": {"builtin": "two_queue", "chanel_dist": [0.1, 0.4, 0.4, 0.1]}}, "'chanel_dist'"),
-    ({"instance": {"file": "inst.json", "builtin": "two_queue"}}, r"instance: unknown key\(s\) 'builtin'"),
-]
+    "zeta-radius": ({"zeta": {"policy": "auto_Dp", "radius": 3}}, r"zeta: unknown key\(s\) 'radius'"),
+    "instance-chanel_dist": ({"instance": {"builtin": "two_queue", "chanel_dist": [0.1, 0.4, 0.4, 0.1]}},
+                             "'chanel_dist'"),
+    "instance-file-and-builtin": ({"instance": {"file": "inst.json", "builtin": "two_queue"}},
+                                  r"instance: unknown key\(s\) 'builtin'"),
+}
+# sweep entries given twice, with the error they raise, keyed by test id: their
+# runs would write identical summary rows, or rows and trace files of one label
+DUPLICATE_ENTRIES = {
+    "V-int-and-float": ({"V_values": [10, 10.0]}, r"V_values: duplicate entry 10\.0"),
+    "seeds": ({"seeds": [0, 3, 0]}, "seeds: duplicate entry 0"),
+    "two-Backpressure": ({"controllers": [{"kind": "Backpressure"}, {"kind": "Backpressure"}]},
+                         "controllers: duplicate entry 'Backpressure'"),
+    "two-OLAC-thetas": ({"controllers": [{"kind": "OLAC", "theta": [1.0, 1.0]}, {"kind": "OLAC", "theta": [2.0, 2.0]}]},
+                        "controllers: duplicate entry 'OLAC'"),
+}
 # controller entries that must not load, with the error they raise, keyed by test id
 BAD_KNOBS = {
     "OLAC2-c-above-range": ({"kind": "OLAC2", "c": 1.5}, "c must lie"),
@@ -83,6 +103,15 @@ BAD_ORACLE_ARGS = {
     "V-below-one": (["--V", "0.5"], "V must be"),
     "channel-dist-length": (["--V", "50", "--channel-dist", "0.5,0.5"], "builtin two_queue"),
     "channel-dist-not-float": (["--V", "50", "--channel-dist", "x"], "could not convert"),
+}
+
+# instance files the constructor rejects, as (r, arrivals, services) of a
+# one-state, one-action document, with the violation named, keyed by test id
+BAD_INSTANCE_FILES = {
+    "vector-longer-than-r": ((1, [0.0, 1.0], [1.0]), "state 0 action 0: vector length != r=1"),
+    "vector-shorter-than-r": ((2, [0.0], [1.0, 1.0]), "state 0 action 0: vector length != r=2"),
+    "r-zero": ((0, [0.0], [1.0]), "r=0 must be >= 1"),
+    "r-negative": ((-1, [0.0], [1.0]), "r=-1 must be >= 1"),
 }
 
 
@@ -131,14 +160,19 @@ class TestScenarioParsing:
                                            {"epsilon_s": float("inf")}, {"epsilon_s": 0.0},
                                            {"seeds": [0, -1]}, {"workers": 0},
                                            {"workers": -1}, {"perturbation_count": -1},
-                                           {"rho_samples": 512}, *(doc for doc, _ in WRONG_TYPES)])
+                                           {"rho_samples": 512}, *(doc for doc, _ in WRONG_TYPES.values())])
     def test_bad_grid_rejected_at_load(self, overrides):
         with pytest.raises(ScenarioError):
             Scenario.from_dict(smoke_doc(**overrides))
 
-    @pytest.mark.parametrize("overrides, field", WRONG_TYPES)
+    @pytest.mark.parametrize("overrides, field", list(WRONG_TYPES.values()), ids=list(WRONG_TYPES))
     def test_wrongly_typed_field_named_at_load(self, overrides, field):
         with pytest.raises(ScenarioError, match=field):
+            Scenario.from_dict(smoke_doc(**overrides))
+
+    @pytest.mark.parametrize("overrides, match", list(DUPLICATE_ENTRIES.values()), ids=list(DUPLICATE_ENTRIES))
+    def test_duplicate_sweep_entry_rejected_at_load(self, overrides, match):
+        with pytest.raises(ScenarioError, match=match):
             Scenario.from_dict(smoke_doc(**overrides))
 
     def test_former_metric_sample_period_key_still_loads(self):
@@ -553,6 +587,39 @@ class TestMainEntry:
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / 'inst.json'}: states[0].actions[0].cost must be a number, got '0'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "oracle"])
+    @pytest.mark.parametrize("tables, message", list(BAD_INSTANCE_FILES.values()), ids=list(BAD_INSTANCE_FILES))
+    def test_bad_instance_file_named_with_its_violation(self, tmp_path, capsys, tables, message, verb):
+        r, arrivals, services = tables
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"r": r, "states": [
+            {"probability": 1.0, "actions": [{"cost": 0.0, "arrivals": arrivals, "services": services}]}]}))
+        (tmp_path / "scen.json").write_text(json.dumps(smoke_doc(instance={"file": "inst.json"})))
+        argv = [str(tmp_path / "scen.json")] if verb == "run" else [str(path), "--V", "50"]
+        assert main([verb, *argv, "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {path}: invalid instance: {message}" in captured.err
+        assert "Traceback" not in captured.err and not captured.out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb, bad", [("run", "scenario"), ("run", "instance"), ("oracle", "instance")],
+                             ids=["run-scenario", "run-instance", "oracle-instance"])
+    def test_file_that_is_not_utf8_named(self, tmp_path, capsys, two_queue, verb, bad):
+        from olacsim.model import serialize_instance
+
+        docs = {"scenario": smoke_doc(instance={"file": "instance.json"}), "instance": serialize_instance(two_queue)}
+        for name, doc in docs.items():
+            data = json.dumps(doc).encode()
+            if name == bad:  # one more key, spelt with a Latin-1 byte (0xe9) where UTF-8 needs two
+                data = data[:-1] + b', "\xe9": 0}'
+            (tmp_path / f"{name}.json").write_bytes(data)
+        path = tmp_path / f"{bad}.json"
+        argv = [str(tmp_path / "scenario.json")] if verb == "run" else [str(path), "--V", "50"]
+        assert main([verb, *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9" in err
         assert not (tmp_path / "out").exists()
 
     def test_run_verb_and_plotdata_verb(self, tmp_path, capsys):

@@ -13,12 +13,12 @@ from conftest import per_state_dual, state_index
 def enumerate_best(instance, sid, weights, v):
     """Independent argmax oracle: explicit loop over the state's actions."""
     best, best_score = None, -math.inf
-    for act in instance.states[sid].actions:
+    for k, act in enumerate(instance.states[sid].actions):
         score = -v * act.cost + sum(
             w * (mu - a) for w, mu, a in zip(weights, act.services, act.arrivals)
         )
         if score > best_score:
-            best, best_score = act.id, score
+            best, best_score = k, score
     return best
 
 

@@ -9,7 +9,6 @@ from olacsim.model import (
     build_two_queue_example,
     load_instance,
     serialize_instance,
-    validate,
 )
 
 from conftest import make_instance, state_index
@@ -21,7 +20,6 @@ class TestTwoQueueBuilder:
         assert two_queue.M == 64
         assert all(len(s.actions) == 10 for s in two_queue.states)
         assert two_queue.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-        assert validate(two_queue).ok
 
     @pytest.mark.parametrize("channel", [[0.25] * 4, [0.1, 0.4, 0.4, 0.1], [0.7, 0.1, 0.1, 0.1]])
     def test_mean_arrival_rates(self, channel):
@@ -71,22 +69,21 @@ class TestTwoQueueBuilder:
 
 
 class TestValidate:
+    """The constructor is the one check: an invalid instance is never built."""
+
     def test_probability_sum_violation(self):
-        inst = make_instance(1, [0.5, 0.6], [[(0.0, [0.0], [0.0])], [(0.0, [0.0], [0.0])]])
-        report = validate(inst)
-        assert not report.ok
-        assert any("probability sum 1.1" in v for v in report.violations)
+        with pytest.raises(InstanceError, match="probability sum 1.1"):
+            make_instance(1, [0.5, 0.6], [[(0.0, [0.0], [0.0])], [(0.0, [0.0], [0.0])]])
 
     def test_empty_action_set(self):
-        inst = make_instance(1, [1.0], [[]])
-        report = validate(inst)
-        assert any("empty action set" in v for v in report.violations)
+        with pytest.raises(InstanceError, match="state 0: empty action set"):
+            make_instance(1, [1.0], [[]])
 
     def test_negative_entries_flagged(self):
-        inst = make_instance(1, [1.0], [[(-1.0, [0.0], [-2.0])]])
-        msgs = "\n".join(validate(inst).violations)
-        assert "negative cost" in msgs
-        assert "negative service" in msgs
+        with pytest.raises(InstanceError) as info:
+            make_instance(1, [1.0], [[(-1.0, [0.0], [-2.0])]])
+        assert "state 0 action 0: negative cost -1" in str(info.value)
+        assert "state 0 action 0: negative service entry" in str(info.value)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["probability", "cost", "arrival", "service"])
@@ -96,8 +93,38 @@ class TestValidate:
         cost = bad if field == "cost" else 0.0
         arr = [bad] if field == "arrival" else [0.0]
         srv = [bad] if field == "service" else [1.0]
-        report = validate(make_instance(1, [prob], [[(0.0, [0.0], [1.0]), (cost, arr, srv)]]))
-        assert any(f"non-finite {field}" in v for v in report.violations), report.violations
+        with pytest.raises(InstanceError, match=f"non-finite {field}"):
+            make_instance(1, [prob], [[(0.0, [0.0], [1.0]), (cost, arr, srv)]])
+
+    @pytest.mark.parametrize("arrivals, services", [([0.0, 0.0, 1.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, 1.0, 1.0]),
+                                                    ([0.0], [1.0, 1.0]), ([0.0, 0.0], [])],
+                             ids=["arrivals-longer", "services-longer", "arrivals-shorter", "services-empty"])
+    def test_vector_length_other_than_r(self, arrivals, services):
+        # a length-1 vector would broadcast into any r, so the length is checked, not the fill
+        with pytest.raises(InstanceError, match=r"^invalid instance: state 0 action 1: vector length != r=2$"):
+            make_instance(2, [1.0], [[(0.0, [0.0, 0.0], [1.0, 1.0]), (0.0, arrivals, services)]])
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_r_below_one(self, r):
+        with pytest.raises(InstanceError, match=f"r={r} must be >= 1"):
+            make_instance(r, [1.0], [[(0.0, [], [])]])
+
+    def test_every_violation_listed(self):
+        with pytest.raises(InstanceError) as info:
+            make_instance(1, [0.5, 1.5, math.nan], [[(0.0, [0.0, 1.0], [1.0])], [], [(-2.0, [-1.0], [math.inf])]])
+        assert str(info.value) == (
+            "invalid instance: state 0 action 0: vector length != r=1; probability sum nan; "
+            "state 2: non-finite probability nan; state 1: probability 1.5 outside [0, 1]; "
+            "state 1: empty action set; state 2 action 0: negative cost -2; "
+            "state 2 action 0: negative arrival entry; state 2 action 0: non-finite service entry"
+        )
+
+    def test_derived_bounds_on_ragged_tables(self):
+        # the bounds read the real entries only: padded costs are +inf, padded vectors 0
+        inst = make_instance(2, [0.5, 0.5], [[(1.0, [0.5, 0.0], [0.0, 4.0]), (2.5, [0.0, 0.0], [1.0, 0.0])],
+                                             [(0.5, [3.0, 0.0], [0.0, 0.0])]])
+        assert (inst.delta_max, inst.f_max, inst.B) == (4.0, 2.5, 16.0)
+        assert inst.action_counts.tolist() == [2, 1] and inst.costs[1, 1] == math.inf
 
 
 class TestSerialization:

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olacsim.controllers import ControllerConfig
+from olacsim.model import InstanceError
 from olacsim.queueing import (
     DelayAccumulator,
     QueueLedger,
     adjust_to,
     apply_slot,
 )
-from olacsim.sim import SimConfig, run
 
 from conftest import (
     RefDelayAccumulator,
@@ -74,13 +73,11 @@ class TestApplySlot:
         assert list(led.chunks[0]) == [[0, 1.0, False]]
 
     def test_negative_inputs_rejected(self):
-        # apply_slot trusts its vectors; a run refuses an instance whose tables
-        # hold a negative arrival or service, before its first slot
+        # apply_slot trusts its vectors; an instance whose tables hold a
+        # negative arrival or service is never built, so no run reaches it
         for arrivals, services, name in (([-1.0], [0.0], "arrival"), ([0.0], [-1.0], "service")):
-            instance = single_state_instance([(0.0, [0.0], [1.0]), (1.0, arrivals, services)])
-            cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 1.0))
-            with pytest.raises(ValueError, match=f"instance {name} entries"):
-                run(instance, cfg, np.zeros(1))
+            with pytest.raises(InstanceError, match=f"state 0 action 1: negative {name} entry"):
+                single_state_instance([(0.0, [0.0], [1.0]), (1.0, arrivals, services)])
 
     def test_scalar_recursion_equivalence_bulk(self):
         # ledger totals track max(q - mu, 0) + a over a long random schedule

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import olacsim.dual
 from olacsim.controllers import ControllerConfig
 from olacsim.dual import NoSlackError, primal_oracle
-from olacsim.model import NetworkInstance
+from olacsim.model import InstanceError, NetworkInstance
 from olacsim.sim import SimConfig, convergence_time, run, sample_states
 
 from conftest import make_instance, single_state_instance
@@ -212,16 +212,13 @@ class TestRunInputs:
 
     @pytest.mark.parametrize("arrival, service", [([np.nan], [1.0]), ([0.0], [np.inf])])
     def test_non_finite_table_rejected(self, arrival, service):
-        instance = single_state_instance([(0.0, [0.0], [1.0]), (1.0, arrival, service)])
-        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 1.0))
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            run(instance, cfg, np.zeros(1))
+        # run trusts its instance: one with such a table is never built
+        with pytest.raises(InstanceError, match="state 0 action 1: non-finite (arrival|service) entry"):
+            single_state_instance([(0.0, [0.0], [1.0]), (1.0, arrival, service)])
 
     def test_state_without_actions_rejected(self):
-        instance = make_instance(1, [0.5, 0.5], [[(0.0, [0.0], [1.0])], []])
-        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("OLAC2", 1.0))
-        with pytest.raises(ValueError, match="state 1 has no actions"):
-            run(instance, cfg, np.zeros(1))
+        with pytest.raises(InstanceError, match="state 1: empty action set"):
+            make_instance(1, [0.5, 0.5], [[(0.0, [0.0], [1.0])], []])
 
     @pytest.mark.parametrize("kind", ["OLAC", "OLAC2"])
     def test_learner_without_slack_rejected_before_first_slot(self, kind, monkeypatch):
