@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .controllers import KINDS, ControllerConfig
+from .controllers import BACKPRESSURE, KINDS, OLAC, OLAC2, ControllerConfig
 from .model import (
     InstanceError, NetworkInstance, build_two_queue_example, load_instance_file, read_int, read_list, read_number,
     read_object,
 )
 from .sim import RunResult, SimConfig, run
 
-__all__ = ["Scenario", "ScenarioError", "run_scenario", "emit_plotdata", "main"]
+__all__ = ["Scenario", "run_scenario", "emit_plotdata", "main"]
 
 OUT_DIR_ENV = "OLACSIM_OUT"
 
@@ -42,7 +42,8 @@ SUMMARY_COLUMNS_TAIL = ["T_zeta_first", "T_zeta_sustained", "dropped_total", "T_
 ORACLE_COLUMNS_BASE = ["V", "f_av_star", "g_star"]
 ORACLE_COLUMNS_TAIL = ["eta_0", "rho_hat", "D_p", "eta", "B", "f_max", "min_perturbed_slack"]
 
-CONTROLLER_KEYS = ("kind", "c", "theta")
+# the keys a controller entry may carry, per kind: a knob of another kind is an error
+CONTROLLER_KEYS = {BACKPRESSURE: ("kind",), OLAC: ("kind", "theta"), OLAC2: ("kind", "c")}
 SCENARIO_KEYS = (
     "instance", "controllers", "V_values", "seeds", "horizon", "zeta", "out_dir", "trace", "assumption_check",
     "perturbation_count", "epsilon_s", "workers", "rho_seed",
@@ -51,14 +52,11 @@ SCENARIO_KEYS = (
 )
 UNIFORM_CHANNEL = [0.25, 0.25, 0.25, 0.25]
 
-# a scenario's errors are the instance loader's: both read JSON through model's readers
-ScenarioError = InstanceError
-
 
 def _flag(doc: dict, field: str) -> bool:
     value = doc.get(field, False)
     if not isinstance(value, bool):
-        raise ScenarioError(f"{field} must be true or false, got {value!r}")
+        raise InstanceError(f"{field} must be true or false, got {value!r}")
     return value
 
 
@@ -67,8 +65,17 @@ def _no_duplicates(values, field: str) -> None:
     seen = set()
     for value in values:
         if value in seen:
-            raise ScenarioError(f"{field}: duplicate entry {value!r}")
+            raise InstanceError(f"{field}: duplicate entry {value!r}")
         seen.add(value)
+
+
+def _v_label(v: float) -> str:
+    """V as trace file names write it, ``{v:g}``: V values that differ past six digits share a label."""
+    return f"V{v:g}"
+
+
+def _trace_name(kind: str, v: float, seed: int) -> str:
+    return f"trace_{kind}_{_v_label(v)}_seed{seed}.csv"
 
 
 def _load_instance(desc, base_dir: str = ".") -> NetworkInstance:
@@ -76,16 +83,16 @@ def _load_instance(desc, base_dir: str = ".") -> NetworkInstance:
     if isinstance(desc, dict) and "file" in desc:
         path = read_object(desc, "instance", ("file",))["file"]
         if not isinstance(path, str):
-            raise ScenarioError(f"instance file must be a path string, got {path!r}")
+            raise InstanceError(f"instance file must be a path string, got {path!r}")
         return load_instance_file(os.path.join(base_dir, path))
     desc = read_object(desc, "instance", ("builtin", "channel_dist"), ("builtin",))
     if desc["builtin"] != "two_queue":
-        raise ScenarioError(f"unknown builtin instance {desc['builtin']!r}")
+        raise InstanceError(f"unknown builtin instance {desc['builtin']!r}")
     channel = read_list(desc.get("channel_dist", UNIFORM_CHANNEL), "instance.channel_dist", read_number)
     try:
         return build_two_queue_example(channel)
     except ValueError as exc:
-        raise ScenarioError(f"builtin two_queue: {exc}") from exc
+        raise InstanceError(f"builtin two_queue: {exc}") from exc
 
 
 @dataclass
@@ -115,17 +122,27 @@ class Scenario:
         # compared as numbers: V 10 and 10.0 are one V
         _no_duplicates(v_values, "V_values")
         _no_duplicates(seeds, "seeds")
+        # two V values of one label would write one trace file; checked with or
+        # without trace, since `olacsim run --trace` turns traces on after load
+        labels = {}
+        for v in v_values:
+            label = _v_label(v)
+            if label in labels:
+                raise InstanceError(f"V_values: {labels[label]!r} and {v!r} share the trace label {label}")
+            labels[label] = v
         horizon = read_int(doc["horizon"], "horizon")
         if horizon < 1:
-            raise ScenarioError("horizon must be >= 1")
+            raise InstanceError("horizon must be >= 1")
         instance = _load_instance(doc["instance"], base_dir)
 
         controllers = []
         for entry in read_list(doc["controllers"], "controllers"):
-            c = read_object(entry, "controller", CONTROLLER_KEYS, ("kind",))
-            if c["kind"] not in KINDS:
-                raise ScenarioError(f"unknown controller kind {c['kind']!r}")
-            kwargs = {"kind": c["kind"], "V": 1.0}
+            # the kind first, then the keys of that kind
+            kind = read_object(entry, "controller", entry, ("kind",))["kind"]
+            if kind not in KINDS:
+                raise InstanceError(f"unknown controller kind {kind!r}")
+            c = read_object(entry, f"controller {kind}", CONTROLLER_KEYS[kind])
+            kwargs = {"kind": kind, "V": 1.0}
             if "c" in c:
                 kwargs["c"] = read_number(c["c"], "controller.c")
             if c.get("theta") is not None:
@@ -136,7 +153,7 @@ class Scenario:
                 for v in v_values:
                     ControllerConfig(**{**kwargs, "V": v}).resolved_theta(instance.r)
             except (ValueError, ArithmeticError) as exc:
-                raise ScenarioError(f"controller {c['kind']}: {exc}") from exc
+                raise InstanceError(f"controller {kind}: {exc}") from exc
             controllers.append(kwargs)
         # one entry per kind: summary rows and trace files are labelled by kind
         _no_duplicates([c["kind"] for c in controllers], "controllers")
@@ -144,29 +161,29 @@ class Scenario:
         zeta = read_object(doc.get("zeta", {}), "zeta", ("policy", "value"))
         policy = zeta.get("policy", "auto_Dp")
         if policy not in ("auto_Dp", "absolute"):
-            raise ScenarioError(f"unknown zeta policy {policy!r}")
+            raise InstanceError(f"unknown zeta policy {policy!r}")
         zeta_value = None
         if policy == "absolute":
             zeta_value = read_number(zeta.get("value"), "zeta.value")
             if not 0 < zeta_value < math.inf:
-                raise ScenarioError(f"zeta value must be positive and finite, got {zeta_value:g}")
+                raise InstanceError(f"zeta value must be positive and finite, got {zeta_value:g}")
 
         perturbation_count = read_int(doc.get("perturbation_count", 100), "perturbation_count")
         workers = read_int(doc.get("workers", 1), "workers")
         epsilon_s = read_number(doc.get("epsilon_s", 0.05), "epsilon_s")
         out_dir = doc.get("out_dir")
         if out_dir is not None and not isinstance(out_dir, str):
-            raise ScenarioError(f"out_dir must be a path string, got {out_dir!r}")
+            raise InstanceError(f"out_dir must be a path string, got {out_dir!r}")
         if min(seeds) < 0:
-            raise ScenarioError("seeds must be non-negative")
+            raise InstanceError("seeds must be non-negative")
         if workers < 1:
-            raise ScenarioError("workers must be >= 1")
+            raise InstanceError("workers must be >= 1")
         if perturbation_count < 0:
-            raise ScenarioError("perturbation_count must be >= 0")
+            raise InstanceError("perturbation_count must be >= 0")
         # the perturbed draw only ends once a candidate lies within epsilon_s of the
         # true distribution: a negative, zero, NaN or infinite radius can stall it
         if not 0 < epsilon_s < math.inf:
-            raise ScenarioError(f"epsilon_s must be positive and finite, got {epsilon_s:g}")
+            raise InstanceError(f"epsilon_s must be positive and finite, got {epsilon_s:g}")
 
         return cls(
             instance=instance,
@@ -191,11 +208,11 @@ class Scenario:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise ScenarioError(
+                raise InstanceError(
                     f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
                 ) from exc
             except UnicodeDecodeError as exc:
-                raise ScenarioError(f"{path}: not UTF-8 text: {exc}") from None
+                raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
         return cls.from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -204,10 +221,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (np.floating, float)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        return repr(v)
+        return repr(float(value))
     if isinstance(value, (np.integer, int)):
         return str(int(value))
     return str(value)
@@ -258,7 +272,7 @@ def _execute_run(args):
     except Exception as exc:  # recorded per run by the collector
         return exc
     if trace_dir is not None:
-        path = os.path.join(trace_dir, f"trace_{ctrl_kwargs['kind']}_V{v:g}_seed{seed}.csv")
+        path = os.path.join(trace_dir, _trace_name(ctrl_kwargs["kind"], v, seed))
         _write_trace(path, res.queue_trace, res.gamma_trace, res.beta_trace, res.cost_trace)
     res.gamma_trace = res.beta_trace = res.queue_trace = res.cost_trace = None
     return res
@@ -301,10 +315,9 @@ def _oracle_columns(r: int) -> list[str]:
     return ORACLE_COLUMNS_BASE + [f"gamma_star_{j + 1}" for j in range(r)] + ORACLE_COLUMNS_TAIL
 
 
-def _oracle_row(ana: dual.InstanceAnalysis, r: int, min_slack=None) -> list:
-    c = ana.constants
-    return [ana.V, ana.f_av_star, ana.g_star, *(ana.gamma_star[j] for j in range(r)),
-            ana.eta_0, c.rho_hat, c.D_p, c.eta, c.B, c.f_max, min_slack]
+def _oracle_row(ana: dual.InstanceAnalysis, instance: NetworkInstance, min_slack=None) -> list:
+    return [ana.V, ana.f_av_star, ana.g_star, *(ana.gamma_star[j] for j in range(instance.r)),
+            ana.eta_0, ana.rho_hat, ana.D_p, ana.eta, instance.B, instance.f_max, min_slack]
 
 
 def _summary_columns(r: int) -> list[str]:
@@ -363,12 +376,12 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
         perturbed = _perturbed_distributions(pi, scenario.perturbation_count, scenario.epsilon_s, scenario.rho_seed)
         min_slack = min(dual.max_slack(instance, p) for p in perturbed) if perturbed else None
     analyses = {v: dual.compute_analysis(instance, v, scenario.rho_seed) for v in sorted(scenario.v_values)}
-    oracle_rows = [_oracle_row(ana, r, min_slack) for ana in analyses.values()]
+    oracle_rows = [_oracle_row(ana, instance, min_slack) for ana in analyses.values()]
     _write_csv(os.path.join(out_dir, "oracle.csv"), _oracle_columns(r), oracle_rows)
 
     zetas = {}
     for v, ana in analyses.items():
-        zeta = ana.constants.D_p if scenario.zeta_policy == "auto_Dp" else scenario.zeta_value
+        zeta = ana.D_p if scenario.zeta_policy == "auto_Dp" else scenario.zeta_value
         zetas[v] = None if zeta is not None and math.isnan(zeta) else zeta
     trace_dir = out_dir if trace else None
     tasks = [
@@ -456,7 +469,7 @@ def emit_plotdata(summary_path, out_dir=None) -> list[str]:
     src_dir = os.path.dirname(os.path.abspath(summary_path))
     for (ctrl, v) in sorted(groups):
         seeds = sorted(int(g["seed"]) for g in groups[(ctrl, v)])
-        path = os.path.join(src_dir, f"trace_{ctrl}_V{v:g}_seed{seeds[0]}.csv")
+        path = os.path.join(src_dir, _trace_name(ctrl, v, seeds[0]))
         if not os.path.exists(path):
             continue
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -478,7 +491,7 @@ def emit_plotdata(summary_path, out_dir=None) -> list[str]:
 def _cmd_run(args) -> int:
     try:
         scenario = Scenario.from_file(args.scenario)
-    except (ScenarioError, OSError) as exc:
+    except (InstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.workers is not None and args.workers < 1:
@@ -503,18 +516,22 @@ def _cmd_oracle(args) -> int:
     try:
         if args.channel_dist:
             if "file" in desc:
-                raise ScenarioError("--channel-dist applies to the builtin instance only")
+                raise InstanceError("--channel-dist applies to the builtin instance only")
             desc["channel_dist"] = [float(x) for x in args.channel_dist.split(",")]
         ControllerConfig(KINDS[0], args.V)  # the V a sweep accepts
         instance = _load_instance(desc)
-    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
+    except (OSError, ValueError) as exc:  # InstanceError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ana = dual.compute_analysis(instance, args.V)
-    row = _oracle_row(ana, instance.r)
+    try:
+        ana = dual.compute_analysis(instance, args.V)
+    except Exception as exc:  # an oracle failed, as a sweep's would (say, no feasible policy)
+        print(f"error: {args.instance}: {exc}", file=sys.stderr)
+        return 1
+    row = _oracle_row(ana, instance)
     for name, value in [*zip(_oracle_columns(instance.r), row), ("xi", ana.xi)]:
         print(f"{name:<20}{_fmt(value)}")
-    if ana.constants.rho_hat <= 0:
+    if ana.rho_hat <= 0:
         print("warning: polyhedral decay not numerically confirmed (rho_hat <= 0)")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

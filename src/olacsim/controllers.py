@@ -12,8 +12,9 @@ The rules trust their arguments (numpy vectors, q >= 0, beta >= 0, theta > 0,
 a state with at least one action): ``sim.run`` checks its inputs once.
 
 A score vector is ``neg_v_costs[s] - np.dot(instance.drift_rows[s], w)``, on
-per-state rows made once (the drift rows per instance, -V*costs per run), so
-a slot creates no view. ``np.dot`` and ``@`` reach the same BLAS matrix-vector
+per-state rows made once: the drift rows per instance, and the rows of -V*costs
+per run, which the caller passes in (``tuple(-V * instance.costs)``). So a
+slot creates no view. ``np.dot`` and ``@`` reach the same BLAS matrix-vector
 kernel and give the same bits. The scores stay in numpy on purpose: an
 OpenBLAS kernel may fuse the multiply-add (FMA), so the same sum in Python
 floats can differ in the last bit and flip an argmax on a near-tie.
@@ -77,28 +78,25 @@ class ControllerConfig:
         return max(1, round(self.V**self.c))
 
 
-def _decide_weighted(instance: NetworkInstance, state_id: int, weights: np.ndarray, V: float,
-                     neg_v_costs: Sequence[np.ndarray] | None) -> int:
+def _decide_weighted(instance: NetworkInstance, state_id: int, weights: np.ndarray,
+                     neg_v_costs: Sequence[np.ndarray]) -> int:
     # padded actions have cost +inf, hence score -inf; never selected
-    base = -V * instance.costs[state_id] if neg_v_costs is None else neg_v_costs[state_id]
-    return int((base - np.dot(instance.drift_rows[state_id], weights)).argmax())
+    return int((neg_v_costs[state_id] - np.dot(instance.drift_rows[state_id], weights)).argmax())
 
 
-def bp_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, V: float,
-              neg_v_costs: Sequence[np.ndarray] | None = None) -> int:
+def bp_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, neg_v_costs: Sequence[np.ndarray]) -> int:
     """Max-weight rule: argmax of -V*f + q.(mu - A); ties to the smallest id.
 
-    ``neg_v_costs`` holds the rows of ``-V * instance.costs`` when the caller
-    builds them once for many slots (``sim.run`` passes a tuple of rows); the
-    scores are the same floats either way.
+    ``neg_v_costs`` holds the rows of ``-V * instance.costs``, which carry V;
+    ``sim.run`` builds them once per run.
     """
-    return _decide_weighted(instance, state_id, q, V, neg_v_costs)
+    return _decide_weighted(instance, state_id, q, neg_v_costs)
 
 
 def olac_decide(instance: NetworkInstance, state_id: int, q: np.ndarray, beta: np.ndarray, theta: np.ndarray,
-                V: float, neg_v_costs: Sequence[np.ndarray] | None = None) -> int:
+                neg_v_costs: Sequence[np.ndarray]) -> int:
     """Backpressure rule on the effective backlog q + beta - theta (unclamped); ``neg_v_costs`` as for bp_decide."""
-    return _decide_weighted(instance, state_id, q + beta - theta, V, neg_v_costs)
+    return _decide_weighted(instance, state_id, q + beta - theta, neg_v_costs)
 
 
 def olac2_step(instance: NetworkInstance, dist, cfg: ControllerConfig) -> DualSolveResult:

@@ -38,7 +38,6 @@ __all__ = [
     "DualSolveResult",
     "DualTables",
     "PrimalSolution",
-    "AnalysisConstants",
     "InstanceAnalysis",
     "InfeasibleInstanceError",
     "NoSlackError",
@@ -63,7 +62,6 @@ class NoSlackError(ValueError):
 @dataclass
 class DualSolveResult:
     gamma: np.ndarray
-    value: float
     at_box: bool  # some gamma_j sits on the box xi
     iterations: int  # dual simplex pivots
 
@@ -75,31 +73,18 @@ class PrimalSolution:
 
 
 @dataclass
-class AnalysisConstants:
-    B: float
-    eta: float
-    rho_hat: float
-    D_p: float
-    f_max: float
-
-
-@dataclass
 class InstanceAnalysis:
-    """Everything the harness precomputes once per (instance, V)."""
+    """Everything the harness precomputes once per (instance, V); B and f_max are the instance's own."""
 
     V: float
     f_av_star: float
     gamma_star: np.ndarray
     g_star: float
     eta_0: float
-    constants: AnalysisConstants
-
-    @property
-    def xi(self) -> float:
-        """Multiplier magnitude bound V*f_max/eta_0 (inf without slack): the learners' box, bit for bit."""
-        if self.eta_0 <= 0:
-            return math.inf
-        return self.V * (self.constants.f_max / self.eta_0)
+    rho_hat: float
+    eta: float
+    D_p: float
+    xi: float  # multiplier magnitude bound V*f_max/eta_0 (inf without slack): the learners' box, bit for bit
 
 
 def _check_dims(instance: NetworkInstance, gamma, dist=None):
@@ -438,18 +423,16 @@ def maximize_dual(instance: NetworkInstance, dist, V: float) -> DualSolveResult:
 
     xi = V * f_max / eta_0 is ``InstanceAnalysis.xi`` bit for bit. The LP of
     ``_CountLP`` is solved once with the dual simplex from its start basis;
-    ``gamma`` is V times its queue-row prices and ``value`` V times its
-    optimum. An instance without service slack (eta_0 <= 0) raises
-    NoSlackError.
+    ``gamma`` is V times its queue-row prices. An instance without service
+    slack (eta_0 <= 0) raises NoSlackError.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (instance.M,):
         raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
     lp = _CountLP(instance)
-    x = lp.restore(lp.rhs @ dist)
+    lp.restore(lp.rhs @ dist)
     return DualSolveResult(
         gamma=V * lp.beta,
-        value=V * float(lp.c[lp.basis] @ x),
         at_box=bool((lp.beta >= lp.xi).any()),
         iterations=lp.pivots,
     )
@@ -504,30 +487,26 @@ def max_slack(instance: NetworkInstance, dist) -> float:
     return 0.0 - float(c[basis] @ x)  # 0.0 - x turns an optimum of -0.0 into 0.0
 
 
-def estimate_polyhedral_rho(
-    instance: NetworkInstance,
-    dist,
-    V: float,
-    gamma_star,
-    sample_count: int = 512,
-    radius: float | None = None,
-    seed: int = 0,
-) -> float:
+# points the polyhedral-decay probe samples
+RHO_SAMPLES = 512
+
+
+def estimate_polyhedral_rho(instance: NetworkInstance, dist, V: float, gamma_star, seed: int = 0) -> float:
     """Sampled lower-decay-rate of the dual around its maximizer.
 
-    Draws points on shells of distance up to ``radius`` around gamma_star
-    (projected onto the non-negative orthant) and returns the minimum of
+    Draws RHO_SAMPLES points on shells of distance up to
+    max(1, 0.05 * ||gamma_star||) around gamma_star (projected onto the
+    non-negative orthant) and returns the minimum of
     (g(gamma_star) - g(gamma)) / ||gamma_star - gamma||. Non-positive output
     flags that the polyhedral decay condition is not numerically confirmed.
     This is a probe, not a proof.
     """
     gamma_star = np.asarray(gamma_star, dtype=float)
-    if radius is None:
-        radius = max(1.0, 0.05 * float(np.linalg.norm(gamma_star)))
+    radius = max(1.0, 0.05 * float(np.linalg.norm(gamma_star)))
     rng = np.random.default_rng(seed)
     g_star = dual_value(instance, dist, gamma_star, V)
     rho = math.inf
-    for _ in range(sample_count):
+    for _ in range(RHO_SAMPLES):
         direction = rng.normal(size=instance.r)
         norm = np.linalg.norm(direction)
         if norm < 1e-12:
@@ -540,12 +519,12 @@ def estimate_polyhedral_rho(
     return float(rho) if math.isfinite(rho) else 0.0
 
 
-# eta as a fraction of rho_hat in the analysis constants
+# eta as a fraction of rho_hat
 ETA_FRACTION = 0.1
 
 
 def compute_analysis(instance: NetworkInstance, V: float, rho_seed: int = 0) -> InstanceAnalysis:
-    """Oracle bundle per (instance, V) at the true distribution: optimum, multiplier, slack, constants.
+    """Oracle bundle per (instance, V) at the true distribution: optimum, multiplier, slack, rho_hat, eta, D_p.
 
     gamma_star is V times the policy LP's dual prices, and g_star the dual
     function evaluated there on the full tables (``dual_value``), so that
@@ -574,12 +553,15 @@ def compute_analysis(instance: NetworkInstance, V: float, rho_seed: int = 0) -> 
     else:
         eta = math.nan
         d_p = math.nan
-    constants = AnalysisConstants(B=instance.B, eta=eta, rho_hat=rho_hat, D_p=d_p, f_max=instance.f_max)
+    eta_0 = nominal_slack(instance)
     return InstanceAnalysis(
         V=V,
         f_av_star=policy.f_av_star,
         gamma_star=gamma_star,
         g_star=g_star,
-        eta_0=nominal_slack(instance),
-        constants=constants,
+        eta_0=eta_0,
+        rho_hat=rho_hat,
+        eta=eta,
+        D_p=d_p,
+        xi=V * (instance.f_max / eta_0) if eta_0 > 0 else math.inf,
     )

@@ -78,12 +78,12 @@ class QueueLedger:
     def remaining_real(self) -> np.ndarray:
         return np.array([sum(c[1] for c in q if not c[2]) for q in self.chunks])
 
-    def add_initial(self, amounts, slot: int = 0) -> None:
-        """Seed backlog before a run (test hook); counts as real arrivals."""
+    def add_initial(self, amounts) -> None:
+        """Seed backlog before a run's slot 0 (test hook); counts as real arrivals."""
         amounts = np.asarray(amounts, dtype=float)
         for j in range(self.r):
             if amounts[j] > 0:
-                self.chunks[j].append([slot, float(amounts[j]), False])
+                self.chunks[j].append([0, float(amounts[j]), False])
                 self._totals[j] += float(amounts[j])
                 self.arrived[j] += float(amounts[j])
 

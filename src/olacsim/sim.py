@@ -151,8 +151,6 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
             flagged = int(learned.at_box)
     except NoSlackError as exc:
         raise NoSlackError(f"{kind}: {exc}") from None
-    if olac and (beta_path < 0).any():
-        raise ValueError("the learned beta must be non-negative")
     ledger = QueueLedger(r)
     if cfg.initial_backlog is not None:
         ledger.add_initial(cfg.initial_backlog)
@@ -172,9 +170,9 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         q = q_path[t]
         q[:] = totals
         if olac:
-            action = olac_decide(instance, sid, q, beta_path[t], theta, V, neg_v_costs)
+            action = olac_decide(instance, sid, q, beta_path[t], theta, neg_v_costs)
         else:
-            action = bp_decide(instance, sid, q, V, neg_v_costs)
+            action = bp_decide(instance, sid, q, neg_v_costs)
             if t == t_learn:
                 # OLAC2 keeps the action taken on the backlog before the adjustment
                 dropped += adjust_to(ledger, learned.gamma, t).dropped

@@ -55,7 +55,7 @@ def delay_runs(two_queue, analyses):
     """Criterion 3 sweep: all three controllers, V=100, horizon 1e5, 10 seeds."""
     ana = analyses[100.0]
     jobs = [
-        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.constants.D_p, None, ana.gamma_star)
+        (two_queue, {"kind": kind, "V": 100.0}, 100.0, seed, 100_000, ana.D_p, None, ana.gamma_star)
         for kind in ("Backpressure", "OLAC", "OLAC2")
         for seed in SEEDS10
     ]
@@ -85,7 +85,7 @@ class TestCriterion1:
         pi = two_queue.probabilities
         ana = compute_analysis(two_queue, 100.0)
         cold = maximize_dual(two_queue, pi, 100.0)
-        assert cold.value <= 100.0 * ana.f_av_star + 1e-9
+        assert dual_value(two_queue, pi, cold.gamma, 100.0) <= 100.0 * ana.f_av_star + 1e-9
         assert ana.g_star <= 100.0 * ana.f_av_star + 1e-9
 
 
@@ -149,7 +149,7 @@ def convergence_runs(two_queue, analyses):
         for kind in ("Backpressure", "OLAC2"):
             for seed in SEEDS10:
                 jobs.append((
-                    two_queue, {"kind": kind, "V": v}, v, seed, 40_000, ana.constants.D_p, None, ana.gamma_star,
+                    two_queue, {"kind": kind, "V": v}, v, seed, 40_000, ana.D_p, None, ana.gamma_star,
                 ))
     results = run_many(jobs)
     out = {}
@@ -159,7 +159,7 @@ def convergence_runs(two_queue, analyses):
 
 
 class TestCriterion4:
-    def test_backpressure_bracket(self, convergence_runs, analyses):
+    def test_backpressure_bracket(self, two_queue, convergence_runs, analyses):
         details = []
         ok = True
         for v in (100.0, 200.0, 400.0, 800.0):
@@ -168,8 +168,8 @@ class TestCriterion4:
             assert all(t is not None for t in ts), f"V={v}: a run never converged within the horizon"
             mean_t = float(np.mean(ts))
             norm = float(np.linalg.norm(ana.gamma_star))
-            lower = max(norm - ana.constants.D_p, 0.0) / ana.constants.B
-            upper = norm / ana.constants.eta
+            lower = max(norm - ana.D_p, 0.0) / two_queue.B
+            upper = norm / ana.eta
             ok = ok and (lower <= mean_t <= upper)
             details.append(f"V={v:.0f}: E[T]={mean_t:.0f} in [{lower:.1f}, {upper:.0f}]")
         report(4, ok, "(a) Backpressure bracket: " + "; ".join(details))
@@ -250,7 +250,7 @@ class TestCriterion5:
         slot. The V=100 offset is the smaller one for the reason in the class
         docstring.
         """
-        kappa = 1 + analyses[100.0].constants.D_p / math.log(100.0) ** 2
+        kappa = 1 + analyses[100.0].D_p / math.log(100.0) ** 2
 
         def theta(v):
             return kappa * math.log(v) ** 2
@@ -305,7 +305,7 @@ class TestCriterion6:
     def test_learning_rate_bound(self, two_queue):
         v = 500.0
         ana = compute_analysis(two_queue, v)
-        rho = ana.constants.rho_hat
+        rho = ana.rho_hat
         xi = ana.xi
         m = two_queue.M
         bound_coeff = 2 * m * (v * two_queue.f_max + two_queue.r * xi * two_queue.B) / rho
@@ -425,12 +425,13 @@ class TestCriterion8:
         from olacsim.controllers import bp_decide, olac_decide
 
         theta = np.full(2, math.log(100.0) ** 2)
+        rows = tuple(-100.0 * two_queue.costs)  # as sim.run hands them over
         rng = np.random.default_rng(4)
         bad = 0
         for _ in range(10_000):
             sid = int(rng.integers(0, 64))
             q = rng.uniform(0, 400, size=2)
-            if olac_decide(two_queue, sid, q, theta, theta, 100.0) != bp_decide(two_queue, sid, q, 100.0):
+            if olac_decide(two_queue, sid, q, theta, theta, rows) != bp_decide(two_queue, sid, q, rows):
                 bad += 1
         ok = bad == 0
         report(8, ok, f"(rule equivalence) OLAC at beta=theta vs Backpressure on 1e4 samples: {bad} mismatches")
@@ -439,7 +440,7 @@ class TestCriterion8:
     def test_run_reproducibility(self, two_queue, analyses):
         ana = analyses[100.0]
         def once():
-            cfg = SimConfig(horizon=3_000, seed=7, controller=ControllerConfig("OLAC", 100.0), zeta=ana.constants.D_p)
+            cfg = SimConfig(horizon=3_000, seed=7, controller=ControllerConfig("OLAC", 100.0), zeta=ana.D_p)
             return run(two_queue, cfg, ana.gamma_star)
         a, b = once(), once()
         identical = (

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from olacsim.cli import (
     Scenario,
-    ScenarioError,
     _execute_run,
     _perturbed_distributions,
     _write_trace,
@@ -20,6 +19,7 @@ from olacsim.cli import (
     run_scenario,
 )
 from olacsim.dual import compute_analysis
+from olacsim.model import InstanceError
 
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -79,6 +79,9 @@ DUPLICATE_ENTRIES = {
                          "controllers: duplicate entry 'Backpressure'"),
     "two-OLAC-thetas": ({"controllers": [{"kind": "OLAC", "theta": [1.0, 1.0]}, {"kind": "OLAC", "theta": [2.0, 2.0]}]},
                         "controllers: duplicate entry 'OLAC'"),
+    # V is written {v:g} in trace file names: these two would write one file per (controller, seed)
+    "V-one-trace-label": ({"V_values": [100.0001, 100.0002]},
+                          r"V_values: 100\.0001 and 100\.0002 share the trace label V100$"),
 }
 # controller entries that must not load, with the error they raise, keyed by test id
 BAD_KNOBS = {
@@ -93,6 +96,12 @@ BAD_KNOBS = {
     "OLAC-relearn_perod": ({"kind": "OLAC", "relearn_perod": 2}, "unknown key.*'relearn_perod'"),
     "OLAC-theta-nan": ({"kind": "OLAC", "theta": [float("nan"), 1.0]}, "positive and finite"),
     "OLAC-theta-inf": ({"kind": "OLAC", "theta": [float("inf"), 1.0]}, "positive and finite"),
+    # a knob of another kind is not ignored: each kind lists its own keys
+    "OLAC-c": ({"kind": "OLAC", "c": 7}, r"controller OLAC: unknown key\(s\) 'c'; accepted: kind, theta$"),
+    "OLAC2-theta": ({"kind": "OLAC2", "theta": [5.0, 5.0]},
+                    r"controller OLAC2: unknown key\(s\) 'theta'; accepted: kind, c$"),
+    "Backpressure-theta-and-c": ({"kind": "Backpressure", "theta": [5, 5], "c": 0.9},
+                                 r"controller Backpressure: unknown key\(s\) 'theta', 'c'; accepted: kind$"),
 }
 # oracle verb arguments a sweep would reject too, with the message, keyed by test id
 BAD_ORACLE_ARGS = {
@@ -122,35 +131,35 @@ def read_csv(path):
 
 class TestScenarioParsing:
     def test_missing_fields(self):
-        with pytest.raises(ScenarioError, match="missing scenario field"):
+        with pytest.raises(InstanceError, match="missing scenario field"):
             Scenario.from_dict({"instance": {"builtin": "two_queue"}})
 
     def test_empty_lists_rejected(self):
-        with pytest.raises(ScenarioError, match="non-empty"):
+        with pytest.raises(InstanceError, match="non-empty"):
             Scenario.from_dict(smoke_doc(seeds=[]))
 
     def test_unknown_controller(self):
-        with pytest.raises(ScenarioError, match="unknown controller kind"):
+        with pytest.raises(InstanceError, match="unknown controller kind"):
             Scenario.from_dict(smoke_doc(controllers=[{"kind": "QLA"}]))
 
     def test_unknown_zeta_policy(self):
-        with pytest.raises(ScenarioError, match="zeta policy"):
+        with pytest.raises(InstanceError, match="zeta policy"):
             Scenario.from_dict(smoke_doc(zeta={"policy": "weird"}))
 
     @pytest.mark.parametrize("zeta", [{"policy": "absolute"}, {"policy": "absolute", "value": "x"},
                                       {"policy": "absolute", "value": float("nan")}, "absolute"])
     def test_bad_zeta_rejected(self, zeta):
-        with pytest.raises(ScenarioError, match="zeta"):
+        with pytest.raises(InstanceError, match="zeta"):
             Scenario.from_dict(smoke_doc(zeta=zeta))
 
     @pytest.mark.parametrize("channel", [[0.5, 0.5], [0.5, 0.6, 0.0, 0.0], [float("nan"), 0.5, 0.25, 0.25]])
     def test_bad_builtin_channel_rejected(self, channel):
-        with pytest.raises(ScenarioError, match="builtin two_queue"):
+        with pytest.raises(InstanceError, match="builtin two_queue"):
             Scenario.from_dict(smoke_doc(instance={"builtin": "two_queue", "channel_dist": channel}))
 
     @pytest.mark.parametrize("controller, match", list(BAD_KNOBS.values()), ids=list(BAD_KNOBS))
     def test_bad_controller_knob_rejected_at_load(self, controller, match):
-        with pytest.raises(ScenarioError, match=match):
+        with pytest.raises(InstanceError, match=match):
             Scenario.from_dict(smoke_doc(controllers=[{"kind": "Backpressure"}, controller]))
 
     @pytest.mark.parametrize("overrides", [{"V_values": [0.5]}, {"V_values": [float("nan")]},
@@ -162,17 +171,17 @@ class TestScenarioParsing:
                                            {"workers": -1}, {"perturbation_count": -1},
                                            {"rho_samples": 512}, *(doc for doc, _ in WRONG_TYPES.values())])
     def test_bad_grid_rejected_at_load(self, overrides):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InstanceError):
             Scenario.from_dict(smoke_doc(**overrides))
 
     @pytest.mark.parametrize("overrides, field", list(WRONG_TYPES.values()), ids=list(WRONG_TYPES))
     def test_wrongly_typed_field_named_at_load(self, overrides, field):
-        with pytest.raises(ScenarioError, match=field):
+        with pytest.raises(InstanceError, match=field):
             Scenario.from_dict(smoke_doc(**overrides))
 
     @pytest.mark.parametrize("overrides, match", list(DUPLICATE_ENTRIES.values()), ids=list(DUPLICATE_ENTRIES))
     def test_duplicate_sweep_entry_rejected_at_load(self, overrides, match):
-        with pytest.raises(ScenarioError, match=match):
+        with pytest.raises(InstanceError, match=match):
             Scenario.from_dict(smoke_doc(**overrides))
 
     def test_former_metric_sample_period_key_still_loads(self):
@@ -186,7 +195,7 @@ class TestScenarioParsing:
         with open(SMOKE, encoding="utf-8") as fh:
             doc = json.load(fh)
         doc[key] = value
-        with pytest.raises(ScenarioError, match=f"scenario: unknown key\\(s\\) '{key}'"):
+        with pytest.raises(InstanceError, match=f"scenario: unknown key\\(s\\) '{key}'"):
             Scenario.from_dict(doc)
 
     @pytest.mark.parametrize("name", sorted(n for n in os.listdir(SCENARIOS) if n.endswith(".json")))
@@ -401,7 +410,7 @@ class TestRunScenario:
         doc = smoke_doc(controllers=[{"kind": kind}], seeds=[0], horizon=120, trace=True)
         run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "sweep"))
         ana = compute_analysis(two_queue, 50.0)
-        job = (two_queue, {"kind": kind}, 50.0, 0, 120, ana.constants.D_p, None, ana.gamma_star)
+        job = (two_queue, {"kind": kind}, 50.0, 0, 120, ana.D_p, None, ana.gamma_star)
         for sub in ("on", "off"):
             (tmp_path / sub).mkdir()
         monkeypatch.chdir(tmp_path / "off")
@@ -567,6 +576,18 @@ class TestMainEntry:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "--channel-dist applies to the builtin instance only" in captured.err and not captured.out
+        assert not (tmp_path / "out").exists()
+
+    def test_oracle_verb_reports_an_instance_without_a_feasible_policy(self, tmp_path, capsys):
+        # arrivals 1 against service 0.5: the policy LP is infeasible, which is
+        # an oracle's failure (status 1, as for a sweep), not a traceback
+        path = tmp_path / "noslack.json"
+        path.write_text(json.dumps({"r": 1, "states": [
+            {"probability": 1, "actions": [{"cost": 0, "arrivals": [1], "services": [0.5]}]}]}))
+        assert main(["oracle", str(path), "--V", "10", "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: no randomized policy satisfies the rate constraints\n"
+        assert not captured.out
         assert not (tmp_path / "out").exists()
 
     def test_run_verb_rejects_a_wrongly_typed_field(self, tmp_path, capsys):

@@ -22,10 +22,15 @@ def enumerate_best(instance, sid, weights, v):
     return best
 
 
+def rows(instance, v):
+    """The per-state rows of -V * costs, as sim.run builds them once per run."""
+    return tuple(-v * instance.costs)
+
+
 class TestBpDecide:
     def test_zero_backlog_picks_cheapest(self, two_queue):
         for sid in range(0, 64, 7):
-            assert bp_decide(two_queue, sid, np.zeros(2), 100.0) == 0
+            assert bp_decide(two_queue, sid, np.zeros(2), rows(two_queue, 100.0)) == 0
 
     def test_idle_state_full_backlog_enumeration(self, two_queue):
         # a=(0,0), C=(6,6), q=(100,100), V=100: enumerating the 10 scores picks
@@ -33,27 +38,25 @@ class TestBpDecide:
         sid = state_index(0, 0, 3, 3)
         expected = enumerate_best(two_queue, sid, (100.0, 100.0), 100.0)
         assert expected == 1
-        assert bp_decide(two_queue, sid, np.array([100.0, 100.0]), 100.0) == 1
+        assert bp_decide(two_queue, sid, np.array([100.0, 100.0]), rows(two_queue, 100.0)) == 1
 
     def test_symmetric_tie_breaks_to_smallest_id(self, two_queue):
         # symmetric channels and equal backlog: serve-1 and serve-2 actions tie
         sid = state_index(0, 0, 2, 2)
         q = np.array([277.0, 277.0])
-        a = bp_decide(two_queue, sid, q, 100.0)
+        a = bp_decide(two_queue, sid, q, rows(two_queue, 100.0))
         assert a == enumerate_best(two_queue, sid, q, 100.0)
         assert a <= 4  # the serve-1 copy wins the tie
 
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_per_state_dual_argmin(self, seed, two_queue):
-        # with and without the per-run rows of -V * costs that sim.run hands over
         rng = np.random.default_rng(seed)
         for _ in range(2000):
             sid = int(rng.integers(0, 64))
             q = rng.uniform(0, 400, size=2)
             v = float(rng.uniform(1, 300))
             expected = per_state_dual(two_queue, sid, q, v)[1]
-            assert bp_decide(two_queue, sid, q, v) == expected
-            assert bp_decide(two_queue, sid, q, v, tuple(-v * two_queue.costs)) == expected
+            assert bp_decide(two_queue, sid, q, rows(two_queue, v)) == expected
 
     def test_negative_backlog_rejected(self, two_queue):
         # the rule trusts q >= 0; a run refuses a negative backlog before its first slot
@@ -67,19 +70,18 @@ class TestOlacDecide:
     def test_beta_equals_theta_reduces_to_backpressure(self, two_queue):
         theta = np.full(2, math.log(100.0) ** 2)
         grid = np.arange(0.0, 400.0, 23.0)
-        rows = tuple(-100.0 * two_queue.costs)  # as sim.run hands them over
+        neg_v_costs = rows(two_queue, 100.0)
         for sid in range(0, 64, 5):
             for q1 in grid:
                 for q2 in grid[::3]:
                     q = np.array([q1, q2])
-                    expected = bp_decide(two_queue, sid, q, 100.0)
-                    assert olac_decide(two_queue, sid, q, theta, theta, 100.0) == expected
-                    assert olac_decide(two_queue, sid, q, theta, theta, 100.0, rows) == expected
+                    expected = bp_decide(two_queue, sid, q, neg_v_costs)
+                    assert olac_decide(two_queue, sid, q, theta, theta, neg_v_costs) == expected
 
     def test_under_provisioning_with_negative_weights(self, two_queue):
         theta = np.full(2, math.log(100.0) ** 2)
         for sid in range(0, 64, 9):
-            assert olac_decide(two_queue, sid, np.zeros(2), np.zeros(2), theta, 100.0) == 0
+            assert olac_decide(two_queue, sid, np.zeros(2), np.zeros(2), theta, rows(two_queue, 100.0)) == 0
 
     def test_joint_scaling_leaves_argmax_unchanged(self, two_queue):
         rng = np.random.default_rng(1)
@@ -89,8 +91,8 @@ class TestOlacDecide:
             beta = rng.uniform(0, 200, 2)
             theta = rng.uniform(1, 40, 2)
             lam = float(rng.uniform(0.1, 10))
-            a1 = olac_decide(two_queue, sid, q, beta, theta, 50.0)
-            a2 = olac_decide(two_queue, sid, lam * q, lam * beta, lam * theta, lam * 50.0)
+            a1 = olac_decide(two_queue, sid, q, beta, theta, rows(two_queue, 50.0))
+            a2 = olac_decide(two_queue, sid, lam * q, lam * beta, lam * theta, rows(two_queue, lam * 50.0))
             assert a1 == a2
 
     def test_input_validation(self, two_queue):

@@ -112,7 +112,7 @@ class TestMaximizeDual:
         inst = single_state_instance([(0.0, [1.0], [0.0]), (1.0, [0.0], [1.0])])
         res = maximize_dual(inst, np.array([1.0]), 1.0)
         assert res.gamma[0] == pytest.approx(0.5, abs=1e-4)
-        assert res.value == pytest.approx(0.5, abs=1e-4)
+        assert dual_value(inst, np.array([1.0]), res.gamma, 1.0) == pytest.approx(0.5, abs=1e-4)
 
     def test_free_action_pins_zero(self, two_queue):
         # some action has f=0 and A-mu <= 0 in every state... not true here, but the
@@ -120,13 +120,13 @@ class TestMaximizeDual:
         inst = single_state_instance([(0.0, [0.0, 0.0], [0.5, 0.2]), (2.0, [1.0, 0.0], [0.0, 0.0])], r=2)
         res = maximize_dual(inst, np.array([1.0]), 3.0)
         assert np.allclose(res.gamma, 0.0, atol=1e-9)
-        assert res.value == pytest.approx(0.0, abs=1e-12)
+        assert dual_value(inst, np.array([1.0]), res.gamma, 3.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_queue_strong_duality_cold(self, two_queue):
         pi = two_queue.probabilities
         primal = primal_oracle(two_queue, pi)
         res = maximize_dual(two_queue, pi, 100.0)
-        assert res.value == pytest.approx(100.0 * primal.f_av_star, abs=1e-3)
+        assert dual_value(two_queue, pi, res.gamma, 100.0) == pytest.approx(100.0 * primal.f_av_star, abs=1e-3)
 
     def test_two_queue_strong_duality_warm(self, two_queue):
         # the oracle's gamma* is V times the policy LP's prices (the point the
@@ -320,18 +320,18 @@ class TestMaxSlack:
 class TestPolyhedralRho:
     def test_one_d_crossing_slope(self):
         inst = one_d_crossing()
-        rho = estimate_polyhedral_rho(inst, np.array([1.0]), 1.0, np.array([5.0]), sample_count=256, radius=2.0)
+        rho = estimate_polyhedral_rho(inst, np.array([1.0]), 1.0, np.array([5.0]))
         assert rho == pytest.approx(1.0, abs=1e-6)
 
     def test_flat_dual_flagged(self):
         inst = single_state_instance([(0.0, [0.0], [0.0])])
-        rho = estimate_polyhedral_rho(inst, np.array([1.0]), 1.0, np.array([0.0]), sample_count=64, radius=1.0)
+        rho = estimate_polyhedral_rho(inst, np.array([1.0]), 1.0, np.array([0.0]))
         assert rho <= 0.0
 
     def test_two_queue_positive(self, two_queue):
         pi = two_queue.probabilities
         primal = primal_oracle(two_queue, pi)
-        rho = estimate_polyhedral_rho(two_queue, pi, 100.0, 100.0 * primal.multiplier_v1, sample_count=256)
+        rho = estimate_polyhedral_rho(two_queue, pi, 100.0, 100.0 * primal.multiplier_v1)
         assert rho > 0
 
 
@@ -340,8 +340,8 @@ class TestAnalysis:
         ana = compute_analysis(two_queue, 100.0)
         assert ana.g_star <= 100.0 * ana.f_av_star + 1e-9
         assert ana.eta_0 > 0
-        assert 0 < ana.constants.eta < ana.constants.rho_hat
-        assert ana.constants.D_p > 0
+        assert 0 < ana.eta < ana.rho_hat
+        assert ana.D_p > 0
         assert math.isfinite(ana.xi)
 
     def test_multiplier_magnitude_bound(self):
