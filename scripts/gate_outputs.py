@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Write the sweep outputs that a change must leave byte-identical.
+
+    python3 scripts/gate_outputs.py OUT_DIR
+
+Runs ``scenarios/smoke.json`` and perfbench's ``delay_table`` and
+``assumption_sweep`` documents (``Workload.document(7)`` with
+``"trace": true``) through ``olacsim.cli.run_scenario`` at workers 1 and 2,
+into ``OUT_DIR/<name>_w<k>``. The olacsim that runs is the one under this
+checkout's ``src/``.
+
+``manifest.json`` records ``out_dir``, so run both sides into the same path
+and move each side's result away before running the other:
+
+    (cd parent && python3 scripts/gate_outputs.py /tmp/gate) && mv /tmp/gate /tmp/parent
+    (cd change && python3 scripts/gate_outputs.py /tmp/gate) && mv /tmp/gate /tmp/change
+    python3 scripts/compare_outputs.py /tmp/parent/smoke_w1 /tmp/change/smoke_w1
+    cmp /tmp/parent/smoke_w1/manifest.json /tmp/change/smoke_w1/manifest.json
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SMOKE = os.path.join(ROOT, "scenarios", "smoke.json")
+SEED = 7
+WORKERS = (1, 2)
+
+
+def main(argv=None, tiny: bool = False) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out_dir")
+    out_root = parser.parse_args(argv).out_dir
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import run as bench
+    finally:
+        sys.path.remove(PERFBENCH)
+    cli = bench.Olacsim().cli  # imports olacsim from this checkout's src/, or fails
+    scenarios = {"smoke": cli.Scenario.from_file(SMOKE)}
+    for name, workload in bench.WORKLOADS.items():
+        scenarios[name] = cli.Scenario.from_dict({**workload.document(SEED, tiny=tiny), "trace": True})
+    failed = 0
+    for name, scenario in scenarios.items():
+        for k in WORKERS:
+            out_dir = os.path.join(out_root, f"{name}_w{k}")
+            manifest = cli.run_scenario(scenario, out_dir=out_dir, workers=k)
+            failed += manifest["failed"]
+            print(f"{out_dir}: {manifest['failed']} failed runs")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -235,6 +235,17 @@ def nominal_slack(instance: NetworkInstance) -> float:
     return store["eta_0"]
 
 
+def learner_slack(instance: NetworkInstance) -> float:
+    """``nominal_slack``, which must be positive: the learners' box is xi = V * f_max / eta_0."""
+    eta_0 = nominal_slack(instance)
+    if not eta_0 > 0:
+        raise NoSlackError(
+            f"the learned multiplier needs service slack: eta_0 = {eta_0:g} <= 0, so its bound "
+            "xi = V * f_max / eta_0 is infinite"
+        )
+    return eta_0
+
+
 def _build_class_lp(instance: NetworkInstance):
     tables = DualTables(instance)
     for value in vars(tables).values():
@@ -381,12 +392,7 @@ class _CountLP(_DualSimplex):
         count_a = np.zeros((n_class + r, n_y + 2 * r))
         count_a[:, :n_y] = a
         count_a[n_class:, n_y:] = np.hstack([np.eye(r), -np.eye(r)])
-        self.eta_0 = nominal_slack(instance)
-        if not self.eta_0 > 0:
-            raise NoSlackError(
-                f"the learned multiplier needs service slack: eta_0 = {self.eta_0:g} <= 0, so its bound "
-                "xi = V * f_max / eta_0 is infinite"
-            )
+        self.eta_0 = learner_slack(instance)
         self.xi = instance.f_max / self.eta_0
         self.s_cols = np.arange(n_y, n_y + r)
         self.u_cols = np.arange(n_y + r, n_y + 2 * r)

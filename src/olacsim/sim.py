@@ -1,18 +1,23 @@
-"""Slot-loop simulation engine: sample states, learn, decide and serve, then measure.
+"""Slot-loop simulation engine: sample states, plan the run, decide and serve, then measure.
 
 States are presampled from the instance distribution with a PCG64 generator;
 the seed is split into two independent streams (state sampling, reserved) via
 SeedSequence spawning. Identical (instance, config, gamma_star) inputs
-reproduce bit-identical results. The learned multipliers depend on the
-states only, so OLAC's whole path and OLAC2's one-shot learn run before the
-slot loop. OLAC's path is learned at V = 1 and scaled by V, and the instance
-keeps the last one learned (``dual.instance_store``), keyed by (seed,
-horizon): the same seed's next run at another V reuses it.
+reproduce bit-identical results.
 
-The multiplier estimate whose convergence is measured is q(t) for
-Backpressure and OLAC2 and q(t) + beta(t) - theta for OLAC; at OLAC2's learn
-slot the backlog adjustment is applied before the slot's metrics are taken,
-so the measured estimate jumps to the learned target there.
+The controllers differ in three things, settled before slot 0 in the run's
+plan (``_plan``, the only reader of the controller kind): the discipline,
+OLAC's beta path and theta, and OLAC2's reset of the backlog to its learned
+gamma at T_l. The learners see the states only, so they run in the plan.
+OLAC's path is learned at V = 1 and scaled by V, and the instance keeps the
+last one learned (``dual.instance_store``), keyed by (seed, horizon): the
+same seed's next run at another V reuses it. One slot loop, the same for
+every kind, reads only the plan.
+
+The multiplier estimate whose convergence is measured is q(t), or
+q(t) + beta(t) - theta with a beta path (OLAC); at OLAC2's reset slot the
+adjustment is applied before the slot's metrics are taken, so the measured
+estimate jumps to the learned target there.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controllers import OLAC, OLAC2, ControllerConfig, bp_decide, olac2_step, olac_decide
-from .dual import NoSlackError, instance_store
+from .dual import NoSlackError, instance_store, learner_slack
 from .learning import dual_learn
 from .model import NetworkInstance
 from .queueing import DelayAccumulator, DelayStats, QueueLedger, adjust_to, apply_slot
@@ -100,18 +105,57 @@ def _distances(x: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(d[:, None, :], d[:, :, None]).ravel())
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """What a run's controller kind settles before slot 0; the slot loop reads only this."""
+
+    discipline: str                 # "LIFO" for OLAC2, "FIFO" otherwise
+    beta_path: np.ndarray | None    # OLAC's V * beta(t), one row per slot; None: decide on q
+    theta: np.ndarray | None        # OLAC's offset
+    reset_slot: int                 # OLAC2's T_l when it falls inside the horizon, else -1
+    reset_gamma: np.ndarray | None  # the backlog OLAC2 is adjusted to at reset_slot
+    flagged: int                    # RunResult.solver_flagged_slots
+    t_learn: int | None             # OLAC2's T_l, also past the horizon
+
+
+def _plan(instance: NetworkInstance, cfg: SimConfig, states: np.ndarray) -> _Plan:
+    """The plan of one run; the learners see the states only, so an instance without slack fails here."""
+    ctrl, H = cfg.controller, cfg.horizon
+    try:
+        if ctrl.kind == OLAC:
+            theta = ctrl.resolved_theta(instance.r)
+            # learned at V = 1 and scaled: V * beta(t; 1) is dual_learn(..., V) bit for bit.
+            # The instance keeps one path, the last learned: a sweep task runs
+            # one seed's V values back to back
+            store = instance_store(instance)
+            kept = store.get("olac_path")
+            if kept is None or kept[0] != (cfg.seed, H):
+                path, count = dual_learn(instance, states, 1.0)
+                path.flags.writeable = False
+                kept = store["olac_path"] = ((cfg.seed, H), path, count)
+            return _Plan("FIFO", ctrl.V * kept[1], theta, -1, None, kept[2], None)
+        if ctrl.kind == OLAC2:
+            t_learn = ctrl.learn_slot()
+            if t_learn >= H:
+                learner_slack(instance)  # nothing is learned, and still an instance without slack fails
+                return _Plan("LIFO", None, None, -1, None, 0, t_learn)
+            learned = olac2_step(instance, np.bincount(states[:t_learn], minlength=instance.M) / t_learn, ctrl)
+            return _Plan("LIFO", None, None, t_learn, learned.gamma, int(learned.at_box), t_learn)
+    except NoSlackError as exc:
+        raise NoSlackError(f"{ctrl.kind}: {exc}") from None
+    return _Plan("FIFO", None, None, -1, None, 0, None)
+
+
 def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     """Execute the slot loop and collect metrics against the supplied optimum.
 
     gamma_star is measurement-side knowledge (the true-distribution optimum,
     typically from the analysis oracles); controllers never see it. The loop
-    only decides and serves; every metric is derived from the recorded
-    backlog and action paths afterwards. The instance is not checked again:
-    a NetworkInstance is valid once built.
+    only decides and serves, the same for every controller, on the run's
+    plan (``_plan``); every metric is derived from the recorded backlog and
+    action paths afterwards. The instance is not checked again: a
+    NetworkInstance is valid once built.
     """
-    ctrl = cfg.controller
-    kind = ctrl.kind
-    V = ctrl.V
     r = instance.r
     H = cfg.horizon
     gamma_star = np.asarray(gamma_star, dtype=float)
@@ -123,34 +167,10 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
             raise ValueError(f"initial_backlog has shape {backlog.shape}, expected ({r},)")
         if not (np.isfinite(backlog).all() and (backlog >= 0).all()):
             raise ValueError("initial_backlog must be finite and non-negative")
-    # per-kind facts, settled once: the slot loop branches on `olac` only
-    olac = kind == OLAC
-    theta = ctrl.resolved_theta(r) if olac else None
-    t_learn = ctrl.learn_slot() if kind == OLAC2 else None
-    discipline = "LIFO" if kind == OLAC2 else "FIFO"
 
     states_seq = sample_states(instance, H, cfg.seed)
-    flagged = 0
-    # both learners see the states only, so they run before the first slot,
-    # which is where an instance without service slack is rejected
-    try:
-        if olac:
-            # learned at V = 1 and scaled: V * beta(t; 1) is dual_learn(..., V) bit for bit.
-            # The instance keeps one path, the last learned: a sweep task runs
-            # one seed's V values back to back
-            store = instance_store(instance)
-            kept = store.get("olac_path")
-            if kept is None or kept[0] != (cfg.seed, H):
-                path, count = dual_learn(instance, states_seq, 1.0)
-                path.flags.writeable = False
-                kept = store["olac_path"] = ((cfg.seed, H), path, count)
-            beta_path, flagged = V * kept[1], kept[2]
-        elif t_learn is not None and t_learn < H:
-            empirical = np.bincount(states_seq[:t_learn], minlength=instance.M) / t_learn
-            learned = olac2_step(instance, empirical, ctrl)
-            flagged = int(learned.at_box)
-    except NoSlackError as exc:
-        raise NoSlackError(f"{kind}: {exc}") from None
+    plan = _plan(instance, cfg, states_seq)
+    beta_path, theta, reset_slot, discipline = plan.beta_path, plan.theta, plan.reset_slot, plan.discipline
     ledger = QueueLedger(r)
     if cfg.initial_backlog is not None:
         ledger.add_initial(cfg.initial_backlog)
@@ -162,30 +182,29 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     arrival_rows = instance.arrivals.tolist()
     service_rows = instance.services.tolist()
     # -V * costs per state, made once per run; the rules index it like instance.drift_rows
-    neg_v_costs = tuple(-V * instance.costs)
+    neg_v_costs = tuple(-cfg.controller.V * instance.costs)
     # the ledger's float list, updated in place; each slot copies it into its q_path row
     totals = ledger._totals
 
     for t, sid in enumerate(states_seq.tolist()):
         q = q_path[t]
         q[:] = totals
-        if olac:
-            action = olac_decide(instance, sid, q, beta_path[t], theta, neg_v_costs)
-        else:
+        if beta_path is None:
             action = bp_decide(instance, sid, q, neg_v_costs)
-            if t == t_learn:
-                # OLAC2 keeps the action taken on the backlog before the adjustment
-                dropped += adjust_to(ledger, learned.gamma, t).dropped
-                q[:] = totals
+        else:
+            action = olac_decide(instance, sid, q, beta_path[t], theta, neg_v_costs)
+        if t == reset_slot:
+            # the action stays the one taken on the backlog before the adjustment
+            dropped += adjust_to(ledger, plan.reset_gamma, t).dropped
+            q[:] = totals
         actions[t] = action
         records = apply_slot(ledger, arrival_rows[sid][action], service_rows[sid][action], t, discipline)
         delay_acc.add_many(records)
 
     delay = delay_acc.finalize(H)
     costs = instance.costs[states_seq, actions]
-    # the estimate is q(t), or q(t) + beta(t) - theta for OLAC
-    dist = _distances(q_path + beta_path - theta if olac else q_path, gamma_star)
-    beta_dist = _distances(beta_path, gamma_star) if olac else None
+    # the estimate is q(t), or q(t) + beta(t) - theta with a beta path
+    dist = _distances(q_path if beta_path is None else q_path + beta_path - theta, gamma_star)
     t_first = t_sustained = None
     if cfg.zeta is not None:
         t_first = convergence_time(dist, cfg.zeta)
@@ -200,9 +219,9 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         t_zeta_sustained=t_sustained,
         dropped=dropped,
         gamma_trace=dist,
-        beta_trace=beta_dist,
+        beta_trace=None if beta_path is None else _distances(beta_path, gamma_star),
         queue_trace=q_path,
         cost_trace=costs,
-        solver_flagged_slots=flagged,
-        t_learn=t_learn,
+        solver_flagged_slots=plan.flagged,
+        t_learn=plan.t_learn,
     )

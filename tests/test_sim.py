@@ -220,8 +220,13 @@ class TestRunInputs:
         with pytest.raises(InstanceError, match="state 1: empty action set"):
             make_instance(1, [0.5, 0.5], [[(0.0, [0.0], [1.0])], []])
 
-    @pytest.mark.parametrize("kind", ["OLAC", "OLAC2"])
-    def test_learner_without_slack_rejected_before_first_slot(self, kind, monkeypatch):
+    @pytest.mark.parametrize("kind, horizon", [
+        pytest.param("OLAC", 10, id="OLAC"),
+        pytest.param("OLAC2", 10, id="OLAC2"),
+        # T_l = 5 falls past the horizon: OLAC2 learns nothing and is still rejected
+        pytest.param("OLAC2", 3, id="OLAC2-short"),
+    ])
+    def test_learner_without_slack_rejected_before_first_slot(self, kind, horizon, monkeypatch):
         # arrivals equal the best service: eta_0 = 0, so the learned multiplier has no box
         import olacsim.sim
 
@@ -230,7 +235,7 @@ class TestRunInputs:
 
         monkeypatch.setattr(olacsim.sim, "apply_slot", no_slot)
         instance = single_state_instance([(0.0, [1.0], [0.0]), (1.0, [1.0], [1.0])])
-        cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig(kind, 10.0))
+        cfg = SimConfig(horizon=horizon, seed=0, controller=ControllerConfig(kind, 10.0))
         with pytest.raises(NoSlackError, match=f"^{kind}: .*eta_0 = 0 <= 0"):
             run(instance, cfg, np.zeros(1))
 
@@ -269,6 +274,36 @@ class TestRunInputs:
         cfg = SimConfig(horizon=10, seed=0, controller=ControllerConfig(kind, 1.0, c=0.5))
         with pytest.raises(NoSlackError, match=f"^{kind}: .*eta_0 = {eta_0:g} <= 0"):
             run(fresh_copy(two_queue), cfg, np.zeros(2))
+
+
+class TestModuleCalls:
+    """The per-slot and per-run calls go through sim's module globals, where a tracer rebinds them."""
+
+    CALLED = ("bp_decide", "olac_decide", "dual_learn", "olac2_step", "adjust_to", "apply_slot")
+
+    @pytest.mark.parametrize("kind, horizon, expected", [
+        ("Backpressure", 50, {"bp_decide": 50, "apply_slot": 50}),
+        ("OLAC", 50, {"olac_decide": 50, "dual_learn": 1, "apply_slot": 50}),
+        # T_l = 22 at V = 100
+        ("OLAC2", 50, {"bp_decide": 50, "olac2_step": 1, "adjust_to": 1, "apply_slot": 50}),
+        ("OLAC2", 22, {"bp_decide": 22, "apply_slot": 22}),
+    ], ids=["Backpressure", "OLAC", "OLAC2", "OLAC2-short"])
+    def test_calls_per_kind(self, two_queue, gamma_star_100, kind, horizon, expected, monkeypatch):
+        import olacsim.sim
+
+        calls = dict.fromkeys(self.CALLED, 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in self.CALLED:
+            monkeypatch.setattr(olacsim.sim, name, counted(name, getattr(olacsim.sim, name)))
+        cfg = SimConfig(horizon=horizon, seed=5, controller=ControllerConfig(kind, 100.0))
+        run(fresh_copy(two_queue), cfg, gamma_star_100)
+        assert calls == {**dict.fromkeys(self.CALLED, 0), **expected}
 
 
 class TestKeptPath:
