@@ -17,16 +17,19 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dual
 from .controllers import BACKPRESSURE, KINDS, OLAC, OLAC2, ControllerConfig
 from .model import (
-    InstanceError, NetworkInstance, build_two_queue_example, load_instance_file, read_int, read_list, read_number,
-    read_object,
+    InstanceError, NetworkInstance, build_two_queue_example, load_instance_file, read_bool, read_int, read_json_file,
+    read_list, read_number, read_object, read_str,
 )
 from .sim import RunResult, SimConfig, run
 
@@ -34,39 +37,37 @@ __all__ = ["Scenario", "run_scenario", "emit_plotdata", "main"]
 
 OUT_DIR_ENV = "OLACSIM_OUT"
 
-SUMMARY_COLUMNS_BASE = [
-    "controller", "V", "seed", "horizon", "avg_cost", "avg_backlog", "mean_delay",
-]
+SUMMARY_COLUMNS_BASE = ["controller", "V", "seed", "horizon", "avg_cost", "avg_backlog", "mean_delay"]
 SUMMARY_COLUMNS_TAIL = ["T_zeta_first", "T_zeta_sustained", "dropped_total", "T_l", "solver_flagged_slots"]
 
 ORACLE_COLUMNS_BASE = ["V", "f_av_star", "g_star"]
 ORACLE_COLUMNS_TAIL = ["eta_0", "rho_hat", "D_p", "eta", "B", "f_max", "min_perturbed_slack"]
 
-# the keys a controller entry may carry, per kind: a knob of another kind is an error
+# the keys a controller entry may carry, per kind, and a zeta object, per
+# policy: a key of another kind or policy is an error
 CONTROLLER_KEYS = {BACKPRESSURE: ("kind",), OLAC: ("kind", "theta"), OLAC2: ("kind", "c")}
-SCENARIO_KEYS = (
-    "instance", "controllers", "V_values", "seeds", "horizon", "zeta", "out_dir", "trace", "assumption_check",
-    "perturbation_count", "epsilon_s", "workers", "rho_seed",
-    # accepted and ignored: older documents, and perfbench's generated ones, still carry it
-    "metric_sample_period",
-)
+ZETA_KEYS = {"auto_Dp": ("policy",), "absolute": ("policy", "value")}
 UNIFORM_CHANNEL = [0.25, 0.25, 0.25, 0.25]
+REQUIRED = object()
 
 
-def _flag(doc: dict, field: str) -> bool:
-    value = doc.get(field, False)
-    if not isinstance(value, bool):
-        raise InstanceError(f"{field} must be true or false, got {value!r}")
-    return value
+# each bound a field may have, by the text that README's field table and the error give it
+BOUNDS = {">= 0": lambda value: value >= 0, ">= 1": lambda value: value >= 1,
+          "positive and finite": lambda value: 0 < value < math.inf}
 
 
-def _no_duplicates(values, field: str) -> None:
-    """Reject a second entry equal to an earlier one: its runs would repeat, or share a label."""
-    seen = set()
-    for value in values:
-        if value in seen:
-            raise InstanceError(f"{field}: duplicate entry {value!r}")
-        seen.add(value)
+class Field(NamedTuple):
+    """One key of a scenario document."""
+
+    read: Callable | None               # read(value, key), on each entry of a list field; None: the key is ignored
+    default: object = REQUIRED          # what an absent key reads as; a field whose default is null may be null
+    bound: str | None = None            # a key of BOUNDS that the value, or each entry, must meet
+    entry_id: Callable | None = None    # a list field's: a non-empty list whose entries differ in entry_id
+    then: Callable | None = None        # then(value, got) finishes the value from the fields read before it
+
+
+# the "value" of an absolute zeta, the convergence radius
+ZETA_VALUE = Field(read_number, bound="positive and finite")
 
 
 def _v_label(v: float) -> str:
@@ -78,14 +79,11 @@ def _trace_name(kind: str, v: float, seed: int) -> str:
     return f"trace_{kind}_{_v_label(v)}_seed{seed}.csv"
 
 
-def _load_instance(desc, base_dir: str = ".") -> NetworkInstance:
-    """A scenario's instance, ``{"builtin": "two_queue", "channel_dist": [...]}`` or ``{"file": path}``."""
+def _read_instance(desc, key: str) -> NetworkInstance | str:
+    """The builtin two-queue instance with its ``channel_dist``, or the path of ``{"file": path}``."""
     if isinstance(desc, dict) and "file" in desc:
-        path = read_object(desc, "instance", ("file",))["file"]
-        if not isinstance(path, str):
-            raise InstanceError(f"instance file must be a path string, got {path!r}")
-        return load_instance_file(os.path.join(base_dir, path))
-    desc = read_object(desc, "instance", ("builtin", "channel_dist"), ("builtin",))
+        return read_str(read_object(desc, key, ("file",))["file"], "instance file")
+    desc = read_object(desc, key, ("builtin", "channel_dist"), ("builtin",))
     if desc["builtin"] != "two_queue":
         raise InstanceError(f"unknown builtin instance {desc['builtin']!r}")
     channel = read_list(desc.get("channel_dist", UNIFORM_CHANNEL), "instance.channel_dist", read_number)
@@ -95,125 +93,133 @@ def _load_instance(desc, base_dir: str = ".") -> NetworkInstance:
         raise InstanceError(f"builtin two_queue: {exc}") from exc
 
 
+def _open_file(instance: NetworkInstance | str, got: dict) -> NetworkInstance:
+    # a file's path is relative to the scenario's directory
+    return load_instance_file(os.path.join(got["base_dir"], instance)) if isinstance(instance, str) else instance
+
+
+def _distinct_labels(v_values: list[float], got: dict) -> list[float]:
+    # two V values of one label would write one trace file; checked with or
+    # without trace, since `olacsim run --trace` turns traces on after load
+    labels = [_v_label(v) for v in v_values]
+    for v, label in zip(v_values, labels):
+        first = v_values[labels.index(label)]
+        if first != v:
+            raise InstanceError(f"V_values: {first!r} and {v!r} share the trace label {label}")
+    return v_values
+
+
+def _read_controller(entry, key: str) -> dict:
+    """ControllerConfig kwargs without V: the kind first, then the keys of that kind."""
+    kind = read_object(entry, "controller", entry, ("kind",))["kind"]
+    if kind not in KINDS:
+        raise InstanceError(f"unknown controller kind {kind!r}")
+    entry = read_object(entry, f"controller {kind}", CONTROLLER_KEYS[kind])
+    kwargs = {"kind": kind}
+    if "c" in entry:
+        kwargs["c"] = read_number(entry["c"], "controller.c")
+    if entry.get("theta") is not None:
+        kwargs["theta"] = np.array(read_list(entry["theta"], "controller.theta", read_number))
+    return kwargs
+
+
+def _configure(controllers: list[dict], got: dict) -> list[dict]:
+    # every run's configuration is built here, so a bad knob fails at load,
+    # not in a worker after the oracles have run
+    for kwargs in controllers:
+        try:
+            for v in got["V_values"]:
+                ControllerConfig(**kwargs, V=v).resolved_theta(got["instance"].r)
+        except (ValueError, ArithmeticError) as exc:
+            raise InstanceError(f"controller {kwargs['kind']}: {exc}") from exc
+    return controllers
+
+
+def _read_zeta(zeta, key: str) -> float | None:
+    """The absolute convergence radius, or None for the auto_Dp policy (D_p at each V)."""
+    policy = read_object(zeta, key, zeta, ("policy",))["policy"]
+    if policy not in ZETA_KEYS:
+        raise InstanceError(f"unknown zeta policy {policy!r}")
+    zeta = read_object(zeta, key, ZETA_KEYS[policy], ZETA_KEYS[policy])
+    return _read_field(zeta["value"], f"{key}.value", ZETA_VALUE, {}) if "value" in zeta else None
+
+
+def _read_field(value, key: str, field: Field, got: dict):
+    """A field's value, read and bounded (entry by entry for a list field), then finished."""
+    def read(value, key):
+        value = field.read(value, key)
+        if field.bound is not None and not BOUNDS[field.bound](value):
+            raise InstanceError(f"{key} must be {field.bound}, got {value!r}")
+        return value
+
+    if field.entry_id is None:
+        value = read(value, key)
+    else:
+        value = read_list(value, key, read)
+        ids = [field.entry_id(entry) for entry in value]
+        for i, entry_id in enumerate(ids):
+            if entry_id in ids[:i]:
+                raise InstanceError(f"{key}: duplicate entry {entry_id!r}")
+    return value if field.then is None else field.then(value, got)
+
+
+# The scenario document, read key by key in this order, so that the controllers
+# are configured at every V on the instance. A sweep entry given twice would
+# repeat its runs or share a label: V values are compared as numbers, and
+# summary rows and trace files are labelled by controller kind.
+FIELDS = {
+    "instance": Field(_read_instance, then=_open_file),
+    "V_values": Field(read_number, entry_id=float, then=_distinct_labels),
+    "seeds": Field(read_int, bound=">= 0", entry_id=int),
+    "horizon": Field(read_int, bound=">= 1"),
+    "controllers": Field(_read_controller, entry_id=itemgetter("kind"), then=_configure),
+    "zeta": Field(_read_zeta, {"policy": "auto_Dp"}),
+    "out_dir": Field(read_str, None),
+    "trace": Field(read_bool, False),
+    "assumption_check": Field(read_bool, False),
+    "perturbation_count": Field(read_int, 100, ">= 0"),
+    # the perturbed draw only ends once a candidate lies within epsilon_s of the
+    # true distribution: a negative, zero, NaN or infinite radius can stall it
+    "epsilon_s": Field(read_number, 0.05, "positive and finite"),
+    "workers": Field(read_int, 1, ">= 1"),
+    "rho_seed": Field(read_int, 0, ">= 0"),
+    # older documents, and perfbench's generated ones, still carry it
+    "metric_sample_period": Field(None, None),
+}
+
+
 @dataclass
 class Scenario:
-    """Validated scenario document."""
+    """A scenario document's fields, each read as ``FIELDS`` says."""
 
     instance: NetworkInstance
-    controllers: list[dict]                 # ControllerConfig kwargs without V
-    v_values: list[float]
+    V_values: list[float]
     seeds: list[int]
     horizon: int
-    zeta_policy: str = "auto_Dp"            # or "absolute"
-    zeta_value: float | None = None
-    out_dir: str | None = None
-    trace: bool = False
-    assumption_check: bool = False
-    perturbation_count: int = 100
-    epsilon_s: float = 0.05
-    workers: int = 1
-    rho_seed: int = 0
+    controllers: list[dict]                 # ControllerConfig kwargs without V
+    zeta: float | None                      # the absolute radius; None for auto_Dp
+    out_dir: str | None
+    trace: bool
+    assumption_check: bool
+    perturbation_count: int
+    epsilon_s: float
+    workers: int
+    rho_seed: int
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: str = ".") -> "Scenario":
-        doc = read_object(doc, "scenario", SCENARIO_KEYS, SCENARIO_KEYS[:5])
-        v_values = read_list(doc["V_values"], "V_values", read_number)
-        seeds = read_list(doc["seeds"], "seeds", read_int)
-        # compared as numbers: V 10 and 10.0 are one V
-        _no_duplicates(v_values, "V_values")
-        _no_duplicates(seeds, "seeds")
-        # two V values of one label would write one trace file; checked with or
-        # without trace, since `olacsim run --trace` turns traces on after load
-        labels = {}
-        for v in v_values:
-            label = _v_label(v)
-            if label in labels:
-                raise InstanceError(f"V_values: {labels[label]!r} and {v!r} share the trace label {label}")
-            labels[label] = v
-        horizon = read_int(doc["horizon"], "horizon")
-        if horizon < 1:
-            raise InstanceError("horizon must be >= 1")
-        instance = _load_instance(doc["instance"], base_dir)
-
-        controllers = []
-        for entry in read_list(doc["controllers"], "controllers"):
-            # the kind first, then the keys of that kind
-            kind = read_object(entry, "controller", entry, ("kind",))["kind"]
-            if kind not in KINDS:
-                raise InstanceError(f"unknown controller kind {kind!r}")
-            c = read_object(entry, f"controller {kind}", CONTROLLER_KEYS[kind])
-            kwargs = {"kind": kind, "V": 1.0}
-            if "c" in c:
-                kwargs["c"] = read_number(c["c"], "controller.c")
-            if c.get("theta") is not None:
-                kwargs["theta"] = np.array(read_list(c["theta"], "controller.theta", read_number))
-            # every run's configuration is built here, so a bad knob fails at
-            # load, not in a worker after the oracles have run
-            try:
-                for v in v_values:
-                    ControllerConfig(**{**kwargs, "V": v}).resolved_theta(instance.r)
-            except (ValueError, ArithmeticError) as exc:
-                raise InstanceError(f"controller {kind}: {exc}") from exc
-            controllers.append(kwargs)
-        # one entry per kind: summary rows and trace files are labelled by kind
-        _no_duplicates([c["kind"] for c in controllers], "controllers")
-
-        zeta = read_object(doc.get("zeta", {}), "zeta", ("policy", "value"))
-        policy = zeta.get("policy", "auto_Dp")
-        if policy not in ("auto_Dp", "absolute"):
-            raise InstanceError(f"unknown zeta policy {policy!r}")
-        zeta_value = None
-        if policy == "absolute":
-            zeta_value = read_number(zeta.get("value"), "zeta.value")
-            if not 0 < zeta_value < math.inf:
-                raise InstanceError(f"zeta value must be positive and finite, got {zeta_value:g}")
-
-        perturbation_count = read_int(doc.get("perturbation_count", 100), "perturbation_count")
-        workers = read_int(doc.get("workers", 1), "workers")
-        epsilon_s = read_number(doc.get("epsilon_s", 0.05), "epsilon_s")
-        out_dir = doc.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise InstanceError(f"out_dir must be a path string, got {out_dir!r}")
-        if min(seeds) < 0:
-            raise InstanceError("seeds must be non-negative")
-        if workers < 1:
-            raise InstanceError("workers must be >= 1")
-        if perturbation_count < 0:
-            raise InstanceError("perturbation_count must be >= 0")
-        # the perturbed draw only ends once a candidate lies within epsilon_s of the
-        # true distribution: a negative, zero, NaN or infinite radius can stall it
-        if not 0 < epsilon_s < math.inf:
-            raise InstanceError(f"epsilon_s must be positive and finite, got {epsilon_s:g}")
-
-        return cls(
-            instance=instance,
-            controllers=controllers,
-            v_values=v_values,
-            seeds=seeds,
-            horizon=horizon,
-            zeta_policy=policy,
-            zeta_value=zeta_value,
-            out_dir=out_dir,
-            trace=_flag(doc, "trace"),
-            assumption_check=_flag(doc, "assumption_check"),
-            perturbation_count=perturbation_count,
-            epsilon_s=epsilon_s,
-            workers=workers,
-            rho_seed=read_int(doc.get("rho_seed", 0), "rho_seed"),
-        )
+        doc = read_object(doc, "scenario", FIELDS, [key for key, field in FIELDS.items() if field.default is REQUIRED])
+        got = {"base_dir": base_dir}
+        for key, field in FIELDS.items():
+            value = doc.get(key, field.default)
+            if field.read is not None:
+                got[key] = None if value is None and field.default is None else _read_field(value, key, field, got)
+        del got["base_dir"]
+        return cls(**got)
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InstanceError(
-                    f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-                ) from exc
-            except UnicodeDecodeError as exc:
-                raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
-        return cls.from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+        return cls.from_dict(read_json_file(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _fmt(value) -> str:
@@ -321,25 +327,14 @@ def _oracle_row(ana: dual.InstanceAnalysis, instance: NetworkInstance, min_slack
 
 
 def _summary_columns(r: int) -> list[str]:
-    cols = list(SUMMARY_COLUMNS_BASE)
-    cols += [f"delivered_rate_{j + 1}" for j in range(r)]
-    cols += [f"dropped_{j + 1}" for j in range(r)]
-    cols += SUMMARY_COLUMNS_TAIL
-    return cols
+    return [*SUMMARY_COLUMNS_BASE, *(f"delivered_rate_{j + 1}" for j in range(r)),
+            *(f"dropped_{j + 1}" for j in range(r)), *SUMMARY_COLUMNS_TAIL]
 
 
-def _summary_row(label, v, seed, horizon, res: RunResult, r: int):
-    row = [label, v, seed, horizon, res.avg_cost, res.avg_backlog, res.delay.mean_delay]
-    row += [res.delay.delivered_rate[j] for j in range(r)]
-    row += [res.dropped[j] for j in range(r)]
-    row += [
-        res.t_zeta_first,
-        res.t_zeta_sustained,
-        float(res.dropped.sum()),
-        res.t_learn,
-        res.solver_flagged_slots,
-    ]
-    return row
+def _summary_row(label, v, seed, horizon, res: RunResult, r: int) -> list:
+    return [label, v, seed, horizon, res.avg_cost, res.avg_backlog, res.delay.mean_delay,
+            *(res.delay.delivered_rate[j] for j in range(r)), *(res.dropped[j] for j in range(r)),
+            res.t_zeta_first, res.t_zeta_sustained, float(res.dropped.sum()), res.t_learn, res.solver_flagged_slots]
 
 
 def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> dict:
@@ -375,18 +370,17 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     if scenario.assumption_check:
         perturbed = _perturbed_distributions(pi, scenario.perturbation_count, scenario.epsilon_s, scenario.rho_seed)
         min_slack = min(dual.max_slack(instance, p) for p in perturbed) if perturbed else None
-    analyses = {v: dual.compute_analysis(instance, v, scenario.rho_seed) for v in sorted(scenario.v_values)}
+    analyses = {v: dual.compute_analysis(instance, v, scenario.rho_seed) for v in sorted(scenario.V_values)}
     oracle_rows = [_oracle_row(ana, instance, min_slack) for ana in analyses.values()]
     _write_csv(os.path.join(out_dir, "oracle.csv"), _oracle_columns(r), oracle_rows)
 
-    zetas = {}
-    for v, ana in analyses.items():
-        zeta = ana.D_p if scenario.zeta_policy == "auto_Dp" else scenario.zeta_value
-        zetas[v] = None if zeta is not None and math.isnan(zeta) else zeta
+    # auto_Dp takes each V's D_p, and no radius where D_p is undefined (NaN)
+    zetas = {v: scenario.zeta if scenario.zeta is not None or math.isnan(ana.D_p) else ana.D_p
+             for v, ana in analyses.items()}
     trace_dir = out_dir if trace else None
     tasks = [
         [(instance, ctrl_kwargs, v, seed, scenario.horizon, zetas[v], trace_dir, analyses[v].gamma_star)
-         for v in scenario.v_values]
+         for v in scenario.V_values]
         for ctrl_kwargs in scenario.controllers
         for seed in scenario.seeds
     ]
@@ -403,7 +397,7 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     # back to (controller, V, seed) order: task i * seeds + s holds its seed's runs in V order
     n_seeds = len(scenario.seeds)
     summary_rows = []
-    for i, k, s in itertools.product(range(len(scenario.controllers)), range(len(scenario.v_values)), range(n_seeds)):
+    for i, k, s in itertools.product(range(len(scenario.controllers)), range(len(scenario.V_values)), range(n_seeds)):
         job, res = tasks[i * n_seeds + s][k], outcomes[i * n_seeds + s][k]
         _, ctrl_kwargs, v, seed, horizon, *_ = job
         label = ctrl_kwargs["kind"]
@@ -425,10 +419,10 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
 
 def emit_plotdata(summary_path, out_dir=None) -> list[str]:
     """Aggregate a summary.csv into per-figure mean/stderr tables."""
-    out_dir = out_dir or os.path.dirname(os.path.abspath(summary_path)) or "."
+    src_dir = os.path.dirname(os.path.abspath(summary_path))
+    out_dir = out_dir or src_dir
     with open(summary_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"summary {summary_path} has no data rows")
 
@@ -441,21 +435,13 @@ def emit_plotdata(summary_path, out_dir=None) -> list[str]:
         if not vals:
             return None, None
         mean = sum(vals) / len(vals)
-        if len(vals) > 1:
-            var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-            stderr = math.sqrt(var / len(vals))
-        else:
-            stderr = 0.0
-        return mean, stderr
+        var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1) if len(vals) > 1 else 0.0
+        return mean, math.sqrt(var / len(vals))
 
     written = []
 
     def emit(name, key):
-        out_rows = []
-        for (ctrl, v) in sorted(groups):
-            group = groups[(ctrl, v)]
-            mean, stderr = stats(group, key)
-            out_rows.append([ctrl, v, len(group), mean, stderr])
+        out_rows = [[ctrl, v, len(groups[ctrl, v]), *stats(groups[ctrl, v], key)] for ctrl, v in sorted(groups)]
         path = os.path.join(out_dir, name)
         _write_csv(path, ["controller", "V", "n_runs", "mean", "stderr"], out_rows)
         written.append(path)
@@ -466,7 +452,6 @@ def emit_plotdata(summary_path, out_dir=None) -> list[str]:
 
     # queue trace analogue: lowest-seed trace file per (controller, V), if present
     trace_rows = []
-    src_dir = os.path.dirname(os.path.abspath(summary_path))
     for (ctrl, v) in sorted(groups):
         seeds = sorted(int(g["seed"]) for g in groups[(ctrl, v)])
         path = os.path.join(src_dir, _trace_name(ctrl, v, seeds[0]))
@@ -476,10 +461,8 @@ def emit_plotdata(summary_path, out_dir=None) -> list[str]:
             reader = csv.DictReader(fh)
             qcols = sorted((k for k in reader.fieldnames or () if k.startswith("q_")), key=lambda s: int(s[2:]))
             for trow in reader:
-                out = [ctrl, v, seeds[0], int(trow["slot"])]
-                out += [float(trow[k]) for k in qcols]
-                out.append(float(trow["dist_gamma"]))
-                trace_rows.append(out)
+                trace_rows.append([ctrl, v, seeds[0], int(trow["slot"]), *(float(trow[k]) for k in qcols),
+                                   float(trow["dist_gamma"])])
     qcount = max((len(rw) - 5 for rw in trace_rows), default=0)
     header = ["controller", "V", "seed", "slot"] + [f"q_{j + 1}" for j in range(qcount)] + ["dist_gamma"]
     path = os.path.join(out_dir, "fig_queue_trace.csv")
@@ -491,11 +474,10 @@ def emit_plotdata(summary_path, out_dir=None) -> list[str]:
 def _cmd_run(args) -> int:
     try:
         scenario = Scenario.from_file(args.scenario)
+        if args.workers is not None:  # the bound of the scenario's workers
+            _read_field(args.workers, "--workers", FIELDS["workers"], {})
     except (InstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     try:
         manifest = run_scenario(scenario, out_dir=args.out, workers=args.workers, trace=args.trace or None)
@@ -519,7 +501,7 @@ def _cmd_oracle(args) -> int:
                 raise InstanceError("--channel-dist applies to the builtin instance only")
             desc["channel_dist"] = [float(x) for x in args.channel_dist.split(",")]
         ControllerConfig(KINDS[0], args.V)  # the V a sweep accepts
-        instance = _load_instance(desc)
+        instance = _read_field(desc, "instance", FIELDS["instance"], {"base_dir": "."})
     except (OSError, ValueError) as exc:  # InstanceError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,9 +7,10 @@ arrival vector and a service vector (one entry per queue). Bounds
 user-supplied.
 
 JSON documents, instances here and scenarios in ``cli``, are read through
-``read_int``, ``read_number``, ``read_list`` and ``read_object``: a number
-must be a JSON number, an object may hold only the keys it lists, and each
-error names the field it rejects.
+``read_int``, ``read_number``, ``read_bool``, ``read_str``, ``read_list`` and
+``read_object``: a number must be a JSON number, an object may hold only the
+keys it lists, and each error names the field it rejects. ``read_json_file``
+reads either kind of file.
 """
 from __future__ import annotations
 
@@ -180,23 +181,10 @@ def build_two_queue_example(channel_dist) -> NetworkInstance:
 
 def serialize_instance(instance: NetworkInstance) -> dict:
     """Plain-dict form matching the instance document schema."""
-    return {
-        "r": instance.r,
-        "states": [
-            {
-                "probability": s.probability,
-                "actions": [
-                    {
-                        "cost": a.cost,
-                        "arrivals": list(a.arrivals),
-                        "services": list(a.services),
-                    }
-                    for a in s.actions
-                ],
-            }
-            for s in instance.states
-        ],
-    }
+    return {"r": instance.r, "states": [
+        {"probability": s.probability,
+         "actions": [{"cost": a.cost, "arrivals": list(a.arrivals), "services": list(a.services)} for a in s.actions]}
+        for s in instance.states]}
 
 
 def read_int(value, field: str) -> int:
@@ -214,6 +202,20 @@ def read_number(value, field: str) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise InstanceError(f"{field} lies beyond the float range") from None
+
+
+def read_bool(value, field: str) -> bool:
+    """A JSON ``true`` or ``false``; never a string or a number."""
+    if not isinstance(value, bool):
+        raise InstanceError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
+def read_str(value, field: str) -> str:
+    """A non-empty JSON string: an empty path would name the directory it sits in."""
+    if not isinstance(value, str) or not value:
+        raise InstanceError(f"{field} must be a non-empty string, got {value!r}")
+    return value
 
 
 def read_list(value, field: str, read=None) -> list:
@@ -255,29 +257,36 @@ def _instance_from_dict(doc) -> NetworkInstance:
     return NetworkInstance(r, states)
 
 
+def _parse(text: str):
+    if not text.strip():
+        raise InstanceError("empty document")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+
+
 def load_instance(text: str) -> NetworkInstance:
     """Parse an instance document (JSON) into a NetworkInstance.
 
     Raises InstanceError with a position on parse failure and, from the
     constructor, with every violation of an invalid instance.
     """
-    if not text.strip():
-        raise InstanceError("empty document")
+    return _instance_from_dict(_parse(text))
+
+
+def read_json_file(path, build=None):
+    """``build(doc)`` on the JSON document of a UTF-8 file, or the document; an InstanceError starts with the path."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return _instance_from_dict(doc)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = _parse(fh.read())
+        return doc if build is None else build(doc)
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
+    except InstanceError as exc:
+        raise InstanceError(f"{path}: {exc}") from None
 
 
 def load_instance_file(path) -> NetworkInstance:
-    """``load_instance`` on a file's text; an InstanceError's message starts with the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise InstanceError(f"{path}: not UTF-8 text: {exc}") from None
-    try:
-        return load_instance(text)
-    except InstanceError as exc:
-        raise InstanceError(f"{path}: {exc}") from None
+    """The instance in a JSON file, as ``load_instance`` reads one; an InstanceError's message starts with the path."""
+    return read_json_file(path, _instance_from_dict)

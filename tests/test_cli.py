@@ -1,7 +1,9 @@
 import csv
+import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olacsim.cli import (
+    FIELDS,
+    REQUIRED,
     Scenario,
     _execute_run,
     _perturbed_distributions,
@@ -19,11 +23,12 @@ from olacsim.cli import (
     run_scenario,
 )
 from olacsim.dual import compute_analysis
-from olacsim.model import InstanceError
+from olacsim.model import InstanceError, read_bool, read_int, read_number, read_str
 
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SMOKE = os.path.join(SCENARIOS, "smoke.json")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
@@ -40,8 +45,8 @@ def smoke_doc(**overrides):
     return doc
 
 
-# fields of the wrong JSON type, each with the name its error gives, keyed by
-# test id: none may load (a string "false" is not false, 2.7 slots are not 2) or fail later
+# fields of the wrong JSON type or out of range, each with the name its error gives, keyed
+# by test id: none may load (a string "false" is not false, 2.7 slots are not 2) or fail later
 WRONG_TYPES = {
     "instance-string": ({"instance": "file.json"}, "instance"),
     "instance-number": ({"instance": 5}, "instance"),
@@ -69,6 +74,15 @@ WRONG_TYPES = {
                              "'chanel_dist'"),
     "instance-file-and-builtin": ({"instance": {"file": "inst.json", "builtin": "two_queue"}},
                                   r"instance: unknown key\(s\) 'builtin'"),
+    # numpy's seed check would fail it only after the output directory exists, without its name
+    "rho_seed-negative": ({"rho_seed": -1}, "rho_seed must be >= 0, got -1$"),
+    # a key of the other policy is not dropped without a word
+    "zeta-value-without-policy": ({"zeta": {"value": 3}}, "missing zeta field 'policy'"),
+    "zeta-auto_Dp-value": ({"zeta": {"policy": "auto_Dp", "value": 3}},
+                           r"zeta: unknown key\(s\) 'value'; accepted: policy$"),
+    # an empty path would mean $OLACSIM_OUT, or the scenario's directory
+    "out_dir-empty": ({"out_dir": ""}, "out_dir must be a non-empty string, got ''"),
+    "instance-file-empty": ({"instance": {"file": ""}}, "instance file must be a non-empty string, got ''"),
 }
 # sweep entries given twice, with the error they raise, keyed by test id: their
 # runs would write identical summary rows, or rows and trace files of one label
@@ -122,6 +136,50 @@ BAD_INSTANCE_FILES = {
     "r-zero": ((0, [0.0], [1.0]), "r=0 must be >= 1"),
     "r-negative": ((-1, [0.0], [1.0]), "r=-1 must be >= 1"),
 }
+
+# generated from FIELDS: a value of another JSON type per reader (an object's
+# reader gets a list) and a value outside each bound; by hand, for the fields
+# whose range a reader or a later step checks, one such value with its error.
+# A boolean has no range, and metric_sample_period is read by nothing.
+OTHER_JSON_TYPE = {read_int: "1", read_number: "0.5", read_bool: "false", read_str: 5}
+OUTSIDE = {">= 0": -1, ">= 1": 0, "positive and finite": 0.0}
+OUT_OF_RANGE = {
+    "instance": ({"file": ""}, "instance file must be a non-empty string"),
+    "V_values": ([0.5], "V must be a finite number >= 1"),
+    "controllers": ([{"kind": "OLAC2", "c": 1.5}], r"controller OLAC2: c must lie in \[0, 1\)"),
+    "zeta": ({"policy": "absolute", "value": 0}, r"zeta\.value must be positive and finite, got 0\.0$"),
+    "out_dir": ("", "out_dir must be a non-empty string"),
+}
+READ = [key for key, field in FIELDS.items() if field.read is not None]
+RANGED = [key for key in READ if FIELDS[key].read is not read_bool]
+
+
+def wrongly_typed(key):
+    field = FIELDS[key]
+    if field.entry_id is not None:  # one entry, not in a list
+        return smoke_doc()[key][0]
+    return OTHER_JSON_TYPE.get(field.read, [])
+
+
+def out_of_range(key):
+    """A value of ``key`` outside its range, with the error it raises."""
+    field = FIELDS[key]
+    if field.bound is None:
+        return OUT_OF_RANGE[key]
+    value = OUTSIDE[field.bound]
+    where = key if field.entry_id is None else f"{key}[0]"
+    return ([value] if field.entry_id else value), re.escape(f"{where} must be {field.bound}, got {value!r}") + "$"
+
+
+def readme_field_table():
+    """README's scenario field table, as (key, default cell, bound cell) rows."""
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().split("| field | JSON type | default | bound |\n| --- | --- | --- | --- |\n")[1].splitlines()
+    rows = []
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines):
+        key, _, default, bound = (cell.strip() for cell in line.strip("|").split(" | "))
+        rows.append((key.strip("`"), default, bound))
+    return rows
 
 
 def read_csv(path):
@@ -183,6 +241,37 @@ class TestScenarioParsing:
     def test_duplicate_sweep_entry_rejected_at_load(self, overrides, match):
         with pytest.raises(InstanceError, match=match):
             Scenario.from_dict(smoke_doc(**overrides))
+
+    @pytest.mark.parametrize("key", READ)
+    def test_every_field_rejects_a_wrongly_typed_value(self, key):
+        with pytest.raises(InstanceError, match=re.escape(key)):
+            Scenario.from_dict(smoke_doc(**{key: wrongly_typed(key)}))
+
+    @pytest.mark.parametrize("key", RANGED)
+    def test_every_field_rejects_an_out_of_range_value_before_any_output(self, tmp_path, capsys, key):
+        value, match = out_of_range(key)
+        with pytest.raises(InstanceError, match=match):
+            Scenario.from_dict(smoke_doc(**{key: value}))
+        (tmp_path / "scen.json").write_text(json.dumps(smoke_doc(**{key: value})))
+        assert main(["run", str(tmp_path / "scen.json"), "--out", str(tmp_path / "out")]) == 2
+        assert re.search(match, capsys.readouterr().err.splitlines()[-1])
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_field_table_lists_every_field_with_its_default_and_bound(self):
+        rows = readme_field_table()
+        assert [key for key, _, _ in rows] == list(FIELDS)
+        for key, default, bound in rows:
+            field = FIELDS[key]
+            if field.read is None:
+                assert default == "ignored"
+            elif field.default is REQUIRED:
+                assert default == "required"
+            else:
+                assert re.match("`([^`]*)`", default)[1] == json.dumps(field.default)
+            assert field.bound is None or bound.startswith(field.bound)
+
+    def test_scenario_attributes_are_the_read_fields(self):
+        assert list(Scenario.__dataclass_fields__) == READ
 
     def test_former_metric_sample_period_key_still_loads(self):
         # older scenario documents (and perfbench's generated ones) still carry it

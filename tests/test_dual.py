@@ -260,7 +260,7 @@ def oracle_instances(draw):
     Arrivals may exceed every service, so some instances have no slack and
     some are infeasible.
     """
-    r = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 4))  # r = 3 and 4 too: the LP engine is not two-queue code
     vec = st.lists(GRID, min_size=r, max_size=r).map(tuple)
     states = []
     for _ in range(draw(st.integers(1, 4))):

@@ -115,7 +115,7 @@ def slack_instances(draw):
     (at most 3), so eta_0 > 0. A state with action-dependent arrivals is a
     class of its own and keeps its arrivals in its drift.
     """
-    r = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 4))  # r = 3 and 4 too: the LP engine is not two-queue code
     vec = st.lists(GRID, min_size=r, max_size=r).map(tuple)
     m = draw(st.integers(1, 4))
     states = []
