@@ -556,6 +556,12 @@ def main(argv=None) -> int:
     p_plot.set_defaults(func=_cmd_plotdata)
 
     args = parser.parse_args(argv)
+    try:  # an empty --out would name the working or the summary's directory, or write nothing
+        if args.out is not None:
+            read_str(args.out, "--out")
+    except InstanceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "InstanceError",
     "build_two_queue_example",
     "serialize_instance",
-    "load_instance",
     "load_instance_file",
 ]
 
@@ -266,15 +265,6 @@ def _parse(text: str):
         raise InstanceError(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 
 
-def load_instance(text: str) -> NetworkInstance:
-    """Parse an instance document (JSON) into a NetworkInstance.
-
-    Raises InstanceError with a position on parse failure and, from the
-    constructor, with every violation of an invalid instance.
-    """
-    return _instance_from_dict(_parse(text))
-
-
 def read_json_file(path, build=None):
     """``build(doc)`` on the JSON document of a UTF-8 file, or the document; an InstanceError starts with the path."""
     try:
@@ -288,5 +278,6 @@ def read_json_file(path, build=None):
 
 
 def load_instance_file(path) -> NetworkInstance:
-    """The instance in a JSON file, as ``load_instance`` reads one; an InstanceError's message starts with the path."""
+    """The instance in a JSON file; an InstanceError (a parse error's position, or every
+    violation the constructor finds) starts with the path."""
     return read_json_file(path, _instance_from_dict)

@@ -11,14 +11,16 @@ padding (recorded, never enqueued). Content is fluid: chunks carry real-valued
 amounts and their arrival slot, so departures can be attributed to arrival
 times under either discipline.
 
-The per-slot state is plain Python: the totals and the conservation counters
-are float lists and a departure is a tuple
+The per-slot state is plain Python: the totals are a float list and a
+departure is a tuple
 
     (queue, amount, arrival_slot, departure_slot, was_null)
 
 The slot loop calls ``apply_slot`` and ``DelayAccumulator.add_many`` once per
-slot, so they avoid numpy scalars; ``QueueLedger.totals``,
-``remaining_real()`` and ``DelayStats.delivered_rate`` are numpy arrays.
+slot, so they avoid numpy scalars; ``AdjustmentRecord``'s fields and
+``DelayStats.delivered_rate`` are numpy arrays. The ledger keeps no
+conservation counters: the real and null balances follow from the departures
+``apply_slot`` returns, the ``AdjustmentRecord``s and the chunks left.
 """
 from __future__ import annotations
 
@@ -50,42 +52,25 @@ class AdjustmentRecord:
 
 
 class QueueLedger:
-    """Per-queue chunk lists plus conservation counters.
+    """Per-queue chunk lists and totals.
 
     Chunks are [arrival_slot, amount, is_null] triples ordered oldest-first.
-    The cached totals follow the scalar recursion exactly; chunk sums agree
-    with them to float accumulation error. Totals and counters are float
-    lists, one entry per queue.
+    ``totals`` is a float list, one entry per queue, that follows the scalar
+    recursion exactly; chunk sums agree with it to float accumulation error.
     """
 
     def __init__(self, r: int):
         self.r = int(r)
         self.chunks: list[deque] = [deque() for _ in range(self.r)]
-        self._totals = [0.0] * self.r
-        # conservation counters (real = non-null)
-        self.arrived = [0.0] * self.r
-        self.departed_real = [0.0] * self.r
-        self.departed_null = [0.0] * self.r  # null chunks served from the ledger
-        self.padding_null = [0.0] * self.r   # service deficit, never enqueued
-        self.dropped_real = [0.0] * self.r
-        self.dropped_null = [0.0] * self.r
-        self.added_null = [0.0] * self.r
-
-    @property
-    def totals(self) -> np.ndarray:
-        return np.array(self._totals)
-
-    def remaining_real(self) -> np.ndarray:
-        return np.array([sum(c[1] for c in q if not c[2]) for q in self.chunks])
+        self.totals = [0.0] * self.r
 
     def add_initial(self, amounts) -> None:
-        """Seed backlog before a run's slot 0 (test hook); counts as real arrivals."""
+        """Seed real backlog, arrived at slot 0, before a run's slot 0 (test hook)."""
         amounts = np.asarray(amounts, dtype=float)
         for j in range(self.r):
             if amounts[j] > 0:
                 self.chunks[j].append([0, float(amounts[j]), False])
-                self._totals[j] += float(amounts[j])
-                self.arrived[j] += float(amounts[j])
+                self.totals[j] += float(amounts[j])
 
 
 def apply_slot(ledger: QueueLedger, arrivals, services, slot: int, discipline: str = FIFO) -> list[tuple]:
@@ -100,7 +85,7 @@ def apply_slot(ledger: QueueLedger, arrivals, services, slot: int, discipline: s
     """
     lifo = discipline == LIFO
     out: list[tuple] = []
-    totals = ledger._totals
+    totals = ledger.totals
     for j, (a, mu) in enumerate(zip(arrivals, services)):
         if mu > 0:
             chunks = ledger.chunks[j]
@@ -109,10 +94,6 @@ def apply_slot(ledger: QueueLedger, arrivals, services, slot: int, discipline: s
                 chunk = chunks[-1] if lifo else chunks[0]
                 take = chunk[1] if chunk[1] <= need else need
                 out.append((j, take, chunk[0], slot, chunk[2]))
-                if chunk[2]:
-                    ledger.departed_null[j] += take
-                else:
-                    ledger.departed_real[j] += take
                 need -= take
                 chunk[1] -= take
                 if chunk[1] <= _DUST:
@@ -122,10 +103,8 @@ def apply_slot(ledger: QueueLedger, arrivals, services, slot: int, discipline: s
                         chunks.popleft()
             if need > _DUST:
                 out.append((j, need, slot, slot, True))
-                ledger.padding_null[j] += need
         if a > 0:
             ledger.chunks[j].append([slot, a, False])
-            ledger.arrived[j] += a
         # max(left, 0.0), spelt out: the same float, without a builtin call per queue
         left = totals[j] - mu
         totals[j] = (0.0 if left < 0.0 else left) + a
@@ -143,7 +122,7 @@ def adjust_to(ledger: QueueLedger, target, slot: int) -> AdjustmentRecord:
     dropped_null = np.zeros(ledger.r)
     added = np.zeros(ledger.r)
     for j, level in enumerate(target.tolist()):
-        excess = ledger._totals[j] - level
+        excess = ledger.totals[j] - level
         if excess > 0:
             chunks = ledger.chunks[j]
             need = excess
@@ -152,9 +131,6 @@ def adjust_to(ledger: QueueLedger, target, slot: int) -> AdjustmentRecord:
                 take = chunk[1] if chunk[1] <= need else need
                 if chunk[2]:
                     dropped_null[j] += take
-                    ledger.dropped_null[j] += take
-                else:
-                    ledger.dropped_real[j] += take
                 need -= take
                 chunk[1] -= take
                 if chunk[1] <= _DUST:
@@ -162,9 +138,8 @@ def adjust_to(ledger: QueueLedger, target, slot: int) -> AdjustmentRecord:
             dropped[j] = excess
         elif excess < 0:
             ledger.chunks[j].append([slot, -excess, True])
-            ledger.added_null[j] += -excess
             added[j] = -excess
-        ledger._totals[j] = level
+        ledger.totals[j] = level
     return AdjustmentRecord(dropped=dropped, dropped_null=dropped_null, added_null=added)
 
 

@@ -184,7 +184,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     # -V * costs per state, made once per run; the rules index it like instance.drift_rows
     neg_v_costs = tuple(-cfg.controller.V * instance.costs)
     # the ledger's float list, updated in place; each slot copies it into its q_path row
-    totals = ledger._totals
+    totals = ledger.totals
 
     for t, sid in enumerate(states_seq.tolist()):
         q = q_path[t]

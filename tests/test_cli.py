@@ -800,6 +800,18 @@ class TestMainEntry:
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "oracle", "plotdata"])
+    def test_empty_out_rejected_before_any_work(self, tmp_path, monkeypatch, capsys, verb):
+        # run would write ./out, plotdata next to the summary, and oracle nothing
+        (tmp_path / "scen.json").write_text(json.dumps(smoke_doc(horizon=20, seeds=[0])))
+        (tmp_path / "summary.csv").write_text("controller,V,seed,avg_cost,mean_delay,T_zeta_first\nOLAC,50,0,1,2,3\n")
+        argv = {"run": ["scen.json"], "oracle": ["two_queue", "--V", "50"], "plotdata": ["summary.csv"]}[verb]
+        monkeypatch.chdir(tmp_path)
+        assert main([verb, *argv, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --out must be a non-empty string, got ''\n" and not captured.out
+        assert sorted(os.listdir(tmp_path)) == ["scen.json", "summary.csv"]
+
     def test_run_verb_bad_scenario(self, tmp_path, capsys):
         scen = tmp_path / "bad.json"
         scen.write_text("{")

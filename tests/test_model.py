@@ -7,7 +7,7 @@ import pytest
 from olacsim.model import (
     InstanceError,
     build_two_queue_example,
-    load_instance,
+    load_instance_file,
     serialize_instance,
 )
 
@@ -127,41 +127,48 @@ class TestValidate:
         assert inst.action_counts.tolist() == [2, 1] and inst.costs[1, 1] == math.inf
 
 
+def load_text(tmp_path, text):
+    """The instance a file holding ``text`` loads as."""
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    return load_instance_file(path)
+
+
 class TestSerialization:
-    def test_round_trip_two_queue(self, two_queue):
+    def test_round_trip_two_queue(self, tmp_path, two_queue):
         text = json.dumps(serialize_instance(two_queue))
-        loaded = load_instance(text)
+        loaded = load_text(tmp_path, text)
         assert loaded == two_queue
         # a second round trip is byte-identical
         assert json.dumps(serialize_instance(loaded)) == text
 
-    def test_negative_service_rejected(self):
+    def test_negative_service_rejected(self, tmp_path):
         doc = {"r": 1, "states": [{"probability": 1.0,
                                    "actions": [{"cost": 0.0, "arrivals": [0.0], "services": [-1.0]}]}]}
         with pytest.raises(InstanceError, match="negative service"):
-            load_instance(json.dumps(doc))
+            load_text(tmp_path, json.dumps(doc))
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_json_rejected(self, token):
+    def test_non_finite_json_rejected(self, tmp_path, token):
         # Python's JSON parser accepts these tokens
         text = (
             '{"r": 1, "states": [{"probability": 1.0, "actions": '
             '[{"cost": %s, "arrivals": [0.0], "services": [1.0]}]}]}' % token
         )
         with pytest.raises(InstanceError, match="non-finite cost"):
-            load_instance(text)
+            load_text(tmp_path, text)
 
-    def test_empty_document(self):
+    def test_empty_document(self, tmp_path):
         with pytest.raises(InstanceError, match="empty document"):
-            load_instance("")
+            load_text(tmp_path, "")
 
-    def test_parse_error_reports_position(self):
+    def test_parse_error_reports_position(self, tmp_path):
         with pytest.raises(InstanceError, match="line 1"):
-            load_instance("{not json")
+            load_text(tmp_path, "{not json")
 
-    def test_missing_field(self):
+    def test_missing_field(self, tmp_path):
         with pytest.raises(InstanceError, match="missing top-level field"):
-            load_instance(json.dumps({"states": []}))
+            load_text(tmp_path, json.dumps({"states": []}))
 
     @pytest.mark.parametrize("top, state, action, match", [
         ({"r": 1.7}, {}, {}, "r must be an integer, got 1.7"),
@@ -175,10 +182,10 @@ class TestSerialization:
         ({}, {}, {"servces": [1.0]}, r"states\[0\]\.actions\[0\]: unknown key\(s\) 'servces'"),
     ], ids=["r-float", "r-string", "r-bool", "probability-string", "cost-bool", "arrivals-string",
             "top-level-key", "state-key", "action-key"])
-    def test_wrongly_typed_or_unknown_field_rejected(self, top, state, action, match):
+    def test_wrongly_typed_or_unknown_field_rejected(self, tmp_path, top, state, action, match):
         # numbers must be JSON numbers (a string, a boolean or 1.7 queues is not
         # read as one) and every object's keys are checked, at all three levels
         action = {"cost": 0.0, "arrivals": [0.0], "services": [1.0], **action}
         doc = {"r": 1, "states": [{"probability": 1.0, "actions": [action], **state}], **top}
         with pytest.raises(InstanceError, match=match):
-            load_instance(json.dumps(doc))
+            load_text(tmp_path, json.dumps(doc))

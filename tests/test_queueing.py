@@ -35,8 +35,47 @@ def chunk_sum(led, j):
     return float(sum(c[1] for c in led.chunks[j]))
 
 
-def remaining_null(led, j):
-    return float(sum(c[1] for c in led.chunks[j] if c[2]))
+FLOWS = ("arrived", "departed_real", "departed_null", "padding_null", "dropped_real", "dropped_null", "added_null")
+
+
+def ledger_flows(led, arrivals, records, adjustments, padding):
+    """Per-queue real and null flows, derived from what the ledger returns and what it was fed.
+
+    ``arrivals`` are the arrival rows fed in, ``records`` the departures
+    apply_slot returned, ``adjustments`` adjust_to's records and ``padding``
+    each slot's service deficit max(mu - q, 0), from the totals before the
+    slot. Null departures are the null records less that padding; real drops
+    are the drops less their null part. The keys are FLOWS plus the real and
+    null content of the chunks left.
+    """
+    flows = {name: np.zeros(led.r) for name in FLOWS}
+    for row in arrivals:
+        flows["arrived"] += row
+    for j, amount, _, _, was_null in records:
+        flows["departed_null" if was_null else "departed_real"][j] += amount
+    for row in padding:
+        flows["padding_null"] += row
+        flows["departed_null"] -= row
+    for rec in adjustments:
+        flows["dropped_real"] += rec.dropped - rec.dropped_null
+        flows["dropped_null"] += rec.dropped_null
+        flows["added_null"] += rec.added_null
+    for name, null in (("remaining_real", False), ("remaining_null", True)):
+        flows[name] = np.array([sum(c[1] for c in chunks if c[2] == null) for chunks in led.chunks])
+    return flows
+
+
+def assert_conserved(flows):
+    """Real arrivals and null additions are each departed, dropped or still queued."""
+    real_out = flows["departed_real"] + flows["dropped_real"] + flows["remaining_real"]
+    null_out = flows["departed_null"] + flows["dropped_null"] + flows["remaining_null"]
+    assert flows["arrived"] == pytest.approx(real_out, abs=1e-6)
+    assert flows["added_null"] == pytest.approx(null_out, abs=1e-6)
+
+
+def deficit(services, led):
+    """The service that finds no content this slot: max(mu - q, 0) per queue."""
+    return [max(mu - q, 0.0) for mu, q in zip(services, led.totals)]
 
 
 def delay_stats(records, *, horizon, r):
@@ -78,27 +117,6 @@ class TestApplySlot:
         for arrivals, services, name in (([-1.0], [0.0], "arrival"), ([0.0], [-1.0], "service")):
             with pytest.raises(InstanceError, match=f"state 0 action 1: negative {name} entry"):
                 single_state_instance([(0.0, [0.0], [1.0]), (1.0, arrivals, services)])
-
-    def test_scalar_recursion_equivalence_bulk(self):
-        # ledger totals track max(q - mu, 0) + a over a long random schedule
-        rng = np.random.default_rng(0)
-        led = QueueLedger(1)
-        q = 0.0
-        n = 1_000_000
-        # alternating load phases exercise deep queues and frequent emptying
-        mus = rng.uniform(0, 3.0, size=n)
-        arrs = rng.uniform(0, 3.0, size=n)
-        arrs[: n // 3] *= 1.2      # overload: queue builds
-        arrs[n // 3 :] *= 0.6      # drain: queue empties often
-        worst = 0.0
-        # one-float list rows, as sim.run hands the ledger; the reference recursion runs on Python floats
-        arr_rows, mu_rows = arrs[:, None].tolist(), mus[:, None].tolist()
-        for t, (a, mu) in enumerate(zip(arrs.tolist(), mus.tolist())):
-            apply_slot(led, arr_rows[t], mu_rows[t], t, "FIFO")
-            q = max(q - mu, 0.0) + a
-            worst = max(worst, abs(total(led, 0) - q))
-        assert worst <= 1e-9
-        assert abs(chunk_sum(led, 0) - q) <= 1e-9
 
     def test_fifo_lifo_totals_identical(self):
         rng = np.random.default_rng(5)
@@ -176,25 +194,18 @@ class TestConservation:
     @given(schedules(), st.sampled_from(["FIFO", "LIFO"]))
     def test_real_units_conserved(self, steps, discipline):
         led = QueueLedger(1)
-        acc = DelayAccumulator(1)
+        arrivals, records, adjustments, padding = [], [], [], []
         for t, step in enumerate(steps):
             if step[0] == "slot":
-                recs = apply_slot(led, np.array([step[1]]), np.array([step[2]]), t, discipline)
-                acc.add_many(recs)
+                padding.append(deficit([step[2]], led))
+                arrivals.append([step[1]])
+                records += apply_slot(led, np.array([step[1]]), np.array([step[2]]), t, discipline)
             else:
-                adjust_to(led, np.array([step[1]]), t)
-        arrived = led.arrived[0]
-        accounted = led.departed_real[0] + led.dropped_real[0] + led.remaining_real()[0]
-        assert arrived == pytest.approx(accounted, abs=1e-6)
-        # null bookkeeping closes too
-        null_in = led.added_null[0]
-        null_out = led.departed_null[0] + led.dropped_null[0] + remaining_null(led, 0)
-        assert null_in == pytest.approx(null_out, abs=1e-6)
+                adjustments.append(adjust_to(led, np.array([step[1]]), t))
+        # real and null bookkeeping both close
+        assert_conserved(ledger_flows(led, arrivals, records, adjustments, padding))
         # chunk sum matches cached total
         assert chunk_sum(led, 0) == pytest.approx(total(led, 0), abs=1e-9)
-
-
-COUNTERS = ("arrived", "departed_real", "departed_null", "padding_null", "dropped_real", "dropped_null", "added_null")
 
 
 @st.composite
@@ -233,35 +244,35 @@ class TestReferenceLedger:
         r, discipline, slots, adjust_slot, scale, offset = case
         led, ref = QueueLedger(r), RefQueueLedger(r)
         acc, ref_acc = DelayAccumulator(r), RefDelayAccumulator(r)
-        for t, (arrivals, services) in enumerate(slots):
+        arrivals, records, adjustments, padding = [], [], [], []
+        for t, (slot_arrivals, services) in enumerate(slots):
             if t == adjust_slot:
-                target = [s * q + o for s, q, o in zip(scale, led._totals, offset)]
+                target = [s * q + o for s, q, o in zip(scale, led.totals, offset)]
                 rec, ref_rec = adjust_to(led, np.array(target), t), ref_adjust_to(ref, np.array(target), t)
                 for name in ("dropped", "dropped_null", "added_null"):
                     assert getattr(rec, name).tolist() == getattr(ref_rec, name).tolist()
-            mu = [q + s[1] if isinstance(s, tuple) else s for s, q in zip(services, led._totals)]
-            recs = apply_slot(led, arrivals, mu, t, discipline)
-            ref_recs = ref_apply_slot(ref, np.array(arrivals), np.array(mu), t, discipline)
+                adjustments.append(rec)
+            mu = [q + s[1] if isinstance(s, tuple) else s for s, q in zip(services, led.totals)]
+            padding.append(deficit(mu, led))
+            arrivals.append(slot_arrivals)
+            recs = apply_slot(led, slot_arrivals, mu, t, discipline)
+            ref_recs = ref_apply_slot(ref, np.array(slot_arrivals), np.array(mu), t, discipline)
             assert recs == [
                 (d.queue, d.amount, d.arrival_slot, d.departure_slot, d.was_null) for d in ref_recs
             ]
+            records += recs
             acc.add_many(recs)
             ref_acc.add_many(ref_recs)
-            assert led.totals.tolist() == ref.totals.tolist()
-            for name in COUNTERS:
-                assert getattr(led, name) == getattr(ref, name).tolist(), name
+            assert led.totals == ref.totals.tolist()
             assert chunk_lists(led) == chunk_lists(ref)
         # the ledger's per-slot state stays plain Python floats
-        assert all(type(x) is float for name in ("_totals", *COUNTERS) for x in getattr(led, name))
+        assert all(type(x) is float for x in led.totals)
         stats, ref_stats = acc.finalize(len(slots)), ref_acc.finalize(len(slots))
         assert stats.mean_delay == ref_stats.mean_delay
         assert stats.delivered_rate.tolist() == ref_stats.delivered_rate.tolist()
-        assert led.remaining_real().tolist() == ref.remaining_real().tolist()
-        remaining = led.remaining_real()
-        for j in range(r):
-            assert led.arrived[j] == pytest.approx(
-                led.departed_real[j] + led.dropped_real[j] + remaining[j], abs=1e-6
-            )
-            assert led.added_null[j] == pytest.approx(
-                led.departed_null[j] + led.dropped_null[j] + remaining_null(led, j), abs=1e-6
-            )
+        # the flows derived from the records are the reference's counters, and they balance
+        flows = ledger_flows(led, arrivals, records, adjustments, padding)
+        for name in FLOWS:
+            assert flows[name] == pytest.approx(getattr(ref, name), abs=1e-6), name
+        assert flows["remaining_real"].tolist() == ref.remaining_real().tolist()
+        assert_conserved(flows)
