@@ -241,23 +241,43 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
+def _float_texts(values: list) -> list[str]:
+    """``repr`` of each float, made once per distinct value of ``values``.
+
+    Zeros and NaN are formatted every time: a dict takes -0.0 for 0.0, and
+    never finds a NaN by equality.
+    """
+    memo = {}
+    texts = []
+    for value in values:
+        if value and value == value:
+            text = memo.get(value)
+            if text is None:
+                text = memo[value] = repr(value)
+        else:
+            text = repr(value)
+        texts.append(text)
+    return texts
+
+
 def _write_trace(path, queue_trace, gamma_trace, beta_trace, cost_trace):
     """One run's trace CSV ``(slot, q_1..q_r, dist_gamma, dist_beta, inst_cost)``, a column at a time.
 
     Each path becomes Python floats once and each cell is the float's
-    ``repr``, the text ``_fmt`` gives it; no such text holds a comma or a
-    quote, so ``csv.writer`` would quote none of them. The slot is the row
-    index, and ``dist_beta`` is empty without a beta path.
+    ``repr``, the text ``_fmt`` gives it, made once per distinct value of a
+    column (``_float_texts``); no such text holds a comma or a quote, so
+    ``csv.writer`` would quote none of them. The slot is the row index, and
+    ``dist_beta`` is empty without a beta path.
     """
     horizon, r = queue_trace.shape
     header = ["slot", *(f"q_{j + 1}" for j in range(r)), "dist_gamma", "dist_beta", "inst_cost"]
-    beta = map(repr, beta_trace.tolist()) if beta_trace is not None else itertools.repeat("", horizon)
+    beta = _float_texts(beta_trace.tolist()) if beta_trace is not None else itertools.repeat("", horizon)
     columns = [
         map(str, range(horizon)),
-        *(map(repr, q) for q in queue_trace.T.tolist()),
-        map(repr, gamma_trace.tolist()),
+        *map(_float_texts, queue_trace.T.tolist()),
+        _float_texts(gamma_trace.tolist()),
         beta,
-        map(repr, cost_trace.tolist()),
+        _float_texts(cost_trace.tolist()),
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
@@ -356,8 +376,17 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     sorted by it. A run that raises is recorded in the manifest (status
     "error", counted in "failed") and the other runs' outputs are still
     written; a failed output write raises.
+
+    The output directory is ``out_dir``, else the scenario's, else
+    $OLACSIM_OUT, else ./out. An empty ``out_dir`` or $OLACSIM_OUT raises
+    InstanceError before any work: it would name the working directory.
     """
-    out_dir = out_dir or scenario.out_dir or os.environ.get(OUT_DIR_ENV, "out")
+    if out_dir is not None:
+        read_str(out_dir, "out_dir")
+    elif scenario.out_dir is not None:
+        out_dir = scenario.out_dir
+    else:
+        out_dir = read_str(os.environ.get(OUT_DIR_ENV, "out"), f"${OUT_DIR_ENV}")
     workers = workers if workers is not None else scenario.workers
     trace = scenario.trace if trace is None else trace
     os.makedirs(out_dir, exist_ok=True)
@@ -418,9 +447,12 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
 
 
 def emit_plotdata(summary_path, out_dir=None) -> list[str]:
-    """Aggregate a summary.csv into per-figure mean/stderr tables."""
+    """Aggregate a summary.csv into per-figure mean/stderr tables, written to ``out_dir`` or beside the summary.
+
+    An empty ``out_dir`` raises InstanceError: it would name the working directory.
+    """
     src_dir = os.path.dirname(os.path.abspath(summary_path))
-    out_dir = out_dir or src_dir
+    out_dir = src_dir if out_dir is None else read_str(out_dir, "out_dir")
     with open(summary_path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -481,6 +513,9 @@ def _cmd_run(args) -> int:
         return 2
     try:
         manifest = run_scenario(scenario, out_dir=args.out, workers=args.workers, trace=args.trace or None)
+    except InstanceError as exc:  # an empty $OLACSIM_OUT, rejected before any work
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # an oracle or an output write failed; failed runs are in the manifest
         print(f"error: scenario failed: {exc}", file=sys.stderr)
         return 1

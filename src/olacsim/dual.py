@@ -493,12 +493,47 @@ def max_slack(instance: NetworkInstance, dist) -> float:
     return 0.0 - float(c[basis] @ x)  # 0.0 - x turns an optimum of -0.0 into 0.0
 
 
+# score cells (multipliers x class slots) that _class_dual_values builds at once:
+# 64 KiB a temporary; blocks of 1 << 17 cells raised a sweep's peak RSS by
+# about 1 MiB
+SCORE_CELLS = 1 << 13
+
+
+def _class_dual_values(instance: NetworkInstance, dist, gammas: np.ndarray, V: float) -> np.ndarray:
+    """The dual at each row of the (S, r) array ``gammas >= 0``, on ``class_lp``'s tables.
+
+    g(gamma) = w . min over slots of (V*base + drift . gamma), plus
+    gamma . a_bar, where w and a_bar are the class and queue rows of
+    rhs @ dist: a folded class's arrivals do not depend on its action, so
+    they leave its minimum as the term gamma . a_bar. Pruning keeps each
+    class's smallest score for gamma >= 0 only (``DualTables``), so a
+    negative multiplier can read too high. Every product is elementwise and
+    summed in a fixed order, drift . gamma one queue at a time; the rows are
+    scored SCORE_CELLS cells at a time.
+    """
+    tables, _, _, rhs = class_lp(instance)
+    n_class, width = tables.shape
+    weights = (rhs * dist).sum(axis=-1)
+    w, a_bar = weights[:n_class], weights[n_class:]
+    base = V * tables.base
+    values = np.empty(len(gammas))
+    rows = max(1, SCORE_CELLS // base.size)
+    for start in range(0, len(gammas), rows):
+        block = gammas[start : start + rows]
+        drift_gamma = block[:, :1] * tables.drift[:, 0]
+        for j in range(1, instance.r):
+            drift_gamma += block[:, j : j + 1] * tables.drift[:, j]
+        mins = (base + drift_gamma).reshape(len(block), n_class, width).min(axis=2)
+        values[start : start + rows] = (mins * w).sum(axis=-1) + (block * a_bar).sum(axis=-1)
+    return values
+
+
 # points the polyhedral-decay probe samples
 RHO_SAMPLES = 512
 
 
 def estimate_polyhedral_rho(instance: NetworkInstance, dist, V: float, gamma_star, seed: int = 0) -> float:
-    """Sampled lower-decay-rate of the dual around its maximizer.
+    """Sampled lower-decay-rate of the dual around its maximizer ``gamma_star >= 0``.
 
     Draws RHO_SAMPLES points on shells of distance up to
     max(1, 0.05 * ||gamma_star||) around gamma_star (projected onto the
@@ -506,23 +541,33 @@ def estimate_polyhedral_rho(instance: NetworkInstance, dist, V: float, gamma_sta
     (g(gamma_star) - g(gamma)) / ||gamma_star - gamma||. Non-positive output
     flags that the polyhedral decay condition is not numerically confirmed.
     This is a probe, not a proof.
+
+    Each draw is a direction ``rng.normal(size=r)`` and, unless the
+    direction is shorter than 1e-12, a shell ``rng.random()``; points closer
+    than 1e-6 to gamma_star are dropped. Then gamma_star and every kept
+    point are scored in one ``_class_dual_values`` call.
     """
-    gamma_star = np.asarray(gamma_star, dtype=float)
+    gamma_star, dist = _check_dims(instance, gamma_star, dist)
+    if (gamma_star < 0).any():
+        raise ValueError(f"the probe's centre must be >= 0, got {gamma_star}")
     radius = max(1.0, 0.05 * float(np.linalg.norm(gamma_star)))
     rng = np.random.default_rng(seed)
-    g_star = dual_value(instance, dist, gamma_star, V)
-    rho = math.inf
+    directions, shells = [], []
     for _ in range(RHO_SAMPLES):
         direction = rng.normal(size=instance.r)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-12:
+        if math.hypot(*direction.tolist()) < 1e-12:
             continue
-        point = np.maximum(gamma_star + (radius * rng.random()) * direction / norm, 0.0)
-        d = float(np.linalg.norm(point - gamma_star))
-        if d < 1e-6:
-            continue
-        rho = min(rho, (g_star - dual_value(instance, dist, point, V)) / d)
-    return float(rho) if math.isfinite(rho) else 0.0
+        directions.append(direction)
+        shells.append(radius * rng.random())
+    directions = np.array(directions).reshape(-1, instance.r)
+    norms = np.sqrt((directions * directions).sum(axis=-1))
+    points = np.maximum(gamma_star + np.array(shells)[:, None] * directions / norms[:, None], 0.0)
+    offsets = points - gamma_star
+    d = np.sqrt((offsets * offsets).sum(axis=-1))
+    kept = d >= 1e-6
+    g = _class_dual_values(instance, dist, np.vstack([gamma_star, points[kept]]), V)
+    rho = float(((g[0] - g[1:]) / d[kept]).min(initial=math.inf))
+    return rho if math.isfinite(rho) else 0.0
 
 
 # eta as a fraction of rho_hat

@@ -536,6 +536,24 @@ class TestRunScenario:
             run_scenario(Scenario.from_dict({**doc, "V_values": [v]}), out_dir=str(tmp_path / str(v)))
             assert (tmp_path / str(v) / "oracle.csv").read_text().splitlines() == [rows[0], rows[k]]
 
+    @pytest.mark.parametrize("out_dir, env, name", [("", None, "out_dir"), (None, "", "$OLACSIM_OUT")])
+    def test_empty_output_directory_rejected_before_any_work(self, tmp_path, monkeypatch, out_dir, env, name):
+        # either would name the working directory; the `or` chain once read
+        # them as absent and wrote ./out
+        import olacsim.dual
+
+        def no_oracles(*args):
+            raise AssertionError("the oracles ran")
+
+        monkeypatch.setattr(olacsim.dual, "compute_analysis", no_oracles)
+        monkeypatch.chdir(tmp_path)
+        if env is not None:
+            monkeypatch.setenv("OLACSIM_OUT", env)
+        scenario = Scenario.from_dict(smoke_doc(horizon=20, seeds=[0]))
+        with pytest.raises(InstanceError, match=f"^{re.escape(name)} must be a non-empty string, got ''$"):
+            run_scenario(scenario, out_dir=out_dir)
+        assert os.listdir(tmp_path) == []
+
 
 def _ref_fmt(value) -> str:
     """The cell text of the cell-by-cell trace writer."""
@@ -598,6 +616,16 @@ class TestTraceWriter:
         reference_trace(out / "reference.csv", *paths)
         assert (out / "column.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
+    def test_repeated_zeros_and_nan_keep_their_text(self, tmp_path):
+        # each distinct float is formatted once per column, but 0.0 and -0.0
+        # are one dict key and a NaN is never found by equality
+        column = np.array([0.0, -0.0, 0.0, 2.5, -0.0, math.nan, 2.5, math.nan, -math.nan, 0.0])
+        paths = (np.vstack([column, -column]).T, column, column[::-1].copy(), column)
+        _write_trace(tmp_path / "column.csv", *paths)
+        reference_trace(tmp_path / "reference.csv", *paths)
+        assert (tmp_path / "column.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "column.csv").read_text().splitlines()[2] == "1,-0.0,0.0,-0.0,nan,-0.0"
+
 
 class TestPlotdata:
     def test_aggregates_mean_and_stderr(self, tmp_path):
@@ -616,6 +644,14 @@ class TestPlotdata:
         for row in rows:
             assert int(row["n_runs"]) == 2
             assert row["mean"] != "" and row["stderr"] != ""
+
+    def test_empty_out_dir_rejected(self, tmp_path, monkeypatch):
+        # it would write next to the working directory's files, not the summary's
+        (tmp_path / "summary.csv").write_text("controller,V,seed,avg_cost,mean_delay,T_zeta_first\nOLAC,50,0,1,2,3\n")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InstanceError, match="^out_dir must be a non-empty string, got ''$"):
+            emit_plotdata("summary.csv", out_dir="")
+        assert os.listdir(tmp_path) == ["summary.csv"]
 
     def test_empty_summary_errors(self, tmp_path):
         path = tmp_path / "summary.csv"
@@ -811,6 +847,15 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.err == "error: --out must be a non-empty string, got ''\n" and not captured.out
         assert sorted(os.listdir(tmp_path)) == ["scen.json", "summary.csv"]
+
+    def test_empty_olacsim_out_rejected_by_run_verb(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "scen.json").write_text(json.dumps(smoke_doc(horizon=20, seeds=[0])))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("OLACSIM_OUT", "")
+        assert main(["run", "scen.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: $OLACSIM_OUT must be a non-empty string, got ''\n" and not captured.out
+        assert os.listdir(tmp_path) == ["scen.json"]
 
     def test_run_verb_bad_scenario(self, tmp_path, capsys):
         scen = tmp_path / "bad.json"

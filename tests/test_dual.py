@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from olacsim.dual import (
+    RHO_SAMPLES,
     InfeasibleInstanceError,
     NoSlackError,
+    _class_dual_values,
     compute_analysis,
     dual_value,
     estimate_polyhedral_rho,
@@ -333,6 +335,101 @@ class TestPolyhedralRho:
         primal = primal_oracle(two_queue, pi)
         rho = estimate_polyhedral_rho(two_queue, pi, 100.0, 100.0 * primal.multiplier_v1)
         assert rho > 0
+
+
+def assert_class_values_match(instance, dist, gammas, V):
+    """``_class_dual_values`` against ``dual_value`` at each row, within 1e-12 of |g| or of its terms' size."""
+    values = _class_dual_values(instance, dist, gammas, V)
+    assert values.shape == (len(gammas),)
+    for gamma, value in zip(gammas, values):
+        ref = dual_value(instance, dist, gamma, V)
+        terms = V * instance.f_max + np.abs(instance.drift).max(initial=0.0) * gamma.sum()
+        assert abs(value - ref) <= 1e-12 * max(abs(ref), terms), (gamma, value, ref)
+
+
+class TestClassDualValues:
+    """The probe's batched evaluator on ``class_lp``'s tables, against ``dual_value`` on the full ones."""
+
+    @pytest.mark.parametrize("name", ["two_queue", "two_queue_unbalanced"])
+    @pytest.mark.parametrize("V", [1.0, 20.0, 100.0, 800.0])
+    def test_shipped_channels(self, name, V, request):
+        instance = request.getfixturevalue(name)
+        rng = np.random.default_rng(5)
+        gamma_star = V * primal_oracle(instance, instance.probabilities).multiplier_v1
+        gammas = np.vstack([
+            np.zeros(2), gamma_star, [gamma_star[0], 0.0],
+            np.maximum(gamma_star + rng.normal(size=(100, 2)), 0.0),
+            rng.exponential(V, size=(100, 2)),
+        ])
+        assert_class_values_match(instance, instance.probabilities, gammas, V)
+        # and at an empirical distribution with zero-probability states
+        dist = np.bincount([0, 5, 5, 17, 40, 63, 63, 63], minlength=64) / 8.0
+        assert_class_values_match(instance, dist, gammas, V)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=oracle_instances(), data=st.data())
+    def test_random_instances(self, instance, data):
+        # folded and unfolded classes, pruned actions and ragged widths, r up to 4
+        V = data.draw(st.sampled_from([1.0, 7.5, 100.0]))
+        rows = data.draw(st.lists(st.lists(GRID | st.floats(0, 40), min_size=instance.r, max_size=instance.r),
+                                  min_size=1, max_size=6))
+        assert_class_values_match(instance, instance.probabilities, np.array(rows), V)
+
+    def test_scored_in_blocks(self, two_queue, monkeypatch):
+        # more rows than one block of SCORE_CELLS holds give the same values
+        import olacsim.dual
+
+        gammas = np.random.default_rng(2).exponential(50.0, size=(37, 2))
+        whole = _class_dual_values(two_queue, two_queue.probabilities, gammas, 50.0)
+        monkeypatch.setattr(olacsim.dual, "SCORE_CELLS", 1000)
+        assert np.array_equal(_class_dual_values(two_queue, two_queue.probabilities, gammas, 50.0), whole)
+
+
+def rho_per_sample(instance, dist, V, gamma_star, seed=0):
+    """The probe as it was written before its samples were scored in one pass: one ``dual_value`` each."""
+    gamma_star = np.asarray(gamma_star, dtype=float)
+    radius = max(1.0, 0.05 * float(np.linalg.norm(gamma_star)))
+    rng = np.random.default_rng(seed)
+    g_star = dual_value(instance, dist, gamma_star, V)
+    rho = math.inf
+    for _ in range(RHO_SAMPLES):
+        direction = rng.normal(size=instance.r)
+        norm = np.linalg.norm(direction)
+        if norm < 1e-12:
+            continue
+        point = np.maximum(gamma_star + (radius * rng.random()) * direction / norm, 0.0)
+        d = float(np.linalg.norm(point - gamma_star))
+        if d < 1e-6:
+            continue
+        rho = min(rho, (g_star - dual_value(instance, dist, point, V)) / d)
+    return float(rho) if math.isfinite(rho) else 0.0
+
+
+class TestRhoAgainstPerSampleLoop:
+    """``estimate_polyhedral_rho`` draws the samples of the per-sample loop and moves only in its last digits."""
+
+    @pytest.mark.parametrize("name", ["two_queue", "two_queue_unbalanced"])
+    @pytest.mark.parametrize("V", [20.0, 100.0, 800.0])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_shipped_channels(self, name, V, seed, request):
+        instance = request.getfixturevalue(name)
+        dist = instance.probabilities
+        gamma_star = V * primal_oracle(instance, dist).multiplier_v1
+        ref = rho_per_sample(instance, dist, V, gamma_star, seed)
+        assert ref > 0
+        assert estimate_polyhedral_rho(instance, dist, V, gamma_star, seed) == pytest.approx(ref, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("gamma_star", [[5.0], [0.0], [1e-7]])
+    def test_one_d_crossing(self, gamma_star):
+        # a centre on the orthant's boundary, and one whose points near it are dropped
+        inst = one_d_crossing()
+        ref = rho_per_sample(inst, np.array([1.0]), 1.0, gamma_star)
+        assert estimate_polyhedral_rho(inst, np.array([1.0]), 1.0, gamma_star) == pytest.approx(ref, rel=1e-10, abs=0)
+
+    def test_negative_centre_rejected(self, two_queue):
+        # the class tables are exact on gamma >= 0 only
+        with pytest.raises(ValueError, match="must be >= 0"):
+            estimate_polyhedral_rho(two_queue, two_queue.probabilities, 100.0, np.array([-1.0, 5.0]))
 
 
 class TestAnalysis:

@@ -79,6 +79,8 @@ def test_traced_sweep_pins_per_slot_calls(tracing, tmp_path, kind):
     assert tracer.calls("queueing.apply_slot", controller=kind) == horizon
     assert tracer.calls("queueing.delay_accounting", controller=kind) == horizon + 1
     assert tracer.calls("dual.compute_analysis") == 1
+    # the rho probe is one call through dual's module global, which scores all its samples
+    assert tracer.calls("dual.rho_probe") == 1
     assert tracer.calls("dual.max_slack") == 1
     assert tracer.calls("simplex.solve_lp") == 2
 
