@@ -3,7 +3,8 @@
 
     python3 scripts/gate_outputs.py OUT_DIR
 
-Runs ``scenarios/smoke.json`` and perfbench's ``delay_table`` and
+Runs ``scenarios/smoke.json``, ``scenarios/three_queue_smoke.json`` (the
+three-queue instance file) and perfbench's ``delay_table`` and
 ``assumption_sweep`` documents (``Workload.document(7)`` with
 ``"trace": true``) through ``olacsim.cli.run_scenario`` at workers 1 and 2,
 into ``OUT_DIR/<name>_w<k>``. The olacsim that runs is the one under this
@@ -25,7 +26,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
-SMOKE = os.path.join(ROOT, "scenarios", "smoke.json")
+SCENARIOS = {name: os.path.join(ROOT, "scenarios", f"{name}.json") for name in ("smoke", "three_queue_smoke")}
 SEED = 7
 WORKERS = (1, 2)
 
@@ -40,7 +41,7 @@ def main(argv=None, tiny: bool = False) -> int:
     finally:
         sys.path.remove(PERFBENCH)
     cli = bench.Olacsim().cli  # imports olacsim from this checkout's src/, or fails
-    scenarios = {"smoke": cli.Scenario.from_file(SMOKE)}
+    scenarios = {name: cli.Scenario.from_file(path) for name, path in SCENARIOS.items()}
     for name, workload in bench.WORKLOADS.items():
         scenarios[name] = cli.Scenario.from_dict({**workload.document(SEED, tiny=tiny), "trace": True})
     failed = 0

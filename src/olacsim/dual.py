@@ -6,10 +6,10 @@ average arrivals <= average services is separable over states:
     g(gamma) = sum_i pi_i * min_x [ V*f(i,x) + gamma . (A(i,x) - mu(i,x)) ]
 
 g is concave piecewise-linear in gamma. Every LP here is written on the
-classes of the reduced tables (``DualTables``, ``class_lp``; on the two-queue
-instance 112 action columns and 18 rows, against 640 and 66 on the full
-tables) and solved by one engine, a dual simplex from a dual feasible start
-basis (``_DualSimplex``):
+classes of the reduced tables (``DualTables``, one read-only record per
+instance from ``class_lp``; on the two-queue instance 112 action columns and
+18 rows, against 640 and 66 on the full tables) and solved by one engine, a
+dual simplex from a dual feasible start basis (``_DualSimplex``):
 
 - the policy LP (``primal_oracle``) gives the optimal mean cost and, as its
   queue-row prices, the optimal multiplier; the slack LP (``max_slack``)
@@ -115,7 +115,7 @@ def supergradient(instance: NetworkInstance, dist, gamma, V: float) -> np.ndarra
 
 
 class DualTables:
-    """The dual's tables reduced to classes of states, built once per instance.
+    """The dual's tables reduced to classes of states, and the static LP on them.
 
     Two reductions that leave every minimizer over gamma >= 0 in place, at
     every V > 0:
@@ -136,8 +136,17 @@ class DualTables:
     units of V. ``action_ids[class_of]`` maps a per-class slot back to each
     state's action id, and ``folded`` marks the states whose arrivals left the
     class's drift. The two-queue instance reduces from 64 states x 10 actions
-    to 16 classes x 9 slots (112 real actions). The oracle LPs and the dual
-    maximizer are written on these classes (``class_lp``).
+    to 16 classes x 9 slots (112 real actions). ``class_lp`` keeps one record
+    per instance.
+
+    The class LP, on which every LP of this module is written: its columns
+    are the kept actions in class order, with costs ``cost`` in units of V;
+    its rows (``a``) are the classes, sum_x y_cx = w_c, then the queues,
+    sum_cx services_cx,j y_cx = (arrivals of the folded states)_j, where
+    ``services`` is -drift, so an unfolded class keeps its arrivals in its
+    column. The right-hand side of state weights w (a distribution or
+    counts) is rhs @ w. ``cheapest_cols`` and ``min_drift_cols`` are the
+    start columns of those LPs, one per class. Every array is read-only.
     """
 
     def __init__(self, instance: NetworkInstance):
@@ -164,10 +173,10 @@ class DualTables:
         ).any(axis=1)
         keep = valid[rep] & ~dominated
 
-        width = int(keep.sum(axis=1).max())
+        n_class, width = rep.size, int(keep.sum(axis=1).max())
         order = np.argsort(~keep, axis=1, kind="stable")[:, :width]  # kept ids first, in id order
         kept = np.take_along_axis(keep, order, axis=1)
-        self.shape = (rep.size, width)
+        self.shape = (n_class, width)
         self.base = np.where(kept, np.take_along_axis(cost, order, axis=1), np.inf).ravel()
         self.drift = np.where(
             kept[..., None], np.take_along_axis(drift, order[..., None], axis=1), 0.0
@@ -175,6 +184,30 @@ class DualTables:
         self.class_of = class_of
         self.action_ids = order  # action id of each class slot
         self.folded = fold
+
+        real = np.isfinite(self.base)
+        n_y = int(real.sum())
+        classes = np.arange(n_class)
+        self.a = np.zeros((n_class + r, n_y))
+        self.a[np.repeat(classes, width)[real], np.arange(n_y)] = 1.0
+        self.a[n_class:] = -self.drift[real].T
+        self.cost = self.base[real]
+        self.rhs = np.zeros((n_class + r, M))
+        self.rhs[class_of, np.arange(M)] = 1.0
+        self.rhs[n_class:] = (instance.arrivals[:, 0] * fold[:, None]).T
+        column = np.cumsum(real).reshape(self.shape) - 1  # LP column of each kept slot
+        # the policy and count LPs start from each class's cheapest kept action,
+        # smallest id on ties: at zero queue prices the reduced costs are cost
+        # differences within a class, >= 0
+        self.cheapest_cols = column[classes, self.base.reshape(self.shape).argmin(axis=1)]
+        # the slack LP starts from each class's kept action of smallest queue-1
+        # drift, smallest id on ties: at queue prices e_1 the reduced costs are
+        # queue-1 drift differences within a class, >= 0
+        drift_1 = np.where(real, self.drift[:, 0], np.inf).reshape(self.shape)
+        self.min_drift_cols = column[classes, drift_1.argmin(axis=1)]
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                _frozen(value)
 
 
 # what depends on the instance alone, one dict per live instance, keyed by
@@ -206,24 +239,11 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def class_lp(instance: NetworkInstance):
-    """The static LP on the classes of ``DualTables(instance)``: (tables, a, cost, rhs).
-
-    Columns are the kept actions in class order, with costs in units of V.
-    Rows are the classes, sum_x y_cx = w_c, then the queues,
-    sum_cx services_cx,j y_cx = (arrivals of the folded states)_j, where
-    ``services`` is -drift, so an unfolded class keeps its arrivals in its
-    column. The right-hand side of state weights w (a distribution or counts)
-    is rhs @ w. Folding and pruning leave the optimum in place (see
-    ``DualTables``), so the policy and slack LPs are written on these columns,
-    and so is the dual maximizer's LP.
-
-    It is built once per instance (``instance_store``): later calls return
-    the same tuple, whose arrays (the tables' too) are read-only.
-    """
+def class_lp(instance: NetworkInstance) -> DualTables:
+    """``DualTables(instance)``, built once per instance (``instance_store``): later calls return the same record."""
     store = instance_store(instance)
     if "class_lp" not in store:
-        store["class_lp"] = _build_class_lp(instance)
+        store["class_lp"] = DualTables(instance)
     return store["class_lp"]
 
 
@@ -244,23 +264,6 @@ def learner_slack(instance: NetworkInstance) -> float:
             "xi = V * f_max / eta_0 is infinite"
         )
     return eta_0
-
-
-def _build_class_lp(instance: NetworkInstance):
-    tables = DualTables(instance)
-    for value in vars(tables).values():
-        if isinstance(value, np.ndarray):
-            _frozen(value)
-    n_class, width = tables.shape
-    real = np.isfinite(tables.base)
-    n_y = int(real.sum())
-    a = np.zeros((n_class + instance.r, n_y))
-    a[np.repeat(np.arange(n_class), width)[real], np.arange(n_y)] = 1.0
-    a[n_class:] = -tables.drift[real].T
-    rhs = np.zeros((n_class + instance.r, instance.M))
-    rhs[tables.class_of, np.arange(instance.M)] = 1.0
-    rhs[n_class:] = (instance.arrivals[:, 0] * tables.folded[:, None]).T
-    return tables, _frozen(a), _frozen(tables.base[real]), _frozen(rhs)
 
 
 # x_B entries above -FEAS_TOL * (1 + max|b|) count as non-negative
@@ -355,13 +358,6 @@ def solve_lp(a: np.ndarray, c: np.ndarray, basis, b: np.ndarray):
     return lp.restore(b), lp.basis, lp.y
 
 
-def _best_in_class(tables: DualTables, score: np.ndarray) -> np.ndarray:
-    """``class_lp``'s column of each class's kept action of smallest score, smallest id on ties."""
-    column = np.cumsum(np.isfinite(tables.base)).reshape(tables.shape) - 1  # LP column of each kept slot
-    score = np.where(np.isfinite(tables.base), score, np.inf).reshape(tables.shape)
-    return column[np.arange(tables.shape[0]), score.argmin(axis=1)]
-
-
 class _CountLP(_DualSimplex):
     """The boxed dual's LP, in units of V, with one kept basis and its inverse.
 
@@ -380,24 +376,25 @@ class _CountLP(_DualSimplex):
 
     Columns are those of ``class_lp`` (the kept actions in class order), then
     s (cost xi), then u (cost 0); rows are the classes, then the queues. The
-    start basis, the cheapest action of each class (smallest id on ties) plus
-    every u_j, is dual feasible at gamma = 0 and primal feasible at w = 0.
+    start basis, ``cheapest_cols`` plus every u_j, is dual feasible at
+    gamma = 0 and primal feasible at w = 0.
     Each kept factorisation also holds, once read, ``step`` and ``beta``.
     """
 
     def __init__(self, instance: NetworkInstance):
-        tables, a, costs, self.rhs = class_lp(instance)
-        self.n_class = n_class = tables.shape[0]
-        r, n_y = instance.r, costs.size
+        lp = class_lp(instance)
+        self.rhs = lp.rhs
+        self.n_class = n_class = lp.shape[0]
+        r, n_y = instance.r, lp.cost.size
         count_a = np.zeros((n_class + r, n_y + 2 * r))
-        count_a[:, :n_y] = a
+        count_a[:, :n_y] = lp.a
         count_a[n_class:, n_y:] = np.hstack([np.eye(r), -np.eye(r)])
         self.eta_0 = learner_slack(instance)
         self.xi = instance.f_max / self.eta_0
         self.s_cols = np.arange(n_y, n_y + r)
         self.u_cols = np.arange(n_y + r, n_y + 2 * r)
-        c = np.concatenate([costs, np.full(r, self.xi), np.zeros(r)])
-        super().__init__(count_a, c, np.concatenate([_best_in_class(tables, tables.base), self.u_cols]))
+        c = np.concatenate([lp.cost, np.full(r, self.xi), np.zeros(r)])
+        super().__init__(count_a, c, np.concatenate([lp.cheapest_cols, self.u_cols]))
         self._read_basis()
 
     def _read_basis(self):
@@ -451,18 +448,17 @@ def primal_oracle(instance: NetworkInstance, dist) -> PrimalSolution:
     policy LP: ``class_lp``'s columns plus a surplus column u_j per queue,
     sum_cx services_cx,j y_cx - u_j = (mean folded arrivals)_j. It is solved
     by ``solve_lp`` from ``_CountLP``'s start basis without the shortfall
-    columns (each class's cheapest kept action, smallest id on ties, plus
-    every u_j), which is dual feasible at zero queue prices. Returns the
-    unscaled optimum (no V factor); the queue rows' prices are the optimal
-    multiplier of the V=1 problem. An LP without a feasible point raises
+    columns (``cheapest_cols`` plus every u_j). Returns the unscaled optimum
+    (no V factor); the queue rows' prices are the optimal multiplier of the
+    V=1 problem. An LP without a feasible point raises
     InfeasibleInstanceError.
     """
-    tables, a, cost, rhs = class_lp(instance)
-    n_class, r, n_y = tables.shape[0], instance.r, cost.size
+    lp = class_lp(instance)
+    n_class, r, n_y = lp.shape[0], instance.r, lp.cost.size
     surplus = np.vstack([np.zeros((n_class, r)), -np.eye(r)])
-    c = np.concatenate([cost, np.zeros(r)])
-    basis = np.concatenate([_best_in_class(tables, tables.base), np.arange(n_y, n_y + r)])
-    x, basis, y = solve_lp(np.hstack([a, surplus]), c, basis, rhs @ np.asarray(dist, dtype=float))
+    c = np.concatenate([lp.cost, np.zeros(r)])
+    basis = np.concatenate([lp.cheapest_cols, np.arange(n_y, n_y + r)])
+    x, basis, y = solve_lp(np.hstack([lp.a, surplus]), c, basis, lp.rhs @ np.asarray(dist, dtype=float))
     if x is None:
         raise InfeasibleInstanceError("no randomized policy satisfies the rate constraints")
     return PrimalSolution(f_av_star=float(c[basis] @ x), multiplier_v1=np.maximum(y[n_class:], 0.0))
@@ -473,21 +469,20 @@ def max_slack(instance: NetworkInstance, dist) -> float:
 
     The slack LP maximizes eta = ep - en subject to
     sum_cx services_cx,j y_cx - ep + en - u_j = (mean folded arrivals)_j on
-    ``class_lp``'s columns. ``solve_lp`` starts it from each class's kept
-    action with the largest queue-1 service (smallest id on ties), ep on queue
-    row 1 and u_j for j >= 2: its prices are e_1 on the queue rows, so every
-    reduced cost is >= 0 on any instance. May be <= 0, which signals that no
-    randomized policy stabilizes the given distribution with slack.
+    ``class_lp``'s columns. ``solve_lp`` starts it from ``min_drift_cols``,
+    ep on queue row 1 and u_j for j >= 2: its prices are e_1 on the queue
+    rows, so every reduced cost is >= 0 on any instance. May be <= 0, which
+    signals that no randomized policy stabilizes the given distribution with
+    slack.
     """
-    tables, a, _, rhs = class_lp(instance)
-    n_class, r, n_y = tables.shape[0], instance.r, a.shape[1]
+    lp = class_lp(instance)
+    n_class, r, n_y = lp.shape[0], instance.r, lp.cost.size
     extra = np.zeros((n_class + r, r + 2))  # columns ep, en, u
     extra[n_class:] = np.hstack([-np.ones((r, 1)), np.ones((r, 1)), -np.eye(r)])
     c = np.zeros(n_y + r + 2)
     c[n_y : n_y + 2] = -1.0, 1.0
-    # the largest service has the smallest drift
-    basis = np.concatenate([_best_in_class(tables, tables.drift[:, 0]), [n_y], np.arange(n_y + 3, n_y + r + 2)])
-    x, basis, _ = solve_lp(np.hstack([a, extra]), c, basis, rhs @ np.asarray(dist, dtype=float))
+    basis = np.concatenate([lp.min_drift_cols, [n_y], np.arange(n_y + 3, n_y + r + 2)])
+    x, basis, _ = solve_lp(np.hstack([lp.a, extra]), c, basis, lp.rhs @ np.asarray(dist, dtype=float))
     if x is None:
         raise RuntimeError("slack LP infeasible, which its free eta rules out")
     return 0.0 - float(c[basis] @ x)  # 0.0 - x turns an optimum of -0.0 into 0.0
@@ -511,18 +506,18 @@ def _class_dual_values(instance: NetworkInstance, dist, gammas: np.ndarray, V: f
     summed in a fixed order, drift . gamma one queue at a time; the rows are
     scored SCORE_CELLS cells at a time.
     """
-    tables, _, _, rhs = class_lp(instance)
-    n_class, width = tables.shape
-    weights = (rhs * dist).sum(axis=-1)
+    lp = class_lp(instance)
+    n_class, width = lp.shape
+    weights = (lp.rhs * dist).sum(axis=-1)
     w, a_bar = weights[:n_class], weights[n_class:]
-    base = V * tables.base
+    base = V * lp.base
     values = np.empty(len(gammas))
     rows = max(1, SCORE_CELLS // base.size)
     for start in range(0, len(gammas), rows):
         block = gammas[start : start + rows]
-        drift_gamma = block[:, :1] * tables.drift[:, 0]
+        drift_gamma = block[:, :1] * lp.drift[:, 0]
         for j in range(1, instance.r):
-            drift_gamma += block[:, j : j + 1] * tables.drift[:, j]
+            drift_gamma += block[:, j : j + 1] * lp.drift[:, j]
         mins = (base + drift_gamma).reshape(len(block), n_class, width).min(axis=2)
         values[start : start + rows] = (mins * w).sum(axis=-1) + (block * a_bar).sum(axis=-1)
     return values

@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import olacsim.dual
 from olacsim.dual import (
     RHO_SAMPLES,
     InfeasibleInstanceError,
     NoSlackError,
     _class_dual_values,
+    _CountLP,
+    class_lp,
     compute_analysis,
     dual_value,
     estimate_polyhedral_rho,
     max_slack,
     maximize_dual,
     primal_oracle,
+    solve_lp,
     supergradient,
 )
 
@@ -319,6 +323,55 @@ class TestMaxSlack:
         assert max_slack(inst, np.array([1.0])) <= 0
 
 
+def start_bases(instance):
+    """The (a, c, basis) each LP starts from: the policy and slack LPs as handed to ``solve_lp``, then the count LP."""
+    starts = []
+
+    def capture(a, c, basis, b):
+        starts.append((a, c, np.array(basis)))
+        return solve_lp(a, c, basis, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(olacsim.dual, "solve_lp", capture)
+        slack = max_slack(instance, instance.probabilities)
+        try:
+            primal_oracle(instance, instance.probabilities)
+        except InfeasibleInstanceError:
+            pass
+    assert len(starts) == 2
+    if slack > 0:  # the count LP needs a box
+        lp = _CountLP(instance)
+        starts.append((lp.a, lp.c, lp.basis.copy()))
+    return starts
+
+
+def assert_dual_feasible_starts(instance):
+    for a, c, basis in start_bases(instance):
+        y = np.linalg.solve(a[:, basis].T, c[basis])
+        reduced = c - y @ a
+        assert reduced.min() >= -1e-9, (basis, reduced)
+
+
+class TestStartBases:
+    """Every LP starts from a dual feasible basis: each reduced cost of its start is >= 0."""
+
+    @pytest.mark.parametrize("name", ["two_queue", "two_queue_unbalanced"])
+    def test_shipped_channels(self, name, request):
+        assert_dual_feasible_starts(request.getfixturevalue(name))
+
+    @settings(max_examples=80, deadline=None)
+    @given(instance=oracle_instances())
+    def test_random_instances(self, instance):
+        assert_dual_feasible_starts(instance)
+
+    def test_action_dependent_arrivals(self):
+        # the slack LP starts from the smallest queue-1 drift (action 0), not the
+        # largest queue-1 service (action 1), whose start has a reduced cost of -2
+        inst = single_state_instance([(1.0, [0.0], [1.0]), (0.0, [3.0], [2.0])])
+        assert class_lp(inst).min_drift_cols.tolist() == [0]
+        assert_dual_feasible_starts(inst)
+
+
 class TestPolyhedralRho:
     def test_one_d_crossing_slope(self):
         inst = one_d_crossing()
@@ -377,8 +430,6 @@ class TestClassDualValues:
 
     def test_scored_in_blocks(self, two_queue, monkeypatch):
         # more rows than one block of SCORE_CELLS holds give the same values
-        import olacsim.dual
-
         gammas = np.random.default_rng(2).exponential(50.0, size=(37, 2))
         whole = _class_dual_values(two_queue, two_queue.probabilities, gammas, 50.0)
         monkeypatch.setattr(olacsim.dual, "SCORE_CELLS", 1000)

@@ -9,7 +9,7 @@ spec.loader.exec_module(gate_outputs)
 
 def test_writes_every_document_at_each_worker_count(tmp_path):
     assert gate_outputs.main([str(tmp_path)], tiny=True) == 0
-    names = ["smoke", "delay_table", "assumption_sweep"]
+    names = ["smoke", "three_queue_smoke", "delay_table", "assumption_sweep"]
     assert sorted(os.listdir(tmp_path)) == sorted(f"{n}_w{k}" for n in names for k in (1, 2))
     for name in names:
         files = [sorted(os.listdir(tmp_path / f"{name}_w{k}")) for k in (1, 2)]

@@ -1,16 +1,20 @@
-"""Golden outputs: the smoke scenario's CSVs must not move by a single byte.
+"""Golden outputs: the smoke scenarios' CSVs must not move by a single byte.
 
 The hashes below are of the CSVs that `olacsim run scenarios/smoke.json`
-writes, recorded with numpy 2.4 on x86-64, whose bundled OpenBLAS 0.3.31
+and `olacsim run scenarios/three_queue_smoke.json` write, recorded with
+numpy 2.4 on x86-64, whose bundled OpenBLAS 0.3.31
 ran its SkylakeX kernel. They pin that BLAS kernel as well as the code: with
 `OPENBLAS_CORETYPE=Haswell`, `Zen` or `Prescott` the same code writes another
 oracle.csv and six other traces (dist_gamma, dist_beta and, in one OLAC2
 trace, q_2), while summary.csv holds. In oracle.csv, under Haswell and Zen
 gamma_star_1 moves in its last digit, and with it the rho probe's centre, so
 rho_hat, D_p and eta move by 1.3e-12 relative; under Prescott only f_av_star
-moves, since the probe scores its samples without BLAS. A refactor that claims byte-identical results keeps them; a change
-that moves results on purpose says so and records new hashes. On a mismatch, first rerun on the recording
-kernel; if that passes, the host's kernel differs, not the code:
+moves, since the probe scores its samples without BLAS. The three-queue
+hashes were recorded on the same kernel and carry the same caveat. A
+refactor that claims byte-identical results keeps them; a change that moves
+results on purpose says so and records new hashes. On a mismatch, first
+rerun on the recording kernel; if that passes, the host's kernel differs,
+not the code:
 
     OPENBLAS_CORETYPE=SkylakeX python3 -m pytest tests/test_golden.py
 
@@ -23,9 +27,11 @@ import hashlib
 import json
 import os
 
-from olacsim.cli import Scenario, run_scenario
+from olacsim.cli import Scenario, main, run_scenario
 
-SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "smoke.json")
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SMOKE = os.path.join(SCENARIOS, "smoke.json")
+THREE_QUEUE_SMOKE = os.path.join(SCENARIOS, "three_queue_smoke.json")
 
 GOLDEN = {
     "oracle.csv": "dcfdd53971907498b5e7e78aab7ea557601abe8b92a3d4938329740d6be6985a",
@@ -48,12 +54,26 @@ GOLDEN_ZETA_10 = {
 }
 
 
-def run_smoke(out_dir, zeta=None):
-    with open(SMOKE, encoding="utf-8") as fh:
+# three_queue_smoke.json: smoke.json's sweep on the three-queue instance file
+GOLDEN_THREE_QUEUE = {
+    "oracle.csv": "a72d08affd726f79a328519ac149ad645a3a97b9bb800b438e4ba19f5478ec81",
+    "summary.csv": "c2824960a4fb28fbaad4fb9688baab2bd783342b789e0f0ac399d66934e20f6c",
+    "trace_Backpressure_V50_seed0.csv": "227457d4fd92336c905b6008f115631a3b1092212b89b0b65074c0f992b22749",
+    "trace_Backpressure_V50_seed1.csv": "c2be5a2782f021055428f0aeb32d4e9cfa0d5a9714ca986b634f16f05faa8538",
+    "trace_OLAC2_V50_seed0.csv": "b07e1c6b1bef45d4d7a1ba81594ca8b4a063e7769c15a4f745c8518e6e7b02e3",
+    "trace_OLAC2_V50_seed1.csv": "9bd50e2cbd59473ace68cd22e153adf4eb162ccb077a869d2847f258421dbd0b",
+    "trace_OLAC_V50_seed0.csv": "935c5ed90c0e190ef92c7981169831399802293e87040f29355394b9b96c9bac",
+    "trace_OLAC_V50_seed1.csv": "c111c00822e206fc8976bb58052c00b5ac39065104f0fb401a4de597e6744ae4",
+}
+
+
+def run_smoke(out_dir, zeta=None, path=SMOKE):
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if zeta is not None:
         doc["zeta"] = zeta
-    run_scenario(Scenario.from_dict(doc), out_dir=str(out_dir))
+    manifest = run_scenario(Scenario.from_dict(doc, base_dir=os.path.dirname(path)), out_dir=str(out_dir))
+    assert manifest["failed"] == 0
     return out_dir
 
 
@@ -64,7 +84,7 @@ def assert_written_as_recorded(out_dir, golden):
         with open(out_dir / name, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == expected, (
-            f"{name} differs from its golden hash; run scenarios/smoke.json at the parent commit and "
+            f"{name} differs from its golden hash; run the scenario at the parent commit and "
             f"here, then `python3 scripts/compare_outputs.py OUT_PARENT OUT_CHANGE` shows the cells that moved"
         )
 
@@ -75,3 +95,16 @@ def test_smoke_csvs_written_as_recorded(tmp_path):
 
 def test_smoke_zeta_10_csvs_written_as_recorded(tmp_path):
     assert_written_as_recorded(run_smoke(tmp_path, {"policy": "absolute", "value": 10}), GOLDEN_ZETA_10)
+
+
+def test_three_queue_smoke_csvs_written_as_recorded(tmp_path):
+    assert_written_as_recorded(run_smoke(tmp_path, path=THREE_QUEUE_SMOKE), GOLDEN_THREE_QUEUE)
+
+
+def test_three_queue_oracle_has_slack_and_decay(capsys):
+    assert main(["oracle", os.path.join(SCENARIOS, "instances", "three_queue.json"), "--V", "50"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    printed = dict(row for row in rows if len(row) == 2)  # min_perturbed_slack is blank
+    assert float(printed["eta_0"]) > 0
+    assert float(printed["rho_hat"]) > 0
+    assert len({printed[f"gamma_star_{j}"] for j in (1, 2, 3)}) == 3  # the queues' gains differ

@@ -417,11 +417,12 @@ class TestKeptFactorisations:
     def test_class_lp_is_built_once(self, two_queue_unbalanced):
         first, second = class_lp(two_queue_unbalanced), class_lp(two_queue_unbalanced)
         assert first is second
-        tables, *arrays = first
-        for array in [*arrays, *(v for v in vars(tables).values() if isinstance(v, np.ndarray))]:
+        arrays = [v for v in vars(first).values() if isinstance(v, np.ndarray)]
+        assert {"a", "cost", "rhs", "cheapest_cols", "min_drift_cols"} <= set(vars(first))
+        for array in arrays:
             assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            arrays[0][0, 0] = 1.0
+            first.a[0, 0] = 1.0
 
     def test_class_lp_memo_goes_with_its_instance(self):
         # the whole entry goes: no value the instance keeps refers back to it
