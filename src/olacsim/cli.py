@@ -528,7 +528,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    """Print the oracle.csv row a sweep writes for V, one name and value a line, and xi."""
+    """Print the oracle.csv cells a sweep writes for V that it fills, one name and value a line, and xi."""
     desc = {"builtin": args.instance} if args.instance == "two_queue" else {"file": args.instance}
     try:
         if args.channel_dist:
@@ -547,7 +547,8 @@ def _cmd_oracle(args) -> int:
         return 1
     row = _oracle_row(ana, instance)
     for name, value in [*zip(_oracle_columns(instance.r), row), ("xi", ana.xi)]:
-        print(f"{name:<20}{_fmt(value)}")
+        if value is not None:  # min_perturbed_slack: a sweep's assumption check fills it
+            print(f"{name:<20}{_fmt(value)}")
     if ana.rho_hat <= 0:
         print("warning: polyhedral decay not numerically confirmed (rho_hat <= 0)")
     if args.out:

@@ -1,4 +1,4 @@
-"""OLAC's learned dual multiplier beta(t), computed exactly as a whole path.
+"""OLAC's learned dual multiplier beta(t), computed exactly as a whole path of segments.
 
 beta(t) maximizes the empirical dual: the dual function with the frequencies
 of the states seen before slot t in place of the true probabilities, over the
@@ -9,8 +9,8 @@ slot loop.
 The maximizer is read off the boxed LP of ``dual._CountLP``, written in
 counts (n_c observations of class c, n_i of state i): its dual is the
 empirical dual times the count t, with beta the prices of the queue rows.
-Costs are in units of V: the LP is solved at V = 1 and the path scaled by V,
-so beta(t; V) = V * beta(t; 1) exactly. The box is the paper's multiplier
+Costs are in units of V: the LP is solved at V = 1 and its caller scales the
+path, as beta(t; V) = V * beta(t; 1) exactly. The box is the paper's multiplier
 bound xi = V * f_max / eta_0, where eta_0 is the largest service slack of the
 true distribution (``dual.nominal_slack``, solved once per instance); eta_0 is
 the one number derived from the true probabilities that the learner sees. An
@@ -38,14 +38,14 @@ FIRST_BLOCK = 8
 MAX_BLOCK = 4096
 
 
-def dual_learn(instance: NetworkInstance, states, V: float) -> tuple[np.ndarray, int]:
-    """OLAC's beta path over ``states``: row t maximizes the empirical dual on states[:t].
+def dual_learn(instance: NetworkInstance, states) -> tuple[list[int], np.ndarray, int]:
+    """OLAC's V = 1 beta path over ``states`` as segments: beta(t) maximizes the empirical dual on states[:t].
 
-    Returns the (len(states), r) path and the number of slots at which the box
-    binds (some beta_j = xi). beta(0) = 0. The path is V times the V = 1
-    path, bit for bit, and the count does not depend on V: ``sim.run`` learns
-    at V = 1, keeps that path with the instance and scales it, so the same
-    seed's runs at other V reuse it.
+    Returns ``(starts, betas, flagged)``: beta(t) = betas[k] from slot starts[k]
+    (the first is 0) to the next start, one read-only row per segment, and the
+    number of slots at which the box binds (some beta_j = xi). beta(0) = 0. At
+    V the path is V * betas and the count the same: ``sim.run`` keeps the
+    segments with the instance, so the same seed's runs at other V reuse them.
     """
     states = np.asarray(states, dtype=np.int64)
     H = len(states)
@@ -76,5 +76,6 @@ def dual_learn(instance: NetworkInstance, states, V: float) -> tuple[np.ndarray,
             betas.append(lp.beta)
         block = FIRST_BLOCK
     betas = np.array(betas)
+    betas.flags.writeable = False
     lengths = np.diff(np.append(starts, H))
-    return V * np.repeat(betas, lengths, axis=0), int(lengths[(betas >= lp.xi).any(axis=1)].sum())
+    return starts, betas, int(lengths[(betas >= lp.xi).any(axis=1)].sum())

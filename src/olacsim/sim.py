@@ -9,10 +9,10 @@ The controllers differ in three things, settled before slot 0 in the run's
 plan (``_plan``, the only reader of the controller kind): the discipline,
 OLAC's beta path and theta, and OLAC2's reset of the backlog to its learned
 gamma at T_l. The learners see the states only, so they run in the plan.
-OLAC's path is learned at V = 1 and scaled by V, and the instance keeps the
-last one learned (``dual.instance_store``), keyed by (seed, horizon): the
-same seed's next run at another V reuses it. One slot loop, the same for
-every kind, reads only the plan.
+OLAC's path, segments of slots with one beta each, is learned at V = 1 and
+scaled by V, and the instance keeps the last one learned (``instance_store``),
+keyed by (seed, horizon): the same seed's next run at another V reuses it.
+One slot loop, the same for every kind, walks the plan's segments.
 
 The multiplier estimate whose convergence is measured is q(t), or
 q(t) + beta(t) - theta with a beta path (OLAC); at OLAC2's reset slot the
@@ -110,7 +110,7 @@ class _Plan:
     """What a run's controller kind settles before slot 0; the slot loop reads only this."""
 
     discipline: str                 # "LIFO" for OLAC2, "FIFO" otherwise
-    beta_path: np.ndarray | None    # OLAC's V * beta(t), one row per slot; None: decide on q
+    segments: tuple                 # (start, stop, OLAC's V * beta on slots start..stop-1, or None: decide on q)
     theta: np.ndarray | None        # OLAC's offset
     reset_slot: int                 # OLAC2's T_l when it falls inside the horizon, else -1
     reset_gamma: np.ndarray | None  # the backlog OLAC2 is adjusted to at reset_slot
@@ -121,29 +121,29 @@ class _Plan:
 def _plan(instance: NetworkInstance, cfg: SimConfig, states: np.ndarray) -> _Plan:
     """The plan of one run; the learners see the states only, so an instance without slack fails here."""
     ctrl, H = cfg.controller, cfg.horizon
+    on_q = ((0, H, None),)  # one segment without beta: Backpressure's and OLAC2's
     try:
         if ctrl.kind == OLAC:
             theta = ctrl.resolved_theta(instance.r)
-            # learned at V = 1 and scaled: V * beta(t; 1) is dual_learn(..., V) bit for bit.
-            # The instance keeps one path, the last learned: a sweep task runs
-            # one seed's V values back to back
+            # learned at V = 1 and scaled. The instance keeps one path, the
+            # last learned: a sweep task runs one seed's V values back to back
             store = instance_store(instance)
             kept = store.get("olac_path")
             if kept is None or kept[0] != (cfg.seed, H):
-                path, count = dual_learn(instance, states, 1.0)
-                path.flags.writeable = False
-                kept = store["olac_path"] = ((cfg.seed, H), path, count)
-            return _Plan("FIFO", ctrl.V * kept[1], theta, -1, None, kept[2], None)
+                kept = store["olac_path"] = ((cfg.seed, H), *dual_learn(instance, states))
+            _, starts, betas, flagged = kept
+            segments = tuple(zip(starts, [*starts[1:], H], ctrl.V * betas))
+            return _Plan("FIFO", segments, theta, -1, None, flagged, None)
         if ctrl.kind == OLAC2:
             t_learn = ctrl.learn_slot()
             if t_learn >= H:
                 learner_slack(instance)  # nothing is learned, and still an instance without slack fails
-                return _Plan("LIFO", None, None, -1, None, 0, t_learn)
+                return _Plan("LIFO", on_q, None, -1, None, 0, t_learn)
             learned = olac2_step(instance, np.bincount(states[:t_learn], minlength=instance.M) / t_learn, ctrl)
-            return _Plan("LIFO", None, None, t_learn, learned.gamma, int(learned.at_box), t_learn)
+            return _Plan("LIFO", on_q, None, t_learn, learned.gamma, int(learned.at_box), t_learn)
     except NoSlackError as exc:
         raise NoSlackError(f"{ctrl.kind}: {exc}") from None
-    return _Plan("FIFO", None, None, -1, None, 0, None)
+    return _Plan("FIFO", on_q, None, -1, None, 0, None)
 
 
 def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
@@ -170,7 +170,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
 
     states_seq = sample_states(instance, H, cfg.seed)
     plan = _plan(instance, cfg, states_seq)
-    beta_path, theta, reset_slot, discipline = plan.beta_path, plan.theta, plan.reset_slot, plan.discipline
+    theta, reset_slot, discipline = plan.theta, plan.reset_slot, plan.discipline
     ledger = QueueLedger(r)
     if cfg.initial_backlog is not None:
         ledger.add_initial(cfg.initial_backlog)
@@ -185,26 +185,33 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     neg_v_costs = tuple(-cfg.controller.V * instance.costs)
     # the ledger's float list, updated in place; each slot copies it into its q_path row
     totals = ledger.totals
+    states = states_seq.tolist()
 
-    for t, sid in enumerate(states_seq.tolist()):
-        q = q_path[t]
-        q[:] = totals
-        if beta_path is None:
-            action = bp_decide(instance, sid, q, neg_v_costs)
-        else:
-            action = olac_decide(instance, sid, q, beta_path[t], theta, neg_v_costs)
-        if t == reset_slot:
-            # the action stays the one taken on the backlog before the adjustment
-            dropped += adjust_to(ledger, plan.reset_gamma, t).dropped
+    for start, stop, beta in plan.segments:
+        for t, sid in enumerate(states[start:stop], start):
+            q = q_path[t]
             q[:] = totals
-        actions[t] = action
-        records = apply_slot(ledger, arrival_rows[sid][action], service_rows[sid][action], t, discipline)
-        delay_acc.add_many(records)
+            if beta is None:
+                action = bp_decide(instance, sid, q, neg_v_costs)
+            else:
+                action = olac_decide(instance, sid, q, beta, theta, neg_v_costs)
+            if t == reset_slot:
+                # the action stays the one taken on the backlog before the adjustment
+                dropped += adjust_to(ledger, plan.reset_gamma, t).dropped
+                q[:] = totals
+            actions[t] = action
+            records = apply_slot(ledger, arrival_rows[sid][action], service_rows[sid][action], t, discipline)
+            delay_acc.add_many(records)
 
     delay = delay_acc.finalize(H)
     costs = instance.costs[states_seq, actions]
-    # the estimate is q(t), or q(t) + beta(t) - theta with a beta path
-    dist = _distances(q_path if beta_path is None else q_path + beta_path - theta, gamma_star)
+    # the estimate is q(t), or q(t) + beta(t) - theta with a beta path, formed segment by segment
+    estimate, beta_trace = q_path, None
+    if theta is not None:
+        starts, stops, betas = zip(*plan.segments)
+        estimate = np.concatenate([q_path[start:stop] + beta for start, stop, beta in plan.segments]) - theta
+        beta_trace = np.repeat(_distances(np.array(betas), gamma_star), np.subtract(stops, starts))
+    dist = _distances(estimate, gamma_star)
     t_first = t_sustained = None
     if cfg.zeta is not None:
         t_first = convergence_time(dist, cfg.zeta)
@@ -219,7 +226,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
         t_zeta_sustained=t_sustained,
         dropped=dropped,
         gamma_trace=dist,
-        beta_trace=None if beta_path is None else _distances(beta_path, gamma_star),
+        beta_trace=beta_trace,
         queue_trace=q_path,
         cost_trace=costs,
         solver_flagged_slots=plan.flagged,

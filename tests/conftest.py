@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from olacsim.dual import InfeasibleInstanceError, max_slack
+from olacsim.learning import dual_learn
 from olacsim.model import ActionSpec, NetworkInstance, StateSpec, build_two_queue_example
 
 # Every property test draws the same examples on every run: Tier-1 takes the
@@ -44,6 +45,16 @@ def per_state_dual(instance, state_id, gamma, V):
     scores = V * instance.costs[state_id] + instance.drift[state_id] @ np.asarray(gamma, dtype=float)
     k = int(np.argmin(scores))
     return float(scores[k]), k
+
+
+def dense_path(instance, states, V):
+    """OLAC's beta path over ``states`` at V, one row per slot, and its flagged count.
+
+    ``learning.dual_learn``'s V = 1 segments, expanded and scaled the way the
+    learner once did it itself, so the rows are the same bytes.
+    """
+    starts, betas, flagged = dual_learn(instance, states)
+    return V * np.repeat(betas, np.diff(np.append(starts, len(states))), axis=0), flagged
 
 
 def total(ledger, j):

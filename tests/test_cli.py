@@ -411,19 +411,19 @@ class TestRunScenario:
         calls = []
         real = olacsim.sim.dual_learn
 
-        def counted(instance, states, V):
-            calls.append(V)
-            return real(instance, states, V)
+        def counted(instance, states):
+            calls.append(len(states))
+            return real(instance, states)
 
         monkeypatch.setattr(olacsim.sim, "dual_learn", counted)
         scenario = Scenario.from_dict(doc)
         manifest = run_scenario(scenario, out_dir=str(tmp_path / "first"))
         assert manifest["failed"] == 0 and len(manifest["runs"]) == 3 * 4 * 6
-        assert calls == [1.0] * 6
+        assert calls == [200] * 6
         # the instance keeps one path, the last seed's: the second sweep starts
         # on another seed, so it learns each seed's path again
         run_scenario(scenario, out_dir=str(tmp_path / "second"))
-        assert calls == [1.0] * 12
+        assert calls == [200] * 12
         assert (tmp_path / "first" / "summary.csv").read_bytes() == (tmp_path / "second" / "summary.csv").read_bytes()
 
     def test_first_run_of_a_seed_fails(self, tmp_path, monkeypatch):
@@ -443,9 +443,9 @@ class TestRunScenario:
                 raise RuntimeError("injected failure")
             return real_run(instance, cfg, gamma_star)
 
-        def counted(instance, states, V):
+        def counted(instance, states):
             learns.append(len(states))
-            return real_learn(instance, states, V)
+            return real_learn(instance, states)
 
         monkeypatch.setattr(olacsim.cli, "run", failing_run)
         monkeypatch.setattr(olacsim.sim, "dual_learn", counted)
@@ -681,7 +681,8 @@ class TestMainEntry:
                      "--out", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         (row,) = read_csv(tmp_path / "oracle.csv")
-        assert lines[:-1] == [f"{name:<20}{cell}" for name, cell in row.items()]
+        assert row["min_perturbed_slack"] == ""  # written blank, and not printed
+        assert lines[:-1] == [f"{name:<20}{cell}" for name, cell in row.items() if cell]
         name, xi = lines[-1].split()
         assert name == "xi" and float(xi) == 50.0 * (float(row["f_max"]) / float(row["eta_0"]))
 

@@ -24,7 +24,7 @@ from olacsim.learning import dual_learn
 from olacsim.model import NetworkInstance, build_two_queue_example
 from olacsim.sim import SimConfig, run, sample_states
 
-from conftest import make_instance, single_state_instance, state_index
+from conftest import dense_path, make_instance, single_state_instance, state_index
 
 
 def box(instance, V):
@@ -93,7 +93,7 @@ class TestEmpiricalDistribution:
         # slot t maximizes the dual on the counts of states[:t]: beta(0) = 0, and
         # each later slot's beta is optimal for its own prefix
         states = np.array([0, 0, 1, 1, 5])
-        path, _ = dual_learn(two_queue, states, 100.0)
+        path, _ = dense_path(two_queue, states, 100.0)
         assert np.array_equal(path[0], np.zeros(2))
         assert_path_is_lp_optimal(two_queue, states, 100.0, path, range(1, 5))
 
@@ -133,21 +133,21 @@ def slack_instances(draw):
 
 class TestDualLearn:
     def test_no_observations_keeps_beta(self, two_queue):
-        path, flagged = dual_learn(two_queue, np.array([7]), 100.0)
+        path, flagged = dense_path(two_queue, np.array([7]), 100.0)
         assert np.array_equal(path, np.zeros((1, 2)))
         assert flagged == 0
 
     def test_single_state_matches_direct_solve(self):
         # dual min(gamma, 1 - gamma) at V=1: maximized at gamma = 1/2
         inst = single_state_instance([(0.0, [1.0], [0.0]), (1.0, [0.0], [1.0])])
-        path, _ = dual_learn(inst, np.zeros(200, dtype=np.int64), 1.0)
+        path, _ = dense_path(inst, np.zeros(200, dtype=np.int64), 1.0)
         direct = maximize_dual(inst, [1.0], 1.0)
         assert direct.gamma[0] == pytest.approx(0.5, abs=1e-3)
         assert path[-1, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_highs_on_two_queue(self, two_queue):
         states = sample_states(two_queue, 300, 0)
-        path, _ = dual_learn(two_queue, states, 100.0)
+        path, _ = dense_path(two_queue, states, 100.0)
         assert_path_is_lp_optimal(two_queue, states, 100.0, path, range(1, 300))
 
     @settings(max_examples=60, deadline=None)
@@ -156,23 +156,15 @@ class TestDualLearn:
         instance = data.draw(slack_instances())
         states = np.array(data.draw(st.lists(st.integers(0, instance.M - 1), min_size=2, max_size=25)))
         V = data.draw(st.sampled_from([1.0, 7.5, 100.0]))
-        path, _ = dual_learn(instance, states, V)
+        path, _ = dense_path(instance, states, V)
         assert_path_is_lp_optimal(instance, states, V, path, range(1, len(states)))
-
-    @pytest.mark.parametrize("V", [2.0, 37.5, 100.0, 1600.0])
-    def test_v_scaling(self, two_queue, V):
-        states = sample_states(two_queue, 2000, 5)
-        unit, flagged_unit = dual_learn(two_queue, states, 1.0)
-        path, flagged = dual_learn(two_queue, states, V)
-        assert np.allclose(path, V * unit, rtol=1e-12, atol=0.0)
-        assert flagged == flagged_unit
 
     def test_box_binds_and_is_counted(self, two_queue):
         # both queues receive 2 packets on channels that cannot serve: without
         # the box the empirical dual is unbounded, so beta = xi in both queues
         blocked = state_index(1, 1, 0, 0)
         states = np.concatenate([np.full(6, blocked), sample_states(two_queue, 400, 1)])
-        path, flagged = dual_learn(two_queue, states, 100.0)
+        path, flagged = dense_path(two_queue, states, 100.0)
         xi = box(two_queue, 100.0)
         assert np.allclose(path[1:7], xi, rtol=1e-12, atol=0.0)
         at_box = np.isclose(path, xi, rtol=1e-12, atol=0.0).any(axis=1)
@@ -187,7 +179,7 @@ class TestDualLearn:
         ana = compute_analysis(instance, V)
         assert ana.eta_0 == _CountLP(instance).eta_0 == max_slack(instance, instance.probabilities)
         blocked = state_index(1, 1, 0, 0)
-        path, _ = dual_learn(instance, np.full(4, blocked), V)
+        path, _ = dense_path(instance, np.full(4, blocked), V)
         assert (path[1:] == ana.xi).all()
 
     def test_degenerate_instance_is_deterministic(self):
@@ -198,8 +190,8 @@ class TestDualLearn:
             [(1.0, [1.0], [1.0]), (0.0, [1.0], [0.0]), (2.0, [1.0], [2.0])],
         ])
         states = sample_states(inst, 500, 3)
-        first, flagged_first = dual_learn(inst, states, 10.0)
-        second, flagged_second = dual_learn(inst, states, 10.0)
+        first, flagged_first = dense_path(inst, states, 10.0)
+        second, flagged_second = dense_path(inst, states, 10.0)
         assert np.array_equal(first, second)
         assert flagged_first == flagged_second
         assert_path_is_lp_optimal(inst, states, 10.0, first, range(1, 500, 37))
@@ -214,7 +206,7 @@ class TestDualLearn:
         assert run(inst, bp, np.zeros(1)).avg_cost >= 0
 
     def test_beta_stays_nonnegative(self, two_queue):
-        path, _ = dual_learn(two_queue, sample_states(two_queue, 300, 3), 100.0)
+        path, _ = dense_path(two_queue, sample_states(two_queue, 300, 3), 100.0)
         assert path.shape == (300, 2)
         assert (path >= 0).all()
 
@@ -222,13 +214,13 @@ class TestDualLearn:
         # beta(t) uses states[:t] only: a prefix of the states gives a prefix of
         # the path, and another state from slot k on leaves beta(0..k) in place
         states = sample_states(two_queue, 400, 2)
-        full, _ = dual_learn(two_queue, states, 100.0)
+        full, _ = dense_path(two_queue, states, 100.0)
         for k in (1, 2, 37, 250, 399):
-            prefix, _ = dual_learn(two_queue, states[:k], 100.0)
+            prefix, _ = dense_path(two_queue, states[:k], 100.0)
             assert np.array_equal(prefix, full[:k])
             changed = states.copy()
             changed[k:] = (states[k:] + 1) % 64
-            assert np.array_equal(dual_learn(two_queue, changed, 100.0)[0][: k + 1], full[: k + 1])
+            assert np.array_equal(dense_path(two_queue, changed, 100.0)[0][: k + 1], full[: k + 1])
 
     def test_beta_does_not_depend_on_backlog(self, two_queue):
         gamma_star = 100.0 * primal_oracle(two_queue, two_queue.probabilities).multiplier_v1
@@ -355,7 +347,7 @@ class TestRecordedOutputs:
     @pytest.mark.parametrize("channel, seed", sorted(PATHS))
     def test_dual_learn_path(self, request, channel, seed):
         instance = request.getfixturevalue(channel)
-        path, flagged = dual_learn(instance, sample_states(instance, 2000, seed), 1.0)
+        path, flagged = dense_path(instance, sample_states(instance, 2000, seed), 1.0)
         assert (hashlib.sha256(path.tobytes()).hexdigest(), flagged) == self.PATHS[channel, seed]
 
     @pytest.mark.parametrize("channel, seed", sorted(PATHS_AT_ETA_0))
@@ -366,7 +358,7 @@ class TestRecordedOutputs:
         # an equal instance that has not solved its slack LP yet, whose slack LP gives the recorded eta_0
         instance = NetworkInstance(instance.r, instance.states)
         monkeypatch.setattr(olacsim.dual, "max_slack", lambda inst, dist: eta_0)
-        path, count = dual_learn(instance, sample_states(instance, 2000, seed), 1.0)
+        path, count = dense_path(instance, sample_states(instance, 2000, seed), 1.0)
         assert (hashlib.sha256(path.tobytes()).hexdigest(), count) == (digest, flagged)
 
     @pytest.mark.parametrize("channel, V, seed", sorted(GAMMAS))
@@ -391,7 +383,7 @@ class TestKeptFactorisations:
                 lps.append(self)
 
         monkeypatch.setattr(olacsim.learning, "_CountLP", Recorded)
-        dual_learn(instance, sample_states(instance, horizon, 0), 1.0)
+        dual_learn(instance, sample_states(instance, horizon, 0))
         (lp,) = lps
         assert lp.pivots > BASIS_CACHE  # the run left more bases than are kept
         assert 0 < len(lp.factors) <= BASIS_CACHE

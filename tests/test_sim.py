@@ -334,9 +334,9 @@ class TestKeptPath:
 
         real_learn, learns = olacsim.sim.dual_learn, []
 
-        def counted(instance, states, V):
+        def counted(instance, states):
             learns.append(len(states))
-            return real_learn(instance, states, V)
+            return real_learn(instance, states)
 
         monkeypatch.setattr(olacsim.sim, "dual_learn", counted)
         instance = fresh_copy(two_queue)
@@ -345,3 +345,15 @@ class TestKeptPath:
                 gamma_star_100)
         assert learns == [200, 200, 300, 200]
         assert olacsim.dual.instance_store(instance)["olac_path"][0] == (1, 200)
+
+    def test_kept_path_is_one_row_per_segment(self, two_queue, gamma_star_100):
+        instance = fresh_copy(two_queue)
+        H = 20_000
+        run(instance, SimConfig(horizon=H, seed=0, controller=ControllerConfig("OLAC", 100.0)), gamma_star_100)
+        key, starts, betas, _ = olacsim.dual.instance_store(instance)["olac_path"]
+        assert key == (0, H)
+        assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < H
+        assert len(betas) == len(starts) > 1
+        assert not betas.flags.writeable
+        assert (betas[1:] != betas[:-1]).any(axis=1).all()
+        assert betas.nbytes * 20 < H * instance.r * 8
