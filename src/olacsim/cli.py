@@ -362,18 +362,18 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
 
     Oracles (gamma*, f*, eta_0, rho_hat, D_p) are computed once per V in the
     parent process; the V-independent policy and slack LPs are solved once,
-    and the instance keeps them (``dual.instance_store``), so the learners
+    and the instance keeps them (``instance.derived``), so the learners
     read the oracle's eta_0. The runs are grouped into one task per
     (controller, seed), which runs that seed's V values in scenario order:
     OLAC's beta path does not depend on V, so it is learned in the task's
     first run that succeeds, kept with the instance and scaled by V in the
     others. Tasks execute in a pool of min(workers, tasks) processes when
     that is more than one; each task then unpickles an instance of its own,
-    whose learners solve the slack LP again. With traces, each run's trace
-    file is written by the task that ran it, right after the run, and no run
-    hands its per-slot paths back. A single collector writes the other
-    outputs, the manifest in (controller, V, seed) order and summary.csv
-    sorted by it. A run that raises is recorded in the manifest (status
+    which starts without derived results, so its learners solve the slack
+    LP again. With traces, each run's trace file is written by the task that
+    ran it, right after the run, and no run hands its per-slot paths back. A
+    single collector writes the other outputs, the manifest in (controller,
+    V, seed) order and summary.csv sorted by it. A run that raises is recorded in the manifest (status
     "error", counted in "failed") and the other runs' outputs are still
     written; a failed output write raises.
 

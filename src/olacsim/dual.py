@@ -14,8 +14,8 @@ dual simplex from a dual feasible start basis (``_DualSimplex``):
 - the policy LP (``primal_oracle``) gives the optimal mean cost and, as its
   queue-row prices, the optimal multiplier; the slack LP (``max_slack``)
   gives eta_0. Both go through ``solve_lp``, each from a start basis of its
-  own; at the true distribution each is solved once per instance
-  (``instance_store``);
+  own; at the true distribution each is solved once per instance and kept
+  in ``instance.derived``;
 - ``maximize_dual`` maximizes g over the box 0 <= gamma <= xi =
   V*f_max/eta_0 exactly, as the prices of the same LP written with a
   shortfall column per queue (``_CountLP``); OLAC's learner keeps that LP's
@@ -27,7 +27,6 @@ D_p) are derived from these oracles.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,16 +86,23 @@ class InstanceAnalysis:
     xi: float  # multiplier magnitude bound V*f_max/eta_0 (inf without slack): the learners' box, bit for bit
 
 
-def _check_dims(instance: NetworkInstance, gamma, dist=None):
+def _check_weights(instance: NetworkInstance, dist) -> np.ndarray:
+    """``dist`` as floats: one finite, non-negative weight per state (a distribution or counts)."""
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (instance.M,):
+        raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
+    for problem, bad in (("non-finite", ~np.isfinite(dist)), ("negative", dist < 0)):
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"distribution has a {problem} entry at state {i}: {dist[i]:g}")
+    return dist
+
+
+def _check_dims(instance: NetworkInstance, gamma, dist):
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (instance.r,):
         raise ValueError(f"multiplier has shape {gamma.shape}, expected ({instance.r},)")
-    if dist is not None:
-        dist = np.asarray(dist, dtype=float)
-        if dist.shape != (instance.M,):
-            raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
-        return gamma, dist
-    return gamma
+    return gamma, _check_weights(instance, dist)
 
 
 def dual_value(instance: NetworkInstance, dist, gamma, V: float) -> float:
@@ -210,49 +216,28 @@ class DualTables:
                 _frozen(value)
 
 
-# what depends on the instance alone, one dict per live instance, keyed by
-# id(instance); weakref.finalize drops an entry when its instance goes, before
-# the id can be reused. No value in an entry may refer to its instance.
-_STORES: dict[int, dict] = {}
-
-
-def instance_store(instance: NetworkInstance) -> dict:
-    """The dict that keeps ``instance``'s own results for as long as the instance lives.
-
-    Each slot is filled on first use: ``class_lp``, the true distribution's
-    slack (``nominal_slack``) and policy LP (``compute_analysis``), and
-    ``sim.run``'s last OLAC beta path. The two LPs are solved through this
-    module's ``max_slack`` and ``primal_oracle``, looked up at call time, and
-    each in a slot of its own: the learners read the slack only, so an
-    instance without slack, whose policy LP can be infeasible, raises
-    NoSlackError there.
-    """
-    store = _STORES.get(id(instance))
-    if store is None:
-        store = _STORES[id(instance)] = {}
-        weakref.finalize(instance, _STORES.pop, id(instance), None)
-    return store
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
 
 def class_lp(instance: NetworkInstance) -> DualTables:
-    """``DualTables(instance)``, built once per instance (``instance_store``): later calls return the same record."""
-    store = instance_store(instance)
-    if "class_lp" not in store:
-        store["class_lp"] = DualTables(instance)
-    return store["class_lp"]
+    """``DualTables(instance)``, built once per instance (``instance.derived``): later calls return the same record."""
+    if "class_lp" not in instance.derived:
+        instance.derived["class_lp"] = DualTables(instance)
+    return instance.derived["class_lp"]
 
 
 def nominal_slack(instance: NetworkInstance) -> float:
-    """eta_0 = ``max_slack(instance, instance.probabilities)``, solved once per instance."""
-    store = instance_store(instance)
-    if "eta_0" not in store:
-        store["eta_0"] = max_slack(instance, instance.probabilities)
-    return store["eta_0"]
+    """eta_0 = ``max_slack(instance, instance.probabilities)``, solved once per instance (``instance.derived``).
+
+    The slack has a slot of its own, apart from the policy LP's: the learners
+    read the slack only, so an instance without slack, whose policy LP can be
+    infeasible, raises NoSlackError there.
+    """
+    if "eta_0" not in instance.derived:
+        instance.derived["eta_0"] = max_slack(instance, instance.probabilities)
+    return instance.derived["eta_0"]
 
 
 def learner_slack(instance: NetworkInstance) -> float:
@@ -429,9 +414,7 @@ def maximize_dual(instance: NetworkInstance, dist, V: float) -> DualSolveResult:
     ``gamma`` is V times its queue-row prices. An instance without service
     slack (eta_0 <= 0) raises NoSlackError.
     """
-    dist = np.asarray(dist, dtype=float)
-    if dist.shape != (instance.M,):
-        raise ValueError(f"distribution has shape {dist.shape}, expected ({instance.M},)")
+    dist = _check_weights(instance, dist)
     lp = _CountLP(instance)
     lp.restore(lp.rhs @ dist)
     return DualSolveResult(
@@ -453,12 +436,13 @@ def primal_oracle(instance: NetworkInstance, dist) -> PrimalSolution:
     V=1 problem. An LP without a feasible point raises
     InfeasibleInstanceError.
     """
+    dist = _check_weights(instance, dist)
     lp = class_lp(instance)
     n_class, r, n_y = lp.shape[0], instance.r, lp.cost.size
     surplus = np.vstack([np.zeros((n_class, r)), -np.eye(r)])
     c = np.concatenate([lp.cost, np.zeros(r)])
     basis = np.concatenate([lp.cheapest_cols, np.arange(n_y, n_y + r)])
-    x, basis, y = solve_lp(np.hstack([lp.a, surplus]), c, basis, lp.rhs @ np.asarray(dist, dtype=float))
+    x, basis, y = solve_lp(np.hstack([lp.a, surplus]), c, basis, lp.rhs @ dist)
     if x is None:
         raise InfeasibleInstanceError("no randomized policy satisfies the rate constraints")
     return PrimalSolution(f_av_star=float(c[basis] @ x), multiplier_v1=np.maximum(y[n_class:], 0.0))
@@ -475,6 +459,7 @@ def max_slack(instance: NetworkInstance, dist) -> float:
     signals that no randomized policy stabilizes the given distribution with
     slack.
     """
+    dist = _check_weights(instance, dist)
     lp = class_lp(instance)
     n_class, r, n_y = lp.shape[0], instance.r, lp.cost.size
     extra = np.zeros((n_class + r, r + 2))  # columns ep, en, u
@@ -482,7 +467,7 @@ def max_slack(instance: NetworkInstance, dist) -> float:
     c = np.zeros(n_y + r + 2)
     c[n_y : n_y + 2] = -1.0, 1.0
     basis = np.concatenate([lp.min_drift_cols, [n_y], np.arange(n_y + 3, n_y + r + 2)])
-    x, basis, _ = solve_lp(np.hstack([lp.a, extra]), c, basis, lp.rhs @ np.asarray(dist, dtype=float))
+    x, basis, _ = solve_lp(np.hstack([lp.a, extra]), c, basis, lp.rhs @ dist)
     if x is None:
         raise RuntimeError("slack LP infeasible, which its free eta rules out")
     return 0.0 - float(c[basis] @ x)  # 0.0 - x turns an optimum of -0.0 into 0.0
@@ -577,7 +562,7 @@ def compute_analysis(instance: NetworkInstance, V: float, rho_seed: int = 0) -> 
     g_star = V*f_av_star (strong duality) checks the LP's prices against an
     independent evaluation, and g_star <= V*f_av_star (weak duality) holds
     for any multiplier. The policy LP and the slack LP do not depend on V:
-    the instance keeps them (``instance_store``).
+    the instance keeps them (``instance.derived``).
 
     eta = ETA_FRACTION * rho_hat; any fraction in (0, 1) yields a valid drift
     margin. D_p = (B - eta^2)/(2(rho_hat - eta)) is increasing in eta, so the
@@ -586,10 +571,9 @@ def compute_analysis(instance: NetworkInstance, V: float, rho_seed: int = 0) -> 
     directions (large D_p otherwise swallows the whole approach path).
     """
     dist = instance.probabilities
-    store = instance_store(instance)
-    if "policy" not in store:
-        store["policy"] = primal_oracle(instance, dist)
-    policy = store["policy"]
+    if "policy" not in instance.derived:
+        instance.derived["policy"] = primal_oracle(instance, dist)
+    policy = instance.derived["policy"]
     gamma_star = V * policy.multiplier_v1
     g_star = dual_value(instance, dist, gamma_star, V)
     rho_hat = estimate_polyhedral_rho(instance, dist, V, gamma_star, seed=rho_seed)

@@ -70,8 +70,13 @@ class NetworkInstance:
     actions are identified by position. The dense tables pad ragged action
     lists: padded cost entries are +inf (never selected by any argmin/argmax),
     padded arrival/service entries are zero. ``action_counts[i]`` gives the
-    number of real actions of state i. Treat instances as read-only; they are
-    shared across concurrent runs.
+    number of real actions of state i. Treat the tables as read-only; they
+    are shared across concurrent runs.
+
+    ``derived`` keeps what the instance alone determines, each entry filled
+    once on first use (``dual.class_lp``, ``dual.nominal_slack``,
+    ``dual.compute_analysis``'s policy LP and ``sim``'s last OLAC path). It
+    is not compared, and a pickled copy starts without it.
     """
 
     def __init__(self, r: int, states: tuple[StateSpec, ...] | list[StateSpec]):
@@ -112,6 +117,7 @@ class NetworkInstance:
                                    self.services.max(initial=0.0)))
         self.f_max = float(real_costs.max(initial=0.0))
         self.B = (self.r / 2.0) * self.delta_max**2
+        self.derived = {}
 
     def _violations(self) -> list[str]:
         """Every violated invariant of the filled tables, one message each."""
@@ -134,6 +140,9 @@ class NetworkInstance:
             negative = finite & (table < 0).any(axis=2)
             out += [f"state {i} action {k}: negative {name} entry" for i, k in np.argwhere(negative)]
         return out
+
+    def __getstate__(self):
+        return {**vars(self), "derived": {}}
 
     def __eq__(self, other):
         if not isinstance(other, NetworkInstance):

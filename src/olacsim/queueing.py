@@ -116,8 +116,8 @@ def adjust_to(ledger: QueueLedger, target, slot: int) -> AdjustmentRecord:
     target = np.asarray(target, dtype=float)
     if target.shape != (ledger.r,):
         raise ValueError("target must be an r-vector")
-    if (target < 0).any():
-        raise ValueError("target must be non-negative")
+    if not (np.isfinite(target) & (target >= 0)).all():
+        raise ValueError(f"target must be finite and non-negative, got {target.tolist()}")
     dropped = np.zeros(ledger.r)
     dropped_null = np.zeros(ledger.r)
     added = np.zeros(ledger.r)

@@ -10,8 +10,9 @@ plan (``_plan``, the only reader of the controller kind): the discipline,
 OLAC's beta path and theta, and OLAC2's reset of the backlog to its learned
 gamma at T_l. The learners see the states only, so they run in the plan.
 OLAC's path, segments of slots with one beta each, is learned at V = 1 and
-scaled by V, and the instance keeps the last one learned (``instance_store``),
-keyed by (seed, horizon): the same seed's next run at another V reuses it.
+scaled by V, and the instance keeps the last one learned (its ``derived``
+slot ``olac_path``), keyed by (seed, horizon): the same seed's next run at
+another V reuses it.
 One slot loop, the same for every kind, walks the plan's segments.
 
 The multiplier estimate whose convergence is measured is q(t), or
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controllers import OLAC, OLAC2, ControllerConfig, bp_decide, olac2_step, olac_decide
-from .dual import NoSlackError, instance_store, learner_slack
+from .dual import NoSlackError, learner_slack
 from .learning import dual_learn
 from .model import NetworkInstance
 from .queueing import DelayAccumulator, DelayStats, QueueLedger, adjust_to, apply_slot
@@ -112,10 +113,9 @@ class _Plan:
     discipline: str                 # "LIFO" for OLAC2, "FIFO" otherwise
     segments: tuple                 # (start, stop, OLAC's V * beta on slots start..stop-1, or None: decide on q)
     theta: np.ndarray | None        # OLAC's offset
-    reset_slot: int                 # OLAC2's T_l when it falls inside the horizon, else -1
-    reset_gamma: np.ndarray | None  # the backlog OLAC2 is adjusted to at reset_slot
+    reset_gamma: np.ndarray | None  # the backlog OLAC2 is adjusted to at slot t_learn
     flagged: int                    # RunResult.solver_flagged_slots
-    t_learn: int | None             # OLAC2's T_l, also past the horizon
+    t_learn: int | None             # OLAC2's T_l, also past the horizon (no reset then)
 
 
 def _plan(instance: NetworkInstance, cfg: SimConfig, states: np.ndarray) -> _Plan:
@@ -127,23 +127,22 @@ def _plan(instance: NetworkInstance, cfg: SimConfig, states: np.ndarray) -> _Pla
             theta = ctrl.resolved_theta(instance.r)
             # learned at V = 1 and scaled. The instance keeps one path, the
             # last learned: a sweep task runs one seed's V values back to back
-            store = instance_store(instance)
-            kept = store.get("olac_path")
+            kept = instance.derived.get("olac_path")
             if kept is None or kept[0] != (cfg.seed, H):
-                kept = store["olac_path"] = ((cfg.seed, H), *dual_learn(instance, states))
+                kept = instance.derived["olac_path"] = ((cfg.seed, H), *dual_learn(instance, states))
             _, starts, betas, flagged = kept
             segments = tuple(zip(starts, [*starts[1:], H], ctrl.V * betas))
-            return _Plan("FIFO", segments, theta, -1, None, flagged, None)
+            return _Plan("FIFO", segments, theta, None, flagged, None)
         if ctrl.kind == OLAC2:
             t_learn = ctrl.learn_slot()
             if t_learn >= H:
                 learner_slack(instance)  # nothing is learned, and still an instance without slack fails
-                return _Plan("LIFO", on_q, None, -1, None, 0, t_learn)
+                return _Plan("LIFO", on_q, None, None, 0, t_learn)
             learned = olac2_step(instance, np.bincount(states[:t_learn], minlength=instance.M) / t_learn, ctrl)
-            return _Plan("LIFO", on_q, None, t_learn, learned.gamma, int(learned.at_box), t_learn)
+            return _Plan("LIFO", on_q, None, learned.gamma, int(learned.at_box), t_learn)
     except NoSlackError as exc:
         raise NoSlackError(f"{ctrl.kind}: {exc}") from None
-    return _Plan("FIFO", on_q, None, -1, None, 0, None)
+    return _Plan("FIFO", on_q, None, None, 0, None)
 
 
 def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
@@ -170,7 +169,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
 
     states_seq = sample_states(instance, H, cfg.seed)
     plan = _plan(instance, cfg, states_seq)
-    theta, reset_slot, discipline = plan.theta, plan.reset_slot, plan.discipline
+    theta, t_learn, discipline = plan.theta, plan.t_learn, plan.discipline
     ledger = QueueLedger(r)
     if cfg.initial_backlog is not None:
         ledger.add_initial(cfg.initial_backlog)
@@ -195,7 +194,7 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
                 action = bp_decide(instance, sid, q, neg_v_costs)
             else:
                 action = olac_decide(instance, sid, q, beta, theta, neg_v_costs)
-            if t == reset_slot:
+            if t == t_learn:  # OLAC2's reset; t never reaches H, and the other kinds have None
                 # the action stays the one taken on the backlog before the adjustment
                 dropped += adjust_to(ledger, plan.reset_gamma, t).dropped
                 q[:] = totals

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from olacsim.dual import InfeasibleInstanceError, max_slack
+from olacsim.dual import InfeasibleInstanceError, max_slack, primal_oracle
 from olacsim.learning import dual_learn
 from olacsim.model import ActionSpec, NetworkInstance, StateSpec, build_two_queue_example
 
@@ -79,15 +79,22 @@ def random_instance(rng, max_m=8, max_r=2, max_actions=5):
     return make_instance(r, probs.tolist(), actions)
 
 
-def random_slack_instances(seed, count, **kwargs):
-    """Deterministic stream of random instances with strictly positive slack."""
+def random_multiplier_instances(seed, count, **kwargs):
+    """Deterministic stream of random instances with strictly positive slack and a multiplier clear of 0.
+
+    Most random instances with slack have gamma* = 0, since costs and
+    services are drawn independently and the cheapest policy is often
+    already stable; the stream keeps those whose V = 1 multiplier has
+    |gamma*| > 0.1, so the backlog and the multiplier weigh in.
+    """
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
         inst = random_instance(rng, **kwargs)
         try:
             if max_slack(inst, inst.probabilities) > 1e-6:
-                out.append(inst)
+                if np.linalg.norm(primal_oracle(inst, inst.probabilities).multiplier_v1) > 0.1:
+                    out.append(inst)
         except InfeasibleInstanceError:
             continue
     return out

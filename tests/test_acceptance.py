@@ -21,7 +21,7 @@ from olacsim.dual import compute_analysis, dual_value, maximize_dual, supergradi
 from olacsim.queueing import QueueLedger, apply_slot
 from olacsim.sim import SimConfig, run, sample_states
 
-from conftest import random_slack_instances, single_state_instance, total
+from conftest import random_multiplier_instances, single_state_instance, total
 
 SEEDS10 = list(range(10))
 
@@ -68,7 +68,7 @@ def delay_runs(two_queue, analyses):
 
 class TestCriterion1:
     def test_oracle_consistency(self, two_queue, two_queue_unbalanced):
-        instances = [two_queue, two_queue_unbalanced] + random_slack_instances(seed=2024, count=20)
+        instances = [two_queue, two_queue_unbalanced] + random_multiplier_instances(seed=2024, count=20)
         worst = 0.0
         v = 100.0
         for inst in instances:

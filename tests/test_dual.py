@@ -24,7 +24,7 @@ from olacsim.dual import (
     supergradient,
 )
 
-from conftest import make_instance, per_state_dual, random_slack_instances, single_state_instance, state_index
+from conftest import make_instance, per_state_dual, random_multiplier_instances, single_state_instance, state_index
 
 
 def one_d_crossing():
@@ -323,6 +323,33 @@ class TestMaxSlack:
         assert max_slack(inst, np.array([1.0])) <= 0
 
 
+# each function that takes state weights, called on them
+WEIGHTED = {
+    "primal_oracle": primal_oracle,
+    "max_slack": max_slack,
+    "maximize_dual": lambda inst, dist: maximize_dual(inst, dist, 10.0),
+    "dual_value": lambda inst, dist: dual_value(inst, dist, np.zeros(inst.r), 10.0),
+}
+BAD_WEIGHTS = {
+    "three-entries": ([0.5, 0.25, 0.25], r"shape \(3,\), expected \(4,\)"),
+    "nan": ([0.5, np.nan, 0.25, 0.25], "non-finite entry at state 1: nan"),
+    "negative": ([0.5, 0.5, 0.25, -0.25], "negative entry at state 3: -0.25"),
+    "inf": ([np.inf, 0.0, 0.0, 0.0], "non-finite entry at state 0: inf"),
+}
+
+
+@pytest.mark.parametrize("weights", BAD_WEIGHTS)
+@pytest.mark.parametrize("name", WEIGHTED)
+def test_bad_state_weights_rejected_before_any_lp(name, weights, monkeypatch):
+    inst = make_instance(1, [0.25] * 4, [[(0.0, [1.0], [0.0]), (1.0, [0.0], [2.0])]] * 4)
+    built = []
+    monkeypatch.setattr(olacsim.dual, "class_lp", lambda instance: built.append(instance))
+    dist, message = BAD_WEIGHTS[weights]
+    with pytest.raises(ValueError, match=message):
+        WEIGHTED[name](inst, np.array(dist))
+    assert built == []
+
+
 def start_bases(instance):
     """The (a, c, basis) each LP starts from: the policy and slack LPs as handed to ``solve_lp``, then the count LP."""
     starts = []
@@ -494,7 +521,7 @@ class TestAnalysis:
 
     def test_multiplier_magnitude_bound(self):
         # sum gamma*_j <= V f_max / eta_0 on random instances with slack
-        for inst in random_slack_instances(seed=11, count=8):
+        for inst in random_multiplier_instances(seed=11, count=8):
             pi = inst.probabilities
             eta_0 = max_slack(inst, pi)
             sol = primal_oracle(inst, pi)

@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -416,13 +418,17 @@ class TestKeptFactorisations:
         with pytest.raises(ValueError, match="read-only"):
             first.a[0, 0] = 1.0
 
-    def test_class_lp_memo_goes_with_its_instance(self):
-        # the whole entry goes: no value the instance keeps refers back to it
+    def test_derived_results_go_with_their_instance(self):
         instance = build_two_queue_example([0.25, 0.25, 0.25, 0.25])
-        key = id(instance)
         cfg = SimConfig(horizon=50, seed=0, controller=ControllerConfig("OLAC", 10.0))
         run(instance, cfg, compute_analysis(instance, 10.0).gamma_star)
-        assert set(olacsim.dual._STORES[key]) == {"class_lp", "eta_0", "policy", "olac_path"}
+        assert set(instance.derived) == {"class_lp", "eta_0", "policy", "olac_path"}
+        # a pickled copy, as a pool worker's task gets it, starts without them
+        copy = pickle.loads(pickle.dumps(instance))
+        assert copy == instance and copy.derived == {}
+        for array in vars(class_lp(instance)).values():
+            assert not isinstance(array, np.ndarray) or not array.flags.writeable
+        alive = weakref.ref(instance)
         del instance
         gc.collect()
-        assert key not in olacsim.dual._STORES
+        assert alive() is None

@@ -155,6 +155,26 @@ class TestAdjustTo:
         adjust_to(led, target, 100)
         assert np.array_equal(led.totals, target)
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ([1.0], "r-vector"),
+            ([1.0, 2.0, 3.0], "r-vector"),
+            ([-1.0, 1.0], "non-negative"),
+            ([np.nan, 1.0], "finite"),
+            ([1.0, np.inf], "finite"),
+            ([-np.inf, 1.0], "finite"),
+        ],
+        ids=["short", "long", "negative", "nan", "inf", "minus-inf"],
+    )
+    def test_bad_target_rejected(self, target, message):
+        led = ledger_with_chunks([(0, 3.0)], r=2)
+        with pytest.raises(ValueError, match=message):
+            adjust_to(led, target, 1)
+        # a rejected target leaves the ledger as it was
+        assert led.totals == [3.0, 0.0]
+        assert [list(q) for q in led.chunks] == [[[0, 3.0, False]], []]
+
 
 class TestDelayStats:
     def test_single_departure(self):

@@ -17,7 +17,7 @@ from olacsim.dual import primal_oracle
 from olacsim.model import load_instance_file
 from olacsim.sim import SimConfig, run
 
-from conftest import random_slack_instances
+from conftest import random_multiplier_instances
 from reference_run import reference_run
 
 DELAY_RTOL = 1e-12
@@ -74,10 +74,7 @@ RUNS = [
 
 # random instances with r up to 4 whose multiplier gamma* is clear of 0, so the
 # backlog and beta weigh in every decision
-RANDOM = [
-    instance for instance in random_slack_instances(1, 40, max_r=4)
-    if np.linalg.norm(primal_oracle(instance, instance.probabilities).multiplier_v1) > 0.1
-][:6]
+RANDOM = random_multiplier_instances(1, 6, max_r=4)
 
 
 def test_random_instances_cover_one_to_four_queues():

@@ -344,13 +344,13 @@ class TestKeptPath:
             run(instance, SimConfig(horizon=horizon, seed=seed, controller=ControllerConfig("OLAC", 20.0)),
                 gamma_star_100)
         assert learns == [200, 200, 300, 200]
-        assert olacsim.dual.instance_store(instance)["olac_path"][0] == (1, 200)
+        assert instance.derived["olac_path"][0] == (1, 200)
 
     def test_kept_path_is_one_row_per_segment(self, two_queue, gamma_star_100):
         instance = fresh_copy(two_queue)
         H = 20_000
         run(instance, SimConfig(horizon=H, seed=0, controller=ControllerConfig("OLAC", 100.0)), gamma_star_100)
-        key, starts, betas, _ = olacsim.dual.instance_store(instance)["olac_path"]
+        key, starts, betas, _ = instance.derived["olac_path"]
         assert key == (0, H)
         assert starts[0] == 0 and (np.diff(starts) > 0).all() and starts[-1] < H
         assert len(betas) == len(starts) > 1
