@@ -4,10 +4,12 @@
     python3 scripts/gate_outputs.py OUT_DIR
 
 Runs ``scenarios/smoke.json``, ``scenarios/three_queue_smoke.json`` (the
-three-queue instance file) and perfbench's ``delay_table`` and
-``assumption_sweep`` documents (``Workload.document(7)`` with
-``"trace": true``) through ``olacsim.cli.run_scenario`` at workers 1 and 2,
-into ``OUT_DIR/<name>_w<k>``. The olacsim that runs is the one under this
+three-queue instance file), ``three_queue_check`` (the three-queue scenario
+with the assumption check on, 20 perturbed slack LPs at r = 3) and
+perfbench's ``delay_table`` and ``assumption_sweep`` documents
+(``Workload.document(7)`` with ``"trace": true``) through
+``olacsim.cli.run_scenario`` at workers 1 and 2, into
+``OUT_DIR/<name>_w<k>``. The olacsim that runs is the one under this
 checkout's ``src/``.
 
 ``manifest.json`` records ``out_dir``, so run both sides into the same path
@@ -21,6 +23,7 @@ and move each side's result away before running the other:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -42,6 +45,10 @@ def main(argv=None, tiny: bool = False) -> int:
         sys.path.remove(PERFBENCH)
     cli = bench.Olacsim().cli  # imports olacsim from this checkout's src/, or fails
     scenarios = {name: cli.Scenario.from_file(path) for name, path in SCENARIOS.items()}
+    # loaded again, so that it starts on an instance without derived results
+    scenarios["three_queue_check"] = dataclasses.replace(
+        cli.Scenario.from_file(SCENARIOS["three_queue_smoke"]), assumption_check=True, perturbation_count=20
+    )
     for name, workload in bench.WORKLOADS.items():
         scenarios[name] = cli.Scenario.from_dict({**workload.document(SEED, tiny=tiny), "trace": True})
     failed = 0

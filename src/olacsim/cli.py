@@ -316,10 +316,15 @@ def _execute_seed(jobs):
 
 
 def _perturbed_distributions(pi: np.ndarray, count: int, eps: float, seed: int):
-    """Random valid distributions within L2 distance eps of pi."""
+    """Random valid distributions within L2 distance eps of pi.
+
+    A single state has no other distribution: every draw is pi.
+    """
+    m = pi.size
+    if m == 1:
+        return [pi.copy() for _ in range(count)]
     rng = np.random.default_rng(seed)
     out = []
-    m = pi.size
     while len(out) < count:
         direction = rng.normal(size=m)
         direction -= direction.mean()
@@ -363,7 +368,10 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     Oracles (gamma*, f*, eta_0, rho_hat, D_p) are computed once per V in the
     parent process; the V-independent policy and slack LPs are solved once,
     and the instance keeps them (``instance.derived``), so the learners
-    read the oracle's eta_0. The runs are grouped into one task per
+    read the oracle's eta_0. The assumption check runs after the oracles:
+    its perturbed slack LPs start from the nominal slack LP's optimal basis,
+    and the nominal LP is timed under ``compute_analysis``, not under the
+    check. The runs are grouped into one task per
     (controller, seed), which runs that seed's V values in scenario order:
     OLAC's beta path does not depend on V, so it is learned in the task's
     first run that succeeds, kept with the instance and scaled by V in the
@@ -394,12 +402,13 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     pi = instance.probabilities
     r = instance.r
 
-    # the perturbed distributions do not depend on V: one slack minimum per scenario
+    analyses = {v: dual.compute_analysis(instance, v, scenario.rho_seed) for v in sorted(scenario.V_values)}
+    # the perturbed distributions do not depend on V: one slack minimum per scenario; their
+    # slack LPs start from the optimal basis of the nominal one, which compute_analysis solved
     min_slack = None
     if scenario.assumption_check:
         perturbed = _perturbed_distributions(pi, scenario.perturbation_count, scenario.epsilon_s, scenario.rho_seed)
         min_slack = min(dual.max_slack(instance, p) for p in perturbed) if perturbed else None
-    analyses = {v: dual.compute_analysis(instance, v, scenario.rho_seed) for v in sorted(scenario.V_values)}
     oracle_rows = [_oracle_row(ana, instance, min_slack) for ana in analyses.values()]
     _write_csv(os.path.join(out_dir, "oracle.csv"), _oracle_columns(r), oracle_rows)
 

@@ -15,14 +15,16 @@ dual simplex from a dual feasible start basis (``_DualSimplex``):
   queue-row prices, the optimal multiplier; the slack LP (``max_slack``)
   gives eta_0. Both go through ``solve_lp``, each from a start basis of its
   own; at the true distribution each is solved once per instance and kept
-  in ``instance.derived``;
+  in ``instance.derived``, the slack LP with its optimal basis, from which
+  the slack LP at any other distribution starts;
 - ``maximize_dual`` maximizes g over the box 0 <= gamma <= xi =
   V*f_max/eta_0 exactly, as the prices of the same LP written with a
   shortfall column per queue (``_CountLP``); OLAC's learner keeps that LP's
   basis over a whole run.
 
 Analysis constants (slack eta_0, polyhedral decay rho, attraction radius
-D_p) are derived from these oracles.
+D_p) are derived from these oracles. The rho probe's random draws depend on
+its seed only, so the instance keeps them for every V.
 """
 from __future__ import annotations
 
@@ -233,7 +235,8 @@ def nominal_slack(instance: NetworkInstance) -> float:
 
     The slack has a slot of its own, apart from the policy LP's: the learners
     read the slack only, so an instance without slack, whose policy LP can be
-    infeasible, raises NoSlackError there.
+    infeasible, raises NoSlackError there. Its optimal basis sits next to it
+    (``slack_basis``), the start of every other distribution's slack LP.
     """
     if "eta_0" not in instance.derived:
         instance.derived["eta_0"] = max_slack(instance, instance.probabilities)
@@ -453,11 +456,18 @@ def max_slack(instance: NetworkInstance, dist) -> float:
 
     The slack LP maximizes eta = ep - en subject to
     sum_cx services_cx,j y_cx - ep + en - u_j = (mean folded arrivals)_j on
-    ``class_lp``'s columns. ``solve_lp`` starts it from ``min_drift_cols``,
+    ``class_lp``'s columns. May be <= 0, which signals that no randomized
+    policy stabilizes the given distribution with slack.
+
+    At the true distribution ``solve_lp`` starts it from ``min_drift_cols``,
     ep on queue row 1 and u_j for j >= 2: its prices are e_1 on the queue
-    rows, so every reduced cost is >= 0 on any instance. May be <= 0, which
-    signals that no randomized policy stabilizes the given distribution with
-    slack.
+    rows, so every reduced cost is >= 0 on any instance. The instance keeps
+    the optimal basis of that solve (``instance.derived["slack_basis"]``). At
+    any other distribution only the right-hand side differs, so that basis is
+    still dual feasible and the LP starts from it, usually zero or a few
+    pivots from optimal; the true distribution's LP is solved first
+    (``nominal_slack``) if the instance does not keep its basis yet, so no
+    result depends on the order of calls.
     """
     dist = _check_weights(instance, dist)
     lp = class_lp(instance)
@@ -466,10 +476,18 @@ def max_slack(instance: NetworkInstance, dist) -> float:
     extra[n_class:] = np.hstack([-np.ones((r, 1)), np.ones((r, 1)), -np.eye(r)])
     c = np.zeros(n_y + r + 2)
     c[n_y : n_y + 2] = -1.0, 1.0
-    basis = np.concatenate([lp.min_drift_cols, [n_y], np.arange(n_y + 3, n_y + r + 2)])
+    nominal = np.array_equal(dist, instance.probabilities)
+    if nominal:
+        basis = np.concatenate([lp.min_drift_cols, [n_y], np.arange(n_y + 3, n_y + r + 2)])
+    else:
+        if "slack_basis" not in instance.derived:
+            nominal_slack(instance)
+        basis = instance.derived["slack_basis"]
     x, basis, _ = solve_lp(np.hstack([lp.a, extra]), c, basis, lp.rhs @ dist)
     if x is None:
         raise RuntimeError("slack LP infeasible, which its free eta rules out")
+    if nominal:
+        instance.derived["slack_basis"] = _frozen(basis)
     return 0.0 - float(c[basis] @ x)  # 0.0 - x turns an optimum of -0.0 into 0.0
 
 
@@ -512,6 +530,30 @@ def _class_dual_values(instance: NetworkInstance, dist, gammas: np.ndarray, V: f
 RHO_SAMPLES = 512
 
 
+def _rho_draws(instance: NetworkInstance, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's raw draws for ``seed``: (directions, units), kept on the instance.
+
+    Each draw is a direction ``rng.normal(size=r)`` and, unless the
+    direction is shorter than 1e-12, a unit shell ``rng.random()``. They do
+    not depend on V or on the probe's centre, so the instance keeps the last
+    seed's draws (``instance.derived["rho_draws"]``) and every V of a sweep
+    reads them; another seed draws anew.
+    """
+    kept = instance.derived.get("rho_draws")
+    if kept is None or kept[0] != seed:
+        rng = np.random.default_rng(seed)
+        directions, units = [], []
+        for _ in range(RHO_SAMPLES):
+            direction = rng.normal(size=instance.r)
+            if math.hypot(*direction.tolist()) < 1e-12:
+                continue
+            directions.append(direction)
+            units.append(rng.random())
+        directions = np.array(directions).reshape(-1, instance.r)
+        kept = instance.derived["rho_draws"] = (seed, _frozen(directions), _frozen(np.array(units)))
+    return kept[1], kept[2]
+
+
 def estimate_polyhedral_rho(instance: NetworkInstance, dist, V: float, gamma_star, seed: int = 0) -> float:
     """Sampled lower-decay-rate of the dual around its maximizer ``gamma_star >= 0``.
 
@@ -522,26 +564,18 @@ def estimate_polyhedral_rho(instance: NetworkInstance, dist, V: float, gamma_sta
     flags that the polyhedral decay condition is not numerically confirmed.
     This is a probe, not a proof.
 
-    Each draw is a direction ``rng.normal(size=r)`` and, unless the
-    direction is shorter than 1e-12, a shell ``rng.random()``; points closer
-    than 1e-6 to gamma_star are dropped. Then gamma_star and every kept
-    point are scored in one ``_class_dual_values`` call.
+    The directions and unit shells come from ``_rho_draws`` (drawn once per
+    seed and instance); each shell is radius * unit. Points closer than 1e-6
+    to gamma_star are dropped. Then gamma_star and every kept point are
+    scored in one ``_class_dual_values`` call.
     """
     gamma_star, dist = _check_dims(instance, gamma_star, dist)
     if (gamma_star < 0).any():
         raise ValueError(f"the probe's centre must be >= 0, got {gamma_star}")
     radius = max(1.0, 0.05 * float(np.linalg.norm(gamma_star)))
-    rng = np.random.default_rng(seed)
-    directions, shells = [], []
-    for _ in range(RHO_SAMPLES):
-        direction = rng.normal(size=instance.r)
-        if math.hypot(*direction.tolist()) < 1e-12:
-            continue
-        directions.append(direction)
-        shells.append(radius * rng.random())
-    directions = np.array(directions).reshape(-1, instance.r)
+    directions, units = _rho_draws(instance, seed)
     norms = np.sqrt((directions * directions).sum(axis=-1))
-    points = np.maximum(gamma_star + np.array(shells)[:, None] * directions / norms[:, None], 0.0)
+    points = np.maximum(gamma_star + (radius * units)[:, None] * directions / norms[:, None], 0.0)
     offsets = points - gamma_star
     d = np.sqrt((offsets * offsets).sum(axis=-1))
     kept = d >= 1e-6

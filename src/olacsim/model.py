@@ -74,9 +74,12 @@ class NetworkInstance:
     are shared across concurrent runs.
 
     ``derived`` keeps what the instance alone determines, each entry filled
-    once on first use (``dual.class_lp``, ``dual.nominal_slack``,
-    ``dual.compute_analysis``'s policy LP and ``sim``'s last OLAC path). It
-    is not compared, and a pickled copy starts without it.
+    once on first use: ``class_lp`` (``dual.class_lp``), ``eta_0`` and
+    ``slack_basis`` (``dual.nominal_slack`` and the optimal basis of its slack
+    LP), ``policy`` (``dual.compute_analysis``'s policy LP), and the last one
+    made of ``rho_draws`` (the rho probe's draws, per seed) and ``olac_path``
+    (``sim``'s OLAC path, per seed and horizon). It is not compared, and a
+    pickled copy starts without it.
     """
 
     def __init__(self, r: int, states: tuple[StateSpec, ...] | list[StateSpec]):

@@ -829,6 +829,24 @@ class TestMainEntry:
         assert all(r["error"].startswith("NoSlackError: OLAC2: ") and "eta_0 = 0" in r["error"] for r in failed)
         assert "OLAC2" in capsys.readouterr().err
 
+    def test_assumption_check_on_one_state(self, tmp_path):
+        from olacsim.model import serialize_instance
+
+        from conftest import single_state_instance
+
+        # one state has no other distribution: every perturbed draw is pi, and its slack is eta_0
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(serialize_instance(
+            single_state_instance([(0.0, [1.0], [0.0]), (1.0, [1.0], [2.0])])
+        )))
+        assert [p.tolist() for p in _perturbed_distributions(np.array([1.0]), 3, 0.05, 0)] == [[1.0]] * 3
+        doc = smoke_doc(instance={"file": str(inst)}, controllers=[{"kind": "Backpressure"}], V_values=[10],
+                        seeds=[0], horizon=20, assumption_check=True, perturbation_count=4)
+        manifest = run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path / "out"))
+        assert manifest["failed"] == 0
+        [row] = read_csv(tmp_path / "out" / "oracle.csv")
+        assert row["min_perturbed_slack"] == row["eta_0"] == "1.0"
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_run_verb_rejects_workers_below_one(self, tmp_path, capsys, workers):
         scen = tmp_path / "scen.json"

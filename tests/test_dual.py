@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from olacsim.dual import (
     estimate_polyhedral_rho,
     max_slack,
     maximize_dual,
+    nominal_slack,
     primal_oracle,
     solve_lp,
     supergradient,
 )
+from olacsim.cli import _perturbed_distributions
+from olacsim.model import NetworkInstance, StateSpec, build_two_queue_example, load_instance_file
 
 from conftest import make_instance, per_state_dual, random_multiplier_instances, single_state_instance, state_index
 
@@ -323,6 +327,65 @@ class TestMaxSlack:
         assert max_slack(inst, np.array([1.0])) <= 0
 
 
+THREE_QUEUE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "instances", "three_queue.json")
+
+
+def with_distribution(instance, dist):
+    """``instance`` with ``dist`` as its true distribution: its slack LP at ``dist`` takes the cold start."""
+    return NetworkInstance(instance.r, [StateSpec(float(p), s.actions) for p, s in zip(dist, instance.states)])
+
+
+def perturbed(instance, seeds, count=5):
+    """The assumption check's draws at epsilon_s = 0.05, ``count`` per seed."""
+    return [p for seed in seeds for p in _perturbed_distributions(instance.probabilities, count, 0.05, seed)]
+
+
+class TestWarmSlack:
+    """Away from the true distribution the slack LP starts from the nominal LP's optimal basis."""
+
+    @pytest.mark.parametrize("name", ["two_queue", "two_queue_unbalanced", "three_queue"])
+    def test_shipped_instances_match_the_cold_start_bit_for_bit(self, name, request):
+        instance = load_instance_file(THREE_QUEUE) if name == "three_queue" else request.getfixturevalue(name)
+        for dist in perturbed(instance, range(20)):
+            assert max_slack(instance, dist) == max_slack(with_distribution(instance, dist), dist)
+
+    def test_random_instances_match_the_cold_start(self):
+        # a degenerate optimum can end on another basis, whose sums round differently
+        for instance in random_multiplier_instances(seed=5, count=12, max_r=4):
+            for dist in perturbed(instance, range(2)):
+                cold = max_slack(with_distribution(instance, dist), dist)
+                assert max_slack(instance, dist) == pytest.approx(cold, rel=1e-12, abs=0)
+
+    def test_order_of_calls_changes_no_bit(self):
+        first = build_two_queue_example([0.1, 0.4, 0.4, 0.1])
+        dists = perturbed(first, [4], count=3)
+        # a perturbed distribution first solves the nominal LP on the way
+        warm_first = [max_slack(first, dist) for dist in dists]
+        assert set(first.derived) == {"class_lp", "eta_0", "slack_basis"}
+        second = build_two_queue_example([0.1, 0.4, 0.4, 0.1])
+        eta_0 = nominal_slack(second)
+        assert nominal_slack(first).hex() == eta_0.hex()
+        assert [max_slack(second, dist) for dist in dists] == warm_first
+        assert first.derived["slack_basis"].tobytes() == second.derived["slack_basis"].tobytes()
+        assert not first.derived["slack_basis"].flags.writeable
+
+    def test_one_lp_a_call(self, monkeypatch):
+        instance = build_two_queue_example([0.1, 0.4, 0.4, 0.1])
+        dist = perturbed(instance, [0], count=1)[0]
+        solves = []
+
+        def counting(*args):
+            solves.append(args[2].copy())
+            return solve_lp(*args)
+
+        monkeypatch.setattr(olacsim.dual, "solve_lp", counting)
+        max_slack(instance, dist)  # the nominal LP, then the perturbed one from its basis
+        max_slack(instance, dist)
+        assert len(solves) == 3
+        assert solves[1].tolist() == solves[2].tolist() == instance.derived["slack_basis"].tolist()
+        assert solves[0].tolist() != solves[1].tolist()
+
+
 # each function that takes state weights, called on them
 WEIGHTED = {
     "primal_oracle": primal_oracle,
@@ -481,6 +544,36 @@ def rho_per_sample(instance, dist, V, gamma_star, seed=0):
             continue
         rho = min(rho, (g_star - dual_value(instance, dist, point, V)) / d)
     return float(rho) if math.isfinite(rho) else 0.0
+
+
+class TestRhoDraws:
+    """The probe's draws are kept on the instance for the last seed, and every V reads them."""
+
+    def test_every_v_matches_a_fresh_instance(self):
+        instance = build_two_queue_example([0.1, 0.4, 0.4, 0.1])
+        dist = instance.probabilities
+        for V in (20.0, 50.0, 100.0, 200.0):
+            gamma_star = V * primal_oracle(instance, dist).multiplier_v1
+            fresh = build_two_queue_example([0.1, 0.4, 0.4, 0.1])
+            rho = estimate_polyhedral_rho(instance, dist, V, gamma_star, seed=9)
+            assert rho.hex() == estimate_polyhedral_rho(fresh, dist, V, gamma_star, seed=9).hex()
+            assert instance.derived["rho_draws"][0] == 9
+
+    def test_a_new_seed_draws_again(self):
+        instance = build_two_queue_example([0.25, 0.25, 0.25, 0.25])
+        dist = instance.probabilities
+        gamma_star = 100.0 * primal_oracle(instance, dist).multiplier_v1
+        rhos = {}
+        for seed in (0, 3, 0):
+            rho = estimate_polyhedral_rho(instance, dist, 100.0, gamma_star, seed)
+            assert rho.hex() == rhos.setdefault(seed, rho).hex()
+            assert instance.derived["rho_draws"][0] == seed
+            assert rho.hex() == estimate_polyhedral_rho(
+                build_two_queue_example([0.25] * 4), dist, 100.0, gamma_star, seed
+            ).hex()
+        assert rhos[0] != rhos[3]
+        for array in instance.derived["rho_draws"][1:]:
+            assert not array.flags.writeable
 
 
 class TestRhoAgainstPerSampleLoop:
