@@ -18,7 +18,6 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -182,6 +181,7 @@ FIELDS = {
     # true distribution: a negative, zero, NaN or infinite radius can stall it
     "epsilon_s": Field(read_number, 0.05, "positive and finite"),
     "workers": Field(read_int, 1, ">= 1"),
+    # seeds the assumption check's perturbed distributions
     "rho_seed": Field(read_int, 0, ">= 0"),
     # older documents, and perfbench's generated ones, still carry it
     "metric_sample_period": Field(None, None),
@@ -366,9 +366,10 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     """Execute the sweep; returns the manifest dict (also written to disk).
 
     Oracles (gamma*, f*, eta_0, rho_hat, D_p) are computed once per V in the
-    parent process; the V-independent policy and slack LPs are solved once,
-    and the instance keeps them (``instance.derived``), so the learners
-    read the oracle's eta_0. The assumption check runs after the oracles:
+    parent process; the V-independent policy and slack LPs and the decay
+    rate rho are computed once, and the instance keeps them
+    (``instance.derived``), so the learners read the oracle's eta_0. The
+    assumption check runs after the oracles:
     its perturbed slack LPs start from the nominal slack LP's optimal basis,
     and the nominal LP is timed under ``compute_analysis``, not under the
     check. The runs are grouped into one task per
@@ -402,7 +403,7 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     pi = instance.probabilities
     r = instance.r
 
-    analyses = {v: dual.compute_analysis(instance, v, scenario.rho_seed) for v in sorted(scenario.V_values)}
+    analyses = {v: dual.compute_analysis(instance, v) for v in sorted(scenario.V_values)}
     # the perturbed distributions do not depend on V: one slack minimum per scenario; their
     # slack LPs start from the optimal basis of the nominal one, which compute_analysis solved
     min_slack = None
@@ -427,6 +428,9 @@ def run_scenario(scenario: Scenario, out_dir=None, workers=None, trace=None) -> 
     # a fork pool starts all its processes at once, so it gets no more than there are tasks
     workers = min(workers, len(tasks))
     if workers > 1:
+        # imported here: multiprocessing stays unloaded in a sweep without a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_seed, tasks, chunksize=1))
     else:
@@ -559,7 +563,7 @@ def _cmd_oracle(args) -> int:
         if value is not None:  # min_perturbed_slack: a sweep's assumption check fills it
             print(f"{name:<20}{_fmt(value)}")
     if ana.rho_hat <= 0:
-        print("warning: polyhedral decay not numerically confirmed (rho_hat <= 0)")
+        print("warning: the dual has no polyhedral decay at its maximizer (rho_hat = 0), so eta and D_p are undefined")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_csv(os.path.join(args.out, "oracle.csv"), _oracle_columns(instance.r), [row])

@@ -23,11 +23,14 @@ dual simplex from a dual feasible start basis (``_DualSimplex``):
   basis over a whole run.
 
 Analysis constants (slack eta_0, polyhedral decay rho, attraction radius
-D_p) are derived from these oracles. The rho probe's random draws depend on
-its seed only, so the instance keeps them for every V.
+D_p) are derived from these oracles. rho is exact: the smallest support
+value of the dual's superdifferential at its maximizer, over the facet
+normals of that Minkowski sum (``estimate_polyhedral_rho``). It does not
+depend on V, so the instance keeps it, with a direction that attains it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -491,126 +494,142 @@ def max_slack(instance: NetworkInstance, dist) -> float:
     return 0.0 - float(c[basis] @ x)  # 0.0 - x turns an optimum of -0.0 into 0.0
 
 
-# score cells (multipliers x class slots) that _class_dual_values builds at once:
-# 64 KiB a temporary; blocks of 1 << 17 cells raised a sweep's peak RSS by
-# about 1 MiB
-SCORE_CELLS = 1 << 13
+# scores within RHO_TIE_TOL times the size of their terms of a class's minimum tie
+# at the V = 1 multiplier, and a multiplier entry within it of 0 is on the boundary
+RHO_TIE_TOL = 1e-9
 
 
-def _class_dual_values(instance: NetworkInstance, dist, gammas: np.ndarray, V: float) -> np.ndarray:
-    """The dual at each row of the (S, r) array ``gammas >= 0``, on ``class_lp``'s tables.
+def nominal_policy(instance: NetworkInstance) -> PrimalSolution:
+    """``primal_oracle`` at the true distribution, solved once per instance (``instance.derived["policy"]``)."""
+    if "policy" not in instance.derived:
+        instance.derived["policy"] = primal_oracle(instance, instance.probabilities)
+    return instance.derived["policy"]
 
-    g(gamma) = w . min over slots of (V*base + drift . gamma), plus
-    gamma . a_bar, where w and a_bar are the class and queue rows of
-    rhs @ dist: a folded class's arrivals do not depend on its action, so
-    they leave its minimum as the term gamma . a_bar. Pruning keeps each
-    class's smallest score for gamma >= 0 only (``DualTables``), so a
-    negative multiplier can read too high. Every product is elementwise and
-    summed in a fixed order, drift . gamma one queue at a time; the rows are
-    scored SCORE_CELLS cells at a time.
+
+def _normals(edges: np.ndarray) -> np.ndarray:
+    """The generalized cross product of each (r-1, r) block of the (N, r-1, r) array ``edges``: (N, r).
+
+    Entry j is (-1)^j times the minor of the block without column j, each
+    minor a Leibniz sum of elementwise products; the normal is orthogonal to
+    every row of its block, and 0 when the rows are dependent. With r = 1 a
+    block is empty and its normal is 1.
+    """
+    n, k, r = edges.shape
+    normals = np.zeros((n, r))
+    for j in range(r):
+        cols = [col for col in range(r) if col != j]
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            term = np.full(n, (-1.0) ** (j + inversions))
+            for row, col in enumerate(perm):
+                term = term * edges[:, row, cols[col]]
+            normals[:, j] += term
+    return normals
+
+
+def estimate_polyhedral_rho(instance: NetworkInstance) -> tuple[float, np.ndarray]:
+    """The exact polyhedral decay rate of the dual at its maximizer, and a unit direction that attains it.
+
+    rho is the largest constant with g(gamma*) - g(gamma) >= rho ||gamma - gamma*||
+    for every gamma >= 0. g is concave, so the ratio never falls along a ray
+    out of gamma*, and rho is the smallest one-sided rate -g'(gamma*; d) over
+    unit directions d with d_j >= 0 wherever gamma*_j = 0. By g_V(V gamma) =
+    V g_1(gamma) it is the same at every V, so it is computed at the V = 1
+    multiplier gamma*_1 (``nominal_policy``) on ``class_lp``'s tables, where
+    g(gamma) = sum_c w_c min_x (base_cx + drift_cx . gamma) + gamma . a_bar,
+    with w and a_bar the class and queue rows of rhs @ pi.
+
+    Each class c has a tie set T_c at gamma*_1: the slots whose score lies
+    within RHO_TIE_TOL of the class minimum, relative to the size of the
+    scores' terms; queue j is on the boundary (j in Z) when gamma*_1j is 0
+    within that tolerance. With v = -d, -g'(gamma*; d) is
+
+        h(v) = sum_c w_c max_{x in T_c} v . drift_cx + v . a_bar,
+
+    the support function of the superdifferential, a Minkowski sum, plus the
+    cone of e_j for j in Z (it adds nothing where v_j <= 0 on Z). The
+    minimum of h over unit v lies at a facet normal of that sum, and every
+    facet normal is orthogonal to r - 1 of its edge directions (Fukuda, J.
+    Symb. Comp. 2004): the differences of tied drifts within a class, and
+    e_j for j in Z. These span every queue: the policy LP's optimal basis is
+    nonsingular, its action columns are tied and its basic surplus columns
+    are queues in Z. So the candidates are +-e_j and both signs of the
+    normal (``_normals``) of every (r - 1)-subset of the edge directions.
+    Candidates with v_j > 0 for some j in Z leave the box and are dropped;
+    rho is the smallest h of the others, clamped at 0, and 0 where 0 lies
+    on the sum's boundary.
+
+    Every product is elementwise and summed one queue at a time, so gamma*
+    enters only through the tie test, and rho does not move with the BLAS
+    kernel that solved the policy LP.
     """
     lp = class_lp(instance)
     n_class, width = lp.shape
-    weights = (lp.rhs * dist).sum(axis=-1)
-    w, a_bar = weights[:n_class], weights[n_class:]
-    base = V * lp.base
-    values = np.empty(len(gammas))
-    rows = max(1, SCORE_CELLS // base.size)
-    for start in range(0, len(gammas), rows):
-        block = gammas[start : start + rows]
-        drift_gamma = block[:, :1] * lp.drift[:, 0]
-        for j in range(1, instance.r):
-            drift_gamma += block[:, j : j + 1] * lp.drift[:, j]
-        mins = (base + drift_gamma).reshape(len(block), n_class, width).min(axis=2)
-        values[start : start + rows] = (mins * w).sum(axis=-1) + (block * a_bar).sum(axis=-1)
-    return values
+    r = instance.r
+    gamma = nominal_policy(instance).multiplier_v1
+    score, size = lp.base.copy(), np.abs(lp.base)
+    for j in range(r):
+        score += lp.drift[:, j] * gamma[j]
+        size += np.abs(lp.drift[:, j] * gamma[j])
+    score = score.reshape(n_class, width)
+    tol = RHO_TIE_TOL * (1.0 + size[np.isfinite(size)].max(initial=0.0))
+    tied = (score <= score.min(axis=1, keepdims=True) + tol).ravel()
+    boundary = gamma <= RHO_TIE_TOL * (1.0 + gamma.max(initial=0.0))
 
+    drift = lp.drift[tied]
+    tied_class = np.repeat(np.arange(n_class), width)[tied]
+    pairs = [(x, y) for x, y in itertools.combinations(range(tied_class.size), 2) if tied_class[x] == tied_class[y]]
+    edges = np.vstack([np.eye(r)[boundary], *(drift[x] - drift[y] for x, y in pairs)])
+    lengths = np.sqrt((edges * edges).sum(axis=-1))
+    edges = edges[lengths > 0] / lengths[lengths > 0, None]
+    subsets = list(itertools.combinations(range(len(edges)), r - 1))
+    normals = _normals(edges[np.array(subsets, dtype=int).reshape(len(subsets), r - 1)])
+    # of unit edges a normal is as long as the sine volume they span: below 1e-12 they are dependent
+    lengths = np.sqrt((normals * normals).sum(axis=-1))
+    normals = normals[lengths > 1e-12] / lengths[lengths > 1e-12, None]
+    candidates = np.vstack([np.eye(r), -np.eye(r), normals, -normals])
+    candidates = candidates[(candidates[:, boundary] <= 0.0).all(axis=1)]
 
-# points the polyhedral-decay probe samples
-RHO_SAMPLES = 512
-
-
-def _rho_draws(instance: NetworkInstance, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The probe's raw draws for ``seed``: (directions, units), kept on the instance.
-
-    Each draw is a direction ``rng.normal(size=r)`` and, unless the
-    direction is shorter than 1e-12, a unit shell ``rng.random()``. They do
-    not depend on V or on the probe's centre, so the instance keeps the last
-    seed's draws (``instance.derived["rho_draws"]``) and every V of a sweep
-    reads them; another seed draws anew.
-    """
-    kept = instance.derived.get("rho_draws")
-    if kept is None or kept[0] != seed:
-        rng = np.random.default_rng(seed)
-        directions, units = [], []
-        for _ in range(RHO_SAMPLES):
-            direction = rng.normal(size=instance.r)
-            if math.hypot(*direction.tolist()) < 1e-12:
-                continue
-            directions.append(direction)
-            units.append(rng.random())
-        directions = np.array(directions).reshape(-1, instance.r)
-        kept = instance.derived["rho_draws"] = (seed, _frozen(directions), _frozen(np.array(units)))
-    return kept[1], kept[2]
-
-
-def estimate_polyhedral_rho(instance: NetworkInstance, dist, V: float, gamma_star, seed: int = 0) -> float:
-    """Sampled lower-decay-rate of the dual around its maximizer ``gamma_star >= 0``.
-
-    Draws RHO_SAMPLES points on shells of distance up to
-    max(1, 0.05 * ||gamma_star||) around gamma_star (projected onto the
-    non-negative orthant) and returns the minimum of
-    (g(gamma_star) - g(gamma)) / ||gamma_star - gamma||. Non-positive output
-    flags that the polyhedral decay condition is not numerically confirmed.
-    This is a probe, not a proof.
-
-    The directions and unit shells come from ``_rho_draws`` (drawn once per
-    seed and instance); each shell is radius * unit. Points closer than 1e-6
-    to gamma_star are dropped. Then gamma_star and every kept point are
-    scored in one ``_class_dual_values`` call.
-    """
-    gamma_star, dist = _check_dims(instance, gamma_star, dist)
-    if (gamma_star < 0).any():
-        raise ValueError(f"the probe's centre must be >= 0, got {gamma_star}")
-    radius = max(1.0, 0.05 * float(np.linalg.norm(gamma_star)))
-    directions, units = _rho_draws(instance, seed)
-    norms = np.sqrt((directions * directions).sum(axis=-1))
-    points = np.maximum(gamma_star + (radius * units)[:, None] * directions / norms[:, None], 0.0)
-    offsets = points - gamma_star
-    d = np.sqrt((offsets * offsets).sum(axis=-1))
-    kept = d >= 1e-6
-    g = _class_dual_values(instance, dist, np.vstack([gamma_star, points[kept]]), V)
-    rho = float(((g[0] - g[1:]) / d[kept]).min(initial=math.inf))
-    return rho if math.isfinite(rho) else 0.0
+    weights = (lp.rhs * instance.probabilities).sum(axis=-1)
+    dots = candidates[:, :1] * drift[:, 0]
+    support = candidates[:, 0] * weights[n_class]
+    for j in range(1, r):
+        dots += candidates[:, j : j + 1] * drift[:, j]
+        support += candidates[:, j] * weights[n_class + j]
+    starts = np.flatnonzero(np.diff(tied_class, prepend=-1))
+    support += (np.maximum.reduceat(dots, starts, axis=1) * weights[tied_class[starts]]).sum(axis=-1)
+    best = int(support.argmin())
+    return max(float(support[best]), 0.0), _frozen(0.0 - candidates[best])
 
 
 # eta as a fraction of rho_hat
 ETA_FRACTION = 0.1
 
 
-def compute_analysis(instance: NetworkInstance, V: float, rho_seed: int = 0) -> InstanceAnalysis:
+def compute_analysis(instance: NetworkInstance, V: float) -> InstanceAnalysis:
     """Oracle bundle per (instance, V) at the true distribution: optimum, multiplier, slack, rho_hat, eta, D_p.
 
     gamma_star is V times the policy LP's dual prices, and g_star the dual
     function evaluated there on the full tables (``dual_value``), so that
     g_star = V*f_av_star (strong duality) checks the LP's prices against an
     independent evaluation, and g_star <= V*f_av_star (weak duality) holds
-    for any multiplier. The policy LP and the slack LP do not depend on V:
+    for any multiplier. The policy LP, the slack LP and the decay rate rho
+    (``estimate_polyhedral_rho``, with its direction) do not depend on V:
     the instance keeps them (``instance.derived``).
 
     eta = ETA_FRACTION * rho_hat; any fraction in (0, 1) yields a valid drift
     margin. D_p = (B - eta^2)/(2(rho_hat - eta)) is increasing in eta, so the
     small fraction keeps the convergence-measurement radius close to its
     minimum B/(2 rho_hat), which matters on instances whose dual has shallow
-    directions (large D_p otherwise swallows the whole approach path).
+    directions (large D_p otherwise swallows the whole approach path). Where
+    rho_hat = 0, eta and D_p are NaN.
     """
-    dist = instance.probabilities
-    if "policy" not in instance.derived:
-        instance.derived["policy"] = primal_oracle(instance, dist)
-    policy = instance.derived["policy"]
+    policy = nominal_policy(instance)
     gamma_star = V * policy.multiplier_v1
-    g_star = dual_value(instance, dist, gamma_star, V)
-    rho_hat = estimate_polyhedral_rho(instance, dist, V, gamma_star, seed=rho_seed)
+    g_star = dual_value(instance, instance.probabilities, gamma_star, V)
+    if "rho" not in instance.derived:
+        instance.derived["rho"] = estimate_polyhedral_rho(instance)
+    rho_hat = instance.derived["rho"][0]
     if rho_hat > 0:
         eta = ETA_FRACTION * rho_hat
         d_p = (instance.B - eta**2) / (2.0 * (rho_hat - eta))

@@ -76,10 +76,10 @@ class NetworkInstance:
     ``derived`` keeps what the instance alone determines, each entry filled
     once on first use: ``class_lp`` (``dual.class_lp``), ``eta_0`` and
     ``slack_basis`` (``dual.nominal_slack`` and the optimal basis of its slack
-    LP), ``policy`` (``dual.compute_analysis``'s policy LP), and the last one
-    made of ``rho_draws`` (the rho probe's draws, per seed) and ``olac_path``
-    (``sim``'s OLAC path, per seed and horizon). It is not compared, and a
-    pickled copy starts without it.
+    LP), ``policy`` (``dual.nominal_policy``, the policy LP), ``rho``
+    (``dual.estimate_polyhedral_rho``'s decay rate and its direction), and
+    the last ``olac_path`` made (``sim``'s OLAC path, per seed and horizon).
+    It is not compared, and a pickled copy starts without it.
     """
 
     def __init__(self, r: int, states: tuple[StateSpec, ...] | list[StateSpec]):

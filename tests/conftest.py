@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from olacsim.dual import InfeasibleInstanceError, max_slack, primal_oracle
+from olacsim.dual import InfeasibleInstanceError, class_lp, max_slack, primal_oracle
 from olacsim.learning import dual_learn
 from olacsim.model import ActionSpec, NetworkInstance, StateSpec, build_two_queue_example
 
@@ -34,6 +34,15 @@ def make_instance(r, probs, actions_per_state):
 
 def single_state_instance(actions, r=1):
     return make_instance(r, [1.0], [actions])
+
+
+def flat_dual():
+    """One state, one queue, actions (cost 0, drift 0) and (cost 1, drift -1).
+
+    Its dual min(0, 1 - gamma) is flat on [0, 1], so it has no polyhedral
+    decay at gamma* = 0; it has service slack, so every controller runs on it.
+    """
+    return single_state_instance([(0.0, [0.0], [0.0]), (1.0, [0.0], [1.0])])
 
 
 def per_state_dual(instance, state_id, gamma, V):
@@ -98,6 +107,41 @@ def random_multiplier_instances(seed, count, **kwargs):
         except InfeasibleInstanceError:
             continue
     return out
+
+
+# score cells (multipliers x class slots) that class_dual_values builds at once:
+# 64 KiB a temporary
+SCORE_CELLS = 1 << 13
+
+
+def class_dual_values(instance, dist, gammas, V):
+    """The dual at each row of the (S, r) array ``gammas >= 0``, on ``class_lp``'s tables: the grid oracle.
+
+    g(gamma) = w . min over slots of (V*base + drift . gamma), plus
+    gamma . a_bar, where w and a_bar are the class and queue rows of
+    rhs @ dist: a folded class's arrivals do not depend on its action, so
+    they leave its minimum as the term gamma . a_bar. Pruning keeps each
+    class's smallest score for gamma >= 0 only (``DualTables``), so a
+    negative multiplier can read too high. Every product is elementwise and
+    summed in a fixed order, drift . gamma one queue at a time; the rows are
+    scored SCORE_CELLS cells at a time. It scores many multipliers in one
+    call, where ``dual.dual_value`` takes one.
+    """
+    lp = class_lp(instance)
+    n_class, width = lp.shape
+    weights = (lp.rhs * dist).sum(axis=-1)
+    w, a_bar = weights[:n_class], weights[n_class:]
+    base = V * lp.base
+    values = np.empty(len(gammas))
+    rows = max(1, SCORE_CELLS // base.size)
+    for start in range(0, len(gammas), rows):
+        block = gammas[start : start + rows]
+        drift_gamma = block[:, :1] * lp.drift[:, 0]
+        for j in range(1, instance.r):
+            drift_gamma += block[:, j : j + 1] * lp.drift[:, j]
+        mins = (base + drift_gamma).reshape(len(block), n_class, width).min(axis=2)
+        values[start : start + rows] = (mins * w).sum(axis=-1) + (block * a_bar).sum(axis=-1)
+    return values
 
 
 def state_index(a1_on, a2_on, c1_idx, c2_idx):

@@ -236,8 +236,8 @@ class TestCriterion5:
     def test_queue_law_v_independence(self, two_queue, analyses):
         """theta = kappa (ln V)^2, with kappa set so that the smallest theta clears the boundary.
 
-        kappa = 1 + D_p / (ln 100)^2 (7.7 here; D_p = 142.9 is the attraction
-        radius from the analysis), so theta is 164 / 278 / 421 per queue at
+        kappa = 1 + D_p / (ln 100)^2 (7.8 here; D_p = 143.9 is the attraction
+        radius from the analysis), so theta is 165 / 279 / 424 per queue at
         V = 100 / 400 / 1600. That keeps the paper's theta ~ (log V)^2 and its
         2.6x spread of sum(theta) over the grid, so an offset that grows in
         proportion to theta cannot pass the 2C cap. The backlog is the mean over
@@ -246,7 +246,7 @@ class TestCriterion5:
         most 1e-3 of the measured slots may have an empty queue.
 
         Measured (V=100 over seeds 0-9, V=400/1600 over seeds 0-4):
-        |backlog - sum theta| = 22.4 / 30.4 / 30.5, cap 2C = 44.8, no empty
+        |backlog - sum theta| = 22.4 / 30.4 / 30.4, cap 2C = 44.8, no empty
         slot. The V=100 offset is the smaller one for the reason in the class
         docstring.
         """

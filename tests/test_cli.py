@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -23,7 +24,9 @@ from olacsim.cli import (
     run_scenario,
 )
 from olacsim.dual import compute_analysis
-from olacsim.model import InstanceError, read_bool, read_int, read_number, read_str
+from olacsim.model import InstanceError, read_bool, read_int, read_number, read_str, serialize_instance
+
+from conftest import flat_dual
 
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -460,7 +463,8 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("workers, runs, pool_size", [(5000, 2, 2), (2, 1, None), (2, 3, 2)])
     def test_pool_never_larger_than_the_sweep(self, tmp_path, monkeypatch, workers, runs, pool_size):
-        import olacsim.cli
+        # run_scenario imports the pool from concurrent.futures when it starts one
+        import concurrent.futures
 
         sizes = []
 
@@ -477,11 +481,19 @@ class TestRunScenario:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(olacsim.cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         doc = smoke_doc(controllers=[{"kind": "Backpressure"}], seeds=list(range(runs)), horizon=20, workers=workers)
         manifest = run_scenario(Scenario.from_dict(doc), out_dir=str(tmp_path))
         assert len(manifest["runs"]) == runs and manifest["failed"] == 0
         assert sizes == ([] if pool_size is None else [pool_size])
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # a sweep without a pool never loads multiprocessing; a new interpreter shows what the import loads
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = "import sys, olacsim.cli; print('concurrent.futures.process' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "False\n"
 
     def test_trace_setting_does_not_change_summary_or_oracle(self, tmp_path):
         scenario = Scenario.from_file(SMOKE)
@@ -715,6 +727,29 @@ class TestMainEntry:
         assert captured.err == f"error: {path}: no randomized policy satisfies the rate constraints\n"
         assert not captured.out
         assert not (tmp_path / "out").exists()
+
+    def test_flat_dual_writes_every_output_without_a_radius(self, tmp_path, capsys):
+        # g(gamma) = min(0, 1 - gamma) is flat on [0, 1]: rho = 0, so eta and D_p are NaN and
+        # auto_Dp measures no convergence time, yet the sweep writes every file
+        (tmp_path / "flat.json").write_text(json.dumps(serialize_instance(flat_dual())))
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(smoke_doc(instance={"file": "flat.json"}, seeds=[0], horizon=50, trace=True)))
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        names = sorted(os.listdir(tmp_path / "out"))
+        traces = [f"trace_{kind}_V50_seed0.csv" for kind in ("Backpressure", "OLAC", "OLAC2")]
+        assert names == sorted(["manifest.json", "oracle.csv", "summary.csv", *traces])
+        (oracle,) = read_csv(tmp_path / "out" / "oracle.csv")
+        assert (oracle["rho_hat"], oracle["eta"], oracle["D_p"]) == ("0.0", "nan", "nan")
+        rows = read_csv(tmp_path / "out" / "summary.csv")
+        assert len(rows) == 3
+        assert all(row["T_zeta_first"] == row["T_zeta_sustained"] == "" for row in rows)
+
+    def test_oracle_verb_warns_of_a_flat_dual(self, tmp_path, capsys):
+        (tmp_path / "flat.json").write_text(json.dumps(serialize_instance(flat_dual())))
+        assert main(["oracle", str(tmp_path / "flat.json"), "--V", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "rho_hat = 0" in out and "not numerically confirmed" not in out
 
     def test_run_verb_rejects_a_wrongly_typed_field(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"

@@ -9,17 +9,17 @@ from scipy.optimize import linprog
 
 import olacsim.dual
 from olacsim.dual import (
-    RHO_SAMPLES,
     InfeasibleInstanceError,
     NoSlackError,
-    _class_dual_values,
     _CountLP,
+    _normals,
     class_lp,
     compute_analysis,
     dual_value,
     estimate_polyhedral_rho,
     max_slack,
     maximize_dual,
+    nominal_policy,
     nominal_slack,
     primal_oracle,
     solve_lp,
@@ -28,7 +28,16 @@ from olacsim.dual import (
 from olacsim.cli import _perturbed_distributions
 from olacsim.model import NetworkInstance, StateSpec, build_two_queue_example, load_instance_file
 
-from conftest import make_instance, per_state_dual, random_multiplier_instances, single_state_instance, state_index
+import conftest
+from conftest import (
+    class_dual_values,
+    flat_dual,
+    make_instance,
+    per_state_dual,
+    random_multiplier_instances,
+    single_state_instance,
+    state_index,
+)
 
 
 def one_d_crossing():
@@ -462,27 +471,9 @@ class TestStartBases:
         assert_dual_feasible_starts(inst)
 
 
-class TestPolyhedralRho:
-    def test_one_d_crossing_slope(self):
-        inst = one_d_crossing()
-        rho = estimate_polyhedral_rho(inst, np.array([1.0]), 1.0, np.array([5.0]))
-        assert rho == pytest.approx(1.0, abs=1e-6)
-
-    def test_flat_dual_flagged(self):
-        inst = single_state_instance([(0.0, [0.0], [0.0])])
-        rho = estimate_polyhedral_rho(inst, np.array([1.0]), 1.0, np.array([0.0]))
-        assert rho <= 0.0
-
-    def test_two_queue_positive(self, two_queue):
-        pi = two_queue.probabilities
-        primal = primal_oracle(two_queue, pi)
-        rho = estimate_polyhedral_rho(two_queue, pi, 100.0, 100.0 * primal.multiplier_v1)
-        assert rho > 0
-
-
 def assert_class_values_match(instance, dist, gammas, V):
-    """``_class_dual_values`` against ``dual_value`` at each row, within 1e-12 of |g| or of its terms' size."""
-    values = _class_dual_values(instance, dist, gammas, V)
+    """``class_dual_values`` against ``dual_value`` at each row, within 1e-12 of |g| or of its terms' size."""
+    values = class_dual_values(instance, dist, gammas, V)
     assert values.shape == (len(gammas),)
     for gamma, value in zip(gammas, values):
         ref = dual_value(instance, dist, gamma, V)
@@ -491,7 +482,7 @@ def assert_class_values_match(instance, dist, gammas, V):
 
 
 class TestClassDualValues:
-    """The probe's batched evaluator on ``class_lp``'s tables, against ``dual_value`` on the full ones."""
+    """The grid oracle (conftest) on ``class_lp``'s tables, against ``dual_value`` on the full ones."""
 
     @pytest.mark.parametrize("name", ["two_queue", "two_queue_unbalanced"])
     @pytest.mark.parametrize("V", [1.0, 20.0, 100.0, 800.0])
@@ -521,19 +512,27 @@ class TestClassDualValues:
     def test_scored_in_blocks(self, two_queue, monkeypatch):
         # more rows than one block of SCORE_CELLS holds give the same values
         gammas = np.random.default_rng(2).exponential(50.0, size=(37, 2))
-        whole = _class_dual_values(two_queue, two_queue.probabilities, gammas, 50.0)
-        monkeypatch.setattr(olacsim.dual, "SCORE_CELLS", 1000)
-        assert np.array_equal(_class_dual_values(two_queue, two_queue.probabilities, gammas, 50.0), whole)
+        whole = class_dual_values(two_queue, two_queue.probabilities, gammas, 50.0)
+        monkeypatch.setattr(conftest, "SCORE_CELLS", 1000)
+        assert np.array_equal(class_dual_values(two_queue, two_queue.probabilities, gammas, 50.0), whole)
 
 
-def rho_per_sample(instance, dist, V, gamma_star, seed=0):
-    """The probe as it was written before its samples were scored in one pass: one ``dual_value`` each."""
+# points the sampled probe drew, which the exact rate replaced
+PROBE_SAMPLES = 512
+
+
+def probe_rho(instance, dist, V, gamma_star, seed=0):
+    """The sampled probe the exact rate replaced: the smallest ratio over PROBE_SAMPLES points, one ``dual_value`` each.
+
+    The points lie on shells up to max(1, 0.05 ||gamma_star||) around
+    gamma_star, projected onto gamma >= 0; those closer than 1e-6 are dropped.
+    """
     gamma_star = np.asarray(gamma_star, dtype=float)
     radius = max(1.0, 0.05 * float(np.linalg.norm(gamma_star)))
     rng = np.random.default_rng(seed)
     g_star = dual_value(instance, dist, gamma_star, V)
     rho = math.inf
-    for _ in range(RHO_SAMPLES):
+    for _ in range(PROBE_SAMPLES):
         direction = rng.normal(size=instance.r)
         norm = np.linalg.norm(direction)
         if norm < 1e-12:
@@ -546,61 +545,159 @@ def rho_per_sample(instance, dist, V, gamma_star, seed=0):
     return float(rho) if math.isfinite(rho) else 0.0
 
 
-class TestRhoDraws:
-    """The probe's draws are kept on the instance for the last seed, and every V reads them."""
+THREE_QUEUE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "instances", "three_queue.json")
 
-    def test_every_v_matches_a_fresh_instance(self):
+
+# both shipped channels, the three-queue instance file and random instances with a multiplier, r <= 4
+EXACTNESS = {
+    "uniform": build_two_queue_example([0.25, 0.25, 0.25, 0.25]),
+    "unbalanced": build_two_queue_example([0.1, 0.4, 0.4, 0.1]),
+    "three_queue": load_instance_file(THREE_QUEUE),
+    **{f"random{i}_r{inst.r}": inst for i, inst in enumerate(random_multiplier_instances(seed=4, count=12, max_r=4))},
+}
+
+
+def sampled_ratios(instance, radius, count=2048, seed=0):
+    """(g* - g(gamma)) / ||gamma - gamma*|| at points on a sphere of ``radius`` around gamma*_1, projected onto gamma >= 0.
+
+    Scored with the grid oracle at V = 1; points that the projection moves
+    within radius / 10 of gamma*_1 are dropped, since their ratio is mostly
+    rounding.
+    """
+    gamma = nominal_policy(instance).multiplier_v1
+    directions = np.random.default_rng(seed).normal(size=(count, instance.r))
+    points = np.maximum(gamma + radius * directions / np.linalg.norm(directions, axis=1)[:, None], 0.0)
+    distances = np.linalg.norm(points - gamma, axis=1)
+    points, distances = points[distances >= radius / 10], distances[distances >= radius / 10]
+    g = class_dual_values(instance, instance.probabilities, np.vstack([gamma, points]), 1.0)
+    return (g[0] - g[1:]) / distances
+
+
+class TestExactRho:
+    """``estimate_polyhedral_rho``: the exact decay rate of the dual at gamma*, and a direction attaining it."""
+
+    @pytest.mark.parametrize("instance", EXACTNESS.values(), ids=EXACTNESS.keys())
+    def test_at_most_every_sampled_ratio(self, instance):
+        rho, _ = estimate_polyhedral_rho(instance)
+        scale = max(1.0, float(np.linalg.norm(nominal_policy(instance).multiplier_v1)))
+        for radius in (1e-2, 0.05 * scale):
+            assert rho <= sampled_ratios(instance, radius).min() * (1 + 1e-9) + 1e-12
+
+    @pytest.mark.parametrize("instance", EXACTNESS.values(), ids=EXACTNESS.keys())
+    def test_attained_along_its_direction(self, instance):
+        # the ratio is constant along the ray up to the dual's next kink; g_V(V gamma) = V g_1(gamma)
+        rho, direction = estimate_polyhedral_rho(instance)
+        assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
+        assert not direction.flags.writeable
+        for V in (1.0, 100.0):
+            gamma_star = V * nominal_policy(instance).multiplier_v1
+            g_star = dual_value(instance, instance.probabilities, gamma_star, V)
+            t = 1e-3 * V
+            ratio = (g_star - dual_value(instance, instance.probabilities, gamma_star + t * direction, V)) / t
+            assert ratio == pytest.approx(rho, rel=1e-9)
+
+    @pytest.mark.parametrize("instance", [i for i in EXACTNESS.values() if i.r == 2],
+                             ids=[name for name, i in EXACTNESS.items() if i.r == 2])
+    def test_two_queue_angle_grid(self, instance):
+        # 2^14 angles, then 2^18 across one step of those either side of their minimum, 2.9e-9
+        # apart; at radius 1e-2 no kink of the dual lies between gamma* and the grid
+        gamma = nominal_policy(instance).multiplier_v1
+        g_star = class_dual_values(instance, instance.probabilities, gamma[None], 1.0)[0]
+
+        def ratios(angles, t=1e-2):
+            points = gamma + t * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            values = (g_star - class_dual_values(instance, instance.probabilities, points, 1.0)) / t
+            return np.where((points >= 0).all(axis=1), values, np.inf)
+
+        n = 1 << 14
+        coarse = 2 * math.pi * np.arange(n) / n
+        best = coarse[ratios(coarse).argmin()]
+        grid_min = ratios(best + (2 * math.pi / n) * np.linspace(-1.0, 1.0, 1 << 18)).min()
+        rho, _ = estimate_polyhedral_rho(instance)
+        assert abs(grid_min - rho) <= 1e-9
+
+    @pytest.mark.parametrize("instance", EXACTNESS.values(), ids=EXACTNESS.keys())
+    def test_at_most_the_sampled_probe(self, instance):
+        rho, _ = estimate_polyhedral_rho(instance)
+        gamma_1 = nominal_policy(instance).multiplier_v1
+        for V, seed in ((20.0, 0), (100.0, 3)):
+            assert rho <= probe_rho(instance, instance.probabilities, V, V * gamma_1, seed) * (1 + 1e-9)
+
+    def test_shipped_values(self, two_queue, two_queue_unbalanced):
+        # the grid minima of both channels, and the three-queue file's rate, which the probe put at 0.0407
+        for instance, expected in ((two_queue, 0.0347552), (two_queue_unbalanced, 0.0238477),
+                                   (load_instance_file(THREE_QUEUE), 0.0110177)):
+            assert estimate_polyhedral_rho(instance)[0] == pytest.approx(expected, abs=5e-8)
+
+    def test_one_d_crossing_slope(self):
+        rho, direction = estimate_polyhedral_rho(one_d_crossing())
+        assert rho == pytest.approx(1.0, rel=1e-12)
+        assert abs(direction[0]) == 1.0
+
+    def test_flat_dual_has_no_decay(self):
+        # and a single action of zero drift, whose dual is 0 everywhere
+        for flat in (flat_dual(), single_state_instance([(0.0, [0.0], [0.0])])):
+            rho, direction = estimate_polyhedral_rho(flat)
+            assert rho == 0.0 and direction.tolist() == [1.0]
+        inst = flat_dual()
+        ana = compute_analysis(inst, 10.0)
+        assert ana.rho_hat == 0.0 and math.isnan(ana.eta) and math.isnan(ana.D_p)
+        assert ana.eta_0 > 0
+
+    def test_boundary_directions_stay_in_the_box(self):
+        # on every instance that has a queue with gamma*_j = 0, the direction does not push it below 0
+        for instance in EXACTNESS.values():
+            gamma = nominal_policy(instance).multiplier_v1
+            _, direction = estimate_polyhedral_rho(instance)
+            assert (direction[gamma == 0.0] >= 0.0).all()
+
+    def test_kept_once_per_instance(self):
+        # every V reads the instance's one rate, which a fresh instance computes bit for bit
         instance = build_two_queue_example([0.1, 0.4, 0.4, 0.1])
-        dist = instance.probabilities
-        for V in (20.0, 50.0, 100.0, 200.0):
-            gamma_star = V * primal_oracle(instance, dist).multiplier_v1
-            fresh = build_two_queue_example([0.1, 0.4, 0.4, 0.1])
-            rho = estimate_polyhedral_rho(instance, dist, V, gamma_star, seed=9)
-            assert rho.hex() == estimate_polyhedral_rho(fresh, dist, V, gamma_star, seed=9).hex()
-            assert instance.derived["rho_draws"][0] == 9
+        rhos = {compute_analysis(instance, V).rho_hat.hex() for V in (20.0, 50.0, 100.0, 200.0)}
+        assert rhos == {estimate_polyhedral_rho(build_two_queue_example([0.1, 0.4, 0.4, 0.1]))[0].hex()}
+        rho, direction = instance.derived["rho"]
+        assert rho.hex() in rhos and not direction.flags.writeable
 
-    def test_a_new_seed_draws_again(self):
-        instance = build_two_queue_example([0.25, 0.25, 0.25, 0.25])
-        dist = instance.probabilities
-        gamma_star = 100.0 * primal_oracle(instance, dist).multiplier_v1
-        rhos = {}
-        for seed in (0, 3, 0):
-            rho = estimate_polyhedral_rho(instance, dist, 100.0, gamma_star, seed)
-            assert rho.hex() == rhos.setdefault(seed, rho).hex()
-            assert instance.derived["rho_draws"][0] == seed
-            assert rho.hex() == estimate_polyhedral_rho(
-                build_two_queue_example([0.25] * 4), dist, 100.0, gamma_star, seed
-            ).hex()
-        assert rhos[0] != rhos[3]
-        for array in instance.derived["rho_draws"][1:]:
-            assert not array.flags.writeable
+    @pytest.mark.parametrize("channel", [[0.25, 0.25, 0.25, 0.25], [0.1, 0.4, 0.4, 0.1]])
+    def test_gamma_star_enters_through_the_ties_only(self, channel):
+        # a multiplier one ulp off, as another BLAS kernel's policy LP gives it, leaves rho's bits
+        rho, direction = estimate_polyhedral_rho(build_two_queue_example(channel))
+        moved = build_two_queue_example(channel)
+        policy = nominal_policy(moved)
+        policy.multiplier_v1 = np.nextafter(policy.multiplier_v1, np.inf)
+        moved_rho, moved_direction = estimate_polyhedral_rho(moved)
+        assert moved_rho.hex() == rho.hex() and moved_direction.tobytes() == direction.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance=oracle_instances())
+    def test_random_instances(self, instance):
+        # class tables with folded, pruned and ragged rows, r up to 4; instances without a policy are skipped
+        try:
+            rho, direction = estimate_polyhedral_rho(instance)
+        except InfeasibleInstanceError:
+            return
+        assert rho >= 0.0 and np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
+        assert rho <= sampled_ratios(instance, 1e-2, count=256).min(initial=math.inf) * (1 + 1e-9) + 1e-12
 
 
-class TestRhoAgainstPerSampleLoop:
-    """``estimate_polyhedral_rho`` draws the samples of the per-sample loop and moves only in its last digits."""
+class TestNormals:
+    def test_orthogonal_and_signed_minors(self):
+        # each normal is orthogonal to its block's rows; expanding det([normal; block]) along its
+        # first row gives |normal|^2, and by Cauchy-Binet that is the Gram determinant of the rows
+        rng = np.random.default_rng(3)
+        for r in (1, 2, 3, 4):
+            edges = rng.normal(size=(20, r - 1, r))
+            normals = _normals(edges)
+            assert np.abs(np.einsum("nkr,nr->nk", edges, normals)).max(initial=0.0) <= 1e-12
+            for block, normal in zip(edges, normals):
+                length2 = float(normal @ normal)
+                assert np.linalg.det(np.vstack([normal, block])) == pytest.approx(length2, rel=1e-9)
+                assert np.linalg.det(block @ block.T) == pytest.approx(length2, rel=1e-9)
 
-    @pytest.mark.parametrize("name", ["two_queue", "two_queue_unbalanced"])
-    @pytest.mark.parametrize("V", [20.0, 100.0, 800.0])
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_shipped_channels(self, name, V, seed, request):
-        instance = request.getfixturevalue(name)
-        dist = instance.probabilities
-        gamma_star = V * primal_oracle(instance, dist).multiplier_v1
-        ref = rho_per_sample(instance, dist, V, gamma_star, seed)
-        assert ref > 0
-        assert estimate_polyhedral_rho(instance, dist, V, gamma_star, seed) == pytest.approx(ref, rel=1e-10, abs=0)
-
-    @pytest.mark.parametrize("gamma_star", [[5.0], [0.0], [1e-7]])
-    def test_one_d_crossing(self, gamma_star):
-        # a centre on the orthant's boundary, and one whose points near it are dropped
-        inst = one_d_crossing()
-        ref = rho_per_sample(inst, np.array([1.0]), 1.0, gamma_star)
-        assert estimate_polyhedral_rho(inst, np.array([1.0]), 1.0, gamma_star) == pytest.approx(ref, rel=1e-10, abs=0)
-
-    def test_negative_centre_rejected(self, two_queue):
-        # the class tables are exact on gamma >= 0 only
-        with pytest.raises(ValueError, match="must be >= 0"):
-            estimate_polyhedral_rho(two_queue, two_queue.probabilities, 100.0, np.array([-1.0, 5.0]))
+    def test_dependent_rows_give_a_zero_normal(self):
+        edges = np.array([[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+        assert _normals(edges).tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 class TestAnalysis:

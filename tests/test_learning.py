@@ -422,7 +422,7 @@ class TestKeptFactorisations:
         instance = build_two_queue_example([0.25, 0.25, 0.25, 0.25])
         cfg = SimConfig(horizon=50, seed=0, controller=ControllerConfig("OLAC", 10.0))
         run(instance, cfg, compute_analysis(instance, 10.0).gamma_star)
-        assert set(instance.derived) == {"class_lp", "eta_0", "slack_basis", "policy", "rho_draws", "olac_path"}
+        assert set(instance.derived) == {"class_lp", "eta_0", "slack_basis", "policy", "rho", "olac_path"}
         # a pickled copy, as a pool worker's task gets it, starts without them
         copy = pickle.loads(pickle.dumps(instance))
         assert copy == instance and copy.derived == {}

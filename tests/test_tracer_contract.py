@@ -79,7 +79,7 @@ def test_traced_sweep_pins_per_slot_calls(tracing, tmp_path, kind):
     assert tracer.calls("queueing.apply_slot", controller=kind) == horizon
     assert tracer.calls("queueing.delay_accounting", controller=kind) == horizon + 1
     assert tracer.calls("dual.compute_analysis") == 1
-    # the rho probe is one call through dual's module global, which scores all its samples
+    # the exact rate rho is one call through dual's module global
     assert tracer.calls("dual.rho_probe") == 1
     assert tracer.calls("dual.max_slack") == 1
     assert tracer.calls("simplex.solve_lp") == 2
@@ -90,3 +90,10 @@ def test_traced_assumption_check_solves_one_lp_per_perturbation(tracing, tmp_pat
                           assumption_check=True, perturbation_count=3)
     assert tracer.calls("dual.max_slack") == 1 + 3
     assert tracer.calls("simplex.solve_lp") == 2 + 3
+
+
+def test_traced_sweep_computes_rho_once_per_instance(tracing, tmp_path):
+    # rho does not depend on V: the instance keeps it, and each V's analysis reads it
+    tracer = traced_sweep(tracing, tmp_path, controllers=[{"kind": "Backpressure"}], horizon=50, V_values=[20, 100])
+    assert tracer.calls("dual.compute_analysis") == 2
+    assert tracer.calls("dual.rho_probe") == 1
