@@ -241,43 +241,53 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _float_texts(values: list) -> list[str]:
-    """``repr`` of each float, made once per distinct value of ``values``.
+def _array_texts(array: np.ndarray) -> list[str]:
+    """orjson's text of each element of a C-contiguous 1-d numpy array, from one call.
 
-    Zeros and NaN are formatted every time: a dict takes -0.0 for 0.0, and
-    never finds a NaN by equality.
+    orjson is imported here, so a sweep that writes no trace never loads it.
     """
-    memo = {}
-    texts = []
-    for value in values:
-        if value and value == value:
-            text = memo.get(value)
-            if text is None:
-                text = memo[value] = repr(value)
-        else:
-            text = repr(value)
-        texts.append(text)
+    import orjson
+
+    return orjson.dumps(array, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each float64 of a 1-d array, without a ``repr`` call per cell.
+
+    orjson writes ``repr``'s text for ±0.0 and every finite double with
+    1e-4 <= |x| < 1e16. Outside that band it spells exponents differently
+    (``1e16`` for ``1e+16``, ``6.1e-8`` for ``6.1e-08``) and writes NaN and
+    ±inf as ``null``, so those cells take ``repr``, made once per distinct value.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    texts = _array_texts(values)
+    magnitude = np.abs(values)
+    outside = np.flatnonzero((values != 0.0) & ~((magnitude >= 1e-4) & (magnitude < 1e16)))
+    if outside.size:
+        distinct, which = np.unique(values[outside], return_inverse=True)
+        distinct_texts = list(map(repr, distinct.tolist()))
+        for i, k in zip(outside.tolist(), which.tolist()):
+            texts[i] = distinct_texts[k]
     return texts
 
 
 def _write_trace(path, queue_trace, gamma_trace, beta_trace, cost_trace):
     """One run's trace CSV ``(slot, q_1..q_r, dist_gamma, dist_beta, inst_cost)``, a column at a time.
 
-    Each path becomes Python floats once and each cell is the float's
-    ``repr``, the text ``_fmt`` gives it, made once per distinct value of a
-    column (``_float_texts``); no such text holds a comma or a quote, so
-    ``csv.writer`` would quote none of them. The slot is the row index, and
-    ``dist_beta`` is empty without a beta path.
+    Each cell is the float's ``repr``, the text ``_fmt`` gives it, made for a
+    whole column by ``_float_texts``; no such text holds a comma or a quote,
+    so ``csv.writer`` would quote none of them. The slot is the row index,
+    and ``dist_beta`` is empty without a beta path.
     """
     horizon, r = queue_trace.shape
     header = ["slot", *(f"q_{j + 1}" for j in range(r)), "dist_gamma", "dist_beta", "inst_cost"]
-    beta = _float_texts(beta_trace.tolist()) if beta_trace is not None else itertools.repeat("", horizon)
+    beta = _float_texts(beta_trace) if beta_trace is not None else itertools.repeat("", horizon)
     columns = [
-        map(str, range(horizon)),
-        *map(_float_texts, queue_trace.T.tolist()),
-        _float_texts(gamma_trace.tolist()),
+        _array_texts(np.arange(horizon)),
+        *map(_float_texts, queue_trace.T),
+        _float_texts(gamma_trace),
         beta,
-        _float_texts(cost_trace.tolist()),
+        _float_texts(cost_trace),
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))

@@ -17,6 +17,7 @@ from olacsim.cli import (
     REQUIRED,
     Scenario,
     _execute_run,
+    _float_texts,
     _perturbed_distributions,
     _write_trace,
     emit_plotdata,
@@ -495,6 +496,22 @@ class TestRunScenario:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert done.stdout == "False\n"
 
+    def test_traceless_sweep_leaves_orjson_unloaded(self, tmp_path):
+        # only the trace writer imports orjson; the traced sweep after it shows the probe can see the import
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        doc = smoke_doc(controllers=[{"kind": "Backpressure"}], seeds=[0], horizon=20)
+        code = (
+            "import json, sys, olacsim.cli as cli\n"
+            f"doc = json.loads({json.dumps(doc)!r})\n"
+            "for trace in (False, True):\n"
+            "    cli.run_scenario(cli.Scenario.from_dict(doc), out_dir=sys.argv[1] + str(trace), trace=trace)\n"
+            "    print('orjson' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "trace_")], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout == "False\nTrue\n"
+
     def test_trace_setting_does_not_change_summary_or_oracle(self, tmp_path):
         scenario = Scenario.from_file(SMOKE)
         run_scenario(scenario, out_dir=str(tmp_path / "off"), trace=False)
@@ -629,14 +646,60 @@ class TestTraceWriter:
         assert (out / "column.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
     def test_repeated_zeros_and_nan_keep_their_text(self, tmp_path):
-        # each distinct float is formatted once per column, but 0.0 and -0.0
-        # are one dict key and a NaN is never found by equality
+        # orjson writes the zeros, with their signs, and every NaN is written
+        # as null and given repr's text, however many times it repeats
         column = np.array([0.0, -0.0, 0.0, 2.5, -0.0, math.nan, 2.5, math.nan, -math.nan, 0.0])
         paths = (np.vstack([column, -column]).T, column, column[::-1].copy(), column)
         _write_trace(tmp_path / "column.csv", *paths)
         reference_trace(tmp_path / "reference.csv", *paths)
         assert (tmp_path / "column.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert (tmp_path / "column.csv").read_text().splitlines()[2] == "1,-0.0,0.0,-0.0,nan,-0.0"
+
+    def test_float_texts_are_reprs(self):
+        # orjson's text is repr's only inside 1e-4 <= |x| < 1e16; if a later
+        # orjson spells any double differently, this names the values
+        rng = np.random.default_rng(20140)
+        patterns = rng.integers(0, 2**64, size=50_000, dtype=np.uint64)
+        # a fifth with the exponent field all zeros (zeros, subnormals) or all ones (inf, NaN payloads)
+        exponent = np.uint64(0x7FF << 52)
+        patterns[:5_000] &= ~exponent
+        patterns[5_000:10_000] |= exponent
+        log_uniform = 10.0 ** rng.uniform(-6.0, 18.0, size=50_000)
+        neighbours = []
+        for edge in (1e-4, 1e16):
+            below = above = edge
+            for _ in range(50):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+                neighbours += [below, above]
+        values = np.concatenate([
+            patterns.view(np.float64),
+            log_uniform, -log_uniform,
+            rng.integers(0, 2**53, size=25_000, endpoint=True).astype(np.float64),
+            np.floor(2.0 ** rng.uniform(0.0, 53.0, size=25_000)),
+            [1e-4, 1e16], neighbours, np.negative(neighbours),
+        ])
+        texts = _float_texts(values)
+        expected = [repr(x) for x in values.tolist()]
+        wrong = [(want, got) for want, got in zip(expected, texts) if want != got]
+        assert len(texts) == len(expected) and wrong[:5] == []
+
+    def test_strided_read_only_and_integer_valued_columns(self, tmp_path):
+        # a column view, a read-only array and floats made from integers all
+        # write what their contiguous copies and the cell-by-cell writer write
+        horizon = 40
+        wide = np.linspace(-3.0, 1e17, 4 * horizon).reshape(horizon, 4)
+        queue = np.arange(4 * horizon, dtype=float).reshape(horizon, 4)[:, ::2]
+        gamma, beta = wide[:, 1], wide[::-1, 3]
+        cost = np.arange(horizon, dtype=float) * 3.0
+        cost.flags.writeable = False
+        strided = (queue, gamma, beta, cost)
+        assert not (queue[:, 0].flags.c_contiguous or gamma.flags.c_contiguous or beta.flags.c_contiguous)
+        _write_trace(tmp_path / "strided.csv", *strided)
+        _write_trace(tmp_path / "copies.csv", *map(np.ascontiguousarray, strided))
+        reference_trace(tmp_path / "reference.csv", *strided)
+        assert (tmp_path / "strided.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
+        assert (tmp_path / "strided.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert (tmp_path / "strided.csv").read_text().splitlines()[2].startswith("1,4.0,6.0,")
 
 
 class TestPlotdata:
