@@ -1,3 +1,4 @@
+import csv
 from collections import deque
 from dataclasses import dataclass
 
@@ -64,6 +65,12 @@ def dense_path(instance, states, V):
     """
     starts, betas, flagged = dual_learn(instance, states)
     return V * np.repeat(betas, np.diff(np.append(starts, len(states))), axis=0), flagged
+
+
+def read_csv(path):
+    """A CSV's rows as dicts of their cells' text, keyed by the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def total(ledger, j):

@@ -24,10 +24,12 @@ from olacsim.cli import (
     main,
     run_scenario,
 )
-from olacsim.dual import compute_analysis
+from olacsim.controllers import ControllerConfig
+from olacsim.dual import compute_analysis, max_slack
 from olacsim.model import InstanceError, read_bool, read_int, read_number, read_str, serialize_instance
+from olacsim.sim import SimConfig, run
 
-from conftest import flat_dual
+from conftest import flat_dual, read_csv
 
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -184,11 +186,6 @@ def readme_field_table():
         key, _, default, bound = (cell.strip() for cell in line.strip("|").split(" | "))
         rows.append((key.strip("`"), default, bound))
     return rows
-
-
-def read_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 class TestScenarioParsing:
@@ -355,6 +352,36 @@ class TestRunScenario:
         assert (out_dir / "trace_OLAC_V50_seed0.csv").exists()
         rows = read_csv(out_dir / "trace_OLAC_V50_seed0.csv")
         assert {"slot", "q_1", "q_2", "dist_gamma", "dist_beta", "inst_cost"} <= set(rows[0])
+
+    def test_cells_read_back_as_the_runs_own_floats(self, out, two_queue):
+        # the acceptance suite reads its criteria from these files, so every
+        # cell must parse back to what a direct run or the oracles computed
+        out_dir, _ = out
+        ana = compute_analysis(two_queue, 50.0)
+        perturbed = _perturbed_distributions(two_queue.probabilities, 5, 0.05, 0)
+        (row,) = read_csv(out_dir / "oracle.csv")
+        assert {key: float(text) for key, text in row.items()} == {
+            "V": 50.0, "f_av_star": ana.f_av_star, "g_star": ana.g_star,
+            "gamma_star_1": ana.gamma_star[0], "gamma_star_2": ana.gamma_star[1], "eta_0": ana.eta_0,
+            "rho_hat": ana.rho_hat, "D_p": ana.D_p, "eta": ana.eta, "B": two_queue.B, "f_max": two_queue.f_max,
+            "min_perturbed_slack": min(max_slack(two_queue, p) for p in perturbed),
+        }
+        for row in read_csv(out_dir / "summary.csv"):
+            kind, seed = row.pop("controller"), int(row["seed"])
+            cfg = SimConfig(horizon=300, seed=seed, controller=ControllerConfig(kind, 50.0), zeta=ana.D_p)
+            res = run(two_queue, cfg, ana.gamma_star)
+            assert {key: None if text == "" else float(text) for key, text in row.items()} == {
+                "V": 50.0, "seed": seed, "horizon": 300, "avg_cost": res.avg_cost, "avg_backlog": res.avg_backlog,
+                "mean_delay": res.delay.mean_delay,
+                **{f"delivered_rate_{j + 1}": res.delay.delivered_rate[j] for j in range(2)},
+                **{f"dropped_{j + 1}": res.dropped[j] for j in range(2)},
+                "T_zeta_first": res.t_zeta_first, "T_zeta_sustained": res.t_zeta_sustained,
+                "dropped_total": res.dropped.sum(), "T_l": res.t_learn, "solver_flagged_slots": res.solver_flagged_slots,
+            }, kind
+            # the trace's q, dist_gamma and inst_cost columns, read as the acceptance suite reads them
+            trace = np.loadtxt(out_dir / f"trace_{kind}_V50_seed{seed}.csv", delimiter=",", skiprows=1,
+                               usecols=(1, 2, 3, 5))
+            assert np.array_equal(trace, np.column_stack([res.queue_trace, res.gamma_trace, res.cost_trace])), kind
 
     def test_byte_identical_reruns(self, tmp_path):
         scenario = Scenario.from_dict(smoke_doc())
