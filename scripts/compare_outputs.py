@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the summary.csv, oracle.csv and trace_*.csv of two sweep output directories.
+"""Compare the summary.csv, oracle.csv, trace_*.csv and manifest.json of two sweep output directories.
 
     python3 scripts/compare_outputs.py DIR_A DIR_B [--rtol 1e-12] [--atol 1e-12]
 
@@ -18,12 +18,15 @@ One line per column (per controller in summary.csv) that is not entirely
 identical gives the counts and the largest relative and absolute
 differences. A different header or row count is a difference too, and so is
 a file present on one side only (summary.csv and oracle.csv must be on
-both). Exits 1 when any cell or file differs, 0 otherwise.
+both). ``manifest.json`` must be the same JSON apart from its ``out_dir``,
+which names the directory the sweep wrote to; each top-level key that
+differs is named. Exits 1 when any cell or file differs, 0 otherwise.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import sys
@@ -99,6 +102,21 @@ def compare_file(path_a, path_b, rtol: float, atol: float = 0.0) -> bool:
     return ok
 
 
+def compare_manifest(path_a, path_b) -> bool:
+    """Print a report for two manifest.json files; True when they agree apart from ``out_dir``."""
+    docs = []
+    for path in (path_a, path_b):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc.pop("out_dir", None)
+        docs.append(doc)
+    # compared as JSON text, so that 100 and 100.0 differ as they do on disk
+    differing = sorted(key for key in docs[0].keys() | docs[1].keys()
+                       if json.dumps(docs[0].get(key)) != json.dumps(docs[1].get(key)))
+    print("manifest.json: " + (f"differs in {', '.join(differing)}" if differing else "identical apart from out_dir"))
+    return not differing
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dir_a")
@@ -106,16 +124,20 @@ def main(argv=None) -> int:
     parser.add_argument("--rtol", type=float, default=0.0, help="relative tolerance for float cells")
     parser.add_argument("--atol", type=float, default=0.0, help="absolute tolerance for float cells")
     args = parser.parse_args(argv)
-    traces = {name for d in (args.dir_a, args.dir_b) for name in os.listdir(d)
-              if name.startswith("trace_") and name.endswith(".csv")}
+    present = {name for d in (args.dir_a, args.dir_b) for name in os.listdir(d)}
+    traces = sorted(name for name in present if name.startswith("trace_") and name.endswith(".csv"))
+    manifest = ["manifest.json"] if "manifest.json" in present else []
     ok = True
-    for name in [*FILES, *sorted(traces)]:
+    for name in [*FILES, *traces, *manifest]:
         path_a, path_b = os.path.join(args.dir_a, name), os.path.join(args.dir_b, name)
         if not (os.path.exists(path_a) and os.path.exists(path_b)):
             print(f"{name}: missing in {args.dir_a if not os.path.exists(path_a) else args.dir_b}")
             ok = False
             continue
-        ok = compare_file(path_a, path_b, args.rtol, args.atol) and ok
+        if name in manifest:
+            ok = compare_manifest(path_a, path_b) and ok
+        else:
+            ok = compare_file(path_a, path_b, args.rtol, args.atol) and ok
     print("same within tolerance" if ok else "DIFFERENT")
     return 0 if ok else 1
 

@@ -12,13 +12,15 @@ perfbench's ``delay_table`` and ``assumption_sweep`` documents
 ``OUT_DIR/<name>_w<k>``. The olacsim that runs is the one under this
 checkout's ``src/``.
 
-``manifest.json`` records ``out_dir``, so run both sides into the same path
-and move each side's result away before running the other:
+Write each side into its own directory and compare the two directory by
+directory: ``scripts/compare_outputs.py`` compares every CSV cell by cell
+and ``manifest.json`` apart from the ``out_dir`` it records, and ``cmp``
+compares the CSVs byte for byte:
 
-    (cd parent && python3 scripts/gate_outputs.py /tmp/gate) && mv /tmp/gate /tmp/parent
-    (cd change && python3 scripts/gate_outputs.py /tmp/gate) && mv /tmp/gate /tmp/change
-    python3 scripts/compare_outputs.py /tmp/parent/smoke_w1 /tmp/change/smoke_w1
-    cmp /tmp/parent/smoke_w1/manifest.json /tmp/change/smoke_w1/manifest.json
+    (cd parent && python3 scripts/gate_outputs.py ../gate/parent)
+    (cd change && python3 scripts/gate_outputs.py ../gate/change)
+    python3 change/scripts/compare_outputs.py gate/parent/smoke_w1 gate/change/smoke_w1 --rtol 0 --atol 0
+    cmp gate/parent/smoke_w1/summary.csv gate/change/smoke_w1/summary.csv
 """
 from __future__ import annotations
 

@@ -486,19 +486,20 @@ def emit_plotdata(summary_path, out_dir=None) -> list[str]:
         groups.setdefault((row["controller"], float(row["V"])), []).append(row)
 
     def stats(group, key):
+        """(n_values, mean, stderr) over the group's filled cells: a blank or nan cell is no value."""
         vals = [float(g[key]) for g in group if g[key] not in ("", "nan")]
         if not vals:
-            return None, None
+            return 0, None, None
         mean = sum(vals) / len(vals)
         var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1) if len(vals) > 1 else 0.0
-        return mean, math.sqrt(var / len(vals))
+        return len(vals), mean, math.sqrt(var / len(vals))
 
     written = []
 
     def emit(name, key):
         out_rows = [[ctrl, v, len(groups[ctrl, v]), *stats(groups[ctrl, v], key)] for ctrl, v in sorted(groups)]
         path = os.path.join(out_dir, name)
-        _write_csv(path, ["controller", "V", "n_runs", "mean", "stderr"], out_rows)
+        _write_csv(path, ["controller", "V", "n_runs", "n_values", "mean", "stderr"], out_rows)
         written.append(path)
 
     emit("fig_power_vs_V.csv", "avg_cost")

@@ -744,8 +744,25 @@ class TestPlotdata:
         rows = read_csv(tmp_path / "fig_power_vs_V.csv")
         assert len(rows) == 3  # one per controller at the single V
         for row in rows:
-            assert int(row["n_runs"]) == 2
+            assert int(row["n_runs"]) == int(row["n_values"]) == 2
             assert row["mean"] != "" and row["stderr"] != ""
+
+    def test_n_values_counts_the_filled_cells_only(self, tmp_path):
+        # two of three runs never reached zeta: the mean covers one run, not three
+        (tmp_path / "summary.csv").write_text(
+            "controller,V,seed,avg_cost,mean_delay,T_zeta_first\n"
+            "Backpressure,800,0,1.0,5.0,100\n"
+            "Backpressure,800,1,3.0,7.0,\n"
+            "Backpressure,800,2,2.0,nan,\n"
+            "OLAC,800,0,1.0,,\n"
+        )
+        emit_plotdata(str(tmp_path / "summary.csv"))
+        cells = {name: [(r["controller"], r["n_runs"], r["n_values"], r["mean"], r["stderr"])
+                        for r in read_csv(tmp_path / f"fig_{name}_vs_V.csv")]
+                 for name in ("power", "delay", "convergence")}
+        assert cells["convergence"] == [("Backpressure", "3", "1", "100.0", "0.0"), ("OLAC", "1", "0", "", "")]
+        assert cells["delay"] == [("Backpressure", "3", "2", "6.0", "1.0"), ("OLAC", "1", "0", "", "")]
+        assert cells["power"][0] == ("Backpressure", "3", "3", "2.0", repr(math.sqrt(1 / 3)))
 
     def test_empty_out_dir_rejected(self, tmp_path, monkeypatch):
         # it would write next to the working directory's files, not the summary's

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import pytest
@@ -102,3 +103,25 @@ def test_trace_files_compared(tmp_path, capsys):
     write_trace(a, name="trace_OLAC2_V100_seed0.csv")  # on one side only
     assert compare_outputs.main([a, b]) == 1
     assert f"trace_OLAC2_V100_seed0.csv: missing in {b}" in capsys.readouterr().out
+
+
+def write_manifest(d, runs=({"V": 100.0, "status": "ok"},), failed=0):
+    with open(os.path.join(d, "manifest.json"), "w") as fh:
+        json.dump({"failed": failed, "out_dir": os.path.abspath(d), "runs": list(runs)}, fh)
+
+
+def test_manifests_compared_apart_from_out_dir(tmp_path, capsys):
+    a, b = write(tmp_path, "a"), write(tmp_path, "b")
+    write_manifest(a)
+    write_manifest(b)  # another out_dir
+    assert compare_outputs.main([a, b]) == 0
+    assert "manifest.json: identical apart from out_dir" in capsys.readouterr().out
+    write_manifest(b, runs=[{"V": 100, "status": "ok"}])  # 100 is not 100.0 on disk
+    assert compare_outputs.main([a, b]) == 1
+    assert "manifest.json: differs in runs" in capsys.readouterr().out
+    write_manifest(b, runs=[{"V": 100.0, "status": "error"}], failed=1)
+    assert compare_outputs.main([a, b]) == 1
+    assert "manifest.json: differs in failed, runs" in capsys.readouterr().out
+    os.remove(os.path.join(b, "manifest.json"))  # on one side only
+    assert compare_outputs.main([a, b]) == 1
+    assert f"manifest.json: missing in {b}" in capsys.readouterr().out

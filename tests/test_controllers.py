@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +68,35 @@ class TestBpDecide:
                         initial_backlog=np.array([-1.0, 0.0]))
         with pytest.raises(ValueError, match="initial_backlog"):
             run(two_queue, cfg, np.zeros(2))
+
+
+# random score vectors neg - D w at r = 1, 2, 3, 5, 8; prints how many have np.dot's bits, and how many were drawn
+DOT_BITS = """
+import numpy as np
+rng = np.random.default_rng(0)
+same = total = 0
+for r in (1, 2, 3, 5, 8):
+    for _ in range(600):
+        k = int(rng.integers(1, 40))
+        d = rng.normal(size=(k, r)) * rng.choice([1e-3, 1.0, 1e3])
+        w = rng.normal(size=r) * rng.choice([1e-3, 1.0, 1e3])
+        neg = -rng.uniform(0, 300, size=k)
+        same += (neg - d.dot(w)).tobytes() == (neg - np.dot(d, w)).tobytes()
+        total += 1
+print(same, total)
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="x86 OpenBLAS kernel names")
+@pytest.mark.parametrize("kernel", [None, "Haswell", "Prescott"])
+def test_method_dot_has_np_dot_bits(kernel):
+    # the rules score with ndarray.dot; under each OpenBLAS kernel, set in a
+    # child process only, it rounds as np.dot does
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    done = subprocess.run([sys.executable, "-c", DOT_BITS], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["3000", "3000"]
 
 
 class TestOlacDecide:

@@ -111,6 +111,16 @@ class TestApplySlot:
         assert served == [(1, 2.0, 4), (0, 1.0, 5)]
         assert list(led.chunks[0]) == [[0, 1.0, False]]
 
+    # a chunk served exactly, and one left with a remainder of about 5e-13 <= _DUST: either goes
+    @pytest.mark.parametrize("need", [2.0, 2.0 - 5e-13])
+    @pytest.mark.parametrize("discipline, kept", [("FIFO", [1, 2.0, False]), ("LIFO", [0, 2.0, False])])
+    def test_chunk_served_to_dust_is_popped(self, need, discipline, kept):
+        led = ledger_with_chunks([(0, 2.0), (1, 2.0)])
+        recs = apply_slot(led, [0.0], [need], 3, discipline)
+        assert recs == [(0, need, 1 - kept[0], 3, False)]  # no null padding
+        assert list(led.chunks[0]) == [kept]
+        assert led.totals == [4.0 - need]
+
     def test_negative_inputs_rejected(self):
         # apply_slot trusts its vectors; an instance whose tables hold a
         # negative arrival or service is never built, so no run reaches it
@@ -234,13 +244,16 @@ def ledger_runs(draw):
 
     A slot is (arrivals, services) per queue; a service ("backlog", extra)
     serves the queue's backlog plus extra, so service at and above the
-    backlog is drawn often. The adjustment, at most one, sets queue j to
-    scale_j * q_j + offset_j, which lies above or below the backlog.
+    backlog is drawn often. An extra of -1e-14 to -9e-13 (service at least 0)
+    leaves a remainder of at most _DUST on the last chunk served, which is
+    popped. The adjustment, at most one, sets queue j to scale_j * q_j +
+    offset_j, which lies above or below the backlog.
     """
     r = draw(st.integers(1, 3))
     n = draw(st.integers(1, 40))
     amount = st.one_of(st.just(0.0), st.floats(0, 3))
-    service = st.one_of(amount, st.tuples(st.just("backlog"), st.one_of(st.just(0.0), st.floats(0, 2))))
+    extra = st.one_of(st.just(0.0), st.floats(0, 2), st.floats(-9e-13, -1e-14))
+    service = st.one_of(amount, st.tuples(st.just("backlog"), extra))
     slots = [
         (draw(st.lists(amount, min_size=r, max_size=r)), draw(st.lists(service, min_size=r, max_size=r)))
         for _ in range(n)
@@ -272,7 +285,7 @@ class TestReferenceLedger:
                 for name in ("dropped", "dropped_null", "added_null"):
                     assert getattr(rec, name).tolist() == getattr(ref_rec, name).tolist()
                 adjustments.append(rec)
-            mu = [q + s[1] if isinstance(s, tuple) else s for s, q in zip(services, led.totals)]
+            mu = [max(q + s[1], 0.0) if isinstance(s, tuple) else s for s, q in zip(services, led.totals)]
             padding.append(deficit(mu, led))
             arrivals.append(slot_arrivals)
             recs = apply_slot(led, slot_arrivals, mu, t, discipline)

@@ -65,8 +65,10 @@ def traced_sweep(tracing, out_dir, **fields):
 
 @pytest.mark.parametrize("kind", ["Backpressure", "OLAC", "OLAC2"])
 def test_traced_sweep_pins_per_slot_calls(tracing, tmp_path, kind):
-    # the ledger and the delay accounting are called once per slot (and
-    # finalize once per run), and the only slack LP is the oracle's: the
+    # the decision rule, the ledger and the delay accounting are called once
+    # per slot through the traced bindings (and finalize and the state
+    # sampling once per run): a rule or a ledger bound at import time would
+    # escape the tracer. The only slack LP is the oracle's: the
     # learners take its eta_0. The oracles' LPs, the policy LP and that slack
     # LP, are solved through dual.solve_lp, the tracer's simplex.* metrics
     horizon = 200
@@ -76,6 +78,8 @@ def test_traced_sweep_pins_per_slot_calls(tracing, tmp_path, kind):
         assert tracer.calls("controllers.olac2_maximize_dual", controller="OLAC2") == 1
     if kind == "OLAC":
         assert tracer.calls("learning.dual_learn", controller="OLAC") == 1
+    assert tracer.calls("sim.sample_states", controller=kind) == 1
+    assert tracer.calls("controllers.decide", controller=kind) == horizon
     assert tracer.calls("queueing.apply_slot", controller=kind) == horizon
     assert tracer.calls("queueing.delay_accounting", controller=kind) == horizon + 1
     assert tracer.calls("dual.compute_analysis") == 1
