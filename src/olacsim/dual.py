@@ -20,7 +20,8 @@ dual simplex from a dual feasible start basis (``_DualSimplex``):
 - ``maximize_dual`` maximizes g over the box 0 <= gamma <= xi =
   V*f_max/eta_0 exactly, as the prices of the same LP written with a
   shortfall column per queue (``_CountLP``); OLAC's learner keeps that LP's
-  basis over a whole run.
+  basis over a whole run, and the factorisation of each recent basis with a
+  memo of the pivots priced from it.
 
 Analysis constants (slack eta_0, polyhedral decay rho, attraction radius
 D_p) are derived from these oracles. rho is exact: the smallest support
@@ -281,22 +282,25 @@ class _DualSimplex:
     Optimization, 1997, section 4.5).
 
     ``factors`` keeps the factorisation of each of the last ``BASIS_CACHE``
-    bases, keyed by the basis bytes: B^-1, the prices y, the reduced costs d
-    and two slots that ``_CountLP`` fills when it reads a basis, all
+    bases, keyed by the basis bytes: B^-1, the prices y, the reduced costs
+    clamped at zero, max(d, 0), which the ratio test reads, a memo of the
+    entering column of each leaving row priced from that basis, and two
+    slots that ``_CountLP`` fills when it reads a basis; every array is
     read-only. A basis that comes back reuses them; they are the floats a new
     factorisation would give, since it would make the same numpy calls on the
-    same operands.
+    same operands. The ratio test depends on the basis and the leaving row
+    alone, so a memo hit is the column it would pick again.
     """
 
     def __init__(self, a: np.ndarray, c: np.ndarray, basis: np.ndarray):
         self.a, self.c, self.basis = a, c, basis
         self.pivots = 0
-        # basis bytes -> [binv, y, d, step, beta], least recently used first
+        # basis bytes -> [binv, y, clamp, memo, step, beta], least recently used first
         self.factors: dict[bytes, list] = {}
         self._refactor()
 
     def _refactor(self):
-        """B^-1, y and d of the current basis: kept ones, or a new inversion."""
+        """B^-1, y, max(d, 0) and the memo of the current basis: kept ones, or a new inversion."""
         key = self.basis.tobytes()
         factor = self.factors.pop(key, None)
         if factor is None:
@@ -304,21 +308,23 @@ class _DualSimplex:
             y = self.c[self.basis] @ binv
             d = self.c - y @ self.a
             d[self.basis] = 0.0
-            factor = [_frozen(binv), _frozen(y), _frozen(d), None, None]
+            factor = [_frozen(binv), _frozen(y), _frozen(np.maximum(d, 0.0)), {}, None, None]
             if len(self.factors) == BASIS_CACHE:
                 del self.factors[next(iter(self.factors))]
         self.factors[key] = factor
         self._factor = factor
-        self.binv, self.y, self.d = factor[:3]
+        self.binv, self.y, self.clamp, self.memo = factor[:4]
 
     def restore(self, b: np.ndarray) -> np.ndarray | None:
         """Dual simplex from the kept basis until x_B = B^-1 b >= 0; returns x_B, or None if a.x = b has no x >= 0.
 
         Leaving row: the most negative x_B, ties to the smallest row. Entering
         column: the minimum ratio of reduced cost to |pivot row entry|, ties to
-        the smallest column; only the entering columns are tested. A leaving
-        row without an entering column proves the LP infeasible. After every
-        pivot the new basis's factorisation is a kept one or a new inversion.
+        the smallest column; only the entering columns are tested, and a
+        (basis, row) pair already priced reads its column from the basis's
+        memo. A leaving row without an entering column proves the LP
+        infeasible. After every pivot the new basis's factorisation is a kept
+        one or a new inversion.
         """
         tol = FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0)))
         limit = 50 * self.a.shape[1]
@@ -327,13 +333,16 @@ class _DualSimplex:
             row = int(x.argmin())
             if x[row] >= -tol:
                 return x
-            alpha = self.binv[row] @ self.a
-            enter = (alpha < -PIVOT_TOL).nonzero()[0]
-            if not enter.size:
-                return None
-            ratio = np.maximum(self.d[enter], 0.0) / -alpha[enter]
-            best = ratio.min()
-            self.basis[row] = enter[(ratio <= best + TIE_TOL * max(1.0, best)).argmax()]
+            col = self.memo.get(row)
+            if col is None:
+                alpha = self.binv[row] @ self.a
+                enter = (alpha < -PIVOT_TOL).nonzero()[0]
+                if not enter.size:
+                    return None
+                ratio = self.clamp[enter] / -alpha[enter]
+                best = ratio.min()
+                col = self.memo[row] = enter[(ratio <= best + TIE_TOL * max(1.0, best)).argmax()]
+            self.basis[row] = col
             self.pivots += 1
             self._refactor()
         raise RuntimeError(f"dual simplex did not restore feasibility within {limit} pivots")
@@ -391,7 +400,7 @@ class _CountLP(_DualSimplex):
     def _read_basis(self):
         """beta and the per-state growth of x_B for the current basis."""
         factor = self._factor
-        if factor[3] is None:
+        if factor[4] is None:
             # x_B grows by step[i] when state i is observed
             step = (self.binv @ self.rhs).T
             basic = np.zeros(self.c.size, dtype=bool)
@@ -400,8 +409,8 @@ class _CountLP(_DualSimplex):
             # a basic column has zero reduced cost: beta_j = xi exactly when s_j is basic, 0 when u_j is
             beta[basic[self.s_cols]] = self.xi
             beta[basic[self.u_cols]] = 0.0
-            factor[3], factor[4] = _frozen(step), _frozen(beta)
-        self.step, self.beta = factor[3], factor[4]
+            factor[4], factor[5] = _frozen(step), _frozen(beta)
+        self.step, self.beta = factor[4], factor[5]
 
     def restore(self, b: np.ndarray) -> np.ndarray:
         """``_DualSimplex.restore``, then the new basis's beta and growth columns; returns x_B."""

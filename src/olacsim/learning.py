@@ -20,7 +20,12 @@ An observation of state i adds e_class(i) plus its folded arrivals to the
 right-hand side b, so the basic solution x_B = B^-1 b grows by the column
 B^-1 b_i. The kept basis stays optimal while x_B >= 0 (right-hand-side
 ranging), so beta only changes at a slot where that check fails; the dual
-simplex then restores feasibility from the kept basis.
+simplex then restores feasibility from the kept basis. The check runs on a
+block of slots at a time: one cumulative sum of their growth columns, the
+current x_B added in place, and one argmax over the sign test for the first
+slot that fails. The count LP keeps the factorisations of its recent bases
+and, per basis, the entering column of each leaving row it has priced, so a
+pivot that comes back costs no inversion and no ratio test.
 """
 from __future__ import annotations
 
@@ -59,19 +64,21 @@ def dual_learn(instance: NetworkInstance, states) -> tuple[list[int], np.ndarray
     while t < H - 1:
         n = min(block, H - 1 - t)
         # row k is x_B after observing states[t..t+k], the basis check for slot t+k+1
-        ahead = x + np.cumsum(lp.step[states[t : t + n]], axis=0)
-        bad = (ahead < -FEAS_TOL * (1.0 + bscale * (t + n))).any(axis=1)
-        if not bad.any():
+        ahead = lp.step[states[t : t + n]].cumsum(axis=0)
+        ahead += x
+        bad = ahead < -FEAS_TOL * (1.0 + bscale * (t + n))
+        first = int(bad.argmax())  # in row order, so its row is the first slot that fails
+        if not bad.item(first):
             x = ahead[-1]
             t += n
             block = min(2 * block, MAX_BLOCK)
             continue
-        t += int(bad.argmax()) + 1
+        t += first // bad.shape[1] + 1
         counts += np.bincount(states[counted:t], minlength=instance.M)
         counted = t
         x = lp.restore(lp.rhs @ counts)
         # a kept basis hands back its own beta array, equal to itself
-        if lp.beta is not betas[-1] and not np.array_equal(lp.beta, betas[-1]):
+        if lp.beta is not betas[-1] and lp.beta.tolist() != betas[-1].tolist():
             starts.append(t)
             betas.append(lp.beta)
         block = FIRST_BLOCK

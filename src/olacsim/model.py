@@ -77,8 +77,10 @@ class NetworkInstance:
     once on first use: ``class_lp`` (``dual.class_lp``), ``eta_0`` and
     ``slack_basis`` (``dual.nominal_slack`` and the optimal basis of its slack
     LP), ``policy`` (``dual.nominal_policy``, the policy LP), ``rho``
-    (``dual.estimate_polyhedral_rho``'s decay rate and its direction), and
-    the last ``olac_path`` made (``sim``'s OLAC path, per seed and horizon).
+    (``dual.estimate_polyhedral_rho``'s decay rate and its direction),
+    ``slot_rows`` (the arrival and service rows as tuples of r floats, which
+    ``sim.run`` hands the ledger each slot), and the last ``olac_path`` made
+    (``sim``'s OLAC path, per seed and horizon).
     It is not compared, and a pickled copy starts without it.
     """
 

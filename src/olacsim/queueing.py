@@ -86,7 +86,7 @@ def apply_slot(ledger: QueueLedger, arrivals, services, slot: int, discipline: s
     slot's arrivals as a new chunk. Each departure is a tuple
     ``(queue, amount, arrival_slot, departure_slot, was_null)``. Trusts its
     inputs: arrivals and services are sequences of r non-negative floats
-    (a NetworkInstance's tables are, and ``sim.run`` passes their list rows).
+    (a NetworkInstance's tables are, and ``sim.run`` passes their rows as tuples).
     """
     lifo = discipline == LIFO
     end = -1 if lifo else 0  # the end service takes from

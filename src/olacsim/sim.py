@@ -26,9 +26,10 @@ about 1.3, the row copy about 0.4, and the loop's own bookkeeping the rest
 (2-core x86-64 host, Python 3.11, numpy 2.4).
 
 The multiplier estimate whose convergence is measured is q(t), or
-q(t) + beta(t) - theta with a beta path (OLAC); at OLAC2's reset slot the
-adjustment is applied before the slot's metrics are taken, so the measured
-estimate jumps to the learned target there.
+q(t) + beta(t) - theta with a beta path (OLAC), formed after the loop in
+one pass: each segment's V * beta repeated over its slots. At OLAC2's reset
+slot the adjustment is applied before the slot's metrics are taken, so the
+measured estimate jumps to the learned target there.
 """
 from __future__ import annotations
 
@@ -122,6 +123,7 @@ class _Plan:
 
     discipline: str                 # "LIFO" for OLAC2, "FIFO" otherwise
     segments: tuple                 # (start, stop, OLAC's V * beta on slots start..stop-1, or None: decide on q)
+    betas: np.ndarray | None        # OLAC's V * beta, one row per segment: the segments' third entries
     theta: np.ndarray | None        # OLAC's offset
     reset_gamma: np.ndarray | None  # the backlog OLAC2 is adjusted to at slot t_learn
     flagged: int                    # RunResult.solver_flagged_slots
@@ -141,18 +143,18 @@ def _plan(instance: NetworkInstance, cfg: SimConfig, states: np.ndarray) -> _Pla
             if kept is None or kept[0] != (cfg.seed, H):
                 kept = instance.derived["olac_path"] = ((cfg.seed, H), *dual_learn(instance, states))
             _, starts, betas, flagged = kept
-            segments = tuple(zip(starts, [*starts[1:], H], ctrl.V * betas))
-            return _Plan("FIFO", segments, theta, None, flagged, None)
+            betas = ctrl.V * betas
+            return _Plan("FIFO", tuple(zip(starts, [*starts[1:], H], betas)), betas, theta, None, flagged, None)
         if ctrl.kind == OLAC2:
             t_learn = ctrl.learn_slot()
             if t_learn >= H:
                 learner_slack(instance)  # nothing is learned, and still an instance without slack fails
-                return _Plan("LIFO", on_q, None, None, 0, t_learn)
+                return _Plan("LIFO", on_q, None, None, None, 0, t_learn)
             learned = olac2_step(instance, np.bincount(states[:t_learn], minlength=instance.M) / t_learn, ctrl)
-            return _Plan("LIFO", on_q, None, learned.gamma, int(learned.at_box), t_learn)
+            return _Plan("LIFO", on_q, None, None, learned.gamma, int(learned.at_box), t_learn)
     except NoSlackError as exc:
         raise NoSlackError(f"{ctrl.kind}: {exc}") from None
-    return _Plan("FIFO", on_q, None, None, 0, None)
+    return _Plan("FIFO", on_q, None, None, None, 0, None)
 
 
 def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
@@ -187,9 +189,14 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     dropped = np.zeros(r)
     q_path = np.empty((H, r))
     actions = []
-    # per-(state, action) rows of r floats, read by the ledger once per slot
-    arrival_rows = instance.arrivals.tolist()
-    service_rows = instance.services.tolist()
+    # per-(state, action) rows of r floats, read by the ledger once per slot;
+    # the instance keeps them, made by its first run
+    if "slot_rows" not in instance.derived:
+        instance.derived["slot_rows"] = tuple(
+            tuple(tuple(map(tuple, rows)) for rows in table.tolist())
+            for table in (instance.arrivals, instance.services)
+        )
+    arrival_rows, service_rows = instance.derived["slot_rows"]
     # -V * costs per state, made once per run; the rules index it like instance.drift_rows
     neg_v_costs = tuple(-cfg.controller.V * instance.costs)
     # the ledger's float list, updated in place; each slot copies it into its q_path row
@@ -216,12 +223,12 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
 
     delay = delay_acc.finalize(H)
     costs = instance.costs[states_seq, actions]
-    # the estimate is q(t), or q(t) + beta(t) - theta with a beta path, formed segment by segment
+    # the estimate is q(t), or q(t) + beta(t) - theta with a beta path, its segments' rows repeated over their slots
     estimate, beta_trace = q_path, None
     if theta is not None:
-        starts, stops, betas = zip(*plan.segments)
-        estimate = np.concatenate([q_path[start:stop] + beta for start, stop, beta in plan.segments]) - theta
-        beta_trace = np.repeat(_distances(np.array(betas), gamma_star), np.subtract(stops, starts))
+        lengths = [stop - start for start, stop, _ in plan.segments]
+        estimate = (q_path + np.repeat(plan.betas, lengths, axis=0)) - theta
+        beta_trace = np.repeat(_distances(plan.betas, gamma_star), lengths)
     dist = _distances(estimate, gamma_star)
     t_first = t_sustained = None
     if cfg.zeta is not None:

@@ -322,7 +322,14 @@ class TestRecordedOutputs:
         ("two_queue_unbalanced", 0): ("eddf0f710a9c7f34eed2ba9347adbd23bf33f7045667d15831ce18db10b14bad", 1),
         ("two_queue_unbalanced", 1): ("197a21c7df794aa144d78ca30c974606436b18ad44f53fed91afcb923d13d584", 0),
     }
-    # the two paths above whose box binds (flagged > 0) depend on eta_0 through
+    # the same at 5000 slots, perfbench delay_table's horizon: about 2.5 times the pivots
+    PATHS_5000 = {
+        ("two_queue", 0): ("227facbe6b771d59fa512ae487fd700bff9b55f5477434bc1030eeecd2ba3840", 6),
+        ("two_queue", 1): ("f557c677007104304ef07d2503550fd5e472b5a4aeae3677f8b5e5087d8f0ae3", 0),
+        ("two_queue_unbalanced", 0): ("4d97bb3e54292a0561a3014bc06533a27fe7ed7d745911cdddcfa884e867f971", 1),
+        ("two_queue_unbalanced", 1): ("e9e539e4d4a536baf34cf04cca2713c21b634b8a3d6d0ed1359eff9363dd8d44", 0),
+    }
+    # the two 2000-slot paths above whose box binds (flagged > 0) depend on eta_0 through
     # xi = f_max / eta_0. Handed the eta_0 that a dense tableau simplex once
     # solved the slack LP to, one ulp from the dual simplex's, the learner gives
     # the paths recorded then, bit for bit: it did not move when the slack LP's
@@ -352,6 +359,12 @@ class TestRecordedOutputs:
         path, flagged = dense_path(instance, sample_states(instance, 2000, seed), 1.0)
         assert (hashlib.sha256(path.tobytes()).hexdigest(), flagged) == self.PATHS[channel, seed]
 
+    @pytest.mark.parametrize("channel, seed", sorted(PATHS_5000))
+    def test_dual_learn_path_at_delay_table_length(self, request, channel, seed):
+        instance = request.getfixturevalue(channel)
+        path, flagged = dense_path(instance, sample_states(instance, 5000, seed), 1.0)
+        assert (hashlib.sha256(path.tobytes()).hexdigest(), flagged) == self.PATHS_5000[channel, seed]
+
     @pytest.mark.parametrize("channel, seed", sorted(PATHS_AT_ETA_0))
     def test_dual_learn_path_at_given_eta_0(self, request, monkeypatch, channel, seed):
         instance = request.getfixturevalue(channel)
@@ -371,33 +384,55 @@ class TestRecordedOutputs:
         assert (res.gamma.tolist(), res.iterations) == self.GAMMAS[channel, V, seed]
 
 
+def fresh_entering(lp, basis, row):
+    """The entering column of a pivot on ``row`` from ``basis``, priced from a fresh inversion."""
+    binv = np.linalg.inv(lp.a[:, basis])
+    d = lp.c - (lp.c[basis] @ binv) @ lp.a
+    d[basis] = 0.0
+    alpha = binv[row] @ lp.a
+    enter = (alpha < -olacsim.dual.PIVOT_TOL).nonzero()[0]
+    ratio = np.maximum(d[enter], 0.0) / -alpha[enter]
+    best = ratio.min()
+    return enter[(ratio <= best + olacsim.dual.TIE_TOL * max(1.0, best)).argmax()]
+
+
+def recorded_learns(monkeypatch):
+    """Patch ``learning._CountLP`` so that each count LP it builds is appended to the returned list."""
+    lps = []
+
+    class Recorded(_CountLP):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            lps.append(self)
+
+    monkeypatch.setattr(olacsim.learning, "_CountLP", Recorded)
+    return lps
+
+
 class TestKeptFactorisations:
     """The count LP's kept bases and the class LP memo, read back after real runs."""
 
     @pytest.mark.parametrize("channel, horizon", [("two_queue", 5000), ("two_queue_unbalanced", 2500)])
     def test_kept_factorisations_are_fresh_ones(self, request, monkeypatch, channel, horizon):
         instance = request.getfixturevalue(channel)
-        lps = []
-
-        class Recorded(_CountLP):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                lps.append(self)
-
-        monkeypatch.setattr(olacsim.learning, "_CountLP", Recorded)
+        lps = recorded_learns(monkeypatch)
         dual_learn(instance, sample_states(instance, horizon, 0))
         (lp,) = lps
         assert lp.pivots > BASIS_CACHE  # the run left more bases than are kept
         assert 0 < len(lp.factors) <= BASIS_CACHE
         assert lp.basis.tobytes() == list(lp.factors)[-1]  # the current basis is the most recent
-        for key, (binv, y, d, step, beta) in lp.factors.items():
+        memos = 0
+        for key, (binv, y, clamp, memo, step, beta) in lp.factors.items():
             basis = np.frombuffer(key, dtype=lp.basis.dtype)
             fresh = np.linalg.inv(lp.a[:, basis])
             assert binv.tobytes() == fresh.tobytes()
             assert y.tobytes() == (lp.c[basis] @ fresh).tobytes()
             fresh_d = lp.c - y @ lp.a
             fresh_d[basis] = 0.0
-            assert d.tobytes() == fresh_d.tobytes()
+            assert clamp.tobytes() == np.maximum(fresh_d, 0.0).tobytes()
+            for row, col in memo.items():
+                assert col == fresh_entering(lp, basis, row)
+            memos += len(memo)
             if step is not None:
                 assert step.tobytes() == (fresh @ lp.rhs).T.tobytes()
                 basic = np.isin(np.arange(lp.c.size), basis)
@@ -405,8 +440,47 @@ class TestKeptFactorisations:
                 fresh_beta[basic[lp.s_cols]] = lp.xi
                 fresh_beta[basic[lp.u_cols]] = 0.0
                 assert beta.tobytes() == fresh_beta.tobytes()
-            for array in (binv, y, d, step, beta):
+            for array in (binv, y, clamp, step, beta):
                 assert array is None or not array.flags.writeable
+        assert memos > 0
+
+    # (channel fixture, horizon): fresh inversions of the 10 learns on seeds 0-9
+    INVERSIONS = {("two_queue", 5000): 2142, ("two_queue_unbalanced", 2500): 2285}
+
+    @pytest.mark.parametrize("channel, horizon", sorted(INVERSIONS))
+    def test_each_distinct_basis_is_inverted_once(self, request, monkeypatch, channel, horizon):
+        # BASIS_CACHE kept bases are as many as a run needs: a learn inverts
+        # each basis it visits once, as an unbounded cache would
+        instance = request.getfixturevalue(channel)
+        # the instance's slack LP is solved on its first learn and kept; solve it outside the count
+        dual_learn(instance, sample_states(instance, 2, 0))
+        inversions = []
+        inv = np.linalg.inv
+
+        def counted_inv(matrix):
+            inversions.append(matrix)
+            return inv(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        lps = recorded_learns(monkeypatch)
+        visited = []
+        refactor = _CountLP._refactor
+
+        def recorded_refactor(lp):
+            visited[-1].add(lp.basis.tobytes())
+            refactor(lp)
+
+        monkeypatch.setattr(_CountLP, "_refactor", recorded_refactor)
+        total = 0
+        for seed in range(10):
+            states = sample_states(instance, horizon, seed)
+            visited.append(set())
+            inversions.clear()
+            dual_learn(instance, states)
+            assert len(inversions) == len(visited[-1])
+            total += len(inversions)
+        assert len(lps) == 10
+        assert total == self.INVERSIONS[channel, horizon]
 
     def test_class_lp_is_built_once(self, two_queue_unbalanced):
         first, second = class_lp(two_queue_unbalanced), class_lp(two_queue_unbalanced)
@@ -422,7 +496,7 @@ class TestKeptFactorisations:
         instance = build_two_queue_example([0.25, 0.25, 0.25, 0.25])
         cfg = SimConfig(horizon=50, seed=0, controller=ControllerConfig("OLAC", 10.0))
         run(instance, cfg, compute_analysis(instance, 10.0).gamma_star)
-        assert set(instance.derived) == {"class_lp", "eta_0", "slack_basis", "policy", "rho", "olac_path"}
+        assert set(instance.derived) == {"class_lp", "eta_0", "slack_basis", "policy", "rho", "slot_rows", "olac_path"}
         # a pickled copy, as a pool worker's task gets it, starts without them
         copy = pickle.loads(pickle.dumps(instance))
         assert copy == instance and copy.derived == {}
