@@ -58,13 +58,14 @@ def dual_learn(instance: NetworkInstance, states) -> tuple[list[int], np.ndarray
     starts, betas = [0], [lp.beta]
     x = np.zeros(lp.a.shape[0])
     t = 0  # observations folded into x: states[:t]
-    counts, counted = np.zeros(instance.M, dtype=np.int64), 0  # counts of states[:counted]
+    # counts of states[:counted], as floats: rhs @ counts then needs no cast
+    counts, counted = np.zeros(instance.M), 0
     block = FIRST_BLOCK
     bscale = max(1.0, float(np.abs(lp.rhs).max()))
     while t < H - 1:
         n = min(block, H - 1 - t)
         # row k is x_B after observing states[t..t+k], the basis check for slot t+k+1
-        ahead = lp.step[states[t : t + n]].cumsum(axis=0)
+        ahead = np.add.accumulate(lp.step.take(states[t : t + n], axis=0))
         ahead += x
         bad = ahead < -FEAS_TOL * (1.0 + bscale * (t + n))
         first = int(bad.argmax())  # in row order, so its row is the first slot that fails

@@ -89,13 +89,18 @@ class RunResult:
 
 
 def sample_states(instance: NetworkInstance, horizon: int, seed: int) -> np.ndarray:
-    """I.i.d. state indices via inverse CDF on the first spawned seed stream."""
+    """I.i.d. state indices via inverse CDF on the first spawned seed stream.
+
+    The probabilities may sum to within ``model.PROB_SUM_TOL`` of 1, so the
+    CDF is raised to 1 at the last state of positive probability and ends
+    there: every draw in [0, 1) lands on a state of positive probability.
+    """
     streams = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.Generator(np.random.PCG64(streams[0]))
-    cum = np.cumsum(instance.probabilities)
+    last = int(np.flatnonzero(instance.probabilities)[-1])
+    cum = np.cumsum(instance.probabilities[: last + 1])
     cum[-1] = max(cum[-1], 1.0)
-    draws = rng.random(horizon)
-    return np.minimum(np.searchsorted(cum, draws, side="right"), instance.M - 1)
+    return np.searchsorted(cum, rng.random(horizon), side="right")
 
 
 def convergence_time(dist, zeta: float, window: int = 1) -> int | None:

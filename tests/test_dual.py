@@ -422,6 +422,29 @@ def test_bad_state_weights_rejected_before_any_lp(name, weights, monkeypatch):
     assert built == []
 
 
+class TestOracleWork:
+    """The pivots of the oracles' LPs at the true distribution, each from its own start basis."""
+
+    # instance: (policy LP pivots, nominal slack LP pivots)
+    PIVOTS = {"two_queue": (19, 18), "two_queue_unbalanced": (22, 17), "three_queue": (10, 7)}
+
+    @pytest.mark.parametrize("name", sorted(PIVOTS))
+    def test_policy_and_slack_lp_pivots(self, name, request, monkeypatch):
+        shipped = load_instance_file(THREE_QUEUE) if name == "three_queue" else request.getfixturevalue(name)
+        instance = NetworkInstance(shipped.r, shipped.states)  # no kept slack basis yet
+        lps = []
+
+        class Recorded(olacsim.dual._DualSimplex):
+            def __init__(self, *args):
+                super().__init__(*args)
+                lps.append(self)
+
+        monkeypatch.setattr(olacsim.dual, "_DualSimplex", Recorded)
+        primal_oracle(instance, instance.probabilities)
+        max_slack(instance, instance.probabilities)
+        assert tuple(lp.pivots for lp in lps) == self.PIVOTS[name]
+
+
 def start_bases(instance):
     """The (a, c, basis) each LP starts from: the policy and slack LPs as handed to ``solve_lp``, then the count LP."""
     starts = []

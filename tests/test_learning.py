@@ -437,17 +437,18 @@ class TestKeptFactorisations:
                 assert step.tobytes() == (fresh @ lp.rhs).T.tobytes()
                 basic = np.isin(np.arange(lp.c.size), basis)
                 fresh_beta = np.clip(y[lp.n_class :], 0.0, lp.xi)
-                fresh_beta[basic[lp.s_cols]] = lp.xi
-                fresh_beta[basic[lp.u_cols]] = 0.0
+                r = fresh_beta.size  # s_j is column n_y + j, u_j column n_y + r + j
+                fresh_beta[basic[lp.n_y : lp.n_y + r]] = lp.xi
+                fresh_beta[basic[lp.n_y + r :]] = 0.0
                 assert beta.tobytes() == fresh_beta.tobytes()
             for array in (binv, y, clamp, step, beta):
                 assert array is None or not array.flags.writeable
         assert memos > 0
 
-    # (channel fixture, horizon): fresh inversions of the 10 learns on seeds 0-9
-    INVERSIONS = {("two_queue", 5000): 2142, ("two_queue_unbalanced", 2500): 2285}
+    # (channel fixture, horizon): (fresh inversions, pivots, memo hits) of the 10 learns on seeds 0-9
+    WORK = {("two_queue", 5000): (2142, 3545, 1097), ("two_queue_unbalanced", 2500): (2285, 4253, 1653)}
 
-    @pytest.mark.parametrize("channel, horizon", sorted(INVERSIONS))
+    @pytest.mark.parametrize("channel, horizon", sorted(WORK))
     def test_each_distinct_basis_is_inverted_once(self, request, monkeypatch, channel, horizon):
         # BASIS_CACHE kept bases are as many as a run needs: a learn inverts
         # each basis it visits once, as an unbounded cache would
@@ -455,20 +456,23 @@ class TestKeptFactorisations:
         # the instance's slack LP is solved on its first learn and kept; solve it outside the count
         dual_learn(instance, sample_states(instance, 2, 0))
         inversions = []
-        inv = np.linalg.inv
+        inverse = olacsim.dual._inverse
 
-        def counted_inv(matrix):
+        def counted_inverse(matrix):
             inversions.append(matrix)
-            return inv(matrix)
+            return inverse(matrix)
 
-        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        # the engine's one inversion point
+        monkeypatch.setattr(olacsim.dual, "_inverse", counted_inverse)
         lps = recorded_learns(monkeypatch)
         visited = []
+        memos = {}  # id -> memo of every factorisation made, held so that no id is reused
         refactor = _CountLP._refactor
 
         def recorded_refactor(lp):
             visited[-1].add(lp.basis.tobytes())
             refactor(lp)
+            memos[id(lp.memo)] = lp.memo
 
         monkeypatch.setattr(_CountLP, "_refactor", recorded_refactor)
         total = 0
@@ -479,8 +483,11 @@ class TestKeptFactorisations:
             dual_learn(instance, states)
             assert len(inversions) == len(visited[-1])
             total += len(inversions)
-        assert len(lps) == 10
-        assert total == self.INVERSIONS[channel, horizon]
+        assert len(lps) == 10 and len(memos) == total
+        pivots = sum(lp.pivots for lp in lps)
+        # each ratio test fills one memo entry; every other pivot is a memo hit
+        ratio_tests = sum(len(memo) for memo in memos.values())
+        assert (total, pivots, pivots - ratio_tests) == self.WORK[channel, horizon]
 
     def test_class_lp_is_built_once(self, two_queue_unbalanced):
         first, second = class_lp(two_queue_unbalanced), class_lp(two_queue_unbalanced)

@@ -117,6 +117,21 @@ class TestRun:
         assert np.array_equal(s1, s2)
         assert s1.min() >= 0 and s1.max() < 64
 
+    def test_no_draw_lands_on_a_state_of_probability_zero(self, monkeypatch):
+        # the probabilities sum to 1 - 4e-10, within PROB_SUM_TOL: a draw in
+        # [0.9999999996, 1) lies past the cumulative sum of states 0 and 1
+        inst = make_instance(1, [0.3, 0.7 - 4e-10, 0.0], [[(0.0, [0.0], [1.0])]] * 3)
+
+        class Draws:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, size):
+                return np.array([0.1, 0.5, 1.0 - 2e-10, np.nextafter(1.0, 0.0)])[:size]
+
+        monkeypatch.setattr(np.random, "Generator", Draws)
+        assert sample_states(inst, 4, 0).tolist() == [0, 1, 1, 1]
+
     def test_olac2_pre_learn_identical_to_lifo_backpressure(self, two_queue, gamma_star_100):
         # before T_l OLAC2 is Backpressure on LIFO queues; totals and costs do
         # not depend on the discipline, so FIFO Backpressure must match

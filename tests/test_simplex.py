@@ -5,11 +5,13 @@ basis, so each LP here is drawn with one: random prices y, c_B = y.a_B on a
 random basis and c_N = y.a_N plus non-negative reduced costs, some of them 0.
 Such an LP is bounded, so it is either optimal or infeasible.
 """
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from olacsim.dual import solve_lp
+from olacsim.dual import _DualSimplex, solve_lp
 
 
 def dual_feasible_lp(rng):
@@ -81,3 +83,14 @@ def test_equality_only_system():
     x, final, y = solve_lp(np.array([[1.0, 1.0]]), np.array([1.0, 1.0]), [0], np.array([1.0]))
     assert objective(np.array([1.0, 1.0]), x, final) == pytest.approx(1.0, abs=1e-12)
     assert y.tolist() == [1.0]
+
+
+def test_singular_basis_raises_linalg_error():
+    # columns 0 and 1 are dependent, so the start basis has no inverse
+    a = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0]])
+    state = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            _DualSimplex(a, np.zeros(3), np.array([0, 1]))
+    assert np.geterr() == state
