@@ -16,11 +16,13 @@ multiplier is a relative difference of order 1.
 
 One line per column (per controller in summary.csv) that is not entirely
 identical gives the counts and the largest relative and absolute
-differences. A different header or row count is a difference too, and so is
-a file present on one side only (summary.csv and oracle.csv must be on
-both). ``manifest.json`` must be the same JSON apart from its ``out_dir``,
-which names the directory the sweep wrote to; each top-level key that
-differs is named. Exits 1 when any cell or file differs, 0 otherwise.
+differences. A different header or row count is a difference too, and so
+are a row whose cell count differs from the header's on either side (the
+first such row is named by its number) and a file present on one side only
+(summary.csv and oracle.csv must be on both). ``manifest.json`` must be
+the same JSON apart from its ``out_dir``, which names the directory the
+sweep wrote to; each top-level key that differs is named. Exits 1 when any
+cell or file differs, 0 otherwise.
 """
 from __future__ import annotations
 
@@ -75,6 +77,14 @@ def compare_file(path_a, path_b, rtol: float, atol: float = 0.0) -> bool:
         print(f"{name}: {len(rows_a) - 1} rows against {len(rows_b) - 1}")
         return False
     header = rows_a[0]
+    # zip would stop at the shorter of header and row: a cell too many or too few would go unseen
+    ragged = [k for k, (row_a, row_b) in enumerate(zip(rows_a[1:], rows_b[1:]), 1)
+              if len(row_a) != len(header) or len(row_b) != len(header)]
+    if ragged:
+        k = ragged[0]
+        print(f"{name}: row {k} has {len(rows_a[k])} cells against {len(rows_b[k])}, header {len(header)} "
+              f"({len(ragged)} such rows)")
+        return False
     group_col = header.index("controller") if "controller" in header else None
     stats = {}  # (controller or "", column) -> counts
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):

@@ -51,7 +51,6 @@ __all__ = [
     "InfeasibleInstanceError",
     "NoSlackError",
     "dual_value",
-    "supergradient",
     "maximize_dual",
     "class_lp",
     "primal_oracle",
@@ -120,14 +119,6 @@ def dual_value(instance: NetworkInstance, dist, gamma, V: float) -> float:
     gamma, dist = _check_dims(instance, gamma, dist)
     scores = V * instance.costs + instance.drift @ gamma
     return float(dist @ scores.min(axis=1))
-
-
-def supergradient(instance: NetworkInstance, dist, gamma, V: float) -> np.ndarray:
-    """A supergradient of the concave dual at gamma: the mean selected drift."""
-    gamma, dist = _check_dims(instance, gamma, dist)
-    scores = V * instance.costs + instance.drift @ gamma
-    sel = scores.argmin(axis=1)
-    return dist @ instance.drift[np.arange(instance.M), sel]
 
 
 class DualTables:

@@ -270,11 +270,21 @@ def _instance_from_dict(doc) -> NetworkInstance:
     return NetworkInstance(r, states)
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object's pairs as a dict; a repeated key is an error, not last-wins."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InstanceError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _parse(text: str):
     if not text.strip():
         raise InstanceError("empty document")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
 

@@ -69,14 +69,6 @@ class QueueLedger:
         self.chunks: list[deque] = [deque() for _ in range(self.r)]
         self.totals = [0.0] * self.r
 
-    def add_initial(self, amounts) -> None:
-        """Seed real backlog, arrived at slot 0, before a run's slot 0 (test hook)."""
-        amounts = np.asarray(amounts, dtype=float)
-        for j in range(self.r):
-            if amounts[j] > 0:
-                self.chunks[j].append([0, float(amounts[j]), False])
-                self.totals[j] += float(amounts[j])
-
 
 def apply_slot(ledger: QueueLedger, arrivals, services, slot: int, discipline: str = FIFO) -> list[tuple]:
     """One slot of queue dynamics; returns the departures it caused.

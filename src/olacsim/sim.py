@@ -58,7 +58,6 @@ class SimConfig:
     seed: int
     controller: ControllerConfig
     zeta: float | None = None
-    initial_backlog: np.ndarray | None = None  # test hook
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -177,19 +176,11 @@ def run(instance: NetworkInstance, cfg: SimConfig, gamma_star) -> RunResult:
     gamma_star = np.asarray(gamma_star, dtype=float)
     if gamma_star.shape != (r,):
         raise ValueError(f"gamma_star has shape {gamma_star.shape}, expected ({r},)")
-    if cfg.initial_backlog is not None:
-        backlog = np.asarray(cfg.initial_backlog, dtype=float)
-        if backlog.shape != (r,):
-            raise ValueError(f"initial_backlog has shape {backlog.shape}, expected ({r},)")
-        if not (np.isfinite(backlog).all() and (backlog >= 0).all()):
-            raise ValueError("initial_backlog must be finite and non-negative")
 
     states_seq = sample_states(instance, H, cfg.seed)
     plan = _plan(instance, cfg, states_seq)
     theta, t_learn, discipline = plan.theta, plan.t_learn, plan.discipline
     ledger = QueueLedger(r)
-    if cfg.initial_backlog is not None:
-        ledger.add_initial(cfg.initial_backlog)
     delay_acc = DelayAccumulator(r)
     dropped = np.zeros(r)
     q_path = np.empty((H, r))

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from olacsim.dual import InfeasibleInstanceError, class_lp, max_slack, primal_oracle
+import olacsim.sim
+from olacsim.dual import InfeasibleInstanceError, _check_dims, class_lp, max_slack, primal_oracle
 from olacsim.learning import dual_learn
 from olacsim.model import ActionSpec, NetworkInstance, StateSpec, build_two_queue_example
+from olacsim.queueing import QueueLedger
 
 # Every property test draws the same examples on every run: Tier-1 takes the
 # same time each run, and a failure reproduces without a saved example.
@@ -55,6 +57,38 @@ def per_state_dual(instance, state_id, gamma, V):
     scores = V * instance.costs[state_id] + instance.drift[state_id] @ np.asarray(gamma, dtype=float)
     k = int(np.argmin(scores))
     return float(scores[k]), k
+
+
+def supergradient(instance, dist, gamma, V):
+    """A supergradient of the concave dual at gamma: the mean selected drift."""
+    gamma, dist = _check_dims(instance, gamma, dist)
+    scores = V * instance.costs + instance.drift @ gamma
+    sel = scores.argmin(axis=1)
+    return dist @ instance.drift[np.arange(instance.M), sel]
+
+
+@pytest.fixture
+def start_backlog(monkeypatch):
+    """``start_backlog(b)`` makes the next ``sim.run`` start from backlog b instead of empty queues.
+
+    It patches the ledger ``run`` builds with one seeded as real content that
+    arrived at slot 0: a chunk [0, b_j, False] per queue with b_j > 0, and
+    totals b_j.
+    """
+    def seed(backlog):
+        amounts = [float(b) for b in backlog]
+
+        class SeededLedger(QueueLedger):
+            def __init__(self, r):
+                super().__init__(r)
+                for j, amount in enumerate(amounts):
+                    if amount > 0:
+                        self.chunks[j].append([0, amount, False])
+                        self.totals[j] += amount
+
+        monkeypatch.setattr(olacsim.sim, "QueueLedger", SeededLedger)
+
+    return seed
 
 
 def dense_path(instance, states, V):
@@ -160,8 +194,9 @@ def state_index(a1_on, a2_on, c1_idx, c2_idx):
 #
 # The queue ledger as it was written with numpy counters and a dataclass per
 # departure. The code is kept as it was; only the names (Ref prefix) and the
-# docstrings changed, and the unused add_initial hook is left out. The
-# plain-float ledger of olacsim.queueing must reproduce it to the last bit.
+# docstrings changed, and its start-backlog hook is left out, as the ledger
+# under test has none. The plain-float ledger of olacsim.queueing must
+# reproduce it to the last bit.
 
 _REF_DUST = 1e-12
 

@@ -23,13 +23,13 @@ import pytest
 
 from olacsim.cli import Scenario, run_scenario
 from olacsim.controllers import ControllerConfig
-from olacsim.dual import compute_analysis, dual_value, maximize_dual, supergradient
+from olacsim.dual import compute_analysis, dual_value, maximize_dual
 from olacsim.learning import dual_learn
 from olacsim.model import read_json_file
 from olacsim.queueing import QueueLedger, apply_slot
 from olacsim.sim import SimConfig, run, sample_states
 
-from conftest import random_multiplier_instances, read_csv, single_state_instance, total
+from conftest import random_multiplier_instances, read_csv, single_state_instance, supergradient, total
 
 SEEDS10 = list(range(10))
 SHIPPED = Path(__file__).resolve().parent.parent / "scenarios"
@@ -231,8 +231,9 @@ class TestCriterion5:
     tests/test_sim.py), and the dual's kinks next to gamma* lie at distances
     proportional to V: at V=100 they sit 9 above and 44 below gamma*, inside
     the tail, and the stronger pull below the lower one shortens it; from V=400
-    on they lie outside the tail. scripts/criterion5_offsets.py prints all of
-    these figures.
+    on they lie outside the tail. test_drift_profile_around_gamma_star checks
+    the drift profile and these kinks; scripts/criterion5_offsets.py prints
+    the offsets, the empty-queue shares and |beta - gamma*|.
 
     The runs are sweeps of tests/scenarios/olac_queue_law.json: as it is for
     the default theta at V = 400 and 1600 (V = 100 is criterion 3's sweep),
@@ -240,6 +241,33 @@ class TestCriterion5:
     """
 
     SEEDS = {100.0: SEEDS10, 400.0: range(5), 1600.0: range(5)}
+
+    def test_drift_profile_around_gamma_star(self, two_queue):
+        """The summed supergradient of the true dual at gamma* + delta (1, 1), rounded to 3 decimals.
+
+        It is the mean drift, summed over both queues, of the effective backlog
+        when it sits delta away from gamma* on the diagonal: +0.049 at
+        delta = -1 and -0.212 at +1 at every V. At delta = +10 it reads -0.387
+        at V = 100, past that V's kink 9 above gamma*, and still -0.212 at
+        V = 400 and 1600, whose kinks lie farther out.
+        """
+        deltas = (-1, 1, 10)
+        expected = {100.0: (0.049, -0.212, -0.387), 400.0: (0.049, -0.212, -0.212), 1600.0: (0.049, -0.212, -0.212)}
+        measured = {}
+        for v in expected:
+            gamma_star = compute_analysis(two_queue, v).gamma_star
+            measured[v] = tuple(
+                round(float(supergradient(two_queue, two_queue.probabilities, gamma_star + d, v).sum()), 3)
+                for d in deltas
+            )
+        ok = measured == expected
+        report(
+            5,
+            ok,
+            "(drift profile) summed supergradient at gamma* + delta (1, 1), delta = -1 / +1 / +10: "
+            + "; ".join(f"V={v:g}: " + " / ".join(f"{x:+.3f}" for x in row) for v, row in measured.items()),
+        )
+        assert ok
 
     def test_queue_law_v_independence(self, tmp_path_factory, two_queue):
         """theta = kappa (ln V)^2, with kappa set so that the smallest theta clears the boundary.

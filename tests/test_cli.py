@@ -911,6 +911,14 @@ class TestMainEntry:
         assert f"error: {path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9" in err
         assert not (tmp_path / "out").exists()
 
+    def test_scenario_with_repeated_key_rejected(self, tmp_path, capsys):
+        # json.loads alone keeps the last value: the sweep would run 7 slots
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(smoke_doc(horizon=5))[:-1] + ', "horizon": 7}')
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {path}: repeated key 'horizon'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_verb_and_plotdata_verb(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps(smoke_doc(horizon=100, seeds=[0])))

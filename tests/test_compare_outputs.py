@@ -86,6 +86,19 @@ def test_row_count_mismatch(tmp_path, capsys):
     assert "2 rows against 3" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("row_a, row_b", [("1,2", "1,2,3"), ("1,2,3", "1,2"), ("1,2,3", "1,2,3"), ("1", "1")])
+def test_row_length_mismatch(tmp_path, capsys, row_a, row_b):
+    # zip stops at the shorter of header and row: the extra or missing cell must still count
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, row in ((a, row_a), (b, row_b)):
+        d.mkdir()
+        (d / "summary.csv").write_text(f"x,y\n1,2\n{row}\n")
+        (d / "oracle.csv").write_text(ORACLE.format(g_star="1.0"))
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert f"summary.csv: row 2 has {row_a.count(',') + 1} cells against {row_b.count(',') + 1}, header 2 " in out
+
+
 def write_trace(d, name="trace_OLAC_V100_seed0.csv", q="0.0"):
     with open(os.path.join(d, name), "w") as fh:
         fh.write(f"slot,q_1\n0,{q}\n")

@@ -62,13 +62,6 @@ class TestBpDecide:
             expected = per_state_dual(two_queue, sid, q, v)[1]
             assert bp_decide(two_queue, sid, q, rows(two_queue, v)) == expected
 
-    def test_negative_backlog_rejected(self, two_queue):
-        # the rule trusts q >= 0; a run refuses a negative backlog before its first slot
-        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 1.0),
-                        initial_backlog=np.array([-1.0, 0.0]))
-        with pytest.raises(ValueError, match="initial_backlog"):
-            run(two_queue, cfg, np.zeros(2))
-
 
 # random score vectors neg - D w at r = 1, 2, 3, 5, 8; prints how many have np.dot's bits, and how many were drawn
 DOT_BITS = """

@@ -23,7 +23,6 @@ from olacsim.dual import (
     nominal_slack,
     primal_oracle,
     solve_lp,
-    supergradient,
 )
 from olacsim.cli import _perturbed_distributions
 from olacsim.model import NetworkInstance, StateSpec, build_two_queue_example, load_instance_file
@@ -37,6 +36,7 @@ from conftest import (
     random_multiplier_instances,
     single_state_instance,
     state_index,
+    supergradient,
 )
 
 

@@ -225,16 +225,16 @@ class TestDualLearn:
             assert np.array_equal(dense_path(two_queue, changed, 100.0)[0][: k + 1], full[: k + 1])
 
     def test_beta_does_not_depend_on_backlog(self, two_queue):
+        # beta is learned from the states alone: another theta moves the queues, not beta
         gamma_star = 100.0 * primal_oracle(two_queue, two_queue.probabilities).multiplier_v1
 
-        def beta_trace(initial_backlog):
-            cfg = SimConfig(horizon=600, seed=4, controller=ControllerConfig("OLAC", 100.0),
-                            initial_backlog=initial_backlog)
+        def olac_run(theta):
+            cfg = SimConfig(horizon=600, seed=4, controller=ControllerConfig("OLAC", 100.0, theta=theta))
             return run(two_queue, cfg, gamma_star)
 
-        plain, seeded = beta_trace(None), beta_trace(np.array([80.0, 15.0]))
-        assert not np.array_equal(plain.queue_trace, seeded.queue_trace)
-        assert np.array_equal(plain.beta_trace, seeded.beta_trace)
+        default, shifted = olac_run(None), olac_run(np.array([80.0, 15.0]))
+        assert not np.array_equal(default.queue_trace, shifted.queue_trace)
+        assert np.array_equal(default.beta_trace, shifted.beta_trace)
 
     def test_two_queue_estimate_after_80_slots(self, two_queue):
         # learned multiplier is usually already a useful gamma* estimate at t=80

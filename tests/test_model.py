@@ -166,6 +166,21 @@ class TestSerialization:
         with pytest.raises(InstanceError, match="line 1"):
             load_text(tmp_path, "{not json")
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # json.loads alone keeps the last value, and the sum check would then name 0.5
+        text = ('{"r": 1, "states": [{"probability": 1.0, "probability": 0.5, "actions": '
+                '[{"cost": 0.0, "arrivals": [0.0], "services": [1.0]}]}]}')
+        with pytest.raises(InstanceError, match="instance.json: repeated key 'probability'"):
+            load_text(tmp_path, text)
+
+    def test_repeated_key_is_per_object(self, tmp_path):
+        # "cost" in two sibling actions is no repeat; twice inside one nested action is
+        action = '{"cost": 0.0, "arrivals": [0.0], "services": [1.0]}'
+        doc = '{"r": 1, "states": [{"probability": 1.0, "actions": [%s, %s]}]}'
+        assert load_text(tmp_path, doc % (action, action.replace("0.0,", "1.0,", 1))).M == 1
+        with pytest.raises(InstanceError, match="instance.json: repeated key 'cost'"):
+            load_text(tmp_path, doc % (action, action.replace('"arrivals"', '"cost": 1.0, "arrivals"')))
+
     def test_missing_field(self, tmp_path):
         with pytest.raises(InstanceError, match="missing top-level field"):
             load_text(tmp_path, json.dumps({"states": []}))

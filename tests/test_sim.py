@@ -88,12 +88,12 @@ class TestRun:
         assert res.avg_backlog == 0.0
         assert res.avg_cost == 0.0  # empty queues choose the zero-power action
 
-    def test_initial_backlog_hook_gives_t_zero(self, two_queue, gamma_star_100):
-        cfg = SimConfig(
-            horizon=5, seed=0, controller=ControllerConfig("Backpressure", 100.0),
-            zeta=10.0, initial_backlog=gamma_star_100,
-        )
+    def test_start_at_gamma_star_gives_t_zero(self, two_queue, gamma_star_100, start_backlog):
+        # slot 0's row is the start backlog, already within a tight zeta of gamma*
+        start_backlog(gamma_star_100)
+        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 100.0), zeta=10.0)
         res = run(two_queue, cfg, gamma_star_100)
+        assert res.queue_trace[0].tolist() == gamma_star_100.tolist()
         assert res.t_zeta_first == 0
 
     @pytest.mark.parametrize("kind", ["Backpressure", "OLAC", "OLAC2"])
@@ -178,16 +178,15 @@ class TestRun:
         cfg_bp = SimConfig(horizon=300, seed=0, controller=ControllerConfig("Backpressure", 100.0))
         assert run(two_queue, cfg_bp, gamma_star_100).beta_trace is None
 
-    def test_olac_queues_shift_with_theta_clear_of_empty(self, two_queue, gamma_star_100):
+    def test_olac_queues_shift_with_theta_clear_of_empty(self, two_queue, gamma_star_100, start_backlog):
         # OLAC weighs q + beta - theta; started at q = theta and never emptied,
         # the queue path minus theta (so the backlog's offset from sum(theta))
         # does not depend on theta
         paths = []
         for theta in (150.0, 300.0):
             th = np.full(two_queue.r, theta)
-            cfg = SimConfig(
-                horizon=5000, seed=0, controller=ControllerConfig("OLAC", 100.0, theta=th), initial_backlog=th
-            )
+            start_backlog(th)
+            cfg = SimConfig(horizon=5000, seed=0, controller=ControllerConfig("OLAC", 100.0, theta=th))
             res = run(two_queue, cfg, gamma_star_100)
             assert (res.queue_trace > 0).all()
             paths.append((res.queue_trace - th, res.cost_trace))
@@ -212,18 +211,6 @@ class TestRunInputs:
     def test_bad_zeta_rejected_by_config(self, zeta):
         with pytest.raises(ValueError, match="zeta must be None or positive and finite"):
             SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 10.0), zeta=zeta)
-
-    @pytest.mark.parametrize("backlog", [[-5.0, 3.0], [np.nan, 3.0], [np.inf, 3.0], [4.0, 3.0, 7.0], [4.0]])
-    def test_bad_initial_backlog_rejected(self, two_queue, backlog):
-        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 10.0),
-                        initial_backlog=np.array(backlog))
-        with pytest.raises(ValueError, match="initial_backlog"):
-            run(two_queue, cfg, np.zeros(2))
-
-    def test_zero_initial_backlog_accepted(self, two_queue):
-        cfg = SimConfig(horizon=5, seed=0, controller=ControllerConfig("Backpressure", 10.0),
-                        initial_backlog=np.array([0.0, 3.0]))
-        assert run(two_queue, cfg, np.zeros(2)).queue_trace[0].tolist() == [0.0, 3.0]
 
     @pytest.mark.parametrize("arrival, service", [([np.nan], [1.0]), ([0.0], [np.inf])])
     def test_non_finite_table_rejected(self, arrival, service):
